@@ -211,17 +211,14 @@ def _cmd_interf_surface(args, config) -> int:
     out = r.text("out", default="phase_surface.csv")
     outdir = _outdir(args)
 
-    rows = []
-    degenerate = 0
-    for xi in xi_grid:
-        for eta in eta_grid:
-            zyz = su2.yzy_to_zyz(xi, eta, zeta)
-            if zyz.delta_defined:
-                cos2 = float(np.cos(zyz.delta) ** 2)
-            else:
-                cos2 = None  # beta = pi/2: phase undefined, cell left empty
-                degenerate += 1
-            rows.append((float(xi), float(eta), cos2))
+    xi, eta = np.meshgrid(xi_grid, eta_grid, indexing="ij")
+    zyz = su2.yzy_to_zyz(xi, eta, zeta)
+    cos2 = np.cos(zyz.delta) ** 2
+    # beta = pi/2: phase undefined, cell left empty
+    rows = [(x, e, c if defined else None) for x, e, c, defined in
+            zip(xi.ravel().tolist(), eta.ravel().tolist(), cos2.ravel().tolist(),
+                zyz.delta_defined.ravel().tolist())]
+    degenerate = int(np.count_nonzero(~zyz.delta_defined))
     _write_csv(_outpath(outdir, out), ["xi", "eta", "cos2_phase"], rows)
     r.write(outdir, "interf_surface")
     if degenerate:
@@ -261,11 +258,12 @@ def _cmd_polarimetry(args, config) -> int:
     outdir = _outdir(args)
 
     etas = np.linspace(0.0, 2.0 * np.pi, eta_steps, endpoint=False)
+    zyz = su2.yzy_to_zyz(xi, etas, zeta)
+    expected_cos2 = [c if defined else None for c, defined in
+                     zip((np.cos(zyz.delta) ** 2).tolist(), zyz.delta_defined.tolist())]
     rows = []
     degenerate = 0
-    for index, eta in enumerate(etas):
-        zyz = su2.yzy_to_zyz(xi, eta, zeta)
-        expected = float(np.cos(zyz.delta) ** 2) if zyz.delta_defined else None
+    for index, (eta, expected) in enumerate(zip(etas, expected_cos2)):
         try:
             measured = polarimetry.measure_phase(
                 xi, eta, zeta, n_grid=n_grid, noise_sigma=noise, seed=seed + index
@@ -417,13 +415,13 @@ def _cmd_fringe_analyze(args, config) -> int:
 # ---------------------------------------------------------------------------
 # visibility
 
-def _simulated_visibility(theta1, theta2, theta3, samples=1024) -> float:
-    array = [plates.quarter_wave(theta1), plates.half_wave(theta2), plates.quarter_wave(theta3)]
-    u = plates.compose(array)
+def _simulated_visibility(theta1, theta2, theta3, samples=1024) -> np.ndarray:
+    """Contrast of simulated interferometer sweeps, over arrays of QHQ plate angles."""
+    u = plates.compose("QHQ", np.stack([theta1, theta2, theta3], axis=-1))
     phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     intensity, _ = interferometer._intensity_sweep("V", u, phis)
-    i_max = polarimetry._interpolated_extremum(intensity, int(np.argmax(intensity)))
-    i_min = polarimetry._interpolated_extremum(intensity, int(np.argmin(intensity)))
+    i_max = polarimetry._interpolated_extremum(intensity, np.argmax(intensity, axis=-1))
+    i_min = polarimetry._interpolated_extremum(intensity, np.argmin(intensity, axis=-1))
     return (i_max - i_min) / (i_max + i_min)
 
 
@@ -440,15 +438,11 @@ def _cmd_visibility(args, config) -> int:
     header = ["theta1", "theta2", "theta3", "visibility"]
     if check:
         header.append("visibility_sim")
-    rows = []
-    for t1 in t1_grid:
-        for t2 in t2_grid:
-            for t3 in t3_grid:
-                row = [float(t1), float(t2), float(t3),
-                       interferometer.visibility_plates(t1, t2, t3)]
-                if check:
-                    row.append(_simulated_visibility(t1, t2, t3))
-                rows.append(tuple(row))
+    t1, t2, t3 = (g.ravel() for g in np.meshgrid(t1_grid, t2_grid, t3_grid, indexing="ij"))
+    columns = [t1, t2, t3, interferometer.visibility_plates(t1, t2, t3)]
+    if check:
+        columns.append(_simulated_visibility(t1, t2, t3))
+    rows = list(zip(*(c.tolist() for c in columns)))
     _write_csv(_outpath(outdir, out), header, rows)
     r.write(outdir, "visibility")
     print(f"visibility data written to {_outpath(outdir, out)} ({len(rows)} points)")

@@ -466,8 +466,13 @@ def retrieve_phase(
         carriers.append(k0)
         per_region.append(_circular_mean(values))
     if not per_region:
-        assert last_error is not None
-        raise last_error
+        try:
+            raise last_error
+        finally:
+            # the traceback holds this frame; a frame that also held the
+            # exception would be a cycle pinning the image until a full GC
+            last_error = None
+    last_error = None  # same cycle, for a failure a later region made up for
 
     estimate = _circular_mean(per_region)
     if len(per_region) >= 2:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .su2 import IDENTITY2, to_zyz, wrap_angle
+from .su2 import IDENTITY2, finite, to_zyz, wrap_angle
 
 #: visibility below this is treated as zero (fringes flat, shift undefined)
 EPS_VISIBILITY = 1e-6
@@ -42,6 +42,10 @@ _PATH_Y = np.diag([0.0, 1.0]).astype(complex)
 
 class ZeroVisibility(ValueError):
     """Fringe visibility vanishes; the fringe shift is undefined."""
+
+
+class IncompletePeriod(ValueError):
+    """The scan grid does not cover a whole number of fringe periods."""
 
 
 def beam_splitter() -> np.ndarray:
@@ -67,13 +71,22 @@ def phase_shifter(arm: str, phi: float) -> np.ndarray:
     return np.kron(IDENTITY2, p.astype(complex))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron over the last two axes of a (..., 2, 2) stack and a 2x2 matrix
+    out = a[..., :, None, :, None] * b[:, None, :]
+    return out.reshape(a.shape[:-2] + (4, 4))
+
+
 def arm_unitary(u: np.ndarray, arm: str) -> np.ndarray:
-    """Polarization transformation u applied in one arm, identity in the other."""
+    """Polarization transformation u applied in one arm, identity in the other.
+
+    ``u`` may be a (..., 2, 2) stack; the result is then a (..., 4, 4) stack.
+    """
     u = np.asarray(u, dtype=complex)
     if arm == "X":
-        return np.kron(u, _PATH_X) + np.kron(IDENTITY2, _PATH_Y)
+        return _kron(u, _PATH_X) + np.kron(IDENTITY2, _PATH_Y)
     if arm == "Y":
-        return np.kron(u, _PATH_Y) + np.kron(IDENTITY2, _PATH_X)
+        return _kron(u, _PATH_Y) + np.kron(IDENTITY2, _PATH_X)
     raise ValueError(f"arm must be 'X' or 'Y', got {arm!r}")
 
 
@@ -102,18 +115,19 @@ def _intensity_sweep(input_pol: str, u: np.ndarray, phis: np.ndarray) -> tuple[n
     """(detector-port, complementary-port) intensities over an array of phi.
 
     Vectorized over phi: the scanned phase only multiplies the X components,
-    so the fixed front and back sections are applied once.
+    so the fixed front and back sections are applied once.  A (..., 2, 2)
+    stack of u gives (..., n_phi) intensities.
     """
     front = arm_unitary(u, "Y") @ beam_splitter()
     back = beam_splitter() @ mirror()
     v0 = front @ _input_ket(input_pol)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    states = np.repeat(v0[:, None], len(phis), axis=1)
-    states[0] *= np.exp(1j * phis)  # |VX>
-    states[2] *= np.exp(1j * phis)  # |HX>
+    states = np.repeat(v0[..., None], len(phis), axis=-1)
+    states[..., 0, :] *= np.exp(1j * phis)  # |VX>
+    states[..., 2, :] *= np.exp(1j * phis)  # |HX>
     out = back @ states
-    detector = np.abs(out[1]) ** 2 + np.abs(out[3]) ** 2  # |VY>, |HY>
-    complement = np.abs(out[0]) ** 2 + np.abs(out[2]) ** 2
+    detector = np.abs(out[..., 1, :]) ** 2 + np.abs(out[..., 3, :]) ** 2  # |VY>, |HY>
+    complement = np.abs(out[..., 0, :]) ** 2 + np.abs(out[..., 2, :]) ** 2
     return detector, complement
 
 
@@ -135,9 +149,11 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     phi_grid, circularly cross-correlates the two curves, and interpolates
     the correlation peak quadratically.  Returns the shift in (-pi, pi].
 
-    phi_grid must be uniform with at least 16 samples covering at least one
-    full period (one period exactly, endpoint excluded, is the natural
-    choice; the circular correlation is exact in that case).
+    phi_grid must be uniform with at least 16 samples spanning a whole
+    number of periods: n * step = 2 pi k for an integer k >= 1, as in
+    linspace(0, 2 pi k, n, endpoint=False).  The circular correlation is
+    exact only then; any other span wraps a partial period onto the start
+    and biases the shift, so it raises IncompletePeriod.
     """
     phis = np.asarray(phi_grid, dtype=float)
     n = len(phis)
@@ -147,8 +163,12 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("phi_grid must be uniformly spaced")
     h = float(steps[0])
-    if n * h < 2.0 * np.pi - 1e-9:
-        raise ValueError("phi_grid must span at least one full period")
+    periods = n * h / (2.0 * np.pi)
+    whole = round(periods)
+    if whole < 1 or abs(periods - whole) > 1e-9 * whole:
+        raise IncompletePeriod(
+            f"phi_grid spans {periods:.6g} periods (n * step / 2 pi); need a whole number >= 1"
+        )
 
     visibility = np.cos(to_zyz(u).beta)
     if visibility <= EPS_VISIBILITY:
@@ -165,17 +185,18 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
 
 
 def visibility_yzy(xi: float, eta: float, zeta: float) -> float:
-    """Fringe visibility in the y-z-y angles.
+    """Fringe visibility in the y-z-y angles (scalars, or arrays elementwise).
 
     v^2 = (1/2)[1 + cos(xi) cos(zeta) - cos(eta) sin(xi) sin(zeta)], which
     equals cos(beta)^2 = |<V|U|V>|^2.
     """
+    xi, eta, zeta = finite("xi", xi), finite("eta", eta), finite("zeta", zeta)
     v2 = 0.5 * (
         1.0
         + np.cos(xi) * np.cos(zeta)
         - np.cos(eta) * np.sin(xi) * np.sin(zeta)
     )
-    return float(np.sqrt(np.clip(v2, 0.0, 1.0)))
+    return _visibility(v2)
 
 
 def visibility_plates(theta1: float, theta2: float, theta3: float) -> float:
@@ -183,8 +204,9 @@ def visibility_plates(theta1: float, theta2: float, theta3: float) -> float:
 
     Same quantity as visibility_yzy, written directly in the plate angles of
     the compiling quarter-half-quarter array (theta1 is the first plate the
-    light meets).
+    light meets).  Broadcasts over array angles like visibility_yzy.
     """
+    theta1, theta2, theta3 = finite("theta1", theta1), finite("theta2", theta2), finite("theta3", theta3)
     v2 = 0.5 * (
         1.0
         + np.cos((3.0 * np.pi + 4.0 * theta3) / 2.0) * np.cos((np.pi - 4.0 * theta1) / 2.0)
@@ -192,4 +214,9 @@ def visibility_plates(theta1: float, theta2: float, theta3: float) -> float:
         * np.sin((3.0 * np.pi + 4.0 * theta3) / 2.0)
         * np.sin((np.pi - 4.0 * theta1) / 2.0)
     )
-    return float(np.sqrt(np.clip(v2, 0.0, 1.0)))
+    return _visibility(v2)
+
+
+def _visibility(v2):
+    v = np.sqrt(np.clip(v2, 0.0, 1.0))
+    return float(v) if np.ndim(v) == 0 else v

@@ -14,6 +14,12 @@ Plate arrays are stored in TRAVERSAL order: ``plates[0]`` is the first plate
 the light meets, so composing multiplies the Jones matrices right-to-left.
 A plate axis is a line, not a direction; axes are normalized modulo pi into
 (-pi/2, pi/2], which leaves every Jones matrix unchanged.
+
+Besides a list of WavePlates, jones and compose take a plate array as
+``(kinds, axes)``: one kind letter per plate and an ``axes`` array of shape
+``(..., n_plates)``.  The leading axes broadcast, so a whole stack of arrays
+sharing their kinds (a rotation scan, a grid of plate angles) composes in one
+call into a ``(..., 2, 2)`` stack of Jones matrices.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .su2 import IDENTITY2, rot_z
+from .su2 import IDENTITY2, finite, matrix, product, rot_z
 
 QUARTER_RETARDANCE = np.pi / 2.0
 HALF_RETARDANCE = np.pi
+_RETARDANCE = {"Q": QUARTER_RETARDANCE, "H": HALF_RETARDANCE}
 
 PlateKind = Literal["Q", "H"]
 
@@ -42,7 +49,7 @@ class WavePlate:
         if self.kind not in ("Q", "H"):
             raise ValueError(f"plate kind must be 'Q' or 'H', got {self.kind!r}")
         # canonical mounting angle: axes are pi-periodic
-        axis = np.remainder(self.axis, np.pi)
+        axis = np.remainder(finite("plate axis", self.axis), np.pi)
         if axis > np.pi / 2.0:
             axis -= np.pi
         object.__setattr__(self, "axis", float(axis))
@@ -56,28 +63,61 @@ def half_wave(axis: float) -> WavePlate:
     return WavePlate("H", axis)
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _retarder(retardance, axis) -> np.ndarray:
+    """R(axis) diag(e^{-i Gamma/2}, e^{+i Gamma/2}) R(-axis), broadcast over both inputs.
+
+    Multiplied out this is cos(Gamma/2) I - i sin(Gamma/2) M(2 axis), with
+    M(t) = [[cos t, sin t], [sin t, -cos t]] the reflection about the axis.
+    """
+    half = np.asarray(retardance, dtype=float) / 2.0
+    double = 2.0 * finite("plate axis", axis)
+    cos_half, minus_i_sin_half = np.cos(half), -1j * np.sin(half)
+    diagonal = minus_i_sin_half * np.cos(double)
+    off_diagonal = minus_i_sin_half * np.sin(double)
+    return matrix(cos_half + diagonal, off_diagonal, off_diagonal, cos_half - diagonal)
 
 
-def jones(plate: WavePlate) -> np.ndarray:
-    """Jones matrix of a single plate (unit determinant)."""
-    gamma = QUARTER_RETARDANCE if plate.kind == "Q" else HALF_RETARDANCE
-    d = np.array(
-        [[np.exp(-0.5j * gamma), 0.0], [0.0, np.exp(0.5j * gamma)]], dtype=complex
-    )
-    return _rotation(plate.axis) @ d @ _rotation(-plate.axis)
+def _retardances(kinds) -> np.ndarray:
+    try:
+        return np.array([_RETARDANCE[kind] for kind in kinds], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"plate kind must be 'Q' or 'H', got {exc.args[0]!r}") from None
 
 
-def compose(plates: Sequence[WavePlate]) -> np.ndarray:
+def jones(plate: WavePlate | str, axis=None) -> np.ndarray:
+    """Jones matrix of a single plate (unit determinant).
+
+    ``jones(plate)`` takes a WavePlate and returns a (2, 2) matrix;
+    ``jones(kind, axis)`` takes a kind letter and an axis array and returns
+    the (..., 2, 2) stack over the axis array's shape.
+    """
+    if axis is None:
+        plate, axis = plate.kind, plate.axis
+    return _retarder(_retardances([plate])[0], axis)
+
+
+def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarray:
     """Jones matrix of a plate array, applied in traversal order.
 
-    An empty array composes to the identity.
+    ``compose(plates)`` takes a sequence of WavePlates and returns a (2, 2)
+    matrix.  ``compose(kinds, axes)`` takes the kind letters of the plates
+    (e.g. ``"QHQ"``) and an axis array of shape (..., n_plates), and returns
+    the (..., 2, 2) stack: every Jones matrix comes from one broadcast
+    _retarder call, then an n_plates-long fold of stacked 2x2 products.  An
+    empty array composes to the identity.
     """
-    out = IDENTITY2.copy()
-    for plate in plates:
-        out = jones(plate) @ out
+    if axes is None:
+        plates = list(plates)
+        kinds, axes = [p.kind for p in plates], [p.axis for p in plates]
+    else:
+        kinds = list(plates)
+    axes = np.asarray(axes, dtype=float)
+    if axes.ndim == 0 or axes.shape[-1] != len(kinds):
+        raise ValueError(f"axes of shape {axes.shape} do not match {len(kinds)} plate kinds")
+    mats = _retarder(_retardances(kinds), axes)
+    out = np.broadcast_to(IDENTITY2, axes.shape[:-1] + (2, 2)).copy()
+    for k in range(len(kinds)):
+        out = product(mats[..., k, :, :], out)
     return out
 
 

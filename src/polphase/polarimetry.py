@@ -34,7 +34,7 @@ import numpy as np
 
 from .fringes import savgol_coefficients
 from .plates import WavePlate, compose
-from .su2 import EPS_DEGENERATE, KET_V, YzyParams
+from .su2 import EPS_DEGENERATE, YzyParams, finite
 
 _RATIO_SLACK = 1e-9
 
@@ -63,7 +63,7 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     |<V| compose(polarimetric_array(xi, eta, zeta, phi)) |V>|^2 to rounding.
     Accepts a scalar or an array of phi.
     """
-    phi = np.asarray(phi, dtype=float)
+    xi, eta, zeta, phi = finite("xi", xi), finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
     ce, se = np.cos(eta / 2.0), np.sin(eta / 2.0)
     out = (
         ce**2 * np.cos((xi + zeta) / 2.0) ** 2
@@ -83,7 +83,7 @@ def intensity_xi_minus_pi(eta: float, zeta: float, phi) -> "float | np.ndarray":
     identical to polarimetric_intensity(-pi, eta, zeta, phi).  Constant in
     phi at eta = 0, zeta = pi (the alignment configuration).
     """
-    phi = np.asarray(phi, dtype=float)
+    eta, zeta, phi = finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
     out = (
         np.cos(zeta / 2.0) ** 2 * np.cos((eta - 2.0 * phi) / 2.0) ** 2
         + np.sin(zeta / 2.0) ** 2 * np.cos(eta / 2.0) ** 2
@@ -144,14 +144,15 @@ def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
     up -phi/2, matching the built-in five-plate construction) and projecting
     the output back on |V> gives the scan intensity |<V| U(phi) |V>|^2 at
     each grid point.  This is how a user-supplied plate file is simulated.
+
+    The whole scan is one compose call over an (n_phi, n_plates) axis array,
+    so the cost is a handful of array operations, not one matrix product per
+    grid point.  Returns an array of len(phi_grid) (one entry for a scalar).
     """
     phis = np.atleast_1d(np.asarray(phi_grid, dtype=float))
-    out = np.empty(len(phis))
-    for i, phi in enumerate(phis):
-        rotated = [WavePlate(p.kind, p.axis - phi / 2.0) for p in plates]
-        amplitude = KET_V.conj() @ (compose(rotated) @ KET_V)
-        out[i] = abs(amplitude) ** 2
-    return out
+    axes = np.array([p.axis for p in plates], dtype=float)
+    u = compose([p.kind for p in plates], axes[None, :] - phis[:, None] / 2.0)
+    return np.abs(u[:, 0, 0]) ** 2
 
 
 def _circular_smooth(values: np.ndarray, window: int, order: int = 3) -> np.ndarray:
@@ -162,13 +163,16 @@ def _circular_smooth(values: np.ndarray, window: int, order: int = 3) -> np.ndar
     return np.convolve(padded, coeffs[::-1], mode="valid")
 
 
-def _interpolated_extremum(values: np.ndarray, index: int) -> float:
-    # circular three-point parabola through the best sample and its neighbours
-    n = len(values)
-    ym, y0, yp = values[(index - 1) % n], values[index], values[(index + 1) % n]
+def _interpolated_extremum(values: np.ndarray, index):
+    # circular three-point parabola through the best sample and its
+    # neighbours, along the last axis of values; index has the leading shape
+    n = values.shape[-1]
+    index = np.asarray(index)[..., None]
+    ym, y0, yp = (np.take_along_axis(values, (index + k) % n, axis=-1)[..., 0] for k in (-1, 0, 1))
     denominator = ym - 2.0 * y0 + yp
-    offset = 0.5 * (ym - yp) / denominator if denominator != 0.0 else 0.0
-    return float(y0 - 0.25 * (ym - yp) * offset)
+    flat = denominator == 0.0
+    offset = np.where(flat, 0.0, 0.5 * (ym - yp) / np.where(flat, 1.0, denominator))
+    return y0 - 0.25 * (ym - yp) * offset
 
 
 def sweep_extrema(sweep: PolarimetricSweep, smooth_window: int | None = None) -> tuple[float, float]:
@@ -176,8 +180,8 @@ def sweep_extrema(sweep: PolarimetricSweep, smooth_window: int | None = None) ->
     intensity = sweep.intensities
     if smooth_window is not None:
         intensity = _circular_smooth(intensity, smooth_window)
-    i_min = _interpolated_extremum(intensity, int(np.argmin(intensity)))
-    i_max = _interpolated_extremum(intensity, int(np.argmax(intensity)))
+    i_min = _interpolated_extremum(intensity, np.argmin(intensity))
+    i_max = _interpolated_extremum(intensity, np.argmax(intensity))
     return float(np.clip(i_min, 0.0, 1.0)), float(np.clip(i_max, 0.0, 1.0))
 
 

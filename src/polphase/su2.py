@@ -8,6 +8,12 @@ Conventions used throughout the package:
 * Operators are unit-determinant (SU(2), not merely unitary): a retarder
   splits its retardance symmetrically between the two axes.
 * All angles are radians.
+* Everything broadcasts over leading axes: angles may be arrays of any
+  mutually broadcastable shapes, matrices may be ``(..., 2, 2)`` stacks, and
+  the result has the broadcast shape in front.  A call with scalar angles
+  returns a single ``(2, 2)`` matrix, and to_zyz of a single matrix returns a
+  ZyzParams of Python floats and bools.  NaN or infinite inputs raise
+  NonFiniteInput.
 * The canonical ZYZ branch puts beta in [0, pi/2], so cos(beta) >= 0 and the
   fringe visibility cos(beta) is nonnegative.  Any sign of cos(beta) is
   absorbed into delta, which is therefore defined modulo pi.
@@ -48,6 +54,10 @@ class OrthogonalStates(ValueError):
     """The two states are orthogonal; their relative phase is undefined."""
 
 
+class NonFiniteInput(ValueError):
+    """An angle or matrix element is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class YzyParams:
     """Euler angles (xi, eta, zeta) of the y-z-y factorization."""
@@ -63,14 +73,16 @@ class ZyzParams:
 
     beta is kept on the canonical branch [0, pi/2].  When the matrix element
     fixing gamma or delta vanishes, the corresponding angle is reported as 0
-    and the matching ``*_defined`` flag is cleared instead of raising.
+    and the matching ``*_defined`` flag is cleared instead of raising.  Read
+    off a single matrix the fields are Python floats and bools; read off a
+    ``(..., 2, 2)`` stack they are arrays of the stack's leading shape.
     """
 
-    beta: float
-    gamma: float
-    delta: float
-    gamma_defined: bool = True
-    delta_defined: bool = True
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
+    delta: float | np.ndarray
+    gamma_defined: bool | np.ndarray = True
+    delta_defined: bool | np.ndarray = True
 
 
 def wrap_angle(angle):
@@ -82,56 +94,110 @@ def wrap_angle(angle):
     return out
 
 
-def rot_y(angle: float) -> np.ndarray:
+def finite(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``; raises NonFiniteInput on NaN or infinity.
+
+    The one finiteness check of the package: every broadcast constructor
+    passes its inputs through here, so a NaN is refused at the boundary
+    instead of surfacing later as a fake degeneracy.
+    """
+    array = np.asarray(value, dtype=dtype)
+    bad = ~np.isfinite(array)
+    if bad.any():
+        shown = array.item() if array.ndim == 0 else f"{int(bad.sum())} of {array.size} values"
+        raise NonFiniteInput(f"{name} must be finite, got {shown}")
+    return array
+
+
+def matrix(m11, m12, m21, m22) -> np.ndarray:
+    """Stack four broadcastable element arrays into a ``(..., 2, 2)`` complex array."""
+    m11, m12, m21, m22 = np.broadcast_arrays(m11, m12, m21, m22)
+    out = np.empty(m11.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = m11
+    out[..., 0, 1] = m12
+    out[..., 1, 0] = m21
+    out[..., 1, 1] = m22
+    return out
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for broadcastable ``(..., 2, 2)`` stacks, from the element formulas.
+
+    numpy's matmul runs a separate small-matrix loop per stacked 2x2 pair,
+    which on long stacks is an order of magnitude slower than these eight
+    elementwise products.
+    """
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    return matrix(a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                  a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def rot_y(angle) -> np.ndarray:
     """exp(-i angle sigma_y / 2), a real rotation in the {|V>,|H>} plane."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    half = finite("angle", angle) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    return matrix(c, -s, s, c)
 
 
-def rot_z(angle: float) -> np.ndarray:
+def rot_z(angle) -> np.ndarray:
     """exp(+i angle sigma_z / 2) = diag(e^{i angle/2}, e^{-i angle/2})."""
-    return np.array(
-        [[np.exp(0.5j * angle), 0.0], [0.0, np.exp(-0.5j * angle)]], dtype=complex
+    half = finite("angle", angle) / 2.0
+    return matrix(np.exp(1j * half), 0.0, 0.0, np.exp(-1j * half))
+
+
+def from_yzy(xi, eta, zeta) -> np.ndarray:
+    """Build the SU(2) operator from its y-z-y Euler angles.
+
+    The element formulas of rot_y(xi) rot_z(eta) rot_y(zeta), evaluated once
+    over the broadcast shape of the three angles.
+    """
+    half_xi, half_zeta = finite("xi", xi) / 2.0, finite("zeta", zeta) / 2.0
+    ca, sa = np.cos(half_xi), np.sin(half_xi)
+    cc, sc = np.cos(half_zeta), np.sin(half_zeta)
+    ep = np.exp(0.5j * finite("eta", eta))
+    em = np.conj(ep)
+    return matrix(
+        ca * ep * cc - sa * em * sc,
+        -ca * ep * sc - sa * em * cc,
+        sa * ep * cc + ca * em * sc,
+        -sa * ep * sc + ca * em * cc,
     )
 
 
-def from_yzy(xi: float, eta: float, zeta: float) -> np.ndarray:
-    """Build the SU(2) operator from its y-z-y Euler angles."""
-    return rot_y(xi) @ rot_z(eta) @ rot_y(zeta)
-
-
-def from_zyz(beta: float, gamma: float, delta: float) -> np.ndarray:
+def from_zyz(beta, gamma, delta) -> np.ndarray:
     """Build the SU(2) operator from its z-y-z Euler angles (explicit form)."""
+    beta = finite("beta", beta)
     cb, sb = np.cos(beta), np.sin(beta)
-    return np.array(
-        [
-            [np.exp(1j * delta) * cb, -np.exp(1j * gamma) * sb],
-            [np.exp(-1j * gamma) * sb, np.exp(-1j * delta) * cb],
-        ],
-        dtype=complex,
-    )
+    eg, ed = np.exp(1j * finite("gamma", gamma)), np.exp(1j * finite("delta", delta))
+    return matrix(ed * cb, -eg * sb, np.conj(eg) * sb, np.conj(ed) * cb)
 
 
-def to_zyz(u: np.ndarray) -> ZyzParams:
-    """Read the z-y-z Euler angles off an SU(2) matrix.
+def to_zyz(u) -> ZyzParams:
+    """Read the z-y-z Euler angles off an SU(2) matrix or a ``(..., 2, 2)`` stack.
 
     beta = arccos|u11| lies on [0, pi/2]; delta = arg(u11) and
     gamma = -arg(u21) wherever the corresponding element is nonzero.  Near
     beta = 0 the angle gamma is undefined (and near beta = pi/2, delta); the
     defined angles are still returned, with the degeneracy flagged.
     """
-    u = np.asarray(u, dtype=complex)
-    m11, m21 = u[0, 0], u[1, 0]
-    beta = float(np.arccos(min(abs(m11), 1.0)))
-    delta_defined = bool(abs(m11) > EPS_DEGENERATE)
-    gamma_defined = bool(abs(m21) > EPS_DEGENERATE)
-    delta = float(np.angle(m11)) if delta_defined else 0.0
-    gamma = float(-np.angle(m21)) if gamma_defined else 0.0
+    u = finite("matrix element", u, dtype=complex)
+    if u.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a (..., 2, 2) array, got shape {u.shape}")
+    m11, m21 = u[..., 0, 0], u[..., 1, 0]
+    a11, a21 = np.abs(m11), np.abs(m21)
+    beta = np.arccos(np.minimum(a11, 1.0))
+    delta_defined = a11 > EPS_DEGENERATE
+    gamma_defined = a21 > EPS_DEGENERATE
+    delta = np.where(delta_defined, np.angle(m11), 0.0)
+    gamma = np.where(gamma_defined, -np.angle(m21), 0.0)
+    if u.ndim == 2:
+        return ZyzParams(float(beta), float(gamma), float(delta), bool(gamma_defined), bool(delta_defined))
     return ZyzParams(beta, gamma, delta, gamma_defined, delta_defined)
 
 
-def yzy_to_zyz(xi: float, eta: float, zeta: float) -> ZyzParams:
-    """Convert y-z-y angles to z-y-z angles.
+def yzy_to_zyz(xi, eta, zeta) -> ZyzParams:
+    """Convert y-z-y angles to z-y-z angles, elementwise over broadcast arrays.
 
     Goes through the matrix rather than through trigonometric identities,
     which avoids quadrant and branch mistakes; the identity

@@ -354,3 +354,17 @@ def test_missing_parameter_is_machine_parsable_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decompose", "--out-dir", str(tmp_path))
     assert code == 1
     assert err.startswith("error: ValueError:")
+
+
+def test_non_finite_angle_is_machine_parsable_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "decompose", "--xi", "nan", "--eta", "0", "--zeta", "0", "--out-dir", str(tmp_path)
+    )
+    assert code == 1
+    assert err.startswith("error: NonFiniteInput:")
+    assert err.count("\n") == 1
+    code, _, err = run_cli(
+        capsys, "visibility", "--theta1", "nan", "--theta2", "0", "--theta3", "0", "--out-dir", str(tmp_path)
+    )
+    assert code == 1
+    assert err.startswith("error: NonFiniteInput:")

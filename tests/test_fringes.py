@@ -1,5 +1,8 @@
 """Tests for synthetic interferograms and the two shift estimators."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -458,3 +461,41 @@ def test_analyze_after_save_round_trip(tmp_path):
     loaded, _ = fringes.load_interferogram(path)
     result = fringes.retrieve_phase(loaded)
     assert abs(su2.wrap_angle(result.estimate - 1.1)) < 1.5e-3
+
+
+def _freed_without_gc(call, make_image):
+    # the image must be released by reference counting alone once the call
+    # is over: no reference cycle through a kept exception may pin it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        img = make_image()
+        ref = weakref.ref(img)
+        call(img)
+        del img
+        return ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _retrieve_refused(img):
+    try:
+        fringes.retrieve_phase(img)
+    except fringes.NoCarrier as exc:
+        assert "profile is flat" in str(exc)
+    else:
+        raise AssertionError("a flat image must be refused")
+
+
+def test_retrieve_phase_all_regions_failed_frees_the_image():
+    assert _freed_without_gc(_retrieve_refused, lambda: fringes.Interferogram(np.full((64, 128), 0.5), 32))
+
+
+def test_retrieve_phase_partial_failure_frees_the_image():
+    regions = [Region(0, 256, 0, 64), Region(0, 20, 0, 64)]
+
+    def call(img):
+        assert fringes.retrieve_phase(img, regions).failed_regions == 1
+
+    assert _freed_without_gc(call, lambda: fringes.generate(0.3, 0.2, 0.3, size=(64, 256), seed=1))

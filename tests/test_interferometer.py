@@ -269,3 +269,48 @@ def test_visibility_plates_theta2_slice_shape():
             [plates.quarter_wave(t1), plates.half_wave(t2), plates.quarter_wave(t3)]
         )
         assert abs(itf.visibility_plates(t1, t2, t3) - abs(u[0, 0])) < 1e-12
+
+
+@pytest.mark.parametrize("periods", [1.5, 2.3])
+def test_split_beam_shift_refuses_partial_periods(periods):
+    # a circular correlation over a partial period wraps it onto the start;
+    # such grids used to return a silently wrong shift (off by radians)
+    u = su2.from_yzy(0.9, 1.2, -0.4)
+    grid = np.arange(1024) * (2 * np.pi * periods / 1024)
+    with pytest.raises(itf.IncompletePeriod):
+        itf.split_beam_shift(u, grid)
+
+
+def test_split_beam_shift_exact_on_two_whole_periods():
+    u = su2.from_yzy(0.9, 1.2, -0.4)
+    expected = su2.wrap_angle(2 * su2.to_zyz(u).delta)
+    got = itf.split_beam_shift(u, np.linspace(0, 4 * np.pi, 2048, endpoint=False))
+    assert abs(su2.wrap_angle(got - expected)) < 1e-6
+
+
+def test_intensity_sweep_broadcasts_over_operator_stacks():
+    stack = np.array([random_su2() for _ in range(4)])
+    phis = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+    det, comp = itf._intensity_sweep("V", stack, phis)
+    assert det.shape == (4, 32)
+    for k in range(4):
+        d1, c1 = itf._intensity_sweep("V", stack[k], phis)
+        np.testing.assert_allclose(det[k], d1, atol=1e-14)
+        np.testing.assert_allclose(comp[k], c1, atol=1e-14)
+
+
+def test_visibility_formulas_broadcast():
+    t = np.linspace(-1.0, 1.0, 7)
+    np.testing.assert_allclose(
+        itf.visibility_plates(t, 0.3, -t), [itf.visibility_plates(a, 0.3, -a) for a in t], atol=1e-15
+    )
+    np.testing.assert_allclose(
+        itf.visibility_yzy(t, 0.3, -t), [itf.visibility_yzy(a, 0.3, -a) for a in t], atol=1e-15
+    )
+
+
+def test_visibility_formulas_refuse_non_finite_angles():
+    with pytest.raises(su2.NonFiniteInput):
+        itf.visibility_plates(np.nan, 0.0, 0.0)
+    with pytest.raises(su2.NonFiniteInput):
+        itf.visibility_yzy(0.0, np.array([0.0, np.inf]), 0.0)

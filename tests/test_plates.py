@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from polphase import plates, su2
@@ -278,3 +280,52 @@ def test_parse_plate_array_rejects_garbage():
         plates.parse_plate_array("Q\n")
     # comments and blank lines are fine
     assert plates.parse_plate_array("# comment\n\nH 0.25\n")[0].kind == "H"
+
+
+# ---------------------------------------------------------------------------
+# broadcasting: (kinds, axes) stacks equal the WavePlate calls element by element
+
+AXIS = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(deadline=None)
+@given(st.sampled_from("QH"), st.lists(AXIS, min_size=1, max_size=12))
+def test_batched_jones_matches_scalar_calls(kind, axes):
+    got = plates.jones(kind, np.array(axes))
+    assert got.shape == (len(axes), 2, 2)
+    for k, axis in enumerate(axes):
+        np.testing.assert_allclose(got[k], plates.jones(plates.WavePlate(kind, axis)), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_batched_compose_matches_scalar_calls(data):
+    kinds = data.draw(st.lists(st.sampled_from("QH"), max_size=6))
+    rows = data.draw(st.lists(st.lists(AXIS, min_size=len(kinds), max_size=len(kinds)),
+                              min_size=1, max_size=8))
+    got = plates.compose(kinds, np.array(rows).reshape(len(rows), len(kinds)))
+    assert got.shape == (len(rows), 2, 2)
+    for k, row in enumerate(rows):
+        single = [plates.WavePlate(kind, axis) for kind, axis in zip(kinds, row)]
+        np.testing.assert_allclose(got[k], plates.compose(single), rtol=0, atol=1e-12)
+
+
+def test_compose_empty_stacks():
+    assert plates.compose("QHQ", np.empty((0, 3))).shape == (0, 2, 2)
+    np.testing.assert_array_equal(plates.compose("", np.empty((4, 0))), np.broadcast_to(np.eye(2), (4, 2, 2)))
+
+
+def test_compose_rejects_mismatched_axes_and_kinds():
+    with pytest.raises(ValueError):
+        plates.compose("QH", np.zeros((5, 3)))
+    with pytest.raises(ValueError):
+        plates.compose("QX", np.zeros(2))
+
+
+def test_non_finite_axes_raise():
+    with pytest.raises(su2.NonFiniteInput):
+        plates.WavePlate("Q", np.nan)
+    with pytest.raises(su2.NonFiniteInput):
+        plates.decompose_qhq(np.nan, 0.0, 0.0)
+    with pytest.raises(su2.NonFiniteInput):
+        plates.compose("QH", np.array([[0.0, np.inf]]))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polphase import plates, polarimetry, su2
 
@@ -188,3 +190,40 @@ def test_measure_phase_noise_robustness():
         )
         assert abs(got - np.cos(zyz.delta) ** 2) < 0.05
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the broadcast plate scan
+
+ANGLE = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=50)
+@given(ANGLE, ANGLE, ANGLE)
+def test_scan_of_five_plate_array_matches_closed_form(xi, eta, zeta):
+    phis = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
+    got = polarimetry.scan_plate_array(plates.polarimetric_array(xi, eta, zeta, 0.0), phis)
+    np.testing.assert_allclose(got, polarimetry.polarimetric_intensity(xi, eta, zeta, phis), rtol=0, atol=1e-12)
+
+
+def test_scan_single_phi_matches_rotated_compose():
+    array = plates.polarimetric_array(0.4, -1.1, 2.0, 0.0)
+    rotated = [plates.WavePlate(p.kind, p.axis - 0.35) for p in array]
+    got = polarimetry.scan_plate_array(array, 0.7)
+    assert got.shape == (1,)
+    assert abs(got[0] - abs(plates.compose(rotated)[0, 0]) ** 2) < 1e-12
+
+
+def test_scan_empty_array_and_empty_grid():
+    np.testing.assert_array_equal(polarimetry.scan_plate_array([], np.linspace(0, 1, 5)), np.ones(5))
+    array = plates.polarimetric_array(0.4, -1.1, 2.0, 0.0)
+    assert polarimetry.scan_plate_array(array, np.array([])).shape == (0,)
+
+
+def test_closed_forms_refuse_non_finite_angles():
+    with pytest.raises(su2.NonFiniteInput):
+        polarimetry.polarimetric_intensity(np.nan, 0.0, 0.0, 0.0)
+    with pytest.raises(su2.NonFiniteInput):
+        polarimetry.measure_phase(0.0, np.inf, 0.0)
+    with pytest.raises(su2.NonFiniteInput):
+        polarimetry.intensity_xi_minus_pi(0.0, 0.0, np.array([0.0, np.nan]))

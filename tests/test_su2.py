@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from polphase import su2
@@ -205,3 +207,108 @@ def test_wrap_angle_branch():
     np.testing.assert_allclose(
         su2.wrap_angle(np.array([0.0, 2 * np.pi, -0.3])), [0.0, 0.0, -0.3], atol=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# broadcasting: a batched call equals the scalar call element by element
+
+ANGLE = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+#: mixes in the exact angles where gamma or delta is undefined
+ANGLE_OR_SPECIAL = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi]), ANGLE)
+TRIPLES = st.lists(st.tuples(ANGLE_OR_SPECIAL, ANGLE_OR_SPECIAL, ANGLE_OR_SPECIAL),
+                   min_size=1, max_size=12)
+
+
+@settings(deadline=None)
+@given(TRIPLES)
+def test_batched_from_yzy_matches_scalar_calls(rows):
+    xi, eta, zeta = np.array(rows).T
+    got = su2.from_yzy(xi, eta, zeta)
+    assert got.shape == (len(rows), 2, 2)
+    for k, row in enumerate(rows):
+        np.testing.assert_allclose(got[k], su2.from_yzy(*row), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(TRIPLES)
+def test_batched_from_zyz_matches_scalar_calls(rows):
+    beta, gamma, delta = np.array(rows).T
+    got = su2.from_zyz(beta, gamma, delta)
+    assert got.shape == (len(rows), 2, 2)
+    for k, row in enumerate(rows):
+        np.testing.assert_allclose(got[k], su2.from_zyz(*row), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(TRIPLES)
+def test_batched_to_zyz_matches_scalar_calls(rows):
+    stack = np.array([su2.from_yzy(*row) for row in rows])
+    got = su2.to_zyz(stack)
+    assert got.beta.shape == (len(rows),)
+    for k in range(len(rows)):
+        one = su2.to_zyz(stack[k])
+        assert got.gamma_defined[k] == one.gamma_defined
+        assert got.delta_defined[k] == one.delta_defined
+        for field in ("beta", "gamma", "delta"):
+            assert abs(getattr(got, field)[k] - getattr(one, field)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(TRIPLES)
+def test_batched_yzy_to_zyz_matches_scalar_calls(rows):
+    xi, eta, zeta = np.array(rows).T
+    got = su2.yzy_to_zyz(xi, eta, zeta)
+    for k, row in enumerate(rows):
+        one = su2.yzy_to_zyz(*row)
+        assert got.delta_defined[k] == one.delta_defined
+        assert abs(got.delta[k] - one.delta) <= 1e-12
+        assert abs(got.beta[k] - one.beta) <= 1e-12
+
+
+def test_angles_broadcast_against_each_other():
+    xi = np.array([0.1, 0.7, -2.0])[:, None]
+    eta = np.array([0.3, 1.9])[None, :]
+    got = su2.from_yzy(xi, eta, 0.4)
+    assert got.shape == (3, 2, 2, 2)
+    for i in range(3):
+        for j in range(2):
+            np.testing.assert_allclose(got[i, j], su2.from_yzy(xi[i, 0], eta[0, j], 0.4), atol=1e-12)
+    assert su2.rot_y(np.zeros((4, 5))).shape == (4, 5, 2, 2)
+    assert su2.rot_z(np.zeros(0)).shape == (0, 2, 2)
+
+
+def test_scalar_calls_keep_their_types():
+    assert su2.from_yzy(0.1, 0.2, 0.3).shape == (2, 2)
+    assert su2.rot_y(0.5).shape == (2, 2) and su2.rot_z(0.5).shape == (2, 2)
+    p = su2.yzy_to_zyz(0.1, 0.2, 0.3)
+    assert all(type(v) is float for v in (p.beta, p.gamma, p.delta))
+    assert type(p.gamma_defined) is bool and type(p.delta_defined) is bool
+
+
+def test_to_zyz_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        su2.to_zyz(np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs are refused, not reported as degeneracies
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_angles_raise(bad):
+    with pytest.raises(su2.NonFiniteInput):
+        su2.yzy_to_zyz(bad, 0.0, 0.0)
+    with pytest.raises(su2.NonFiniteInput):
+        su2.from_yzy(0.0, bad, 0.0)
+    with pytest.raises(su2.NonFiniteInput):
+        su2.from_zyz(0.0, 0.0, bad)
+    with pytest.raises(su2.NonFiniteInput):
+        su2.from_yzy(np.array([0.0, bad]), 0.0, 0.0)
+
+
+def test_non_finite_matrix_raises():
+    u = np.eye(2, dtype=complex)
+    u[1, 0] = np.nan
+    with pytest.raises(su2.NonFiniteInput):
+        su2.to_zyz(u)
+    with pytest.raises(su2.NonFiniteInput):
+        su2.to_zyz(np.stack([np.eye(2), u]))
