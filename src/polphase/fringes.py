@@ -23,14 +23,14 @@ Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .su2 import wrap_angle
+from .su2 import finite, wrap_angle
 
 
 class TooFewMinima(ValueError):
@@ -116,6 +116,8 @@ def generate(
     images are bit-reproducible.
     """
     h, w = size
+    for name, value in (("delta", delta), ("beta", beta), ("phi0", phi0), ("noise_sigma", noise_sigma)):
+        finite(name, value)
     if not 0.0 < k0 < np.pi:
         raise ValueError(f"k0 must lie in (0, pi), got {k0}")
     if noise_sigma < 0.0:
@@ -132,7 +134,7 @@ def generate(
     pixels[split:] = lower
 
     if envelope_width is not None:
-        if envelope_width <= 0:
+        if finite("envelope_width", envelope_width) <= 0:
             raise ValueError("envelope_width must be positive")
         y = np.arange(h, dtype=float)
         r2 = (x - (w - 1) / 2.0) ** 2 + ((y - (h - 1) / 2.0) ** 2)[:, None]
@@ -183,12 +185,39 @@ def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 # Savitzky-Golay smoothing
 
-def savgol_coefficients(window: int, order: int) -> np.ndarray:
-    """Convolution weights evaluating the local LS polynomial at the window centre."""
+@functools.lru_cache(maxsize=16)
+def _savgol_centre(window: int, order: int) -> np.ndarray:
     half = window // 2
     t = np.arange(-half, half + 1, dtype=float)
-    design = np.vander(t, order + 1, increasing=True)
-    return np.linalg.pinv(design)[0]
+    taps = np.linalg.pinv(np.vander(t, order + 1, increasing=True))[0]
+    taps.flags.writeable = False
+    return taps
+
+
+@functools.lru_cache(maxsize=16)
+def _savgol_fits(window: int, order: int) -> np.ndarray:
+    """Weights of every output sample, as one read-only (window//2 + 1, window) matrix.
+
+    Row i < window//2 evaluates, at sample i, the least-squares polynomial
+    fitted on the truncated window y[:i + window//2 + 1] (degree capped by the
+    samples available), zero-padded to the window; the last row holds the
+    centre taps.  By symmetry the same rows serve the right edge applied to
+    the reversed profile.
+    """
+    half = window // 2
+    fits = np.zeros((half + 1, window))
+    for i in range(half):
+        t = np.arange(i + half + 1, dtype=float) - i
+        design = np.vander(t, min(order, i + half) + 1, increasing=True)
+        fits[i, :i + half + 1] = np.linalg.pinv(design)[0]
+    fits[half] = _savgol_centre(window, order)
+    fits.flags.writeable = False
+    return fits
+
+
+def savgol_coefficients(window: int, order: int) -> np.ndarray:
+    """Convolution weights evaluating the local LS polynomial at the window centre."""
+    return _savgol_centre(window, order).copy()
 
 
 def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.ndarray:
@@ -196,7 +225,9 @@ def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.
 
     Endpoints are handled by refitting on the truncated window that remains
     inside the data (no reflection padding), so polynomials of degree <=
-    order pass through unchanged everywhere, endpoints included.
+    order pass through unchanged everywhere, endpoints included.  All fits
+    are cached per (window, order): a call is one convolution plus one small
+    matrix product per edge.
     """
     y = np.asarray(profile, dtype=float)
     n = len(y)
@@ -208,15 +239,11 @@ def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.
         raise ValueError(f"window {window} longer than profile {n}")
 
     half = window // 2
+    fits = _savgol_fits(window, order)
     out = np.empty_like(y)
-    centre = savgol_coefficients(window, order)
-    out[half:n - half] = np.convolve(y, centre[::-1], mode="valid")
-    for i in range(half):
-        for idx, lo, hi in ((i, 0, i + half + 1), (n - 1 - i, n - i - half - 1, n)):
-            t = np.arange(lo, hi, dtype=float) - idx
-            deg = min(order, hi - lo - 1)
-            design = np.vander(t, deg + 1, increasing=True)
-            out[idx] = np.linalg.pinv(design)[0] @ y[lo:hi]
+    out[half:n - half] = np.convolve(y, fits[half, ::-1], mode="valid")
+    out[:half] = fits[:half] @ y[:window]
+    out[n - half:] = (fits[:half] @ y[::-1][:window])[::-1]
     return out
 
 
@@ -257,8 +284,11 @@ def estimate_carrier(profile: np.ndarray) -> float:
     """Dominant spatial carrier frequency of a fringe profile, in rad/pixel.
 
     The coarse location is the strongest nonzero bin of the windowed
-    transform; it is then refined to a continuous frequency by maximizing the
-    transform magnitude, which is accurate to a small fraction of a bin on
+    transform, interpolated between its neighbours from the three bin
+    magnitudes.  It is then refined to the maximum of the transform power
+    |X(k)|^2 by Newton steps on its derivative, using the analytic first and
+    second derivatives of the windowed transform and staying within 1.5 bins
+    of the coarse peak; this is accurate to a small fraction of a bin on
     clean fringes.  Raises NoCarrier when no dominant peak stands out.
     """
     y = np.asarray(profile, dtype=float)
@@ -267,18 +297,34 @@ def estimate_carrier(profile: np.ndarray) -> float:
         raise NoCarrier(f"profile too short ({n} samples)")
     if np.ptp(y) < _FLAT_FLOOR:
         raise NoCarrier("profile is flat")
-    centred = y - y.mean()
-    kbin = _peak_bin(np.abs(np.fft.rfft(centred * _periodic_hann(n))))
+    windowed = (y - y.mean()) * _periodic_hann(n)
+    mags = np.abs(np.fft.rfft(windowed))
+    kbin = _peak_bin(mags)
     dk = 2.0 * np.pi / n
     lo = max(0.5 * dk, (kbin - 1.5) * dk)
     hi = min(np.pi - 1e-12, (kbin + 1.5) * dk)
-    res = minimize_scalar(
-        lambda k: -abs(_windowed_dtft(centred, k)) ** 2,
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x)
+    offset = 0.0
+    if kbin + 1 < len(mags):
+        # ym < y0 >= yp (argmax takes the first maximum): the denominator is negative
+        ym, y0, yp = mags[kbin - 1:kbin + 2]
+        offset = 0.5 * (ym - yp) / (ym - 2.0 * y0 + yp)
+    k = min(max((kbin + offset) * dk, lo), hi)
+    # X(k) = sum w_x e^{-ikx} and its first two k-derivatives; the origin sits
+    # mid-profile, which leaves |X| alone and keeps the x^2 weights small
+    x = np.arange(n) - (n - 1) / 2.0
+    weights = np.stack([windowed, -1j * x * windowed, -(x**2) * windowed])
+    for _ in range(8):
+        value, slope, bend = weights @ np.exp(-1j * k * x)
+        # half the first and second derivatives of |X|^2
+        gradient = (value.conjugate() * slope).real
+        curvature = abs(slope) ** 2 + (value.conjugate() * bend).real
+        if not curvature < 0.0:
+            break
+        step = min(max(k - gradient / curvature, lo), hi) - k
+        k += step
+        if abs(step) < 1e-13:
+            break
+    return float(k)
 
 
 def _subpixel_extrema(
@@ -291,32 +337,26 @@ def _subpixel_extrema(
     differences carry the harmonic correction factors 2(1 - cos k0) and
     2 sin(k0) in place of their small-angle limits k0^2 and 2 k0, which makes
     the vertex exact for a sampled cosine of that frequency; without a
-    carrier the plain parabola limit is used.  Returns (positions, values).
+    carrier, or where the harmonic vertex lands more than a sample away, the
+    plain parabola limit is used.  Returns (positions, values).
     """
     s = y if minima else -y
     idx = np.nonzero((s[1:-1] < s[:-2]) & (s[1:-1] <= s[2:]))[0] + 1
-    positions, values = [], []
-    for i in idx:
-        ym, y0, yp = s[i - 1], s[i], s[i + 1]
-        if carrier is not None and carrier > 1e-3:
-            # local model s = a + B cos(k0 x + psi), extremum at phase pi
-            p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carrier) - 1.0))
-            q = (yp - ym) / (2.0 * np.sin(carrier))
-            theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
-            offset = float(-wrap_angle(theta - np.pi) / carrier)
-            if abs(offset) > 1.0:  # degenerate fit, fall back to the parabola
-                offset = None
-            else:
-                val = (y0 - p) - np.hypot(p, q)
-        else:
-            offset = None
-        if offset is None:
-            denom = ym - 2.0 * y0 + yp
-            offset = 0.5 * (ym - yp) / denom if denom != 0.0 else 0.0
-            val = y0 - 0.25 * (ym - yp) * offset
-        positions.append(i + offset)
-        values.append(val if minima else -val)
-    return np.array(positions), np.array(values)
+    ym, y0, yp = s[idx - 1], s[idx], s[idx + 1]
+    denom = ym - 2.0 * y0 + yp
+    flat = denom == 0.0
+    offset = np.where(flat, 0.0, 0.5 * (ym - yp) / np.where(flat, 1.0, denom))
+    values = y0 - 0.25 * (ym - yp) * offset
+    if carrier is not None and carrier > 1e-3:
+        # local model s = a + B cos(k0 x + psi), extremum at phase pi
+        p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carrier) - 1.0))
+        q = (yp - ym) / (2.0 * np.sin(carrier))
+        theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
+        harmonic = -wrap_angle(theta - np.pi) / carrier
+        fits = ~(np.abs(harmonic) > 1.0)  # else a degenerate fit: keep the parabola
+        offset = np.where(fits, harmonic, offset)
+        values = np.where(fits, (y0 - p) - np.hypot(p, q), values)
+    return idx + offset, values if minima else -values
 
 
 def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
@@ -340,10 +380,8 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
         raise TooFewMinima(
             f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}"
         )
-    phases = np.empty(len(pos_up))
-    for j, m in enumerate(pos_up):
-        partner = pos_low[np.argmin(np.abs(pos_low - m))]
-        phases[j] = wrap_angle(k0 * (m - partner))
+    partner = pos_low[np.argmin(np.abs(pos_low - pos_up[:, None]), axis=1)]
+    phases = wrap_angle(k0 * (pos_up - partner))
     resultant = np.mean(np.exp(1j * phases))
     if abs(resultant) < 0.5:
         raise AmbiguousPairing(

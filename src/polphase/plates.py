@@ -134,6 +134,8 @@ def decompose_qhq(xi: float, eta: float, zeta: float) -> list[WavePlate]:
     traversal order and composes to from_yzy(xi, eta, zeta) with no residual
     sign.
     """
+    for name, angle in (("xi", xi), ("eta", eta), ("zeta", zeta)):
+        finite(name, angle)
     return [
         quarter_wave((np.pi - 2.0 * zeta) / 4.0),
         half_wave((xi - eta - zeta - np.pi) / 4.0),
@@ -196,6 +198,8 @@ def polarimetric_array(xi, eta, zeta, phi) -> list[WavePlate]:
     the conjugated target exactly (no global sign; asserted by the test
     suite rather than assumed).
     """
+    for name, angle in (("xi", xi), ("eta", eta), ("zeta", zeta), ("phi", phi)):
+        finite(name, angle)
     off = -phi / 2.0
     return [
         quarter_wave(-np.pi / 4.0 + off),

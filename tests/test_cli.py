@@ -368,3 +368,22 @@ def test_non_finite_angle_is_machine_parsable_error(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error: NonFiniteInput:")
+
+
+def test_non_finite_parameter_is_named_in_the_error(tmp_path, capsys):
+    angles = {"--xi": "0.3", "--eta": "0.1", "--zeta": "-0.4"}
+    for name in ("xi", "eta", "zeta"):
+        argv = [a for flag, value in angles.items()
+                for a in (flag, "nan" if flag == f"--{name}" else value)]
+        for mode in ("3", "5"):
+            code, _, err = run_cli(capsys, "decompose", "--mode", mode, *argv, "--out-dir", str(tmp_path))
+            assert code == 1
+            assert err == f"error: NonFiniteInput: {name} must be finite, got nan\n"
+    code, _, err = run_cli(capsys, "decompose", "--mode", "5", "--phi", "inf",
+                           *[a for item in angles.items() for a in item], "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == "error: NonFiniteInput: phi must be finite, got inf\n"
+    code, _, err = run_cli(capsys, "fringe", "generate", "--delta", "nan", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == "error: NonFiniteInput: delta must be finite, got nan\n"
+    assert not (tmp_path / "interferogram.pgm").exists()

@@ -5,6 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from polphase import fringes, su2
 from polphase.fringes import Region
@@ -50,6 +53,14 @@ def test_generate_validation():
         fringes.generate(0.1, 0.1, 0.2, noise_sigma=-1.0)
     with pytest.raises(ValueError):
         fringes.generate(0.1, 0.1, 0.2, size=(64, 64), split_row=64)
+
+
+@pytest.mark.parametrize("name", ["delta", "beta", "phi0", "noise_sigma", "envelope_width"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generate_rejects_non_finite_parameters(name, bad):
+    kwargs = {"delta": 0.1, "beta": 0.2, "k0": 0.3, "size": (32, 64), name: bad}
+    with pytest.raises(su2.NonFiniteInput, match=f"^{name} must be finite"):
+        fringes.generate(**kwargs)
 
 
 def test_generate_envelope_attenuates_edges():
@@ -499,3 +510,180 @@ def test_retrieve_phase_partial_failure_frees_the_image():
         assert fringes.retrieve_phase(img, regions).failed_regions == 1
 
     assert _freed_without_gc(call, lambda: fringes.generate(0.3, 0.2, 0.3, size=(64, 256), seed=1))
+
+
+# ---------------------------------------------------------------------------
+# array code against the per-sample references it replaced
+
+def _savgol_reference(y, window, order):
+    """Centre taps plus one pinv refit per edge sample on its truncated window."""
+    n, half = len(y), window // 2
+    t = np.arange(-half, half + 1, dtype=float)
+    centre = np.linalg.pinv(np.vander(t, order + 1, increasing=True))[0]
+    out = np.empty(n)
+    out[half:n - half] = np.convolve(y, centre[::-1], mode="valid")
+    for i in range(half):
+        for idx, lo, hi in ((i, 0, i + half + 1), (n - 1 - i, n - i - half - 1, n)):
+            t = np.arange(lo, hi, dtype=float) - idx
+            deg = min(order, hi - lo - 1)
+            out[idx] = np.linalg.pinv(np.vander(t, deg + 1, increasing=True))[0] @ y[lo:hi]
+    return out
+
+
+def _extrema_reference(y, minima=True, carrier=None):
+    """One extremum at a time: harmonic vertex fit, parabola fallback."""
+    s = y if minima else -y
+    idx = np.nonzero((s[1:-1] < s[:-2]) & (s[1:-1] <= s[2:]))[0] + 1
+    positions, values = [], []
+    for i in idx:
+        ym, y0, yp = s[i - 1], s[i], s[i + 1]
+        offset = None
+        if carrier is not None and carrier > 1e-3:
+            p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carrier) - 1.0))
+            q = (yp - ym) / (2.0 * np.sin(carrier))
+            offset = float(-su2.wrap_angle(np.arctan2(-q, p) - np.pi) / carrier)
+            if abs(offset) > 1.0:
+                offset = None
+            else:
+                val = (y0 - p) - np.hypot(p, q)
+        if offset is None:
+            denom = ym - 2.0 * y0 + yp
+            offset = 0.5 * (ym - yp) / denom if denom != 0.0 else 0.0
+            val = y0 - 0.25 * (ym - yp) * offset
+        positions.append(i + offset)
+        values.append(val if minima else -val)
+    return np.array(positions), np.array(values)
+
+
+def _carrier_reference(y):
+    """Bounded scalar search for the peak of the windowed transform magnitude."""
+    n = len(y)
+    centred = y - y.mean()
+    windowed = centred * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    kbin = fringes._peak_bin(np.abs(np.fft.rfft(windowed)))
+    dk = 2.0 * np.pi / n
+    x = np.arange(n)
+    res = minimize_scalar(
+        lambda k: -abs(np.sum(windowed * np.exp(-1j * k * x))) ** 2,
+        bounds=(max(0.5 * dk, (kbin - 1.5) * dk), min(np.pi - 1e-12, (kbin + 1.5) * dk)),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return float(res.x)
+
+
+@st.composite
+def sg_cases(draw, min_order=0, max_order=3):
+    window = 2 * draw(st.integers(min_order // 2, 12)) + 1
+    order = draw(st.integers(min_order, min(window - 1, max_order)))
+    n = draw(st.integers(window, window + 40))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return np.array(values), window, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(sg_cases())
+def test_savitzky_golay_matches_per_sample_refits(case):
+    y, window, order = case
+    np.testing.assert_allclose(fringes.savitzky_golay(y, window, order),
+                               _savgol_reference(y, window, order), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sg_cases(min_order=4, max_order=6))
+def test_savitzky_golay_high_orders_match_per_sample_refits(case):
+    # the right edge reuses the left-edge fits on the reversed profile; from
+    # order 4 the Vandermonde pseudo-inverses of both fits round at 1e-12 to
+    # 5e-10 over these windows (orders 0-3 stay below 2e-13)
+    y, window, order = case
+    np.testing.assert_allclose(fringes.savitzky_golay(y, window, order),
+                               _savgol_reference(y, window, order), rtol=0, atol=1e-9)
+
+
+def test_savitzky_golay_window_spans_profile():
+    y = np.cos(0.7 * np.arange(11)) + 0.1 * np.arange(11)
+    np.testing.assert_allclose(fringes.savitzky_golay(y, 11, 3), _savgol_reference(y, 11, 3),
+                               rtol=0, atol=1e-12)
+
+
+def test_savgol_coefficients_returns_a_private_copy():
+    taps = fringes.savgol_coefficients(11, 3)
+    before = taps.copy()
+    taps[:] = 0.0
+    np.testing.assert_array_equal(fringes.savgol_coefficients(11, 3), before)
+    profile = np.cos(0.3 * np.arange(64))
+    np.testing.assert_allclose(fringes.savitzky_golay(profile, 11, 3),
+                               _savgol_reference(profile, 11, 3), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=80),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(0.0, 3.0)),
+)
+def test_subpixel_extrema_matches_scalar_loop(values, minima, carrier):
+    y = np.array(values)
+    got = fringes._subpixel_extrema(y, minima=minima, carrier=carrier)
+    want = _extrema_reference(y, minima=minima, carrier=carrier)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(0.05, 0.9),
+    st.booleans(),
+)
+def test_subpixel_extrema_on_noisy_fringes_matches_scalar_loop(phase, k0, with_carrier):
+    rng = np.random.default_rng(abs(hash((phase, k0))) % 2**32)
+    y = 0.5 - 0.4 * np.cos(k0 * np.arange(200) + phase) + rng.normal(0.0, 0.01, 200)
+    carrier = k0 if with_carrier else None
+    for minima in (True, False):
+        got = fringes._subpixel_extrema(y, minima=minima, carrier=carrier)
+        want = _extrema_reference(y, minima=minima, carrier=carrier)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(64, 512),
+    st.floats(0.0, 1.0),
+    st.floats(-np.pi, np.pi),
+    st.floats(0.0, 0.1),
+    st.integers(0, 2**32 - 1),
+)
+def test_estimate_carrier_matches_bounded_search(n, k_fraction, phase, sigma, seed):
+    # carriers from 3 bins up to 0.9 of Nyquist, noise up to a quarter of the fringe amplitude
+    dk = 2.0 * np.pi / n
+    k0 = 3 * dk + k_fraction * (0.9 * np.pi - 3 * dk)
+    x = np.arange(n)
+    y = 0.5 - 0.4 * np.cos(k0 * x + phase) + np.random.default_rng(seed).normal(0.0, sigma, n)
+    try:
+        want = _carrier_reference(y)
+    except fringes.NoCarrier:
+        with pytest.raises(fringes.NoCarrier):
+            fringes.estimate_carrier(y)
+        return
+    assert abs(fringes.estimate_carrier(y) - want) <= 1e-7
+
+
+def test_estimate_carrier_matches_bounded_search_on_retrieval_profiles():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        img = fringes.generate(rng.uniform(-1.5, 1.5), rng.uniform(0.0, 1.0), rng.uniform(0.1, 1.0),
+                               noise_sigma=0.02, seed=seed,
+                               envelope_width=300.0 if seed % 2 else None)
+        up, _ = fringes.column_average(img, fringes.default_regions(img)[0])
+        smooth = fringes.savitzky_golay(up)[5:-5]
+        try:
+            want = _carrier_reference(smooth)
+        except fringes.NoCarrier:
+            with pytest.raises(fringes.NoCarrier):
+                fringes.estimate_carrier(smooth)
+            continue
+        assert abs(fringes.estimate_carrier(smooth) - want) <= 1e-7
+

@@ -329,3 +329,14 @@ def test_non_finite_axes_raise():
         plates.decompose_qhq(np.nan, 0.0, 0.0)
     with pytest.raises(su2.NonFiniteInput):
         plates.compose("QH", np.array([[0.0, np.inf]]))
+
+
+@pytest.mark.parametrize("name", ["xi", "eta", "zeta"])
+def test_non_finite_euler_angle_is_named(name):
+    angles = {"xi": 0.3, "eta": 0.1, "zeta": -0.4, name: np.nan}
+    with pytest.raises(su2.NonFiniteInput, match=f"^{name} must be finite"):
+        plates.decompose_qhq(**angles)
+    with pytest.raises(su2.NonFiniteInput, match=f"^{name} must be finite"):
+        plates.polarimetric_array(**angles, phi=0.2)
+    with pytest.raises(su2.NonFiniteInput, match="^phi must be finite"):
+        plates.polarimetric_array(0.3, 0.1, -0.4, np.inf)
