@@ -9,7 +9,6 @@ split-beam measurement does.  Also maps fringe visibility over plate angles.
 import numpy as np
 
 import polphase as pp
-from polphase.interferometer import _intensity_sweep
 
 try:
     import matplotlib
@@ -25,8 +24,8 @@ print(f"transformation: beta={beta:.4f}, delta={delta:.4f} "
       f"(expect fringe shift 2*delta = {2 * delta:.4f})")
 
 phis = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-i_v, _ = _intensity_sweep("V", u, phis)
-i_h, _ = _intensity_sweep("H", u, phis)
+i_v = pp.output_intensity("V", u, phis)
+i_h = pp.output_intensity("H", u, phis)
 print(f"I_V range: [{i_v.min():.4f}, {i_v.max():.4f}]  "
       f"(visibility {(i_v.max() - i_v.min()) / (i_v.max() + i_v.min()):.4f}, "
       f"cos(beta) = {np.cos(beta):.4f})")

@@ -5,7 +5,8 @@ algebra (su2), compilation into quarter/half-wave-plate arrays (plates), a
 two-qubit Mach-Zehnder model with the drift-immune dual-polarization
 split-beam scheme (interferometer), the rotating five-plate single-beam
 method (polarimetry), and synthetic dual-half interferograms with two
-independent fringe-shift estimators (fringes).
+independent fringe-shift estimators (fringes), over the shared smoothing and
+peak interpolation of dsp.
 """
 
 from .su2 import (

@@ -8,12 +8,13 @@ Subcommands
     visibility   fringe-contrast curves and surfaces over plate angles
 
 Every run resolves its parameters from flags plus an optional ``key=value``
-config file (flags win), converts angles from degrees when ``--degrees`` is
-given, and writes the fully resolved configuration next to its outputs so the
-run can be reproduced exactly.  CSV output uses 12 significant digits and is
-byte-stable across reruns with the same configuration and seed.  On failure a
-single ``error: <Kind>: <message>`` line goes to stderr and the exit code is
-nonzero.
+config file (flags win; its keys are the command's own value-taking options
+bar ``--config`` and ``--out-dir``, anything else is refused), converts angles
+from degrees when ``--degrees`` is given, and writes the fully resolved
+configuration next to its outputs so the run can be reproduced exactly.  CSV
+output uses 12 significant digits and is byte-stable across reruns with the
+same configuration and seed.  On failure a single ``error: <Kind>: <message>``
+line goes to stderr and the exit code is nonzero.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fringes, interferometer, plates, polarimetry, su2
+from . import dsp, fringes, interferometer, plates, polarimetry, su2
 
 OUTDIR_ENV = "POLPHASE_OUTDIR"
+
+
+class UnknownConfigKey(ValueError):
+    """A config-file line is not ``key=value`` with one of the command's value options."""
 
 
 def _format_value(value) -> str:
@@ -51,8 +56,10 @@ def _load_config(path: str | None) -> dict:
     config = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
-        if not line or line.startswith("#") or "=" not in line:
+        if not line or line.startswith("#"):
             continue
+        if "=" not in line:
+            raise UnknownConfigKey(f"{path}: {line!r} is not a key=value line")
         key, _, value = line.partition("=")
         config[key.strip()] = value.strip()
     return config
@@ -75,34 +82,27 @@ class Resolver:
             value = default
         if required and value is None:
             raise ValueError(f"missing required parameter --{name}")
+        self.resolved[name] = value
         return value
 
     def number(self, name, default=None, required=False) -> float | None:
-        value = self._raw(name, float, default, required)
-        self.resolved[name] = value
-        return value
+        return self._raw(name, float, default, required)
 
     def angle(self, name, default=None, required=False) -> float | None:
         value = self._raw(name, float, default, required)
         if value is not None and self.degrees:
-            value = float(np.deg2rad(value))
-        self.resolved[name] = value
+            value = self.resolved[name] = float(np.deg2rad(value))
         return value
 
     def integer(self, name, default=None, required=False) -> int | None:
-        value = self._raw(name, int, default, required)
-        self.resolved[name] = value
-        return value
+        return self._raw(name, int, default, required)
 
     def text(self, name, default=None, required=False) -> str | None:
-        value = self._raw(name, str, default, required)
-        self.resolved[name] = value
-        return value
+        return self._raw(name, str, default, required)
 
     def angle_grid(self, name, default=None, required=False) -> np.ndarray:
         """Parse 'v' or 'start:stop:count' (inclusive endpoints) into angles."""
         raw = self._raw(name, str, default, required)
-        self.resolved[name] = raw
         parts = str(raw).split(":")
         if len(parts) == 1:
             values = np.array([float(parts[0])])
@@ -184,8 +184,8 @@ def _cmd_interf_sweep(args, config) -> int:
 
     u = su2.from_yzy(xi, eta, zeta)
     phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    i_v, _ = interferometer._intensity_sweep("V", u, phis)
-    i_h, _ = interferometer._intensity_sweep("H", u, phis)
+    i_v = interferometer.output_intensity("V", u, phis)
+    i_h = interferometer.output_intensity("H", u, phis)
     _write_csv(_outpath(outdir, out), ["phi", "I_V", "I_H"],
                zip(phis.tolist(), i_v.tolist(), i_h.tolist()))
     r.write(outdir, "interf_sweep")
@@ -366,9 +366,10 @@ def _cmd_fringe_analyze(args, config) -> int:
     outdir = _outdir(args)
 
     img, meta = fringes.load_interferogram(image)
-    if args.region:
-        regions = [_parse_region(s) for s in args.region]
-        r.resolved["regions"] = ";".join(args.region)
+    specs = args.region or [s for s in config.get("region", "").split(";") if s]
+    if specs:
+        regions = [_parse_region(s) for s in specs]
+        r.resolved["regions"] = ";".join(specs)
     else:
         regions = fringes.default_regions(img)
         r.resolved["regions"] = "auto"
@@ -419,9 +420,9 @@ def _simulated_visibility(theta1, theta2, theta3, samples=1024) -> np.ndarray:
     """Contrast of simulated interferometer sweeps, over arrays of QHQ plate angles."""
     u = plates.compose("QHQ", np.stack([theta1, theta2, theta3], axis=-1))
     phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    intensity, _ = interferometer._intensity_sweep("V", u, phis)
-    i_max = polarimetry._interpolated_extremum(intensity, np.argmax(intensity, axis=-1))
-    i_min = polarimetry._interpolated_extremum(intensity, np.argmin(intensity, axis=-1))
+    intensity = interferometer.output_intensity("V", u, phis)
+    _, i_max = dsp.vertex(intensity, np.argmax(intensity, axis=-1))
+    _, i_min = dsp.vertex(intensity, np.argmin(intensity, axis=-1))
     return (i_max - i_min) / (i_max + i_min)
 
 
@@ -451,11 +452,16 @@ def _cmd_visibility(args, config) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_command(parser: argparse.ArgumentParser, func) -> None:
+    """Add the options every command shares and set its handler; the command's
+    config-file keys are the value-taking options it had before this call."""
+    keys = {opt[2:] for action in parser._actions if action.nargs != 0
+            for opt in action.option_strings if opt.startswith("--")}
     parser.add_argument("--degrees", action="store_true",
                         help="interpret angle arguments as degrees")
     parser.add_argument("--config", help="key=value file supplying defaults")
     parser.add_argument("--out-dir", help=f"output directory (default ${OUTDIR_ENV} or '.')")
+    parser.set_defaults(func=func, config_keys=keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,32 +472,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="compile an SU(2) operator into wave plates")
-    _add_common(p)
     for name in ("xi", "eta", "zeta", "phi"):
         p.add_argument(f"--{name}", type=float)
     p.add_argument("--mode", type=int, choices=(3, 5))
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_decompose)
+    _add_command(p, _cmd_decompose)
 
     p = sub.add_parser("interf", help="Mach-Zehnder interferometer sweeps")
     isub = p.add_subparsers(dest="interf_command", required=True)
     ps = isub.add_parser("sweep", help="phi sweep: CSV of (phi, I_V, I_H) plus 2*delta")
-    _add_common(ps)
     for name in ("xi", "eta", "zeta"):
         ps.add_argument(f"--{name}", type=float)
     ps.add_argument("--samples", type=int)
     ps.add_argument("--out")
-    ps.set_defaults(func=_cmd_interf_sweep)
+    _add_command(ps, _cmd_interf_sweep)
     pu = isub.add_parser("surface", help="cos^2(phase) over an (xi, eta) grid at fixed zeta")
-    _add_common(pu)
     pu.add_argument("--zeta", type=float)
     pu.add_argument("--xi-grid", help="'start:stop:count' or single value")
     pu.add_argument("--eta-grid", help="'start:stop:count' or single value")
     pu.add_argument("--out")
-    pu.set_defaults(func=_cmd_interf_surface)
+    _add_command(pu, _cmd_interf_surface)
 
     p = sub.add_parser("polarimetry", help="rotating plate-array scans")
-    _add_common(p)
     p.add_argument("--mode", choices=("full", "zeta2pi", "ximinuspi"))
     p.add_argument("--xi", type=float)
     p.add_argument("--eta", type=float, help="eta for the --sweep-out raw scan")
@@ -503,39 +505,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plates", help="scan a plate-list file instead of Euler angles")
     p.add_argument("--sweep-out", help="also write the raw (phi, intensity) scan at --eta")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_polarimetry)
+    _add_command(p, _cmd_polarimetry)
 
     p = sub.add_parser("fringe", help="synthetic dual-half interferograms")
     fsub = p.add_subparsers(dest="fringe_command", required=True)
     pg = fsub.add_parser("generate", help="write a synthetic image plus metadata sidecar")
-    _add_common(pg)
     for name in ("delta", "beta", "k0", "noise-sigma", "envelope-width", "phi0"):
         pg.add_argument(f"--{name}", type=float)
     pg.add_argument("--width", type=int)
     pg.add_argument("--height", type=int)
     pg.add_argument("--seed", type=int)
     pg.add_argument("--out")
-    pg.set_defaults(func=_cmd_fringe_generate)
+    _add_command(pg, _cmd_fringe_generate)
     pa = fsub.add_parser("analyze", help="retrieve 2*delta from an image")
-    _add_common(pa)
     pa.add_argument("--image")
     pa.add_argument("--method", choices=("minima", "fourier", "both"))
     pa.add_argument("--region", action="append",
-                    help="evaluation region 'c0:c1:r0:r1' (repeatable; default: auto)")
+                    help="evaluation region 'c0:c1:r0:r1' (repeatable, ';'-separated in a "
+                         "config file; default: auto)")
     pa.add_argument("--sg-window", type=int)
     pa.add_argument("--sg-order", type=int)
     pa.add_argument("--out", help="optional per-region CSV report")
     pa.add_argument("--profiles-out", help="optional CSV of the first region's profiles")
-    pa.set_defaults(func=_cmd_fringe_analyze)
+    _add_command(pa, _cmd_fringe_analyze)
 
     p = sub.add_parser("visibility", help="fringe contrast over plate angles")
-    _add_common(p)
     for name in ("theta1", "theta2", "theta3"):
         p.add_argument(f"--{name}", help="'value' or 'start:stop:count'")
     p.add_argument("--check", action="store_true",
                    help="add a column cross-checking against the simulated interferometer")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_visibility)
+    _add_command(p, _cmd_visibility)
 
     return parser
 
@@ -543,7 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(getattr(args, "config", None))
+        config = _load_config(args.config)
+        unknown = sorted(set(config) - args.config_keys)
+        if unknown:
+            raise UnknownConfigKey(f"{args.config}: {', '.join(map(repr, unknown))} not accepted; "
+                                   f"config keys are {', '.join(sorted(args.config_keys))}")
         return args.func(args, config)
     except Exception as exc:  # single machine-parsable error line
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

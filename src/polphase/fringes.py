@@ -13,23 +13,24 @@ instrument moves both halves together, the relative shift is immune to it;
 retrieving 2 delta is the whole game.  Two estimators are provided:
 
 * minima matching: column-average each half, low-pass with a Savitzky-Golay
-  filter, locate the fringe minima to sub-pixel accuracy and compare their
-  positions between the halves;
-* spatial-carrier Fourier: locate the dominant carrier frequency k0, read the
-  fringe phase of each half off its transform at k0, and difference them.
+  filter (polphase.dsp), locate the fringe minima to sub-pixel accuracy and
+  compare their positions between the halves;
+* spatial-carrier Fourier: locate the carrier frequency k0 (between bins),
+  read the phase of each half's Hann-windowed transform at k0, and
+  difference them.
 
 Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
+from .dsp import savgol_coefficients, savitzky_golay, vertex
 from .su2 import finite, wrap_angle
 
 
@@ -183,80 +184,10 @@ def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# Savitzky-Golay smoothing
-
-@functools.lru_cache(maxsize=16)
-def _savgol_centre(window: int, order: int) -> np.ndarray:
-    half = window // 2
-    t = np.arange(-half, half + 1, dtype=float)
-    taps = np.linalg.pinv(np.vander(t, order + 1, increasing=True))[0]
-    taps.flags.writeable = False
-    return taps
-
-
-@functools.lru_cache(maxsize=16)
-def _savgol_fits(window: int, order: int) -> np.ndarray:
-    """Weights of every output sample, as one read-only (window//2 + 1, window) matrix.
-
-    Row i < window//2 evaluates, at sample i, the least-squares polynomial
-    fitted on the truncated window y[:i + window//2 + 1] (degree capped by the
-    samples available), zero-padded to the window; the last row holds the
-    centre taps.  By symmetry the same rows serve the right edge applied to
-    the reversed profile.
-    """
-    half = window // 2
-    fits = np.zeros((half + 1, window))
-    for i in range(half):
-        t = np.arange(i + half + 1, dtype=float) - i
-        design = np.vander(t, min(order, i + half) + 1, increasing=True)
-        fits[i, :i + half + 1] = np.linalg.pinv(design)[0]
-    fits[half] = _savgol_centre(window, order)
-    fits.flags.writeable = False
-    return fits
-
-
-def savgol_coefficients(window: int, order: int) -> np.ndarray:
-    """Convolution weights evaluating the local LS polynomial at the window centre."""
-    return _savgol_centre(window, order).copy()
-
-
-def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.ndarray:
-    """Least-squares local-polynomial smoothing of a fringe profile.
-
-    Endpoints are handled by refitting on the truncated window that remains
-    inside the data (no reflection padding), so polynomials of degree <=
-    order pass through unchanged everywhere, endpoints included.  All fits
-    are cached per (window, order): a call is one convolution plus one small
-    matrix product per edge.
-    """
-    y = np.asarray(profile, dtype=float)
-    n = len(y)
-    if window % 2 == 0 or window < 1:
-        raise ValueError(f"window must be odd and positive, got {window}")
-    if order < 0 or order >= window:
-        raise ValueError(f"order must satisfy 0 <= order < window, got {order}")
-    if window > n:
-        raise ValueError(f"window {window} longer than profile {n}")
-
-    half = window // 2
-    fits = _savgol_fits(window, order)
-    out = np.empty_like(y)
-    out[half:n - half] = np.convolve(y, fits[half, ::-1], mode="valid")
-    out[:half] = fits[:half] @ y[:window]
-    out[n - half:] = (fits[:half] @ y[::-1][:window])[::-1]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Shift estimators
 
 def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def _windowed_dtft(values: np.ndarray, k: float) -> complex:
-    x = np.arange(len(values))
-    return complex(np.sum(values * _periodic_hann(len(values)) * np.exp(-1j * k * x)))
 
 
 def _peak_bin(mags: np.ndarray) -> int:
@@ -303,12 +234,9 @@ def estimate_carrier(profile: np.ndarray) -> float:
     dk = 2.0 * np.pi / n
     lo = max(0.5 * dk, (kbin - 1.5) * dk)
     hi = min(np.pi - 1e-12, (kbin + 1.5) * dk)
-    offset = 0.0
-    if kbin + 1 < len(mags):
-        # ym < y0 >= yp (argmax takes the first maximum): the denominator is negative
-        ym, y0, yp = mags[kbin - 1:kbin + 2]
-        offset = 0.5 * (ym - yp) / (ym - 2.0 * y0 + yp)
-    k = min(max((kbin + offset) * dk, lo), hi)
+    # three-bin vertex, never flat: argmax takes the first maximum, ym < y0 >= yp
+    peak = float(vertex(mags, kbin)[0]) if kbin + 1 < len(mags) else kbin
+    k = min(max(peak * dk, lo), hi)
     # X(k) = sum w_x e^{-ikx} and its first two k-derivatives; the origin sits
     # mid-profile, which leaves |X| alone and keeps the x^2 weights small
     x = np.arange(n) - (n - 1) / 2.0
@@ -342,21 +270,18 @@ def _subpixel_extrema(
     """
     s = y if minima else -y
     idx = np.nonzero((s[1:-1] < s[:-2]) & (s[1:-1] <= s[2:]))[0] + 1
-    ym, y0, yp = s[idx - 1], s[idx], s[idx + 1]
-    denom = ym - 2.0 * y0 + yp
-    flat = denom == 0.0
-    offset = np.where(flat, 0.0, 0.5 * (ym - yp) / np.where(flat, 1.0, denom))
-    values = y0 - 0.25 * (ym - yp) * offset
+    positions, values = vertex(s, idx)
     if carrier is not None and carrier > 1e-3:
         # local model s = a + B cos(k0 x + psi), extremum at phase pi
+        ym, y0, yp = s[idx - 1], s[idx], s[idx + 1]
         p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carrier) - 1.0))
         q = (yp - ym) / (2.0 * np.sin(carrier))
         theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
         harmonic = -wrap_angle(theta - np.pi) / carrier
         fits = ~(np.abs(harmonic) > 1.0)  # else a degenerate fit: keep the parabola
-        offset = np.where(fits, harmonic, offset)
+        positions = np.where(fits, idx + harmonic, positions)
         values = np.where(fits, (y0 - p) - np.hypot(p, q), values)
-    return idx + offset, values if minima else -values
+    return positions, values if minima else -values
 
 
 def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
@@ -390,25 +315,17 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     return float(np.angle(resultant))
 
 
-def _fourier_shift_at(up: np.ndarray, low: np.ndarray, k0: float) -> float:
-    su = _windowed_dtft(up - np.mean(up), k0)
-    sl = _windowed_dtft(low - np.mean(low), k0)
-    if abs(su) == 0.0 or abs(sl) == 0.0:
-        raise NoCarrier("no carrier power at the estimated frequency")
-    return wrap_angle(np.angle(sl) - np.angle(su))
-
-
-def shift_by_fourier(up: np.ndarray, low: np.ndarray) -> float:
+def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -> float:
     """Fringe shift from the transform phases at the carrier, in (-pi, pi].
 
-    The carrier is located as the dominant nonzero-frequency magnitude peak
-    of the discrete transform of the upper profile; both transforms are then
-    evaluated at that one bin and the shift is the difference of their phases
-    (imaginary part of the log).  Sharing the frequency between the two
-    profiles cancels the common linear-phase term, so any phase offset common
-    to both halves drops out of the result.  When the carrier falls exactly
-    on a bin the zero-frequency and mirror-image components vanish there and
-    the recovery is exact.
+    Both profiles are mean-subtracted and Hann-windowed, their transforms are
+    evaluated at the carrier k0 (rad/pixel; estimate_carrier(up) when not
+    given), and the shift is the difference of the two phases.  The carrier
+    need not fall on a transform bin: the transforms are read at k0 itself,
+    where the window keeps the leakage of the mirror-image component small.
+    Sharing the frequency between the two profiles cancels the common
+    linear-phase term, so any phase offset common to both halves drops out of
+    the result.
     """
     up = np.asarray(up, dtype=float)
     low = np.asarray(low, dtype=float)
@@ -416,10 +333,15 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray) -> float:
         raise ValueError(f"profile lengths differ: {len(up)} vs {len(low)}")
     if np.ptp(up) < _FLAT_FLOOR or np.ptp(low) < _FLAT_FLOOR:
         raise NoCarrier("profile is flat")
-    spectrum_up = np.fft.rfft(up - up.mean())
-    kbin = _peak_bin(np.abs(spectrum_up))
-    spectrum_low = np.fft.rfft(low - low.mean())
-    return wrap_angle(float(np.angle(spectrum_low[kbin]) - np.angle(spectrum_up[kbin])))
+    if k0 is None:
+        k0 = estimate_carrier(up)
+    finite("k0", k0)
+    window = _periodic_hann(len(up))
+    phasor = np.exp(-1j * k0 * np.arange(len(up)))
+    su, sl = (complex(np.sum((y - np.mean(y)) * window * phasor)) for y in (up, low))
+    if su == 0.0 or sl == 0.0:
+        raise NoCarrier("no carrier power at the estimated frequency")
+    return wrap_angle(np.angle(sl) - np.angle(su))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +417,7 @@ def retrieve_phase(
                 values.append(shift_by_minima(up_s, low_s, k0))
                 minima_estimates.append(values[-1])
             if method in ("fourier", "both"):
-                values.append(_fourier_shift_at(up_s, low_s, k0))
+                values.append(shift_by_fourier(up_s, low_s, k0))
                 fourier_estimates.append(values[-1])
         except (ValueError, ArithmeticError) as exc:
             failures += 1

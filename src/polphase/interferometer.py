@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dsp import vertex
 from .su2 import IDENTITY2, finite, to_zyz, wrap_angle
 
 #: visibility below this is treated as zero (fringes flat, shift undefined)
@@ -102,44 +103,30 @@ def mach_zehnder(u: np.ndarray, phi: float, u_arm: str = "Y", phase_arm: str = "
 
 
 def _input_ket(input_pol: str) -> np.ndarray:
-    if input_pol == "V":
-        ket = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    elif input_pol == "H":
-        ket = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-    else:
+    if input_pol not in ("V", "H"):
         raise ValueError(f"input_pol must be 'V' or 'H', got {input_pol!r}")
-    return ket
+    return np.eye(4, dtype=complex)[0 if input_pol == "V" else 2]  # |VX> or |HX>
 
 
-def _intensity_sweep(input_pol: str, u: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(detector-port, complementary-port) intensities over an array of phi.
-
-    Vectorized over phi: the scanned phase only multiplies the X components,
-    so the fixed front and back sections are applied once.  A (..., 2, 2)
-    stack of u gives (..., n_phi) intensities.
-    """
-    front = arm_unitary(u, "Y") @ beam_splitter()
-    back = beam_splitter() @ mirror()
-    v0 = front @ _input_ket(input_pol)
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    states = np.repeat(v0[..., None], len(phis), axis=-1)
-    states[..., 0, :] *= np.exp(1j * phis)  # |VX>
-    states[..., 2, :] *= np.exp(1j * phis)  # |HX>
-    out = back @ states
-    detector = np.abs(out[..., 1, :]) ** 2 + np.abs(out[..., 3, :]) ** 2  # |VY>, |HY>
-    complement = np.abs(out[..., 0, :]) ** 2 + np.abs(out[..., 2, :]) ** 2
-    return detector, complement
-
-
-def output_intensity(input_pol: str, u: np.ndarray, phi: float, complementary: bool = False) -> float:
+def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = False) -> "float | np.ndarray":
     """Detected intensity at the fringe port, summed over both polarizations.
 
     Equals (1/2)[1 - cos(beta) cos(phi -+ delta)] for V/H input, with
     (beta, delta) the z-y-z angles of u.  ``complementary=True`` returns the
-    other exit port instead; the two ports sum to 1.
+    other exit port instead; the two ports sum to 1.  A (..., 2, 2) stack of
+    u and an array of phi give intensities of shape u.shape[:-2] + phi.shape;
+    one u and a scalar phi give a float.
     """
-    det, comp = _intensity_sweep(input_pol, u, np.array([phi]))
-    return float(comp[0] if complementary else det[0])
+    # phi only multiplies the X components: the front and back sections are applied once
+    v0 = arm_unitary(u, "Y") @ beam_splitter() @ _input_ket(input_pol)
+    phi = np.asarray(phi, dtype=float)
+    states = np.repeat(v0[..., None], phi.size, axis=-1)
+    states[..., ::2, :] *= np.exp(1j * phi.ravel())  # |VX>, |HX>
+    out = beam_splitter() @ mirror() @ states
+    a, b = (0, 2) if complementary else (1, 3)  # |VX>, |HX> or |VY>, |HY>
+    intensity = np.abs(out[..., a, :]) ** 2 + np.abs(out[..., b, :]) ** 2
+    intensity = intensity.reshape(v0.shape[:-1] + phi.shape)
+    return float(intensity) if intensity.ndim == 0 else intensity
 
 
 def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
@@ -174,14 +161,11 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     if visibility <= EPS_VISIBILITY:
         raise ZeroVisibility(f"visibility {visibility:.3e} below {EPS_VISIBILITY:g}")
 
-    i_v, _ = _intensity_sweep("V", u, phis)
-    i_h, _ = _intensity_sweep("H", u, phis)
+    i_v = output_intensity("V", u, phis)
+    i_h = output_intensity("H", u, phis)
     corr = np.fft.irfft(np.conj(np.fft.rfft(i_h)) * np.fft.rfft(i_v), n)
-    peak = int(np.argmax(corr))
-    ym, y0, yp = corr[(peak - 1) % n], corr[peak], corr[(peak + 1) % n]
-    denom = ym - 2.0 * y0 + yp
-    offset = 0.5 * (ym - yp) / denom if denom != 0.0 else 0.0
-    return wrap_angle((peak + offset) * h)
+    peak, _ = vertex(corr, np.argmax(corr))
+    return wrap_angle(peak * h)
 
 
 def visibility_yzy(xi: float, eta: float, zeta: float) -> float:

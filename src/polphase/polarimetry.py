@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fringes import savgol_coefficients
+from .dsp import circular_savitzky_golay, vertex
 from .plates import WavePlate, compose
 from .su2 import EPS_DEGENERATE, YzyParams, finite
 
@@ -155,33 +155,13 @@ def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
     return np.abs(u[:, 0, 0]) ** 2
 
 
-def _circular_smooth(values: np.ndarray, window: int, order: int = 3) -> np.ndarray:
-    # the scan is periodic, so pad by wrapping rather than truncating
-    coeffs = savgol_coefficients(window, order)
-    half = window // 2
-    padded = np.concatenate([values[-half:], values, values[:half]])
-    return np.convolve(padded, coeffs[::-1], mode="valid")
-
-
-def _interpolated_extremum(values: np.ndarray, index):
-    # circular three-point parabola through the best sample and its
-    # neighbours, along the last axis of values; index has the leading shape
-    n = values.shape[-1]
-    index = np.asarray(index)[..., None]
-    ym, y0, yp = (np.take_along_axis(values, (index + k) % n, axis=-1)[..., 0] for k in (-1, 0, 1))
-    denominator = ym - 2.0 * y0 + yp
-    flat = denominator == 0.0
-    offset = np.where(flat, 0.0, 0.5 * (ym - yp) / np.where(flat, 1.0, denominator))
-    return y0 - 0.25 * (ym - yp) * offset
-
-
 def sweep_extrema(sweep: PolarimetricSweep, smooth_window: int | None = None) -> tuple[float, float]:
     """(I_min, I_max) of a scan, quadratically interpolated around the best samples."""
     intensity = sweep.intensities
     if smooth_window is not None:
-        intensity = _circular_smooth(intensity, smooth_window)
-    i_min = _interpolated_extremum(intensity, np.argmin(intensity))
-    i_max = _interpolated_extremum(intensity, np.argmax(intensity))
+        intensity = circular_savitzky_golay(intensity, smooth_window)
+    _, i_min = vertex(intensity, np.argmin(intensity))
+    _, i_max = vertex(intensity, np.argmax(intensity))
     return float(np.clip(i_min, 0.0, 1.0)), float(np.clip(i_max, 0.0, 1.0))
 
 

@@ -331,6 +331,71 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert "eta=1.5" in resolved
 
 
+def _config_run(tmp_path, capsys, argv, text):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--config", str(config), "--out-dir", str(out_dir))
+    return code, err, out_dir
+
+
+@pytest.mark.parametrize("key", ["xii", "samples", "degrees", "config", "out-dir", "out_dir"])
+def test_config_key_outside_the_command_is_refused(tmp_path, capsys, key):
+    # a typo, another command's option, a flag or a file option is refused
+    # before anything runs, instead of silently leaving the default in place
+    code, err, out_dir = _config_run(tmp_path, capsys, ["decompose"],
+                                     f"xi=0.1\neta=0.2\nzeta=0.3\n{key}=1\n")
+    assert code == 1
+    assert err.startswith("error: UnknownConfigKey:") and err.count("\n") == 1
+    assert repr(key) in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_config_line_without_a_value_is_refused(tmp_path, capsys):
+    # 'zeta 1.0' used to be skipped, leaving zeta at its default of 0
+    code, err, out_dir = _config_run(tmp_path, capsys, ["interf", "surface"], "# comment\n\nzeta 1.0\n")
+    assert code == 1
+    assert err.startswith("error: UnknownConfigKey:") and "'zeta 1.0'" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["interf", "sweep"], ["interf", "surface"], ["polarimetry"],
+    ["fringe", "generate"], ["fringe", "analyze"], ["visibility"],
+])
+def test_degrees_in_a_config_file_is_refused_by_every_command(tmp_path, capsys, argv):
+    code, err, out_dir = _config_run(tmp_path, capsys, argv, "degrees=true\n")
+    assert code == 1
+    assert err.startswith("error: UnknownConfigKey:")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_every_value_option_is_a_config_key(tmp_path, capsys):
+    # each command's own value-taking options, except --config and --out-dir
+    plate_file = tmp_path / "scan.txt"
+    plate_file.write_text("Q 0.3\nH -0.2\nQ 0.1\n")
+    runs = [
+        (["decompose"], "xi=0.1\neta=0.2\nzeta=0.3\nphi=0.4\nmode=5\nout=p.txt\n"),
+        (["interf", "sweep"], "xi=0.1\neta=0.2\nzeta=0.3\nsamples=64\nout=s.csv\n"),
+        (["interf", "surface"], "zeta=0.3\nxi-grid=0:1:3\neta-grid=0:1:3\nout=f.csv\n"),
+        (["polarimetry"], "mode=full\nxi=0.1\neta=0.2\nzeta=0.3\neta-steps=4\nn-grid=256\n"
+                          "noise-sigma=0.0\nseed=1\nsweep-out=w.csv\nout=c.csv\n"),
+        (["polarimetry"], f"plates={plate_file}\nn-grid=256\nout=q.csv\n"),
+        (["fringe", "generate"], "delta=0.3\nbeta=0.2\nk0=0.25\nwidth=128\nheight=64\nnoise-sigma=0.0\n"
+                                 "envelope-width=200\nphi0=0.1\nseed=2\nout=img.pgm\n"),
+        (["fringe", "analyze"], f"image={tmp_path / 'out' / 'img.pgm'}\nmethod=both\n"
+                                "region=10:118:16:48;20:108:24:40\nsg-window=11\nsg-order=3\n"
+                                "out=r.csv\nprofiles-out=pr.csv\n"),
+        (["visibility"], "theta1=0:1:3\ntheta2=0.2\ntheta3=0.1\nout=v.csv\n"),
+    ]
+    for argv, text in runs:
+        code, err, out_dir = _config_run(tmp_path, capsys, argv, text)
+        assert (code, err) == (0, "")
+    _, rows = read_csv(out_dir / "r.csv")
+    assert [row[1:5] for row in rows] == [["10", "118", "16", "48"], ["20", "108", "24", "40"]]
+    assert "regions=10:118:16:48;20:108:24:40\n" in (out_dir / "fringe_analyze_config.txt").read_text()
+
+
 def test_resolved_config_written_next_to_outputs(tmp_path, capsys):
     run_cli(
         capsys, "interf", "sweep", "--xi", "0", "--eta", "0", "--zeta", "0",

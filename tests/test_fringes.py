@@ -289,6 +289,17 @@ def test_shift_by_fourier_length_mismatch():
         fringes.shift_by_fourier(np.zeros(100), np.zeros(101))
 
 
+@pytest.mark.parametrize("k0", [0.237, 0.5, 1.3])
+def test_shift_by_fourier_off_bin_carrier(k0):
+    # carriers between transform bins: the transforms are read at the
+    # estimated carrier itself, not at the nearest bin
+    for phi0 in (0.0, 1.1, -2.4):
+        for shift in np.linspace(-np.pi, np.pi, 25)[1:]:
+            up, low = make_profiles(shift / 2, 0.4, k0, 384, phi0=phi0)
+            got = fringes.shift_by_fourier(up, low)
+            assert abs(su2.wrap_angle(got - shift)) < 1e-5
+
+
 def test_estimators_agree_on_noisy_profiles():
     rng = np.random.default_rng(31)
     for trial in range(10):

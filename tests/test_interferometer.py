@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polphase import interferometer as itf
 from polphase import su2
 
 RNG = np.random.default_rng(31415)
+ANGLE = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
 KET_VX = np.array([1, 0, 0, 0], dtype=complex)
 KET_VY = np.array([0, 1, 0, 0], dtype=complex)
@@ -168,6 +171,17 @@ def test_half_fringes_shifted_by_two_delta():
         assert abs(ih - iv_shifted) < 1e-12
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.tuples(ANGLE, ANGLE, ANGLE), st.lists(ANGLE, min_size=1, max_size=16))
+def test_h_fringe_is_the_v_fringe_shifted_by_two_delta(angles, phis):
+    # I_H(phi) = I_V(phi + 2 delta), over arrays of phi
+    u = su2.from_yzy(*angles)
+    phi = np.array(phis)
+    delta = su2.to_zyz(u).delta
+    np.testing.assert_allclose(itf.output_intensity("H", u, phi),
+                               itf.output_intensity("V", u, phi + 2 * delta), rtol=0, atol=1e-12)
+
+
 def test_split_beam_shift_known_delta():
     u = su2.from_zyz(np.pi / 4, 0.3, 0.9)
     grid = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
@@ -227,7 +241,7 @@ def test_visibility_equals_numeric_contrast():
     for _ in range(25):
         xi, eta, zeta = RNG.uniform(-2 * np.pi, 2 * np.pi, 3)
         u = su2.from_yzy(xi, eta, zeta)
-        intensity, _ = itf._intensity_sweep("V", u, phis)
+        intensity = itf.output_intensity("V", u, phis)
 
         def refined(idx, sign):
             ym = intensity[(idx - 1) % len(phis)]
@@ -291,10 +305,10 @@ def test_split_beam_shift_exact_on_two_whole_periods():
 def test_intensity_sweep_broadcasts_over_operator_stacks():
     stack = np.array([random_su2() for _ in range(4)])
     phis = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-    det, comp = itf._intensity_sweep("V", stack, phis)
+    det, comp = (itf.output_intensity("V", stack, phis, complementary=c) for c in (False, True))
     assert det.shape == (4, 32)
     for k in range(4):
-        d1, c1 = itf._intensity_sweep("V", stack[k], phis)
+        d1, c1 = (itf.output_intensity("V", stack[k], phis, complementary=c) for c in (False, True))
         np.testing.assert_allclose(det[k], d1, atol=1e-14)
         np.testing.assert_allclose(comp[k], c1, atol=1e-14)
 

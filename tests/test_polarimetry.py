@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polphase import plates, polarimetry, su2
@@ -166,6 +166,19 @@ def test_measure_phase_random_params_against_conversion():
         got = polarimetry.measure_phase(xi, eta, zeta, n_grid=4096)
         assert abs(got - np.cos(zyz.delta) ** 2) < 1e-6
         checked += 1
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False),
+    st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False),
+    st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False),
+)
+def test_noiseless_measure_phase_is_the_extremum_ratio_identity(xi, eta, zeta):
+    # I_min / (1 - I_max + I_min) = cos^2 delta, delta from the z-y-z angles
+    zyz = su2.to_zyz(su2.from_yzy(xi, eta, zeta))
+    assume(np.cos(zyz.beta) ** 2 >= 0.01)
+    assert abs(polarimetry.measure_phase(xi, eta, zeta) - np.cos(zyz.delta) ** 2) < 1e-6
 
 
 def test_measure_phase_degenerate_at_beta_half_pi():
