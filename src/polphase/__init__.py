@@ -63,12 +63,14 @@ from .polarimetry import (
     DegenerateDenominator,
     InvalidExtrema,
     PolarimetricSweep,
+    add_scan_noise,
     extract_cos2_phase,
     intensity_xi_minus_pi,
     measure_phase,
     polarimetric_intensity,
     polarimetric_sweep,
     scan_plate_array,
+    smoothing_window,
     sweep_extrema,
 )
 from .fringes import (

@@ -20,6 +20,7 @@ line goes to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -35,19 +36,23 @@ class UnknownConfigKey(ValueError):
     """A config-file line is not ``key=value`` with one of the command's value options."""
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+@functools.cache
+def _row_template(types: tuple) -> str:
+    """printf template of a CSV line: None is an empty cell, a float (numpy's
+    too) has 12 significant digits, anything else is str()."""
+    return ",".join("%.0s" if t is type(None) else "%.12g" if issubclass(t, float) else "%s"
+                    for t in types) + "\n"
+
+
+def _format_row(row) -> str:
+    row = tuple(row)
+    return _row_template(tuple(map(type, row))) % row
 
 
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+        fh.write("".join([_format_row(row) for row in rows]))
 
 
 def _load_config(path: str | None) -> dict:
@@ -115,7 +120,7 @@ class Resolver:
     def write(self, outdir: Path, command: str) -> None:
         lines = [f"command={command}\n"]
         for key in sorted(self.resolved):
-            lines.append(f"{key}={_format_value(self.resolved[key])}\n")
+            lines.append(f"{key}={_format_row((self.resolved[key],))}")
         (outdir / f"{command}_config.txt").write_text("".join(lines), encoding="ascii")
 
 
@@ -261,18 +266,19 @@ def _cmd_polarimetry(args, config) -> int:
     zyz = su2.yzy_to_zyz(xi, etas, zeta)
     expected_cos2 = [c if defined else None for c, defined in
                      zip((np.cos(zyz.delta) ** 2).tolist(), zyz.delta_defined.tolist())]
+    # one scan per eta, as one stack; row k is the scan measure_phase makes with seed + k
+    curve = polarimetry.polarimetric_sweep(xi, etas, zeta, n_grid, noise, seed)
+    i_min, i_max = polarimetry.sweep_extrema(curve, polarimetry.smoothing_window(n_grid, noise))
     rows = []
     degenerate = 0
-    for index, (eta, expected) in enumerate(zip(etas, expected_cos2)):
+    for eta, lo, hi, expected in zip(etas.tolist(), i_min.tolist(), i_max.tolist(), expected_cos2):
         try:
-            measured = polarimetry.measure_phase(
-                xi, eta, zeta, n_grid=n_grid, noise_sigma=noise, seed=seed + index
-            )
+            measured = polarimetry.extract_cos2_phase(lo, hi)
         except polarimetry.DegenerateDenominator as exc:
             print(f"warning: eta={eta:.6g}: {exc}", file=sys.stderr)
             measured = None
             degenerate += 1
-        rows.append((float(eta), measured, expected))
+        rows.append((eta, measured, expected))
     _write_csv(_outpath(outdir, out), ["eta", "cos2_measured", "cos2_expected"], rows)
 
     sweep_out = r.text("sweep-out", default=None)
@@ -297,17 +303,13 @@ def _polarimetry_plate_scan(args, r: Resolver, plate_file: str) -> int:
 
     array = plates.parse_plate_array(Path(plate_file).read_text())
     phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    intensity = polarimetry.scan_plate_array(array, phis)
-    if noise > 0.0:
-        rng = np.random.default_rng(seed)
-        intensity = np.clip(intensity + rng.normal(0.0, noise, n_grid), 0.0, 1.0)
+    intensity = polarimetry.add_scan_noise(polarimetry.scan_plate_array(array, phis), noise, seed)
     _write_csv(_outpath(outdir, out), ["phi", "intensity"],
                zip(phis.tolist(), intensity.tolist()))
     r.write(outdir, "polarimetry")
 
     sweep = polarimetry.PolarimetricSweep(phis, intensity, su2.YzyParams(0, 0, 0))
-    window = max(5, (n_grid // 32) | 1) if noise > 0.0 else None
-    i_min, i_max = polarimetry.sweep_extrema(sweep, window)
+    i_min, i_max = polarimetry.sweep_extrema(sweep, polarimetry.smoothing_window(n_grid, noise))
     print(f"scan written to {_outpath(outdir, out)} ({len(array)} plates)")
     print(f"I_min={i_min:.12g}")
     print(f"I_max={i_max:.12g}")
@@ -461,7 +463,7 @@ def _add_command(parser: argparse.ArgumentParser, func) -> None:
                         help="interpret angle arguments as degrees")
     parser.add_argument("--config", help="key=value file supplying defaults")
     parser.add_argument("--out-dir", help=f"output directory (default ${OUTDIR_ENV} or '.')")
-    parser.set_defaults(func=func, config_keys=keys)
+    parser.set_defaults(func=func, config_keys=frozenset(keys))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,8 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused: building it costs about
+    twenty parses, and parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         unknown = sorted(set(config) - args.config_keys)

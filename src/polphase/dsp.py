@@ -72,13 +72,22 @@ def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.
 
 
 def circular_savitzky_golay(values: np.ndarray, window: int, order: int = 3) -> np.ndarray:
-    """Savitzky-Golay centre taps applied around a periodic scan, wrapping at the ends."""
+    """Savitzky-Golay centre taps applied around a periodic scan, wrapping at the ends.
+
+    Scans lie along the last axis.  A stack is filtered row by row, one
+    np.convolve each, so every row comes out exactly as it would on its own.
+    """
     y = np.asarray(values, dtype=float)
-    n, half = len(y), window // 2
+    n, half = y.shape[-1], window // 2
     if window % 2 == 0 or not 1 <= window <= n or not 0 <= order < window:
         raise ValueError(f"need an odd window in [1, {n}] and 0 <= order < window, got {window}, {order}")
-    padded = np.concatenate([y[n - half:], y, y[:half]])
-    return np.convolve(padded, _savgol_centre(window, order)[::-1], mode="valid")
+    padded = np.concatenate([y[..., n - half:], y, y[..., :half]], axis=-1)
+    taps = _savgol_centre(window, order)[::-1]
+    rows = [np.convolve(row, taps, mode="valid") for row in padded.reshape(-1, n + 2 * half)]
+    return np.array(rows).reshape(y.shape)
+
+
+_NEIGHBOURS = np.arange(-1, 2)
 
 
 def vertex(values: np.ndarray, index):
@@ -92,12 +101,16 @@ def vertex(values: np.ndarray, index):
     """
     values = np.asarray(values)
     n = values.shape[-1]
-    index = np.asarray(index)
-    # flat positions of each sample and its neighbours, wrapping around within its row
-    rows = n * np.arange(values.size // n).reshape(values.shape[:-1] + (1,) * (index.ndim - values.ndim + 2))
-    triple = values.reshape(-1).take(rows + (index[..., None] + np.arange(-1, 2)) % n)
-    ym, y0, yp = triple[..., 0], triple[..., 1], triple[..., 2]
-    denom = ym - 2.0 * y0 + yp
-    flat = denom == 0.0
-    offset = np.where(flat, 0.0, 0.5 * (ym - yp) / np.where(flat, 1.0, denom))
-    return index + offset, y0 - 0.25 * (ym - yp) * offset
+    index = np.asarray(index)[()]  # a scalar index stays a numpy scalar: its arithmetic is cheap
+    # flat positions of each sample and its neighbours, on a leading axis of three,
+    # wrapping around within the sample's row
+    positions = np.add.outer(_NEIGHBOURS, index) % n
+    if values.ndim > 1:
+        positions += np.arange(0, values.size, n).reshape(values.shape[:-1] + (1,) * (positions.ndim - values.ndim))
+    ym, y0, yp = values.reshape(-1).take(positions)
+    slope = ym - yp
+    curvature = ym - 2.0 * y0 + yp
+    flat = curvature == 0.0
+    # a flat triple divides 0 by 1: offset 0, without np.where's cost on scalars
+    offset = 0.5 * slope * ~flat / (curvature + flat)
+    return index + offset, y0 - 0.25 * slope * offset

@@ -49,7 +49,8 @@ class InvalidExtrema(ValueError):
 
 @dataclass
 class PolarimetricSweep:
-    """One full rotation scan: intensities over phi_grid for fixed angles."""
+    """One full rotation scan, intensities over phi_grid for fixed angles, or a
+    stack of such scans on leading axes (one per eta)."""
 
     phi_grid: np.ndarray
     intensities: np.ndarray
@@ -114,26 +115,63 @@ def extract_cos2_phase(i_min: float, i_max: float) -> float:
     return float(np.clip(ratio, 0.0, 1.0))
 
 
+def smoothing_window(n_grid: int, noise_sigma: float) -> int | None:
+    """Savitzky-Golay window for a scan of n_grid points with noise sigma.
+
+    About 1/32 of the grid, odd and at least 5; None (no smoothing) for a
+    noise-free scan.
+    """
+    return max(5, (n_grid // 32) | 1) if noise_sigma > 0.0 else None
+
+
+def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.ndarray:
+    """Additive Gaussian noise on scan intensities, clamped to [0, 1].
+
+    Scans lie along the last axis.  A single scan draws from
+    ``default_rng(seed)``, with any seed numpy accepts (a sequence is the
+    entropy of one generator).  Row k of a stack of scans, leading axes
+    flattened, draws from ``default_rng(seed + k)``, so the stack repeats the
+    scans made one at a time with seeds seed, seed + 1, ...; a stack
+    therefore needs an integer seed, or None.  A noise-free call
+    (noise_sigma <= 0) returns the intensities unchanged.
+    """
+    intensity = np.asarray(intensity, dtype=float)
+    if not noise_sigma > 0.0:
+        return intensity
+    stacked = intensity.ndim > 1
+    if stacked and not (seed is None or isinstance(seed, (int, np.integer))):
+        raise TypeError(f"a stack of scans draws row k from seed + k and needs an integer seed, got {seed!r}")
+    noise = np.empty(intensity.shape)
+    for k, row in enumerate(np.ndindex(intensity.shape[:-1])):
+        row_seed = seed + k if stacked and seed is not None else seed
+        noise[row] = np.random.default_rng(row_seed).normal(0.0, noise_sigma, intensity.shape[-1])
+    return np.clip(intensity + noise, 0.0, 1.0)
+
+
 def polarimetric_sweep(
     xi: float,
-    eta: float,
+    eta,
     zeta: float,
     n_grid: int = 4096,
     noise_sigma: float = 0.0,
     seed=None,
 ) -> PolarimetricSweep:
-    """Simulate one rotation scan over phi in [0, 2 pi).
+    """Simulate one rotation scan over phi in [0, 2 pi), or one per eta.
 
-    Noise is additive Gaussian on the intensity, clamped to [0, 1]; the
-    generator is seeded explicitly so runs are reproducible.
+    With an array ``eta`` the scans stack on its axes and share the phi
+    grid; row k is bit for bit the scan of its own eta made with seed + k.
+    Noise is additive Gaussian on the intensity, clamped to [0, 1], from
+    explicitly seeded generators (add_scan_noise), so runs are reproducible.
     """
     if n_grid < 64:
         raise ValueError(f"n_grid must be at least 64, got {n_grid}")
     phi = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    intensity = polarimetric_intensity(xi, eta, zeta, phi)
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        intensity = np.clip(intensity + rng.normal(0.0, noise_sigma, n_grid), 0.0, 1.0)
+    # a scalar eta gets the same axis in front of phi as an array does, so a
+    # single scan runs the same arithmetic as each row of a stack (numpy
+    # squares a scalar with pow() and an array by a product, which can differ
+    # in the last bit)
+    intensity = polarimetric_intensity(xi, finite("eta", eta)[..., None], zeta, phi)
+    intensity = add_scan_noise(intensity, noise_sigma, seed)
     return PolarimetricSweep(phi, intensity, YzyParams(xi, eta, zeta))
 
 
@@ -155,14 +193,21 @@ def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
     return np.abs(u[:, 0, 0]) ** 2
 
 
-def sweep_extrema(sweep: PolarimetricSweep, smooth_window: int | None = None) -> tuple[float, float]:
-    """(I_min, I_max) of a scan, quadratically interpolated around the best samples."""
+def sweep_extrema(sweep: PolarimetricSweep, smooth_window: int | None = None):
+    """(I_min, I_max) of a scan, quadratically interpolated around the best samples.
+
+    Floats for a single scan; for a stack of scans, two arrays of its
+    leading shape, each entry equal to the extrema of that scan on its own.
+    """
     intensity = sweep.intensities
     if smooth_window is not None:
         intensity = circular_savitzky_golay(intensity, smooth_window)
-    _, i_min = vertex(intensity, np.argmin(intensity))
-    _, i_max = vertex(intensity, np.argmax(intensity))
-    return float(np.clip(i_min, 0.0, 1.0)), float(np.clip(i_max, 0.0, 1.0))
+    _, i_min = vertex(intensity, np.argmin(intensity, axis=-1))
+    _, i_max = vertex(intensity, np.argmax(intensity, axis=-1))
+    i_min, i_max = np.clip(i_min, 0.0, 1.0), np.clip(i_max, 0.0, 1.0)
+    if intensity.ndim == 1:
+        return float(i_min), float(i_max)
+    return i_min, i_max
 
 
 def measure_phase(
@@ -178,12 +223,12 @@ def measure_phase(
 
     Sweeps phi over [0, 2 pi) on n_grid points, locates the intensity
     extrema and applies the extremum ratio.  For noisy scans the sweep is
-    low-pass filtered first (a Savitzky-Golay window scaled to the grid, or
-    ``smooth_window`` when given).  Equals cos^2(delta) of the underlying
-    transformation up to grid resolution and noise.
+    low-pass filtered first (smoothing_window, or ``smooth_window`` when
+    given).  Equals cos^2(delta) of the underlying transformation up to grid
+    resolution and noise.
     """
     sweep = polarimetric_sweep(xi, eta, zeta, n_grid, noise_sigma, seed)
-    if smooth_window is None and noise_sigma > 0.0:
-        smooth_window = max(5, (n_grid // 32) | 1)
+    if smooth_window is None:
+        smooth_window = smoothing_window(n_grid, noise_sigma)
     i_min, i_max = sweep_extrema(sweep, smooth_window)
     return extract_cos2_phase(i_min, i_max)

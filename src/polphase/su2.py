@@ -31,6 +31,7 @@ and the Pancharatnam phase of |i> relative to |f> is arg<i|f>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,9 @@ def wrap_angle(angle):
     return out
 
 
+_REAL_SCALARS = (float, int, np.floating, np.integer)
+
+
 def finite(name: str, value, dtype=float) -> np.ndarray:
     """``value`` as an array of ``dtype``; raises NonFiniteInput on NaN or infinity.
 
@@ -101,6 +105,11 @@ def finite(name: str, value, dtype=float) -> np.ndarray:
     passes its inputs through here, so a NaN is refused at the boundary
     instead of surfacing later as a fake degeneracy.
     """
+    if isinstance(value, _REAL_SCALARS):
+        # one math.isfinite call instead of three array operations
+        if not math.isfinite(value):
+            raise NonFiniteInput(f"{name} must be finite, got {float(value)}")
+        return np.asarray(value, dtype=dtype)
     array = np.asarray(value, dtype=dtype)
     bad = ~np.isfinite(array)
     if bad.any():

@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -452,3 +455,68 @@ def test_non_finite_parameter_is_named_in_the_error(tmp_path, capsys):
     assert code == 1
     assert err == "error: NonFiniteInput: delta must be finite, got nan\n"
     assert not (tmp_path / "interferogram.pgm").exists()
+
+
+# ---------------------------------------------------------------------------
+# one process, many runs: nothing parsed carries over from one call to the next
+
+def test_repeated_runs_do_not_share_parsed_options(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "fringe", "generate", "--delta", "0.4", "--k0", "0.25",
+                         "--out-dir", str(tmp_path), "--out", "img.pgm")
+    assert code == 0
+    image = str(tmp_path / "img.pgm")
+    regions = ["200:440:140:340", "220:420:160:320"]
+    code, _, _ = run_cli(capsys, "fringe", "analyze", "--image", image, "--region", regions[0],
+                         "--region", regions[1], "--out-dir", str(tmp_path / "a"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "fringe", "analyze", "--image", image, "--out-dir", str(tmp_path / "b"))
+    assert code == 0
+    assert "regions=" + ";".join(regions) + "\n" in (tmp_path / "a" / "fringe_analyze_config.txt").read_text()
+    assert "regions=auto\n" in (tmp_path / "b" / "fringe_analyze_config.txt").read_text()
+
+    for sub, xi, flags in (("deg", "90", ["--degrees"]), ("rad", repr(np.pi / 2), [])):
+        code, _, _ = run_cli(capsys, "decompose", "--xi", xi, "--eta", "0", "--zeta", "0",
+                             *flags, "--out-dir", str(tmp_path / sub))
+        assert code == 0
+        array = plates.parse_plate_array((tmp_path / sub / "plates.txt").read_text())
+        np.testing.assert_allclose(plates.compose(array), su2.from_yzy(np.pi / 2, 0.0, 0.0), atol=1e-12)
+    assert "degrees=False\n" in (tmp_path / "rad" / "decompose_config.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# recorded outputs: every byte of stdout, stderr and the out-dir files, as
+# written by the per-eta implementation these runs were first recorded with
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    "polarimetry_zeta2pi_noisy": ["polarimetry", "--mode", "zeta2pi", "--noise-sigma", "0.01",
+                                  "--eta-steps", "16"],
+    # beta = pi/2 on every row: one warning line per eta, every measured cell empty
+    "polarimetry_ximinuspi_degenerate": ["polarimetry", "--mode", "ximinuspi", "--zeta", "0",
+                                         "--eta-steps", "8", "--n-grid", "512"],
+    # xi + zeta = pi: only the eta = 0 row is degenerate; the others are ill-conditioned
+    # ratios of ~1e-9 extrema, which show any change in the last bits of the scan
+    "polarimetry_full_one_degenerate_row": ["polarimetry", "--xi", "1", "--zeta", "2.141592653589793",
+                                            "--eta-steps", "8", "--n-grid", "512"],
+    "polarimetry_noisy_plate_scan": ["polarimetry", "--plates", "plates.txt", "--n-grid", "512",
+                                     "--noise-sigma", "0.02", "--seed", "5"],
+    "interf_sweep": ["interf", "sweep", "--xi", "0.5", "--eta", "1.0", "--zeta=-0.3", "--samples", "256"],
+}
+INPUTS = {"plates.txt"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_outputs_match_the_recorded_bytes(name, tmp_path, capsys, monkeypatch):
+    expected = GOLDEN / name
+    for path in expected.iterdir():
+        if path.name in INPUTS:
+            shutil.copy(path, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *GOLDEN_RUNS[name])
+    assert code == 0
+    assert out == (expected / "stdout.txt").read_text()
+    assert err == (expected / "stderr.txt").read_text()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in expected.iterdir() if p.name not in ("stdout.txt", "stderr.txt"))
+    for file in written:
+        assert (tmp_path / file).read_bytes() == (expected / file).read_bytes(), file

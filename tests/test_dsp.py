@@ -52,3 +52,10 @@ def test_circular_savitzky_golay_refuses_unusable_windows(window, order):
     # an even window used to be widened by one sample without a word
     with pytest.raises(ValueError):
         dsp.circular_savitzky_golay(np.zeros(50), window, order)
+
+
+def test_circular_savitzky_golay_filters_each_row_of_a_stack():
+    y = RNG.normal(size=(2, 3, 40))
+    stacked = dsp.circular_savitzky_golay(y, 9, 3)
+    for index in np.ndindex(2, 3):
+        np.testing.assert_array_equal(stacked[index], dsp.circular_savitzky_golay(y[index], 9, 3))

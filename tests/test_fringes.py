@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,6 +459,29 @@ def test_pgm_round_trip(tmp_path):
     assert meta["seed"] == 2
     # 16-bit quantization: half a level of error at most
     assert np.max(np.abs(loaded.pixels - img.pixels)) <= 0.5 / 65535 + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(16, 40), st.integers(16, 40), st.integers(0, 2**32 - 1),
+    st.floats(0.01, 3.0), st.floats(-np.pi, np.pi), st.data(),
+)
+def test_pgm_save_load_round_trip_property(tmp_path_factory, height, width, seed, k0, delta, data):
+    # pixels come back on the 16-bit grid (half a level at most, out-of-range
+    # values clipped), metadata exactly, and a second save writes the same bytes
+    pixels = np.random.default_rng(seed).uniform(0.0, 1.2, (height, width))
+    split = data.draw(st.integers(1, height - 1))
+    img = fringes.Interferogram(pixels, split, k0=k0, true_delta=delta)
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    fringes.save_interferogram(img, path, extra={"seed": seed})
+    loaded, meta = fringes.load_interferogram(path)
+    assert loaded.shape == (height, width)
+    assert (loaded.half_split_row, loaded.k0, loaded.true_delta, meta["seed"]) == (split, k0, delta, seed)
+    assert np.max(np.abs(loaded.pixels - np.clip(pixels, 0.0, 1.0))) <= 0.5 / 65535 + 1e-12
+    again = path.with_name("again.pgm")
+    fringes.save_interferogram(loaded, again, extra={"seed": seed})
+    assert again.read_bytes() == path.read_bytes()
+    assert Path(f"{again}.meta").read_text() == Path(f"{path}.meta").read_text()
 
 
 def test_pgm_payload_format(tmp_path):

@@ -240,3 +240,58 @@ def test_closed_forms_refuse_non_finite_angles():
         polarimetry.measure_phase(0.0, np.inf, 0.0)
     with pytest.raises(su2.NonFiniteInput):
         polarimetry.intensity_xi_minus_pi(0.0, 0.0, np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("name", ["xi", "eta", "zeta"])
+def test_measure_phase_names_the_non_finite_angle(name):
+    angles = {"xi": 0.3, "eta": 0.5, "zeta": -0.2, name: np.inf}
+    with pytest.raises(su2.NonFiniteInput, match=f"^{name} must be finite, got inf$"):
+        polarimetry.measure_phase(**angles)
+
+
+# ---------------------------------------------------------------------------
+# a whole eta curve as one stack of scans
+
+@settings(deadline=None, max_examples=30)
+@given(ANGLE, ANGLE, st.floats(0.0, 0.05), st.integers(0, 2**32))
+def test_stacked_sweep_equals_per_eta_measure_phase_bit_for_bit(xi, zeta, noise, seed):
+    etas = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+    n_grid = 256
+    window = polarimetry.smoothing_window(n_grid, noise)
+    stack = polarimetry.polarimetric_sweep(xi, etas, zeta, n_grid, noise, seed)
+    i_min, i_max = polarimetry.sweep_extrema(stack, window)
+    assert stack.intensities.shape == (6, n_grid) and i_min.shape == i_max.shape == (6,)
+    for k, eta in enumerate(etas):
+        # row k is the scan made on its own with seed + k
+        single = polarimetry.polarimetric_sweep(xi, eta, zeta, n_grid, noise, seed + k)
+        np.testing.assert_array_equal(stack.intensities[k], single.intensities)
+        assert polarimetry.sweep_extrema(single, window) == (i_min[k], i_max[k])
+        try:
+            expected = polarimetry.measure_phase(xi, eta, zeta, n_grid, noise, seed + k)
+        except polarimetry.DegenerateDenominator:
+            with pytest.raises(polarimetry.DegenerateDenominator):
+                polarimetry.extract_cos2_phase(i_min[k], i_max[k])
+        else:
+            assert polarimetry.extract_cos2_phase(i_min[k], i_max[k]) == expected
+
+
+def test_scan_noise_seeds():
+    clean = np.full((3, 64), 0.5)
+    # a single scan takes any seed numpy does; a list is one generator's entropy
+    np.testing.assert_array_equal(
+        polarimetry.add_scan_noise(clean[0], 0.1, [3, 4]),
+        np.clip(0.5 + np.random.default_rng([3, 4]).normal(0.0, 0.1, 64), 0.0, 1.0),
+    )
+    # row k of a stack draws from seed + k, so it needs an integer seed
+    stack = polarimetry.add_scan_noise(clean, 0.1, 9)
+    for k in range(3):
+        np.testing.assert_array_equal(stack[k], polarimetry.add_scan_noise(clean[k], 0.1, 9 + k))
+    with pytest.raises(TypeError):
+        polarimetry.add_scan_noise(clean, 0.1, [3, 4])
+    assert polarimetry.add_scan_noise(clean, 0.0, [3, 4]) is clean
+
+
+def test_smoothing_window_only_for_noisy_scans():
+    assert polarimetry.smoothing_window(4096, 0.0) is None
+    assert polarimetry.smoothing_window(4096, 0.01) == 129
+    assert polarimetry.smoothing_window(64, 0.01) == 5

@@ -312,3 +312,20 @@ def test_non_finite_matrix_raises():
         su2.to_zyz(u)
     with pytest.raises(su2.NonFiniteInput):
         su2.to_zyz(np.stack([np.eye(2), u]))
+
+
+@pytest.mark.parametrize("value, shown", [
+    (float("nan"), "nan"), (np.float64(np.inf), "inf"), (np.float32(-np.inf), "-inf"),
+    (np.array(np.nan), "nan"), (np.array([0.0, np.nan, np.inf]), "2 of 3 values"),
+])
+def test_finite_names_the_value_it_refuses(value, shown):
+    with pytest.raises(su2.NonFiniteInput, match=f"^angle must be finite, got {shown}$"):
+        su2.finite("angle", value)
+
+
+@pytest.mark.parametrize("value", [0.25, -3, True, np.float64(1.5), np.float32(0.5), np.int64(7),
+                                   np.array(2.0), [1.0, 2.0]])
+def test_finite_returns_the_value_as_a_float_array(value):
+    out = su2.finite("angle", value)
+    assert isinstance(out, np.ndarray) and out.dtype == float
+    np.testing.assert_array_equal(out, np.asarray(value, dtype=float))
