@@ -1,4 +1,4 @@
-"""The two-qubit interferometer model and the drift-immune split-beam trick.
+"""The interferometer's overlap law and the drift-immune split-beam trick.
 
 Sweeps the scanned arm phase for vertically and horizontally polarized input
 and shows the two fringes displaced by twice the Pancharatnam phase; the

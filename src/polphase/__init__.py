@@ -1,8 +1,8 @@
 """polphase: Pancharatnam-phase simulation and retrieval toolkit.
 
 The package covers the full desk-scale chain: exact SU(2) polarization
-algebra (su2), compilation into quarter/half-wave-plate arrays (plates), a
-two-qubit Mach-Zehnder model with the drift-immune dual-polarization
+algebra (su2), compilation into quarter/half-wave-plate arrays (plates), the
+Mach-Zehnder overlap law with the drift-immune dual-polarization
 split-beam scheme (interferometer), the rotating five-plate single-beam
 method (polarimetry), and synthetic dual-half interferograms with two
 independent fringe-shift estimators (fringes), over the shared smoothing and
@@ -49,12 +49,7 @@ from .plates import (
 )
 from .interferometer import (
     ZeroVisibility,
-    arm_unitary,
-    beam_splitter,
-    mach_zehnder,
-    mirror,
     output_intensity,
-    phase_shifter,
     split_beam_shift,
     visibility_plates,
     visibility_yzy,

@@ -218,7 +218,8 @@ def _cmd_interf_surface(args, config) -> int:
 
     xi, eta = np.meshgrid(xi_grid, eta_grid, indexing="ij")
     zyz = su2.yzy_to_zyz(xi, eta, zeta)
-    cos2 = np.cos(zyz.delta) ** 2
+    cos_delta = np.cos(zyz.delta)
+    cos2 = cos_delta * cos_delta
     # beta = pi/2: phase undefined, cell left empty
     rows = [(x, e, c if defined else None) for x, e, c, defined in
             zip(xi.ravel().tolist(), eta.ravel().tolist(), cos2.ravel().tolist(),
@@ -264,8 +265,9 @@ def _cmd_polarimetry(args, config) -> int:
 
     etas = np.linspace(0.0, 2.0 * np.pi, eta_steps, endpoint=False)
     zyz = su2.yzy_to_zyz(xi, etas, zeta)
+    cos_delta = np.cos(zyz.delta)
     expected_cos2 = [c if defined else None for c, defined in
-                     zip((np.cos(zyz.delta) ** 2).tolist(), zyz.delta_defined.tolist())]
+                     zip((cos_delta * cos_delta).tolist(), zyz.delta_defined.tolist())]
     # one scan per eta, as one stack; row k is the scan measure_phase makes with seed + k
     curve = polarimetry.polarimetric_sweep(xi, etas, zeta, n_grid, noise, seed)
     i_min, i_max = polarimetry.sweep_extrema(curve, polarimetry.smoothing_window(n_grid, noise))

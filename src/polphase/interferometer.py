@@ -1,30 +1,28 @@
-"""Two-qubit operator model of a Mach-Zehnder interferometer.
+"""Mach-Zehnder interferometer fed with two orthogonally polarized beams.
 
-The light carries a polarization qubit {|V>, |H>} and a path ("which way")
-qubit {|X>, |Y>}.  States live in the product basis, ordered
+The light carries a polarization qubit {|V>, |H>} and a path qubit, and the
+pass through the instrument is a beam splitter, the retarder array U in one
+arm and the scanned phase phi in the other, folding mirrors and a second
+beam splitter.  Because the two arms differ only by U and by phi, each exit
+port depends on U through one number, the overlap w = <in|U|in> of the input
+polarization with its image (Sjoqvist et al., PRL 85, 2845 (2000)):
 
-    {|VX>, |VY>, |HX>, |HY>}
+    I = (1/2) [1 - Re(e^{-i phi} w)]        (fringe port)
+    I = (1/2) [1 + Re(e^{-i phi} w)]        (complementary port)
 
-(polarization index major).  Beam splitters, mirrors and phase shifters act
-on the path factor only; a retarder array inserted in one arm acts on the
-polarization factor of that arm alone.
-
-The full pass through the instrument is
-
-    U_T = U_BS  U_mirr  U_X(phi)  U_P^Y  U_BS
-
-with the retarder array on arm Y and the scanned phase phi on arm X.  With
-the symmetric beam-splitter convention used here (factor i on reflection),
-the exit port whose fringe is
-
-    I = (1/2) [1 - cos(beta) cos(phi - delta)]        (vertical input)
-
-is the Y-labelled output: the port that is dark at phi = 0 when no retarders
-are present.  The X-labelled output carries the complementary fringe, and the
-two always sum to the input power.  Feeding the top half of the beam through
-a vertical polarizer and the bottom half through a horizontal one shifts the
+With the symmetric beam-splitter convention (factor i on reflection) the
+fringe port is the one that is dark at phi = 0 when no retarders are
+present, and the two ports always sum to the input power.  For U with z-y-z
+angles (beta, gamma, delta), w = cos(beta) e^{+i delta} for |V> input and
+cos(beta) e^{-i delta} for |H> input: the fringe visibility is |w| and the
+phase is arg w.  Feeding the top half of the beam through a vertical
+polarizer and the bottom half through a horizontal one therefore shifts the
 two half-fringes by 2 delta relative to each other, which is what
 split_beam_shift recovers.
+
+The 4x4 two-qubit operator product this law comes from (basis
+{|VX>, |VY>, |HX>, |HY>}, polarization index major) is kept in the test
+suite as the reference the overlap law is checked against.
 """
 
 from __future__ import annotations
@@ -32,13 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from .dsp import vertex
-from .su2 import IDENTITY2, finite, to_zyz, wrap_angle
+from .su2 import finite, to_zyz, wrap_angle
 
 #: visibility below this is treated as zero (fringes flat, shift undefined)
 EPS_VISIBILITY = 1e-6
 
-_PATH_X = np.diag([1.0, 0.0]).astype(complex)
-_PATH_Y = np.diag([0.0, 1.0]).astype(complex)
+_INPUT_INDEX = {"V": 0, "H": 1}
 
 
 class ZeroVisibility(ValueError):
@@ -49,83 +46,28 @@ class IncompletePeriod(ValueError):
     """The scan grid does not cover a whole number of fringe periods."""
 
 
-def beam_splitter() -> np.ndarray:
-    """Symmetric 50:50 beam splitter: transmit 1, reflect i, on either side."""
-    bs = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
-    return np.kron(IDENTITY2, bs)
-
-
-def mirror() -> np.ndarray:
-    """Folding mirrors: swap the two paths with a -i reflection phase each."""
-    m = np.array([[0.0, -1.0j], [-1.0j, 0.0]], dtype=complex)
-    return np.kron(IDENTITY2, m)
-
-
-def phase_shifter(arm: str, phi: float) -> np.ndarray:
-    """Phase e^{i phi} on the selected arm ('X' or 'Y')."""
-    if arm == "X":
-        p = np.diag([np.exp(1j * phi), 1.0])
-    elif arm == "Y":
-        p = np.diag([1.0, np.exp(1j * phi)])
-    else:
-        raise ValueError(f"arm must be 'X' or 'Y', got {arm!r}")
-    return np.kron(IDENTITY2, p.astype(complex))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron over the last two axes of a (..., 2, 2) stack and a 2x2 matrix
-    out = a[..., :, None, :, None] * b[:, None, :]
-    return out.reshape(a.shape[:-2] + (4, 4))
-
-
-def arm_unitary(u: np.ndarray, arm: str) -> np.ndarray:
-    """Polarization transformation u applied in one arm, identity in the other.
-
-    ``u`` may be a (..., 2, 2) stack; the result is then a (..., 4, 4) stack.
-    """
-    u = np.asarray(u, dtype=complex)
-    if arm == "X":
-        return _kron(u, _PATH_X) + np.kron(IDENTITY2, _PATH_Y)
-    if arm == "Y":
-        return _kron(u, _PATH_Y) + np.kron(IDENTITY2, _PATH_X)
-    raise ValueError(f"arm must be 'X' or 'Y', got {arm!r}")
-
-
-def mach_zehnder(u: np.ndarray, phi: float, u_arm: str = "Y", phase_arm: str = "X") -> np.ndarray:
-    """Total operator of the interferometer pass (retarders default to arm Y)."""
-    return (
-        beam_splitter()
-        @ mirror()
-        @ phase_shifter(phase_arm, phi)
-        @ arm_unitary(u, u_arm)
-        @ beam_splitter()
-    )
-
-
-def _input_ket(input_pol: str) -> np.ndarray:
-    if input_pol not in ("V", "H"):
-        raise ValueError(f"input_pol must be 'V' or 'H', got {input_pol!r}")
-    return np.eye(4, dtype=complex)[0 if input_pol == "V" else 2]  # |VX> or |HX>
-
-
 def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = False) -> "float | np.ndarray":
     """Detected intensity at the fringe port, summed over both polarizations.
 
-    Equals (1/2)[1 - cos(beta) cos(phi -+ delta)] for V/H input, with
-    (beta, delta) the z-y-z angles of u.  ``complementary=True`` returns the
-    other exit port instead; the two ports sum to 1.  A (..., 2, 2) stack of
-    u and an array of phi give intensities of shape u.shape[:-2] + phi.shape;
-    one u and a scalar phi give a float.
+    (1/2)[1 - Re(e^{-i phi} w)] with w = u[0, 0] for V input and u[1, 1] for
+    H input, i.e. (1/2)[1 - cos(beta) cos(phi -+ delta)] in the z-y-z angles
+    of u.  ``complementary=True`` returns the other exit port instead; the
+    two ports sum to 1.  A (..., 2, 2) stack of u and an array of phi give
+    intensities of shape u.shape[:-2] + phi.shape, each entry bit for bit
+    the call with its own u; one u and a scalar phi give a float.  u must be
+    unitary (the law uses |u |in>| = 1); NaN or infinite u or phi raise
+    NonFiniteInput.
     """
-    # phi only multiplies the X components: the front and back sections are applied once
-    v0 = arm_unitary(u, "Y") @ beam_splitter() @ _input_ket(input_pol)
-    phi = np.asarray(phi, dtype=float)
-    states = np.repeat(v0[..., None], phi.size, axis=-1)
-    states[..., ::2, :] *= np.exp(1j * phi.ravel())  # |VX>, |HX>
-    out = beam_splitter() @ mirror() @ states
-    a, b = (0, 2) if complementary else (1, 3)  # |VX>, |HX> or |VY>, |HY>
-    intensity = np.abs(out[..., a, :]) ** 2 + np.abs(out[..., b, :]) ** 2
-    intensity = intensity.reshape(v0.shape[:-1] + phi.shape)
+    if input_pol not in _INPUT_INDEX:
+        raise ValueError(f"input_pol must be 'V' or 'H', got {input_pol!r}")
+    u = finite("u", u, dtype=complex)
+    if u.shape[-2:] != (2, 2):
+        raise ValueError(f"u must be a (2, 2) matrix or a (..., 2, 2) stack, got shape {u.shape}")
+    phi = finite("phi", phi)
+    k = _INPUT_INDEX[input_pol]
+    w = u[..., k, k].reshape(u.shape[:-2] + (1,) * phi.ndim)
+    fringe = w.real * np.cos(phi) + w.imag * np.sin(phi)  # Re(e^{-i phi} w)
+    intensity = 0.5 * (1.0 + fringe) if complementary else 0.5 * (1.0 - fringe)
     return float(intensity) if intensity.ndim == 0 else intensity
 
 

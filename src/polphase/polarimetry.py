@@ -66,14 +66,10 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     """
     xi, eta, zeta, phi = finite("xi", xi), finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
     ce, se = np.cos(eta / 2.0), np.sin(eta / 2.0)
-    out = (
-        ce**2 * np.cos((xi + zeta) / 2.0) ** 2
-        + (
-            ce * np.sin((xi + zeta) / 2.0) * np.cos(phi)
-            + se * np.sin((xi - zeta) / 2.0) * np.sin(phi)
-        )
-        ** 2
-    )
+    cs = np.cos((xi + zeta) / 2.0)
+    swing = ce * np.sin((xi + zeta) / 2.0) * np.cos(phi) + se * np.sin((xi - zeta) / 2.0) * np.sin(phi)
+    # squares as products: numpy squares a scalar with pow(), which can differ in the last bit
+    out = ce * ce * (cs * cs) + swing * swing
     return float(out) if out.ndim == 0 else out
 
 
@@ -85,10 +81,9 @@ def intensity_xi_minus_pi(eta: float, zeta: float, phi) -> "float | np.ndarray":
     phi at eta = 0, zeta = pi (the alignment configuration).
     """
     eta, zeta, phi = finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
-    out = (
-        np.cos(zeta / 2.0) ** 2 * np.cos((eta - 2.0 * phi) / 2.0) ** 2
-        + np.sin(zeta / 2.0) ** 2 * np.cos(eta / 2.0) ** 2
-    )
+    cz, sz = np.cos(zeta / 2.0), np.sin(zeta / 2.0)
+    ce, cs = np.cos(eta / 2.0), np.cos((eta - 2.0 * phi) / 2.0)
+    out = cz * cz * (cs * cs) + sz * sz * (ce * ce)
     return float(out) if out.ndim == 0 else out
 
 
@@ -166,10 +161,7 @@ def polarimetric_sweep(
     if n_grid < 64:
         raise ValueError(f"n_grid must be at least 64, got {n_grid}")
     phi = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    # a scalar eta gets the same axis in front of phi as an array does, so a
-    # single scan runs the same arithmetic as each row of a stack (numpy
-    # squares a scalar with pow() and an array by a product, which can differ
-    # in the last bit)
+    # eta gets an axis in front of phi, so an array of eta stacks one scan per row
     intensity = polarimetric_intensity(xi, finite("eta", eta)[..., None], zeta, phi)
     intensity = add_scan_noise(intensity, noise_sigma, seed)
     return PolarimetricSweep(phi, intensity, YzyParams(xi, eta, zeta))
@@ -183,14 +175,23 @@ def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
     the output back on |V> gives the scan intensity |<V| U(phi) |V>|^2 at
     each grid point.  This is how a user-supplied plate file is simulated.
 
-    The whole scan is one compose call over an (n_phi, n_plates) axis array,
-    so the cost is a handful of array operations, not one matrix product per
-    grid point.  Returns an array of len(phi_grid) (one entry for a scalar).
+    Turning every axis by -phi/2 conjugates the composed matrix U0 of the
+    array at phi = 0 by a real rotation, U(phi) = R(-phi/2) U0 R(phi/2), so
+
+        <V| U(phi) |V> = a + b cos(phi) + c sin(phi),
+        a = (u00 + u11)/2,  b = (u00 - u11)/2,  c = (u01 + u10)/2,
+
+    and the scan needs one compose call, not one matrix per grid point.
+    Returns an array of len(phi_grid) (one entry for a scalar); a NaN or
+    infinite phi_grid raises NonFiniteInput.
     """
-    phis = np.atleast_1d(np.asarray(phi_grid, dtype=float))
-    axes = np.array([p.axis for p in plates], dtype=float)
-    u = compose([p.kind for p in plates], axes[None, :] - phis[:, None] / 2.0)
-    return np.abs(u[:, 0, 0]) ** 2
+    phis = np.atleast_1d(finite("phi_grid", phi_grid))
+    u = compose(plates)
+    a, b, c = (u[0, 0] + u[1, 1]) / 2.0, (u[0, 0] - u[1, 1]) / 2.0, (u[0, 1] + u[1, 0]) / 2.0
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    re = a.real + b.real * cos_phi + c.real * sin_phi
+    im = a.imag + b.imag * cos_phi + c.imag * sin_phi
+    return re * re + im * im
 
 
 def sweep_extrema(sweep: PolarimetricSweep, smooth_window: int | None = None):

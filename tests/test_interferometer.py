@@ -1,4 +1,10 @@
-"""Tests for the two-qubit Mach-Zehnder model and visibility formulas."""
+"""Tests for the Mach-Zehnder overlap law and the visibility formulas.
+
+The overlap law of interferometer.output_intensity is checked against the
+two-qubit model it comes from: the full 4x4 operator product over the
+polarization x path basis {|VX>, |VY>, |HX>, |HY>} (polarization index
+major), kept here as the reference.
+"""
 
 import numpy as np
 import pytest
@@ -15,46 +21,110 @@ KET_VX = np.array([1, 0, 0, 0], dtype=complex)
 KET_VY = np.array([0, 1, 0, 0], dtype=complex)
 
 
+# ---------------------------------------------------------------------------
+# reference: the two-qubit (polarization x path) operator model
+
+_PATH_X = np.diag([1.0, 0.0]).astype(complex)
+_PATH_Y = np.diag([0.0, 1.0]).astype(complex)
+
+
+def beam_splitter() -> np.ndarray:
+    """Symmetric 50:50 beam splitter: transmit 1, reflect i, on either side."""
+    bs = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
+    return np.kron(su2.IDENTITY2, bs)
+
+
+def mirror() -> np.ndarray:
+    """Folding mirrors: swap the two paths with a -i reflection phase each."""
+    m = np.array([[0.0, -1.0j], [-1.0j, 0.0]], dtype=complex)
+    return np.kron(su2.IDENTITY2, m)
+
+
+def phase_shifter(arm: str, phi: float) -> np.ndarray:
+    """Phase e^{i phi} on the selected arm ('X' or 'Y')."""
+    if arm == "X":
+        p = np.diag([np.exp(1j * phi), 1.0])
+    elif arm == "Y":
+        p = np.diag([1.0, np.exp(1j * phi)])
+    else:
+        raise ValueError(f"arm must be 'X' or 'Y', got {arm!r}")
+    return np.kron(su2.IDENTITY2, p.astype(complex))
+
+
+def arm_unitary(u: np.ndarray, arm: str) -> np.ndarray:
+    """Polarization transformation u applied in one arm, identity in the other."""
+    u = np.asarray(u, dtype=complex)
+    if arm == "X":
+        return np.kron(u, _PATH_X) + np.kron(su2.IDENTITY2, _PATH_Y)
+    if arm == "Y":
+        return np.kron(u, _PATH_Y) + np.kron(su2.IDENTITY2, _PATH_X)
+    raise ValueError(f"arm must be 'X' or 'Y', got {arm!r}")
+
+
+def mach_zehnder(u: np.ndarray, phi: float, u_arm: str = "Y", phase_arm: str = "X") -> np.ndarray:
+    """Total operator of the interferometer pass (retarders default to arm Y)."""
+    return beam_splitter() @ mirror() @ phase_shifter(phase_arm, phi) @ arm_unitary(u, u_arm) @ beam_splitter()
+
+
+def _input_ket(input_pol: str) -> np.ndarray:
+    if input_pol not in ("V", "H"):
+        raise ValueError(f"input_pol must be 'V' or 'H', got {input_pol!r}")
+    return np.eye(4, dtype=complex)[0 if input_pol == "V" else 2]  # |VX> or |HX>
+
+
+def reference_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = False) -> np.ndarray:
+    """Port intensity from the full 4x4 product, one (u, phi) pair at a time,
+    shaped like output_intensity's result."""
+    u, phi = np.asarray(u, dtype=complex), np.asarray(phi, dtype=float)
+    ports = (0, 2) if complementary else (1, 3)  # |VX>, |HX> or |VY>, |HY>
+    out = np.empty(u.shape[:-2] + phi.shape)
+    for i in np.ndindex(u.shape[:-2]):
+        for j in np.ndindex(phi.shape):
+            amplitudes = mach_zehnder(u[i], phi[j]) @ _input_ket(input_pol)
+            out[i + j] = sum(abs(amplitudes[p]) ** 2 for p in ports)
+    return out
+
+
 def random_su2():
     return su2.from_yzy(*RNG.uniform(-2 * np.pi, 2 * np.pi, 3))
 
 
 def test_beam_splitter_twice_is_i_times_swap():
     # direct 4x4 product oracle: BS^2 sends |VX> to i |VY>
-    bs2 = itf.beam_splitter() @ itf.beam_splitter()
+    bs2 = beam_splitter() @ beam_splitter()
     np.testing.assert_allclose(bs2 @ KET_VX, 1j * KET_VY, atol=1e-15)
     swap = np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
     np.testing.assert_allclose(bs2, 1j * swap, atol=1e-15)
 
 
 def test_beam_splitter_splits_fifty_fifty():
-    out = itf.beam_splitter() @ KET_VX
+    out = beam_splitter() @ KET_VX
     assert abs(out[0]) ** 2 == pytest.approx(0.5)
     assert abs(out[1]) ** 2 == pytest.approx(0.5)
 
 
 def test_beam_splitter_leaves_polarization_alone():
-    bs = itf.beam_splitter()
+    bs = beam_splitter()
     # no element couples V to H
     assert np.all(bs[:2, 2:] == 0) and np.all(bs[2:, :2] == 0)
 
 
 def test_mirror_action():
-    np.testing.assert_allclose(itf.mirror() @ KET_VX, -1j * KET_VY, atol=1e-15)
+    np.testing.assert_allclose(mirror() @ KET_VX, -1j * KET_VY, atol=1e-15)
 
 
 def test_mirror_squared_is_minus_identity():
-    m = itf.mirror()
+    m = mirror()
     np.testing.assert_allclose(m @ m, -np.eye(4), atol=1e-15)
     assert np.all(m[:2, 2:] == 0) and np.all(m[2:, :2] == 0)
 
 
 def test_phase_shifter_zero_is_identity():
-    np.testing.assert_allclose(itf.phase_shifter("X", 0.0), np.eye(4))
+    np.testing.assert_allclose(phase_shifter("X", 0.0), np.eye(4))
 
 
 def test_phase_shifter_pi_flips_x_only():
-    p = itf.phase_shifter("X", np.pi)
+    p = phase_shifter("X", np.pi)
     state = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
     out = p @ state
     np.testing.assert_allclose(out, [-0.5, 0.5, -0.5, 0.5], atol=1e-15)
@@ -63,24 +133,24 @@ def test_phase_shifter_pi_flips_x_only():
 def test_phase_shifter_composition_law():
     a, b = 0.7, -1.9
     np.testing.assert_allclose(
-        itf.phase_shifter("Y", a) @ itf.phase_shifter("Y", b),
-        itf.phase_shifter("Y", a + b),
+        phase_shifter("Y", a) @ phase_shifter("Y", b),
+        phase_shifter("Y", a + b),
         atol=1e-15,
     )
 
 
 def test_phase_shifter_bad_arm():
     with pytest.raises(ValueError):
-        itf.phase_shifter("Z", 0.0)
+        phase_shifter("Z", 0.0)
 
 
 def test_arm_unitary_identity():
-    np.testing.assert_allclose(itf.arm_unitary(np.eye(2), "X"), np.eye(4))
+    np.testing.assert_allclose(arm_unitary(np.eye(2), "X"), np.eye(4))
 
 
 def test_arm_unitary_acts_on_chosen_arm_only():
     u = random_su2()
-    op = itf.arm_unitary(u, "X")
+    op = arm_unitary(u, "X")
     # Y amplitudes untouched
     np.testing.assert_allclose(op @ KET_VY, KET_VY, atol=1e-15)
     out = op @ KET_VX
@@ -89,15 +159,15 @@ def test_arm_unitary_acts_on_chosen_arm_only():
 
 def test_arm_unitary_unitary():
     for _ in range(100):
-        op = itf.arm_unitary(random_su2(), "Y")
+        op = arm_unitary(random_su2(), "Y")
         np.testing.assert_allclose(op.conj().T @ op, np.eye(4), atol=su2.EPS_MAT)
 
 
 def test_mach_zehnder_empty_instrument_is_identity():
     # closed form for U = 1, phi = 0, checked against the explicit product
-    got = itf.mach_zehnder(np.eye(2), 0.0)
+    got = mach_zehnder(np.eye(2), 0.0)
     np.testing.assert_allclose(got, np.eye(4), atol=1e-15)
-    product = itf.beam_splitter() @ itf.mirror() @ itf.beam_splitter()
+    product = beam_splitter() @ mirror() @ beam_splitter()
     np.testing.assert_allclose(got, product, atol=1e-15)
 
 
@@ -105,7 +175,7 @@ def test_mach_zehnder_unitary_and_power_conserving():
     for _ in range(500):
         u = random_su2()
         phi = RNG.uniform(-np.pi, np.pi)
-        ut = itf.mach_zehnder(u, phi)
+        ut = mach_zehnder(u, phi)
         np.testing.assert_allclose(ut.conj().T @ ut, np.eye(4), atol=su2.EPS_MAT)
         total = itf.output_intensity("V", u, phi) + itf.output_intensity(
             "V", u, phi, complementary=True
@@ -118,7 +188,7 @@ def test_mach_zehnder_arms_configurable():
     for _ in range(50):
         u = random_su2()
         phi = RNG.uniform(-np.pi, np.pi)
-        swapped = itf.mach_zehnder(u, phi, u_arm="X", phase_arm="Y")
+        swapped = mach_zehnder(u, phi, u_arm="X", phase_arm="Y")
         np.testing.assert_allclose(
             swapped.conj().T @ swapped, np.eye(4), atol=su2.EPS_MAT
         )
@@ -328,3 +398,63 @@ def test_visibility_formulas_refuse_non_finite_angles():
         itf.visibility_plates(np.nan, 0.0, 0.0)
     with pytest.raises(su2.NonFiniteInput):
         itf.visibility_yzy(0.0, np.array([0.0, np.inf]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the overlap law against the 4x4 reference, and its input checks
+
+PHIS = st.one_of(ANGLE, st.lists(ANGLE, min_size=0, max_size=12).map(np.array))
+
+
+@st.composite
+def su2_stacks(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    angles = draw(st.lists(st.tuples(ANGLE, ANGLE, ANGLE), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    xi, eta, zeta = np.array(angles, dtype=float).reshape(shape + (3,)).transpose(-1, *range(len(shape)))
+    return su2.from_yzy(xi, eta, zeta)
+
+
+@settings(deadline=None, max_examples=100)
+@given(su2_stacks(), PHIS, st.sampled_from("VH"), st.booleans())
+def test_overlap_law_matches_the_two_qubit_reference(u, phi, input_pol, complementary):
+    got = itf.output_intensity(input_pol, u, phi, complementary=complementary)
+    want = reference_intensity(input_pol, u, phi, complementary=complementary)
+    assert np.shape(got) == want.shape == u.shape[:-2] + np.shape(phi)
+    if want.ndim == 0:
+        assert isinstance(got, float)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=50)
+@given(su2_stacks(), PHIS, st.sampled_from("VH"), st.booleans())
+def test_stacked_output_intensity_equals_single_calls_bit_for_bit(u, phi, input_pol, complementary):
+    stack = np.asarray(itf.output_intensity(input_pol, u, phi, complementary=complementary))
+    for index in np.ndindex(u.shape[:-2]):
+        single = itf.output_intensity(input_pol, u[index], phi, complementary=complementary)
+        np.testing.assert_array_equal(stack[index], single)
+
+
+def test_output_intensity_names_a_non_finite_phi():
+    with pytest.raises(su2.NonFiniteInput, match="^phi must be finite"):
+        itf.output_intensity("V", np.eye(2), np.nan)
+    with pytest.raises(su2.NonFiniteInput, match="^phi must be finite"):
+        itf.output_intensity("H", np.eye(2), np.array([0.0, np.inf]))
+
+
+def test_output_intensity_names_a_non_finite_matrix():
+    u = np.eye(2, dtype=complex)
+    u[1, 1] = np.nan
+    with pytest.raises(su2.NonFiniteInput, match="^u must be finite"):
+        itf.output_intensity("H", u, 0.3)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2,), (), (4, 2, 3)])
+def test_output_intensity_names_the_expected_shape(shape):
+    with pytest.raises(ValueError, match=r"\(\.\.\., 2, 2\)"):
+        itf.output_intensity("V", np.ones(shape), np.linspace(0.0, 1.0, 4))
+
+
+def test_output_intensity_refuses_an_unknown_input():
+    with pytest.raises(ValueError, match="input_pol"):
+        itf.output_intensity("D", np.eye(2), 0.0)

@@ -340,3 +340,49 @@ def test_non_finite_euler_angle_is_named(name):
         plates.polarimetric_array(**angles, phi=0.2)
     with pytest.raises(su2.NonFiniteInput, match="^phi must be finite"):
         plates.polarimetric_array(0.3, 0.1, -0.4, np.inf)
+
+
+# ---------------------------------------------------------------------------
+# the paper's plate identities, over Hypothesis-drawn angles
+
+ANGLE = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=100)
+@given(ANGLE, ANGLE, ANGLE)
+def test_decompose_qhq_rests_on_the_plate_euler_identity(xi, eta, zeta):
+    # Q(t3) H(t2) Q(t1) = exp(-i(t3 + 3pi/4) sy) exp(+i(t1 - 2 t2 + t3) sz) exp(+i(t1 - pi/4) sy)
+    array = plates.decompose_qhq(xi, eta, zeta)
+    t1, t2, t3 = (p.axis for p in array)
+    euler = (
+        expm(-1j * (t3 + 3 * np.pi / 4) * su2.PAULI_Y)
+        @ expm(1j * (t1 - 2 * t2 + t3) * su2.PAULI_Z)
+        @ expm(1j * (t1 - np.pi / 4) * su2.PAULI_Y)
+    )
+    composed = plates.compose(array)
+    np.testing.assert_allclose(composed, euler, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(composed, su2.from_yzy(xi, eta, zeta), rtol=0, atol=su2.EPS_MAT)
+
+
+@settings(deadline=None, max_examples=100)
+@given(ANGLE, ANGLE)
+def test_simplify_qh_preserves_the_composed_matrix(a, b):
+    pair = [quarter_wave(a), half_wave(b)]
+    np.testing.assert_allclose(plates.compose(plates.simplify_qh(*pair)), plates.compose(pair),
+                               rtol=0, atol=su2.EPS_MAT)
+
+
+@settings(deadline=None, max_examples=100)
+@given(ANGLE, ANGLE, ANGLE)
+def test_merge_qhh_preserves_the_composed_matrix(a, b, g):
+    triple = [quarter_wave(a), half_wave(b), half_wave(g)]
+    np.testing.assert_allclose(plates.compose(plates.merge_qhh(*triple)), plates.compose(triple),
+                               rtol=0, atol=su2.EPS_MAT)
+
+
+@settings(deadline=None, max_examples=100)
+@given(ANGLE, ANGLE, ANGLE, ANGLE)
+def test_five_plate_array_composes_to_the_conjugated_target(xi, eta, zeta, phi):
+    composed = plates.compose(plates.polarimetric_array(xi, eta, zeta, phi))
+    target = plates.polarimetric_target(su2.from_yzy(xi, eta, zeta), phi)
+    np.testing.assert_allclose(composed, target, rtol=0, atol=su2.EPS_MAT)

@@ -233,6 +233,29 @@ def test_scan_empty_array_and_empty_grid():
     assert polarimetry.scan_plate_array(array, np.array([])).shape == (0,)
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from("QH"), ANGLE), max_size=7),
+       st.lists(ANGLE, min_size=1, max_size=16))
+def test_scan_law_matches_composing_the_rotated_array(array, phis):
+    # rotating every axis by -phi/2 conjugates the composed matrix, so the
+    # closed form equals composing the rotated array at each grid point
+    kinds = "".join(kind for kind, _ in array)
+    axes = np.array([axis for _, axis in array], dtype=float).reshape(len(array))
+    phis = np.array(phis)
+    rotated = plates.compose(kinds, axes[None, :] - phis[:, None] / 2.0)
+    want = np.abs(rotated[:, 0, 0]) ** 2
+    got = polarimetry.scan_plate_array([plates.WavePlate(k, a) for k, a in array], phis)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_scan_plate_array_names_a_non_finite_grid():
+    array = plates.polarimetric_array(0.4, -1.1, 2.0, 0.0)
+    with pytest.raises(su2.NonFiniteInput, match="^phi_grid must be finite"):
+        polarimetry.scan_plate_array(array, np.array([0.0, np.inf]))
+    with pytest.raises(su2.NonFiniteInput, match="^phi_grid must be finite"):
+        polarimetry.scan_plate_array([], np.nan)
+
+
 def test_closed_forms_refuse_non_finite_angles():
     with pytest.raises(su2.NonFiniteInput):
         polarimetry.polarimetric_intensity(np.nan, 0.0, 0.0, 0.0)

@@ -209,6 +209,19 @@ def test_wrap_angle_branch():
     )
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                 st.sampled_from([np.pi, -np.pi, 3 * np.pi, 2 * np.pi, -2 * np.pi, 0.0, -0.0, -1e-300])))
+def test_wrap_angle_lands_in_the_half_open_branch(angle):
+    wrapped = su2.wrap_angle(angle)
+    assert -np.pi < wrapped <= np.pi
+    if abs(angle) == np.pi:
+        assert wrapped == np.pi
+    # the same direction: a whole number of turns away
+    assert abs(np.sin(wrapped) - np.sin(angle)) < 1e-9 and abs(np.cos(wrapped) - np.cos(angle)) < 1e-9
+    np.testing.assert_array_equal(su2.wrap_angle(np.array([angle])), [wrapped])
+
+
 # ---------------------------------------------------------------------------
 # broadcasting: a batched call equals the scalar call element by element
 
