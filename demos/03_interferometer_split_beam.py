@@ -2,8 +2,8 @@
 
 Sweeps the scanned arm phase for vertically and horizontally polarized input
 and shows the two fringes displaced by twice the Pancharatnam phase; the
-displacement is then recovered by circular cross-correlation exactly as the
-split-beam measurement does.  Also maps fringe visibility over plate angles.
+displacement is then recovered, as the split-beam measurement does, from the
+phases of the first-harmonic least-squares fits of the two fringes.  Also maps fringe visibility over plate angles.
 """
 
 import numpy as np
@@ -31,7 +31,7 @@ print(f"I_V range: [{i_v.min():.4f}, {i_v.max():.4f}]  "
       f"cos(beta) = {np.cos(beta):.4f})")
 
 shift = pp.split_beam_shift(u, phis)
-print(f"cross-correlation shift estimate: {shift:.6f}  "
+print(f"fitted shift estimate: {shift:.6f}  "
       f"(error {abs(shift - 2 * delta):.2e})")
 
 # both exit ports together conserve the input power

@@ -1,7 +1,8 @@
 """Phase from a single beam: the rotating five-plate scan.
 
 No second beam is needed: scanning the common rotation angle of the plate
-assembly modulates the transmitted intensity, and the extrema encode
+assembly modulates the transmitted intensity as an offset plus a second
+harmonic, whose least-squares fit gives the extrema; they encode
 cos^2(phase) through I_min / (1 - I_max + I_min).  The script runs clean and
 noisy scans and regenerates the reduced-mode curves cos^2(eta/2).
 """

@@ -5,8 +5,8 @@ algebra (su2), compilation into quarter/half-wave-plate arrays (plates), the
 Mach-Zehnder overlap law with the drift-immune dual-polarization
 split-beam scheme (interferometer), the rotating five-plate single-beam
 method (polarimetry), and synthetic dual-half interferograms with two
-independent fringe-shift estimators (fringes), over the shared smoothing and
-peak interpolation of dsp.
+independent fringe-shift estimators (fringes), over the shared harmonic fit,
+smoothing and peak interpolation of dsp.
 """
 
 from .su2 import (
@@ -47,7 +47,9 @@ from .plates import (
     simplify_qh,
     split_frame,
 )
+from .dsp import UnresolvableGrid, harmonic_fit
 from .interferometer import (
+    NonUnitary,
     ZeroVisibility,
     output_intensity,
     split_beam_shift,
@@ -65,7 +67,6 @@ from .polarimetry import (
     polarimetric_intensity,
     polarimetric_sweep,
     scan_plate_array,
-    smoothing_window,
     sweep_extrema,
 )
 from .fringes import (

@@ -11,7 +11,8 @@ Every run resolves its parameters from flags plus an optional ``key=value``
 config file (flags win; its keys are the command's own value-taking options
 bar ``--config`` and ``--out-dir``, anything else is refused), converts angles
 from degrees when ``--degrees`` is given, and writes the fully resolved
-configuration next to its outputs so the run can be reproduced exactly.  CSV
+configuration (angles as given, floats in full) next to its outputs as a
+record that ``--config`` reads back to repeat the run exactly.  CSV
 output uses 12 significant digits and is byte-stable across reruns with the
 same configuration and seed.  On failure a single ``error: <Kind>: <message>``
 line goes to stderr and the exit code is nonzero.
@@ -44,18 +45,16 @@ def _row_template(types: tuple) -> str:
                     for t in types) + "\n"
 
 
-def _format_row(row) -> str:
-    row = tuple(row)
-    return _row_template(tuple(map(type, row))) % row
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([_format_row(row) for row in rows]))
+        fh.write("".join([_row_template(tuple(map(type, row))) % row for row in map(tuple, rows)]))
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args) -> dict:
+    """The --config values, empty ones (unset) dropped; a run record, whose command=
+    names this command, may also set the flags and values the command records."""
+    path = args.config
     if not path:
         return {}
     config = {}
@@ -67,17 +66,25 @@ def _load_config(path: str | None) -> dict:
             raise UnknownConfigKey(f"{path}: {line!r} is not a key=value line")
         key, _, value = line.partition("=")
         config[key.strip()] = value.strip()
-    return config
+    record = config.pop("command", None)
+    if record is not None and record != args.name:
+        raise UnknownConfigKey(f"{path}: a record of command {record!r}, not {args.name!r}")
+    accepted = args.config_keys if record is None else args.record_keys
+    unknown = sorted(set(config) - accepted)
+    if unknown:
+        raise UnknownConfigKey(f"{path}: {', '.join(map(repr, unknown))} not accepted; "
+                               f"config keys are {', '.join(sorted(accepted))}")
+    return {key: value for key, value in config.items() if value}
 
 
 class Resolver:
     """Merge CLI flags with config-file values and record the result."""
 
-    def __init__(self, args, config: dict, degrees: bool):
+    def __init__(self, args, config: dict):
         self.args = args
         self.config = config
-        self.degrees = degrees
-        self.resolved: dict = {"degrees": degrees}
+        self.resolved: dict = {}
+        self.degrees = self.flag("degrees")
 
     def _raw(self, name: str, cast, default, required):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -90,14 +97,19 @@ class Resolver:
         self.resolved[name] = value
         return value
 
+    def flag(self, name) -> bool:
+        text = self.config.get(name, "False")
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"{name} must be True or False, got {text!r}")
+        value = self.resolved[name] = getattr(self.args, name) or text.lower() == "true"
+        return value
+
     def number(self, name, default=None, required=False) -> float | None:
         return self._raw(name, float, default, required)
 
     def angle(self, name, default=None, required=False) -> float | None:
         value = self._raw(name, float, default, required)
-        if value is not None and self.degrees:
-            value = self.resolved[name] = float(np.deg2rad(value))
-        return value
+        return float(np.deg2rad(value)) if value is not None and self.degrees else value
 
     def integer(self, name, default=None, required=False) -> int | None:
         return self._raw(name, int, default, required)
@@ -117,11 +129,11 @@ class Resolver:
             raise ValueError(f"--{name} must be 'value' or 'start:stop:count', got {raw!r}")
         return np.deg2rad(values) if self.degrees else values
 
-    def write(self, outdir: Path, command: str) -> None:
-        lines = [f"command={command}\n"]
-        for key in sorted(self.resolved):
-            lines.append(f"{key}={_format_row((self.resolved[key],))}")
-        (outdir / f"{command}_config.txt").write_text("".join(lines), encoding="ascii")
+    def write(self, outdir: Path) -> None:
+        """The run record: the command, then every resolved value, floats in full."""
+        lines = [f"command={self.args.name}\n"]
+        lines += [f"{key}={'' if value is None else value}\n" for key, value in sorted(self.resolved.items())]
+        (outdir / f"{self.args.name}_config.txt").write_text("".join(lines), encoding="ascii")
 
 
 def _outdir(args) -> Path:
@@ -140,7 +152,7 @@ def _outpath(outdir: Path, name: str) -> Path:
 # decompose
 
 def _cmd_decompose(args, config) -> int:
-    r = Resolver(args, config, args.degrees)
+    r = Resolver(args, config)
     xi = r.angle("xi", required=True)
     eta = r.angle("eta", required=True)
     zeta = r.angle("zeta", required=True)
@@ -163,7 +175,7 @@ def _cmd_decompose(args, config) -> int:
     residual = float(np.max(np.abs(composed - target)))
     path = _outpath(outdir, out)
     path.write_text(plates.format_plate_array(array), encoding="ascii")
-    r.write(outdir, "decompose")
+    r.write(outdir)
 
     print(f"plates written to {path}")
     for p in array:
@@ -179,7 +191,7 @@ def _cmd_decompose(args, config) -> int:
 # interf
 
 def _cmd_interf_sweep(args, config) -> int:
-    r = Resolver(args, config, args.degrees)
+    r = Resolver(args, config)
     xi = r.angle("xi", required=True)
     eta = r.angle("eta", required=True)
     zeta = r.angle("zeta", required=True)
@@ -193,7 +205,7 @@ def _cmd_interf_sweep(args, config) -> int:
     i_h = interferometer.output_intensity("H", u, phis)
     _write_csv(_outpath(outdir, out), ["phi", "I_V", "I_H"],
                zip(phis.tolist(), i_v.tolist(), i_h.tolist()))
-    r.write(outdir, "interf_sweep")
+    r.write(outdir)
 
     zyz = su2.to_zyz(u)
     try:
@@ -209,7 +221,7 @@ def _cmd_interf_sweep(args, config) -> int:
 
 
 def _cmd_interf_surface(args, config) -> int:
-    r = Resolver(args, config, args.degrees)
+    r = Resolver(args, config)
     zeta = r.angle("zeta", default=0.0)
     xi_grid = r.angle_grid("xi-grid", default="0:6.283185307179586:33")
     eta_grid = r.angle_grid("eta-grid", default="0:6.283185307179586:33")
@@ -226,7 +238,7 @@ def _cmd_interf_surface(args, config) -> int:
                 zyz.delta_defined.ravel().tolist())]
     degenerate = int(np.count_nonzero(~zyz.delta_defined))
     _write_csv(_outpath(outdir, out), ["xi", "eta", "cos2_phase"], rows)
-    r.write(outdir, "interf_surface")
+    r.write(outdir)
     if degenerate:
         print(f"warning: {degenerate} grid points with undefined phase (beta=pi/2)",
               file=sys.stderr)
@@ -238,7 +250,7 @@ def _cmd_interf_surface(args, config) -> int:
 # polarimetry
 
 def _cmd_polarimetry(args, config) -> int:
-    r = Resolver(args, config, args.degrees)
+    r = Resolver(args, config)
     plate_file = r.text("plates", default=None)
     if plate_file is not None:
         return _polarimetry_plate_scan(args, r, plate_file)
@@ -248,11 +260,9 @@ def _cmd_polarimetry(args, config) -> int:
     if mode == "zeta2pi":
         xi = r.angle("xi", default=0.0)
         zeta = 2.0 * np.pi
-        r.resolved["zeta"] = zeta
     elif mode == "ximinuspi":
         xi = -np.pi
         zeta = r.angle("zeta", default=np.pi)
-        r.resolved["xi"] = xi
     else:
         xi = r.angle("xi", required=True)
         zeta = r.angle("zeta", required=True)
@@ -270,7 +280,7 @@ def _cmd_polarimetry(args, config) -> int:
                      zip((cos_delta * cos_delta).tolist(), zyz.delta_defined.tolist())]
     # one scan per eta, as one stack; row k is the scan measure_phase makes with seed + k
     curve = polarimetry.polarimetric_sweep(xi, etas, zeta, n_grid, noise, seed)
-    i_min, i_max = polarimetry.sweep_extrema(curve, polarimetry.smoothing_window(n_grid, noise))
+    i_min, i_max = polarimetry.sweep_extrema(curve)
     rows = []
     degenerate = 0
     for eta, lo, hi, expected in zip(etas.tolist(), i_min.tolist(), i_max.tolist(), expected_cos2):
@@ -289,7 +299,7 @@ def _cmd_polarimetry(args, config) -> int:
         sweep = polarimetry.polarimetric_sweep(xi, eta0, zeta, n_grid, noise, seed)
         _write_csv(_outpath(outdir, sweep_out), ["phi", "intensity"],
                    zip(sweep.phi_grid.tolist(), sweep.intensities.tolist()))
-    r.write(outdir, "polarimetry")
+    r.write(outdir)
     print(f"curve written to {_outpath(outdir, out)} ({len(rows)} points, "
           f"{degenerate} degenerate)")
     return 0
@@ -308,10 +318,10 @@ def _polarimetry_plate_scan(args, r: Resolver, plate_file: str) -> int:
     intensity = polarimetry.add_scan_noise(polarimetry.scan_plate_array(array, phis), noise, seed)
     _write_csv(_outpath(outdir, out), ["phi", "intensity"],
                zip(phis.tolist(), intensity.tolist()))
-    r.write(outdir, "polarimetry")
+    r.write(outdir)
 
     sweep = polarimetry.PolarimetricSweep(phis, intensity, su2.YzyParams(0, 0, 0))
-    i_min, i_max = polarimetry.sweep_extrema(sweep, polarimetry.smoothing_window(n_grid, noise))
+    i_min, i_max = polarimetry.sweep_extrema(sweep)
     print(f"scan written to {_outpath(outdir, out)} ({len(array)} plates)")
     print(f"I_min={i_min:.12g}")
     print(f"I_max={i_max:.12g}")
@@ -327,7 +337,7 @@ def _polarimetry_plate_scan(args, r: Resolver, plate_file: str) -> int:
 # fringe
 
 def _cmd_fringe_generate(args, config) -> int:
-    r = Resolver(args, config, args.degrees)
+    r = Resolver(args, config)
     delta = r.angle("delta", required=True)
     beta = r.angle("beta", default=0.0)
     k0 = r.number("k0", default=0.2)
@@ -347,7 +357,7 @@ def _cmd_fringe_generate(args, config) -> int:
     path = _outpath(outdir, out)
     fringes.save_interferogram(img, path, extra={"seed": seed, "beta": beta,
                                                  "noise_sigma": noise})
-    r.write(outdir, "fringe_generate")
+    r.write(outdir)
     print(f"image written to {path} ({height}x{width}, 2*delta={2*delta:.6g})")
     return 0
 
@@ -361,16 +371,18 @@ def _parse_region(text: str) -> fringes.Region:
 
 
 def _cmd_fringe_analyze(args, config) -> int:
-    r = Resolver(args, config, args.degrees)
+    r = Resolver(args, config)
     image = r.text("image", required=True)
     method = r.text("method", default="both")
     sg_window = r.integer("sg-window", default=11)
     sg_order = r.integer("sg-order", default=3)
     out = r.text("out", default=None)
+    profiles_out = r.text("profiles-out", default=None)
     outdir = _outdir(args)
 
     img, meta = fringes.load_interferogram(image)
-    specs = args.region or [s for s in config.get("region", "").split(";") if s]
+    recorded = config.get("region") or config.get("regions", "auto")
+    specs = args.region or [s for s in recorded.split(";") if s and recorded != "auto"]
     if specs:
         regions = [_parse_region(s) for s in specs]
         r.resolved["regions"] = ";".join(specs)
@@ -380,7 +392,7 @@ def _cmd_fringe_analyze(args, config) -> int:
 
     result = fringes.retrieve_phase(img, regions, method=method,
                                     sg_window=sg_window, sg_order=sg_order)
-    r.write(outdir, "fringe_analyze")
+    r.write(outdir)
 
     print(f"carrier_k0={result.carrier:.12g}")
     for i, est in enumerate(result.region_estimates):
@@ -405,7 +417,6 @@ def _cmd_fringe_analyze(args, config) -> int:
         _write_csv(_outpath(outdir, out),
                    ["region", "col_start", "col_end", "row_start", "row_end", "estimate_2delta"],
                    rows)
-    profiles_out = r.text("profiles-out", default=None)
     if profiles_out:
         up, low = fringes.column_average(img, regions[0])
         up_s = fringes.savitzky_golay(up, sg_window, sg_order)
@@ -421,23 +432,21 @@ def _cmd_fringe_analyze(args, config) -> int:
 # visibility
 
 def _simulated_visibility(theta1, theta2, theta3, samples=1024) -> np.ndarray:
-    """Contrast of simulated interferometer sweeps, over arrays of QHQ plate angles."""
+    """Contrast |amplitude| / offset of the first-harmonic fits of simulated
+    interferometer sweeps, over arrays of QHQ plate angles."""
     u = plates.compose("QHQ", np.stack([theta1, theta2, theta3], axis=-1))
     phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    intensity = interferometer.output_intensity("V", u, phis)
-    _, i_max = dsp.vertex(intensity, np.argmax(intensity, axis=-1))
-    _, i_min = dsp.vertex(intensity, np.argmin(intensity, axis=-1))
-    return (i_max - i_min) / (i_max + i_min)
+    offset, amplitude = dsp.harmonic_fit(interferometer.output_intensity("V", u, phis), phis, 1)
+    return np.abs(amplitude) / offset
 
 
 def _cmd_visibility(args, config) -> int:
-    r = Resolver(args, config, args.degrees)
+    r = Resolver(args, config)
     t1_grid = r.angle_grid("theta1", required=True)
     t2_grid = r.angle_grid("theta2", required=True)
     t3_grid = r.angle_grid("theta3", required=True)
     out = r.text("out", default="visibility.csv")
-    check = bool(args.check)
-    r.resolved["check"] = check
+    check = r.flag("check")
     outdir = _outdir(args)
 
     header = ["theta1", "theta2", "theta3", "visibility"]
@@ -449,23 +458,24 @@ def _cmd_visibility(args, config) -> int:
         columns.append(_simulated_visibility(t1, t2, t3))
     rows = list(zip(*(c.tolist() for c in columns)))
     _write_csv(_outpath(outdir, out), header, rows)
-    r.write(outdir, "visibility")
+    r.write(outdir)
     print(f"visibility data written to {_outpath(outdir, out)} ({len(rows)} points)")
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _add_command(parser: argparse.ArgumentParser, func) -> None:
-    """Add the options every command shares and set its handler; the command's
-    config-file keys are the value-taking options it had before this call."""
+def _add_command(parser: argparse.ArgumentParser, func, name: str, recorded=()) -> None:
+    """Add the options every command shares and set its handler; its config keys are
+    the value options it had before this call, plus degrees and ``recorded`` in a record."""
     keys = {opt[2:] for action in parser._actions if action.nargs != 0
             for opt in action.option_strings if opt.startswith("--")}
     parser.add_argument("--degrees", action="store_true",
                         help="interpret angle arguments as degrees")
-    parser.add_argument("--config", help="key=value file supplying defaults")
+    parser.add_argument("--config", help="key=value file supplying defaults, or a run record")
     parser.add_argument("--out-dir", help=f"output directory (default ${OUTDIR_ENV} or '.')")
-    parser.set_defaults(func=func, config_keys=frozenset(keys))
+    parser.set_defaults(func=func, name=name, config_keys=frozenset(keys),
+                        record_keys=frozenset(keys | {"degrees", *recorded}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", type=float)
     p.add_argument("--mode", type=int, choices=(3, 5))
     p.add_argument("--out")
-    _add_command(p, _cmd_decompose)
+    _add_command(p, _cmd_decompose, "decompose")
 
     p = sub.add_parser("interf", help="Mach-Zehnder interferometer sweeps")
     isub = p.add_subparsers(dest="interf_command", required=True)
@@ -489,13 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
         ps.add_argument(f"--{name}", type=float)
     ps.add_argument("--samples", type=int)
     ps.add_argument("--out")
-    _add_command(ps, _cmd_interf_sweep)
+    _add_command(ps, _cmd_interf_sweep, "interf_sweep")
     pu = isub.add_parser("surface", help="cos^2(phase) over an (xi, eta) grid at fixed zeta")
     pu.add_argument("--zeta", type=float)
     pu.add_argument("--xi-grid", help="'start:stop:count' or single value")
     pu.add_argument("--eta-grid", help="'start:stop:count' or single value")
     pu.add_argument("--out")
-    _add_command(pu, _cmd_interf_surface)
+    _add_command(pu, _cmd_interf_surface, "interf_surface")
 
     p = sub.add_parser("polarimetry", help="rotating plate-array scans")
     p.add_argument("--mode", choices=("full", "zeta2pi", "ximinuspi"))
@@ -509,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plates", help="scan a plate-list file instead of Euler angles")
     p.add_argument("--sweep-out", help="also write the raw (phi, intensity) scan at --eta")
     p.add_argument("--out")
-    _add_command(p, _cmd_polarimetry)
+    _add_command(p, _cmd_polarimetry, "polarimetry")
 
     p = sub.add_parser("fringe", help="synthetic dual-half interferograms")
     fsub = p.add_subparsers(dest="fringe_command", required=True)
@@ -520,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--height", type=int)
     pg.add_argument("--seed", type=int)
     pg.add_argument("--out")
-    _add_command(pg, _cmd_fringe_generate)
+    _add_command(pg, _cmd_fringe_generate, "fringe_generate")
     pa = fsub.add_parser("analyze", help="retrieve 2*delta from an image")
     pa.add_argument("--image")
     pa.add_argument("--method", choices=("minima", "fourier", "both"))
@@ -531,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--sg-order", type=int)
     pa.add_argument("--out", help="optional per-region CSV report")
     pa.add_argument("--profiles-out", help="optional CSV of the first region's profiles")
-    _add_command(pa, _cmd_fringe_analyze)
+    _add_command(pa, _cmd_fringe_analyze, "fringe_analyze", recorded=("regions",))
 
     p = sub.add_parser("visibility", help="fringe contrast over plate angles")
     for name in ("theta1", "theta2", "theta3"):
@@ -539,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="add a column cross-checking against the simulated interferometer")
     p.add_argument("--out")
-    _add_command(p, _cmd_visibility)
+    _add_command(p, _cmd_visibility, "visibility", recorded=("check",))
 
     return parser
 
@@ -554,12 +564,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        unknown = sorted(set(config) - args.config_keys)
-        if unknown:
-            raise UnknownConfigKey(f"{args.config}: {', '.join(map(repr, unknown))} not accepted; "
-                                   f"config keys are {', '.join(sorted(args.config_keys))}")
-        return args.func(args, config)
+        return args.func(args, _load_config(args))
     except Exception as exc:  # single machine-parsable error line
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

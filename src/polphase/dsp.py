@@ -1,4 +1,7 @@
-"""Signal processing shared by the fringe and scan analyses: Savitzky-Golay
+"""Signal processing shared by the scan and fringe analyses: the least-squares
+fit of an offset plus one harmonic that reads both scan methods (synchronous
+detection, Bruning et al., Appl. Opt. 13:2693, 1974, in the general form of
+Greivenkamp, Opt. Eng. 23:350, 1984), and for fringe profiles Savitzky-Golay
 smoothing (Savitzky & Golay, Anal. Chem. 36:1627, 1964) and the three-point
 parabolic vertex that refines a sampled extremum."""
 
@@ -10,38 +13,28 @@ import numpy as np
 
 
 @functools.lru_cache(maxsize=16)
-def _savgol_centre(window: int, order: int) -> np.ndarray:
-    half = window // 2
-    t = np.arange(-half, half + 1, dtype=float)
-    taps = np.linalg.pinv(np.vander(t, order + 1, increasing=True))[0]
-    taps.flags.writeable = False
-    return taps
-
-
-@functools.lru_cache(maxsize=16)
 def _savgol_fits(window: int, order: int) -> np.ndarray:
     """Weights of every output sample, as one read-only (window//2 + 1, window) matrix.
 
-    Row i < window//2 evaluates, at sample i, the least-squares polynomial
-    fitted on the truncated window y[:i + window//2 + 1] (degree capped by the
-    samples available), zero-padded to the window; the last row holds the
-    centre taps.  By symmetry the same rows serve the right edge applied to
-    the reversed profile.
+    Row i evaluates, at sample i, the least-squares polynomial fitted on the
+    window y[:i + window//2 + 1] (degree capped by the samples available),
+    zero-padded to the window: truncated rows for i < window//2, and the
+    centre taps in the last row.  By symmetry the same rows serve the right
+    edge applied to the reversed profile.
     """
     half = window // 2
     fits = np.zeros((half + 1, window))
-    for i in range(half):
+    for i in range(half + 1):
         t = np.arange(i + half + 1, dtype=float) - i
         design = np.vander(t, min(order, i + half) + 1, increasing=True)
         fits[i, :i + half + 1] = np.linalg.pinv(design)[0]
-    fits[half] = _savgol_centre(window, order)
     fits.flags.writeable = False
     return fits
 
 
 def savgol_coefficients(window: int, order: int) -> np.ndarray:
     """Convolution weights evaluating the local LS polynomial at the window centre."""
-    return _savgol_centre(window, order).copy()
+    return _savgol_fits(window, order)[-1].copy()
 
 
 def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.ndarray:
@@ -71,20 +64,46 @@ def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.
     return out
 
 
-def circular_savitzky_golay(values: np.ndarray, window: int, order: int = 3) -> np.ndarray:
-    """Savitzky-Golay centre taps applied around a periodic scan, wrapping at the ends.
+#: smallest accepted 4 det(G) / n^3 of the fit's normal matrix G over n phases: 1 on
+#: whole periods, 0 when the phases cannot tell the terms apart (rounding grows ~1/it)
+MIN_GRAM_RATIO = 1e-10
 
-    Scans lie along the last axis.  A stack is filtered row by row, one
-    np.convolve each, so every row comes out exactly as it would on its own.
+
+class UnresolvableGrid(ValueError):
+    """The scanned phases cannot separate the offset from the fitted harmonic."""
+
+
+def harmonic_fit(values, phi, k: int):
+    """Least-squares offset and k-th harmonic of scans along the last axis.
+
+    (offset, amplitude) with values ~ offset + Re(amplitude) cos(k phi) +
+    Im(amplitude) sin(k phi), arrays of the leading shape (scalars for one
+    scan).  One inverse of the normal matrix serves every row, and each row's
+    sums are elementwise products summed along the last axis, so a stack
+    gives bit for bit the fits of its rows on their own.  A grid that cannot
+    resolve the terms (fewer than three distinct phases mod 2 pi / k, or too
+    short a span) raises UnresolvableGrid.
     """
     y = np.asarray(values, dtype=float)
-    n, half = y.shape[-1], window // 2
-    if window % 2 == 0 or not 1 <= window <= n or not 0 <= order < window:
-        raise ValueError(f"need an odd window in [1, {n}] and 0 <= order < window, got {window}, {order}")
-    padded = np.concatenate([y[..., n - half:], y, y[..., :half]], axis=-1)
-    taps = _savgol_centre(window, order)[::-1]
-    rows = [np.convolve(row, taps, mode="valid") for row in padded.reshape(-1, n + 2 * half)]
-    return np.array(rows).reshape(y.shape)
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 1 or y.shape[-1:] != phi.shape:
+        raise ValueError(f"values of shape {y.shape} do not lie along a grid of shape {phi.shape}")
+    c, s = np.cos(k * phi), np.sin(k * phi)
+    # normal matrix [[n, sc, ss], [sc, scc, scs], [ss, scs, sss]] and its adjugate
+    n, sc, ss = float(len(phi)), c.sum(), s.sum()
+    scc, sss, scs = (c * c).sum(), (s * s).sum(), (c * s).sum()
+    a00, a01, a02 = scc * sss - scs * scs, ss * scs - sc * sss, sc * scs - ss * scc
+    a11, a12, a22 = n * sss - ss * ss, sc * ss - n * scs, n * scc - sc * sc
+    det = n * a00 + sc * a01 + ss * a02
+    ratio = 4.0 * det / n**3 if n else 0.0
+    if not ratio > MIN_GRAM_RATIO:
+        raise UnresolvableGrid(f"{len(phi)} phases cannot separate an offset from harmonic {k} (4 det / n^3 of "
+                               f"the normal matrix {ratio:.3g} < {MIN_GRAM_RATIO:g}): need three distinct "
+                               f"phases mod 2 pi / {k}, over more than a sliver of the period")
+    r0, r1, r2 = y.sum(-1), (y * c).sum(-1), (y * s).sum(-1)
+    offset = (a00 * r0 + a01 * r1 + a02 * r2) / det
+    amplitude = (a01 * r0 + a11 * r1 + a12 * r2) / det + 1j * ((a02 * r0 + a12 * r1 + a22 * r2) / det)
+    return offset, amplitude
 
 
 _NEIGHBOURS = np.arange(-1, 2)

@@ -12,13 +12,13 @@ polarization with its image (Sjoqvist et al., PRL 85, 2845 (2000)):
 
 With the symmetric beam-splitter convention (factor i on reflection) the
 fringe port is the one that is dark at phi = 0 when no retarders are
-present, and the two ports always sum to the input power.  For U with z-y-z
-angles (beta, gamma, delta), w = cos(beta) e^{+i delta} for |V> input and
-cos(beta) e^{-i delta} for |H> input: the fringe visibility is |w| and the
-phase is arg w.  Feeding the top half of the beam through a vertical
+present, and for unitary U the two ports sum to the input power.  For U
+with z-y-z angles (beta, gamma, delta), w = cos(beta) e^{+i delta} for |V>
+input and cos(beta) e^{-i delta} for |H> input: the fringe visibility is |w|
+and the phase is arg w.  Feeding the top half of the beam through a vertical
 polarizer and the bottom half through a horizontal one therefore shifts the
-two half-fringes by 2 delta relative to each other, which is what
-split_beam_shift recovers.
+two half-fringes, each an offset plus a first harmonic of phi, by 2 delta
+relative to each other: split_beam_shift reads it off their fitted phases.
 
 The 4x4 two-qubit operator product this law comes from (basis
 {|VX>, |VY>, |HX>, |HY>}, polarization index major) is kept in the test
@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import vertex
-from .su2 import finite, to_zyz, wrap_angle
+from .dsp import UnresolvableGrid, harmonic_fit  # UnresolvableGrid: the fit's refusal, raised from here too
+from .su2 import finite, wrap_angle
 
 #: visibility below this is treated as zero (fringes flat, shift undefined)
 EPS_VISIBILITY = 1e-6
+#: largest accepted element of |u^dagger u - 1|
+EPS_UNITARY = 1e-9
 
 _INPUT_INDEX = {"V": 0, "H": 1}
 
@@ -42,8 +44,8 @@ class ZeroVisibility(ValueError):
     """Fringe visibility vanishes; the fringe shift is undefined."""
 
 
-class IncompletePeriod(ValueError):
-    """The scan grid does not cover a whole number of fringe periods."""
+class NonUnitary(ValueError):
+    """u is not unitary, so the overlap law does not give the port intensities."""
 
 
 def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = False) -> "float | np.ndarray":
@@ -55,14 +57,17 @@ def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = F
     two ports sum to 1.  A (..., 2, 2) stack of u and an array of phi give
     intensities of shape u.shape[:-2] + phi.shape, each entry bit for bit
     the call with its own u; one u and a scalar phi give a float.  u must be
-    unitary (the law uses |u |in>| = 1); NaN or infinite u or phi raise
-    NonFiniteInput.
+    unitary (the law uses |u |in>| = 1) and raises NonUnitary otherwise;
+    NaN or infinite u or phi raise NonFiniteInput.
     """
     if input_pol not in _INPUT_INDEX:
         raise ValueError(f"input_pol must be 'V' or 'H', got {input_pol!r}")
     u = finite("u", u, dtype=complex)
     if u.shape[-2:] != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix or a (..., 2, 2) stack, got shape {u.shape}")
+    worst = np.abs(np.einsum("...ji,...jk->...ik", u.conj(), u) - np.eye(2)).max(initial=0.0)
+    if worst > EPS_UNITARY:
+        raise NonUnitary(f"u must be unitary: |u^dagger u - 1| reaches {worst:.3e}, above {EPS_UNITARY:g}")
     phi = finite("phi", phi)
     k = _INPUT_INDEX[input_pol]
     w = u[..., k, k].reshape(u.shape[:-2] + (1,) * phi.ndim)
@@ -74,40 +79,23 @@ def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = F
 def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     """Relative fringe shift 2*delta between the V-fed and H-fed halves.
 
-    Sweeps the detector intensity for vertical and horizontal input over
-    phi_grid, circularly cross-correlates the two curves, and interpolates
-    the correlation peak quadratically.  Returns the shift in (-pi, pi].
-
-    phi_grid must be uniform with at least 16 samples spanning a whole
-    number of periods: n * step = 2 pi k for an integer k >= 1, as in
-    linspace(0, 2 pi k, n, endpoint=False).  The circular correlation is
-    exact only then; any other span wraps a partial period onto the start
-    and biases the shift, so it raises IncompletePeriod.
+    Evaluates both half-fringes over phi_grid as one two-row stack (the
+    H-fed fringe is the V-fed fringe of u with both axes reversed), fits
+    each with an offset and a first harmonic, and returns the difference of
+    the fitted phases, arg amp_V - arg amp_H, in (-pi, pi].  Any grid the
+    fit resolves will do, uniform or not, whole periods or not; one that
+    cannot raises UnresolvableGrid.  A fitted visibility 2|amp_V| at or
+    below EPS_VISIBILITY raises ZeroVisibility.
     """
-    phis = np.asarray(phi_grid, dtype=float)
-    n = len(phis)
-    if n < 16:
-        raise ValueError(f"need at least 16 grid samples, got {n}")
-    steps = np.diff(phis)
-    if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
-        raise ValueError("phi_grid must be uniformly spaced")
-    h = float(steps[0])
-    periods = n * h / (2.0 * np.pi)
-    whole = round(periods)
-    if whole < 1 or abs(periods - whole) > 1e-9 * whole:
-        raise IncompletePeriod(
-            f"phi_grid spans {periods:.6g} periods (n * step / 2 pi); need a whole number >= 1"
-        )
-
-    visibility = np.cos(to_zyz(u).beta)
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"u must be a (2, 2) matrix, got shape {u.shape}")
+    halves = output_intensity("V", np.stack([u, u[::-1, ::-1]]), phi_grid)
+    _, amplitude = harmonic_fit(halves, phi_grid, 1)
+    visibility = 2.0 * abs(amplitude[0])
     if visibility <= EPS_VISIBILITY:
         raise ZeroVisibility(f"visibility {visibility:.3e} below {EPS_VISIBILITY:g}")
-
-    i_v = output_intensity("V", u, phis)
-    i_h = output_intensity("H", u, phis)
-    corr = np.fft.irfft(np.conj(np.fft.rfft(i_h)) * np.fft.rfft(i_v), n)
-    peak, _ = vertex(corr, np.argmax(corr))
-    return wrap_angle(peak * h)
+    return wrap_angle(np.angle(amplitude[0]) - np.angle(amplitude[1]))
 
 
 def visibility_yzy(xi: float, eta: float, zeta: float) -> float:

@@ -6,13 +6,14 @@ projected back on the prepared state produces the intensity
 
     I(phi) = cos^2(beta) cos^2(delta) + sin^2(beta) cos^2(gamma + phi)
 
-with (beta, gamma, delta) the z-y-z angles of U.  Scanning phi and reading
-off the extrema
+with (beta, gamma, delta) the z-y-z angles of U: an offset plus one second
+harmonic, I = a + b cos(2 phi) + c sin(2 phi).  Its least-squares fit
+(dsp.harmonic_fit, k = 2) gives the extrema on any grid, noisy or not,
 
-    I_min = cos^2(beta) cos^2(delta)
-    I_max = I_min + sin^2(beta)
+    I_min = a - sqrt(b^2 + c^2) = cos^2(beta) cos^2(delta)
+    I_max = a + sqrt(b^2 + c^2) = I_min + sin^2(beta)
 
-gives the phase through
+and the phase through
 
     cos^2(delta) = I_min / (1 - I_max + I_min),
 
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import circular_savitzky_golay, vertex
+from .dsp import UnresolvableGrid, harmonic_fit  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import WavePlate, compose
 from .su2 import EPS_DEGENERATE, YzyParams, finite
 
@@ -110,15 +111,6 @@ def extract_cos2_phase(i_min: float, i_max: float) -> float:
     return float(np.clip(ratio, 0.0, 1.0))
 
 
-def smoothing_window(n_grid: int, noise_sigma: float) -> int | None:
-    """Savitzky-Golay window for a scan of n_grid points with noise sigma.
-
-    About 1/32 of the grid, odd and at least 5; None (no smoothing) for a
-    noise-free scan.
-    """
-    return max(5, (n_grid // 32) | 1) if noise_sigma > 0.0 else None
-
-
 def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.ndarray:
     """Additive Gaussian noise on scan intensities, clamped to [0, 1].
 
@@ -194,19 +186,16 @@ def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
     return re * re + im * im
 
 
-def sweep_extrema(sweep: PolarimetricSweep, smooth_window: int | None = None):
-    """(I_min, I_max) of a scan, quadratically interpolated around the best samples.
+def sweep_extrema(sweep: PolarimetricSweep):
+    """(I_min, I_max) of a scan, from its least-squares fit a + b cos 2phi + c sin 2phi.
 
-    Floats for a single scan; for a stack of scans, two arrays of its
-    leading shape, each entry equal to the extrema of that scan on its own.
+    I_min, I_max = a -+ sqrt(b^2 + c^2), clipped to [0, 1]: floats for a scan, or
+    for a stack two arrays of its leading shape, entry bit for bit the scan's own.
     """
-    intensity = sweep.intensities
-    if smooth_window is not None:
-        intensity = circular_savitzky_golay(intensity, smooth_window)
-    _, i_min = vertex(intensity, np.argmin(intensity, axis=-1))
-    _, i_max = vertex(intensity, np.argmax(intensity, axis=-1))
-    i_min, i_max = np.clip(i_min, 0.0, 1.0), np.clip(i_max, 0.0, 1.0)
-    if intensity.ndim == 1:
+    offset, amplitude = harmonic_fit(sweep.intensities, sweep.phi_grid, 2)
+    swing = np.abs(amplitude)
+    i_min, i_max = np.clip(offset - swing, 0.0, 1.0), np.clip(offset + swing, 0.0, 1.0)
+    if np.ndim(i_min) == 0:
         return float(i_min), float(i_max)
     return i_min, i_max
 
@@ -218,18 +207,13 @@ def measure_phase(
     n_grid: int = 4096,
     noise_sigma: float = 0.0,
     seed=None,
-    smooth_window: int | None = None,
 ) -> float:
     """cos^2(Pancharatnam phase) measured from a simulated rotation scan.
 
-    Sweeps phi over [0, 2 pi) on n_grid points, locates the intensity
-    extrema and applies the extremum ratio.  For noisy scans the sweep is
-    low-pass filtered first (smoothing_window, or ``smooth_window`` when
-    given).  Equals cos^2(delta) of the underlying transformation up to grid
-    resolution and noise.
+    Sweeps phi over [0, 2 pi) on n_grid points, fits the scan law's offset
+    and second harmonic (sweep_extrema) and applies the extremum ratio.
+    Equals cos^2(delta) of the underlying transformation to rounding for a
+    noise-free scan; noise enters only through the fitted coefficients.
     """
     sweep = polarimetric_sweep(xi, eta, zeta, n_grid, noise_sigma, seed)
-    if smooth_window is None:
-        smooth_window = smoothing_window(n_grid, noise_sigma)
-    i_min, i_max = sweep_extrema(sweep, smooth_window)
-    return extract_cos2_phase(i_min, i_max)
+    return extract_cos2_phase(*sweep_extrema(sweep))

@@ -288,6 +288,14 @@ def test_visibility_curve_with_check(tmp_path, capsys):
         assert sim == pytest.approx(vis, abs=1e-4)
 
 
+def test_simulated_visibility_equals_the_closed_form():
+    # the contrast of the fitted first harmonic, against the plate-angle formula
+    t1, t2, t3 = np.meshgrid(np.linspace(-3, 3, 13), np.linspace(-1.5, 1.5, 7), [-0.9, 0.2, 1.3], indexing="ij")
+    t1, t2, t3 = t1.ravel(), t2.ravel(), t3.ravel()
+    np.testing.assert_allclose(cli._simulated_visibility(t1, t2, t3), visibility_plates(t1, t2, t3),
+                               rtol=0, atol=1e-12)
+
+
 def test_cli_rerun_is_byte_identical(tmp_path, capsys):
     # determinism: identical flags and seed give identical bytes
     pairs = []
@@ -397,6 +405,80 @@ def test_every_value_option_is_a_config_key(tmp_path, capsys):
     _, rows = read_csv(out_dir / "r.csv")
     assert [row[1:5] for row in rows] == [["10", "118", "16", "48"], ["20", "108", "24", "40"]]
     assert "regions=10:118:16:48;20:108:24:40\n" in (out_dir / "fringe_analyze_config.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# the run record is a config file: rerunning from it repeats every output byte
+
+RECORDED_RUNS = {
+    "decompose_3": ["decompose", "--xi", "1.1", "--eta", "0.4", "--zeta=-0.7", "--mode", "3"],
+    "decompose_5_degrees": ["decompose", "--xi", "100", "--eta", "-35", "--zeta", "12.5", "--mode", "5",
+                            "--phi", "30", "--degrees"],
+    "interf_sweep": ["interf", "sweep", "--xi", repr(np.pi / 3), "--eta", "1.0", "--zeta=-0.3",
+                     "--samples", "256"],
+    "interf_sweep_degrees": ["interf", "sweep", "--xi", "50", "--eta", "-70", "--zeta", "20",
+                             "--samples", "512", "--degrees"],
+    "interf_surface_degrees": ["interf", "surface", "--zeta", "40", "--xi-grid", "0:180:4",
+                               "--eta-grid", "10:350:5", "--degrees"],
+    "polarimetry_full": ["polarimetry", "--xi", "1", "--zeta", "2.141592653589793", "--eta-steps", "8",
+                         "--n-grid", "512", "--eta", "0.3", "--sweep-out", "raw.csv"],
+    "polarimetry_ximinuspi_degrees": ["polarimetry", "--mode", "ximinuspi", "--eta-steps", "6",
+                                      "--n-grid", "256", "--noise-sigma", "0.01", "--seed", "4", "--degrees"],
+    "polarimetry_plates": ["polarimetry", "--plates", "plates.txt", "--n-grid", "512",
+                           "--noise-sigma", "0.02", "--seed", "5", "--out", "scan.csv"],
+    "fringe_generate": ["fringe", "generate", "--delta", "0.4", "--beta", "0.3", "--k0", "0.25",
+                        "--width", "160", "--height", "64", "--noise-sigma", "0.02", "--seed", "5",
+                        "--envelope-width", "300"],
+    "fringe_analyze_regions": ["fringe", "analyze", "--image", "img.pgm", "--region", "10:150:4:28",
+                               "--region", "20:140:6:26", "--out", "r.csv", "--profiles-out", "p.csv"],
+    "fringe_analyze_auto": ["fringe", "analyze", "--image", "img.pgm", "--method", "fourier", "--out", "r.csv"],
+    "visibility_check": ["visibility", "--theta1", "0:1:3", "--theta2=-0.2", "--theta3", "0.1", "--check"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_RUNS))
+def test_a_run_reruns_from_its_record(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plates.txt").write_text(plates.format_plate_array(plates.polarimetric_array(0.9, 0.5, -1.2, 0.0)))
+    from polphase import fringes
+
+    fringes.save_interferogram(fringes.generate(0.35, 0.2, 0.3, size=(32, 160), seed=1), tmp_path / "img.pgm")
+    argv = RECORDED_RUNS[name]
+    code, _, err = run_cli(capsys, *argv, "--out-dir", "a")
+    assert (code, err.startswith("error")) == (0, False)
+    (record,) = Path("a").glob("*_config.txt")
+    words = [a for a in argv[:2] if not a.startswith("-")]
+    code, _, err = run_cli(capsys, *words, "--config", str(record), "--out-dir", "b")
+    assert (code, err.startswith("error")) == (0, False)
+    first, second = sorted(Path("a").iterdir()), sorted(Path("b").iterdir())
+    assert [p.name for p in first] == [p.name for p in second]
+    for a, b in zip(first, second):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_a_record_keeps_angles_and_flags_as_given(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, *RECORDED_RUNS["interf_sweep_degrees"], "--out-dir", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "interf_sweep_config.txt").read_text() == (
+        "command=interf_sweep\ndegrees=True\neta=-70.0\nout=interf_sweep.csv\nsamples=512\n"
+        "xi=50.0\nzeta=20.0\n")
+
+
+def test_a_record_of_another_command_is_refused(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, *RECORDED_RUNS["interf_sweep"], "--out-dir", str(tmp_path / "a"))
+    assert code == 0
+    code, _, err = run_cli(capsys, "interf", "surface", "--config", str(tmp_path / "a" / "interf_sweep_config.txt"),
+                           "--out-dir", str(tmp_path / "b"))
+    assert code == 1
+    assert err.startswith("error: UnknownConfigKey:") and "'interf_sweep'" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_a_recorded_flag_must_be_a_boolean(tmp_path, capsys):
+    code, err, _ = _config_run(tmp_path, capsys, ["visibility"],
+                               "command=visibility\ntheta1=0\ntheta2=0\ntheta3=0\ncheck=maybe\n")
+    assert code == 1
+    assert err.startswith("error: ValueError:") and "check" in err
 
 
 def test_resolved_config_written_next_to_outputs(tmp_path, capsys):

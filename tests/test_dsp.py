@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polphase import dsp
 
@@ -39,23 +41,59 @@ def test_vertex_stacks_and_several_positions_match_single_calls():
             np.testing.assert_array_equal([a[r, c] for a in several], dsp.vertex(values[r], i))
 
 
-def test_circular_savitzky_golay_is_the_centre_filter_on_a_periodic_scan():
-    # on one period of a periodic signal the wrapped filter equals the plain
-    # filter run over three periods, read off the middle one
-    y = RNG.normal(size=50)
-    tripled = dsp.savitzky_golay(np.tile(y, 3), 11, 3)
-    np.testing.assert_allclose(dsp.circular_savitzky_golay(y, 11, 3), tripled[50:100], rtol=0, atol=1e-12)
+# ---------------------------------------------------------------------------
+# the harmonic least-squares fit
+
+COEFFICIENT = st.floats(-2.0, 2.0, allow_nan=False)
 
 
-@pytest.mark.parametrize("window, order", [(10, 3), (0, 0), (51, 3), (5, 5)])
-def test_circular_savitzky_golay_refuses_unusable_windows(window, order):
-    # an even window used to be widened by one sample without a word
-    with pytest.raises(ValueError):
-        dsp.circular_savitzky_golay(np.zeros(50), window, order)
+@st.composite
+def grids(draw):
+    """Uniform whole-period, uniform partial-period and random non-uniform grids."""
+    kind = draw(st.sampled_from(["whole", "partial", "random"]))
+    n = draw(st.integers(32, 512))
+    if kind == "whole":
+        return np.linspace(0.0, 2 * np.pi * draw(st.integers(1, 3)), n, endpoint=False)
+    if kind == "partial":
+        return draw(st.floats(-np.pi, np.pi)) + np.linspace(0.0, 2 * np.pi * draw(st.floats(0.5, 2.5)), n)
+    return np.sort(np.random.default_rng(draw(st.integers(0, 2**32))).uniform(0.0, 2 * np.pi, n))
 
 
-def test_circular_savitzky_golay_filters_each_row_of_a_stack():
-    y = RNG.normal(size=(2, 3, 40))
-    stacked = dsp.circular_savitzky_golay(y, 9, 3)
-    for index in np.ndindex(2, 3):
-        np.testing.assert_array_equal(stacked[index], dsp.circular_savitzky_golay(y[index], 9, 3))
+@settings(deadline=None, max_examples=200)
+@given(COEFFICIENT, COEFFICIENT, COEFFICIENT, st.sampled_from([1, 2]), grids())
+def test_harmonic_fit_recovers_the_coefficients(offset, re, im, k, phi):
+    # on a partial or random grid the k-th harmonic spans phi * k, so a k = 2
+    # fit sees the half-length grid as a whole turn or more
+    phi = phi / k if k == 2 and phi[-1] - phi[0] < 2 * np.pi else phi
+    values = offset + re * np.cos(k * phi) + im * np.sin(k * phi)
+    got_offset, got_amplitude = dsp.harmonic_fit(values, phi, k)
+    assert abs(got_offset - offset) < 1e-12
+    assert abs(got_amplitude - complex(re, im)) < 1e-12
+
+
+def test_harmonic_fit_of_a_stack_equals_the_fits_of_its_rows_bit_for_bit():
+    phi = np.sort(RNG.uniform(0.0, 2 * np.pi, 200))
+    values = RNG.normal(size=(3, 4, 200))
+    offsets, amplitudes = dsp.harmonic_fit(values, phi, 2)
+    assert offsets.shape == amplitudes.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        assert dsp.harmonic_fit(values[index], phi, 2) == (offsets[index], amplitudes[index])
+
+
+@pytest.mark.parametrize("phi, k", [
+    (np.array([]), 1),
+    (np.array([0.4, 1.1]), 1),
+    (np.array([0.0, 1.0, 0.0, 1.0, 1.0]), 2),  # two distinct phases
+    (np.array([0.0, np.pi, 2 * np.pi, 3 * np.pi]), 1),  # two distinct phases mod 2 pi
+    (np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2]), 2),  # two distinct phases mod pi
+    (np.linspace(0.0, 1e-3, 64), 1),  # a sliver of the period
+])
+def test_harmonic_fit_refuses_grids_that_cannot_resolve_the_harmonic(phi, k):
+    with pytest.raises(dsp.UnresolvableGrid, match="cannot separate an offset from harmonic"):
+        dsp.harmonic_fit(np.ones(len(phi)), phi, k)
+    assert issubclass(dsp.UnresolvableGrid, ValueError)
+
+
+def test_harmonic_fit_needs_values_along_the_grid():
+    with pytest.raises(ValueError, match="do not lie along a grid"):
+        dsp.harmonic_fit(np.ones((3, 10)), np.linspace(0.0, 6.0, 9), 1)

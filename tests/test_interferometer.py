@@ -283,13 +283,15 @@ def test_split_beam_shift_zero_visibility():
 
 
 def test_split_beam_shift_grid_validation():
-    u = np.eye(2)
-    with pytest.raises(ValueError):
-        itf.split_beam_shift(u, np.linspace(0, 2 * np.pi, 8, endpoint=False))
-    with pytest.raises(ValueError):
-        itf.split_beam_shift(u, np.linspace(0, np.pi, 64, endpoint=False))
-    with pytest.raises(ValueError):
-        itf.split_beam_shift(u, np.sort(RNG.uniform(0, 2 * np.pi, 64)))
+    # 8 points, half a period and a non-uniform grid all resolve the first
+    # harmonic, so they give 2 delta; grids that cannot are refused
+    u = su2.from_zyz(0.4, 0.3, 0.9)
+    for grid in (np.linspace(0, 2 * np.pi, 8, endpoint=False), np.linspace(0, np.pi, 64, endpoint=False),
+                 np.sort(RNG.uniform(0, 2 * np.pi, 64))):
+        assert abs(su2.wrap_angle(itf.split_beam_shift(u, grid) - 1.8)) < 1e-12
+    for grid in (np.array([0.0, 1.0]), np.tile([0.0, np.pi], 8), np.linspace(0, 1e-4, 64)):
+        with pytest.raises(itf.UnresolvableGrid):
+            itf.split_beam_shift(u, grid)
 
 
 def test_visibility_yzy_special_cases():
@@ -355,14 +357,14 @@ def test_visibility_plates_theta2_slice_shape():
         assert abs(itf.visibility_plates(t1, t2, t3) - abs(u[0, 0])) < 1e-12
 
 
-@pytest.mark.parametrize("periods", [1.5, 2.3])
-def test_split_beam_shift_refuses_partial_periods(periods):
-    # a circular correlation over a partial period wraps it onto the start;
-    # such grids used to return a silently wrong shift (off by radians)
+@pytest.mark.parametrize("periods", [0.5, 1.5, 2.3])
+def test_split_beam_shift_reads_partial_periods(periods):
+    # the fit needs no whole number of periods (a circular correlation over
+    # such grids wraps a partial period onto the start)
     u = su2.from_yzy(0.9, 1.2, -0.4)
+    expected = su2.wrap_angle(2 * su2.to_zyz(u).delta)
     grid = np.arange(1024) * (2 * np.pi * periods / 1024)
-    with pytest.raises(itf.IncompletePeriod):
-        itf.split_beam_shift(u, grid)
+    assert abs(su2.wrap_angle(itf.split_beam_shift(u, grid) - expected)) < 1e-12
 
 
 def test_split_beam_shift_exact_on_two_whole_periods():
@@ -453,6 +455,22 @@ def test_output_intensity_names_a_non_finite_matrix():
 def test_output_intensity_names_the_expected_shape(shape):
     with pytest.raises(ValueError, match=r"\(\.\.\., 2, 2\)"):
         itf.output_intensity("V", np.ones(shape), np.linspace(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("u", [0.5 * np.eye(2), np.ones((2, 2)), np.array([np.eye(2), np.diag([1.0, 1.0 + 1e-6])])])
+def test_output_intensity_refuses_a_non_unitary_matrix(u):
+    # the overlap law assumes |u|in>| = 1: for 0.5 * I at phi = 0 it would give
+    # 0.25 where the 4x4 reference gives 0.0625
+    with pytest.raises(itf.NonUnitary, match="^u must be unitary"):
+        itf.output_intensity("V", u, 0.0)
+    with pytest.raises(itf.NonUnitary):
+        itf.split_beam_shift(u.reshape(-1, 2, 2)[-1], np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+
+
+def test_output_intensity_accepts_unitary_matrices_outside_su2():
+    u = np.exp(0.7j) * su2.from_yzy(0.3, -1.1, 2.0)
+    np.testing.assert_allclose(itf.output_intensity("V", u, np.linspace(0, 6, 7)),
+                               reference_intensity("V", u, np.linspace(0, 6, 7)), rtol=0, atol=1e-12)
 
 
 def test_output_intensity_refuses_an_unknown_input():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polphase import plates, polarimetry, su2
+from polphase import dsp, plates, polarimetry, su2
 
 RNG = np.random.default_rng(2718281)
 
@@ -280,15 +280,14 @@ def test_measure_phase_names_the_non_finite_angle(name):
 def test_stacked_sweep_equals_per_eta_measure_phase_bit_for_bit(xi, zeta, noise, seed):
     etas = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
     n_grid = 256
-    window = polarimetry.smoothing_window(n_grid, noise)
     stack = polarimetry.polarimetric_sweep(xi, etas, zeta, n_grid, noise, seed)
-    i_min, i_max = polarimetry.sweep_extrema(stack, window)
+    i_min, i_max = polarimetry.sweep_extrema(stack)
     assert stack.intensities.shape == (6, n_grid) and i_min.shape == i_max.shape == (6,)
     for k, eta in enumerate(etas):
         # row k is the scan made on its own with seed + k
         single = polarimetry.polarimetric_sweep(xi, eta, zeta, n_grid, noise, seed + k)
         np.testing.assert_array_equal(stack.intensities[k], single.intensities)
-        assert polarimetry.sweep_extrema(single, window) == (i_min[k], i_max[k])
+        assert polarimetry.sweep_extrema(single) == (i_min[k], i_max[k])
         try:
             expected = polarimetry.measure_phase(xi, eta, zeta, n_grid, noise, seed + k)
         except polarimetry.DegenerateDenominator:
@@ -314,7 +313,51 @@ def test_scan_noise_seeds():
     assert polarimetry.add_scan_noise(clean, 0.0, [3, 4]) is clean
 
 
-def test_smoothing_window_only_for_noisy_scans():
-    assert polarimetry.smoothing_window(4096, 0.0) is None
-    assert polarimetry.smoothing_window(4096, 0.01) == 129
-    assert polarimetry.smoothing_window(64, 0.01) == 5
+# ---------------------------------------------------------------------------
+# extrema from the fitted second harmonic
+
+@settings(deadline=None, max_examples=100)
+@given(ANGLE, ANGLE, ANGLE, st.integers(64, 1024))
+def test_noiseless_measure_phase_is_exact_to_rounding(xi, eta, zeta, n_grid):
+    zyz = su2.to_zyz(su2.from_yzy(xi, eta, zeta))
+    assume(np.cos(zyz.beta) ** 2 >= 0.01)
+    assert abs(polarimetry.measure_phase(xi, eta, zeta, n_grid) - np.cos(zyz.delta) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("phi_grid", [
+    np.linspace(0.0, 0.7 * np.pi, 300),  # 0.7 of the law's period pi
+    np.linspace(0.0, 2.3 * np.pi, 300),
+    np.sort(np.random.default_rng(8).uniform(0.0, 2 * np.pi, 64)),
+])
+def test_sweep_extrema_on_partial_and_non_uniform_grids(phi_grid):
+    xi, eta, zeta = 0.9, -1.4, 2.2
+    zyz = su2.yzy_to_zyz(xi, eta, zeta)
+    sweep = polarimetry.PolarimetricSweep(phi_grid, polarimetry.polarimetric_intensity(xi, eta, zeta, phi_grid),
+                                          su2.YzyParams(xi, eta, zeta))
+    i_min, i_max = polarimetry.sweep_extrema(sweep)
+    assert abs(i_min - np.cos(zyz.beta) ** 2 * np.cos(zyz.delta) ** 2) < 1e-12
+    assert abs(i_max - i_min - np.sin(zyz.beta) ** 2) < 1e-12
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from("QH"), ANGLE), max_size=7))
+def test_every_plate_array_scan_is_an_offset_plus_a_second_harmonic(array):
+    # unit-determinant plates make <V|U(phi)|V> = a + b cos phi + c sin phi with
+    # a real and b, c imaginary, so the scan has no first harmonic and the
+    # k = 2 fit reads the extrema of any plate file's scan
+    phis = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    scan = polarimetry.scan_plate_array([plates.WavePlate(k, a) for k, a in array], phis)
+    _, first = dsp.harmonic_fit(scan, phis, 1)
+    offset, second = dsp.harmonic_fit(scan, phis, 2)
+    assert abs(first) < 1e-12
+    np.testing.assert_allclose(scan, offset + second.real * np.cos(2 * phis) + second.imag * np.sin(2 * phis),
+                               rtol=0, atol=1e-12)
+
+
+def test_sweep_extrema_refuses_a_grid_without_the_second_harmonic():
+    # phases 0 and pi/2 apart only: cos 2 phi takes two values, sin 2 phi none
+    phi = np.tile([0.0, np.pi / 2], 40)
+    sweep = polarimetry.PolarimetricSweep(phi, polarimetry.polarimetric_intensity(0.3, 0.2, 0.1, phi),
+                                          su2.YzyParams(0.3, 0.2, 0.1))
+    with pytest.raises(polarimetry.UnresolvableGrid):
+        polarimetry.sweep_extrema(sweep)
