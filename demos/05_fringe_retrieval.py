@@ -4,8 +4,8 @@ The upper half of the image is recorded with vertical input, the lower half
 with horizontal input, so the two fringe systems sit 2*delta apart and any
 common drift cancels.  The script renders a noisy synthetic image, recovers
 the shift with the minima-matching and Fourier-carrier estimators over four
-evaluation regions, and round-trips the image through the 16-bit graymap
-format.
+evaluation regions, reads the fringe visibility at the carrier, and
+round-trips the image through the 16-bit graymap format.
 """
 
 from pathlib import Path
@@ -29,15 +29,17 @@ print(f"synthetic image: 480x640, true 2*delta = {2 * delta:.4f}, "
       f"k0 = {k0} rad/px, 2% noise, gentle beam envelope")
 
 # --- the per-region pipeline, spelled out once -------------------------------
+# the carrier and the Fourier read use the raw column averages; only the
+# minima estimator smooths (retrieve_phase also trims the filter's edges)
 region = fringes.default_regions(img)[1]
 up, low = fringes.column_average(img, region)
+carrier = fringes.estimate_carrier(up)
 up_s = fringes.savitzky_golay(up)
 low_s = fringes.savitzky_golay(low)
-carrier = fringes.estimate_carrier(up_s)
 print(f"\nregion {region}:")
 print(f"  estimated carrier: {carrier:.6f} rad/px (true {k0})")
 print(f"  minima matching : {fringes.shift_by_minima(up_s, low_s, carrier):+.6f}")
-print(f"  Fourier carrier : {fringes.shift_by_fourier(up_s, low_s):+.6f}")
+print(f"  Fourier carrier : {fringes.shift_by_fourier(up, low, carrier):+.6f}")
 
 # --- full retrieval over four stacked regions --------------------------------
 result = fringes.retrieve_phase(img, method="both")
@@ -48,7 +50,7 @@ print(f"  estimate    : {result.estimate:+.6f}  (truth {2 * delta:+.6f})")
 print(f"  uncertainty : {result.uncertainty:.2e}")
 print(f"  methods disagree by {result.method_disagreement:.2e}")
 
-# --- visibility from a single half -------------------------------------------
+# --- visibility from a single half: the windowed transform at the carrier ----
 vis_region = fringes.Region(220, 420, 190, 238)
 vis = fringes.measure_visibility(img, vis_region)
 print(f"\nvisibility near the beam axis: {vis:.4f}  (cos(beta) = {np.cos(beta):.4f})")
@@ -68,8 +70,8 @@ if plt is not None:
     axes[0].axhline(img.half_split_row, color="tab:red", lw=0.8)
     axes[0].set_title("dual-half interferogram (upper: V input, lower: H input)")
     x = np.arange(len(up_s))
-    axes[1].plot(x, up_s, label="upper profile")
-    axes[1].plot(x, low_s, label="lower profile")
+    axes[1].plot(x, up_s, label="upper profile (smoothed)")
+    axes[1].plot(x, low_s, label="lower profile (smoothed)")
     axes[1].set_xlabel("column (px)")
     axes[1].legend()
     fig.tight_layout()

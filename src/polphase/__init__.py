@@ -5,8 +5,10 @@ algebra (su2), compilation into quarter/half-wave-plate arrays (plates), the
 Mach-Zehnder overlap law with the drift-immune dual-polarization
 split-beam scheme (interferometer), the rotating five-plate single-beam
 method (polarimetry), and synthetic dual-half interferograms with two
-independent fringe-shift estimators (fringes), over the shared harmonic fit,
-smoothing and peak interpolation of dsp.
+independent fringe-shift estimators, minima matching on smoothed profiles and
+the Fourier read at the carrier on raw ones, which also reads the visibility
+(fringes), over the shared harmonic fit, smoothing and peak interpolation of
+dsp.
 """
 
 from .su2 import (

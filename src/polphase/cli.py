@@ -10,12 +10,13 @@ Subcommands
 Every run resolves its parameters from flags plus an optional ``key=value``
 config file (flags win; its keys are the command's own value-taking options
 bar ``--config`` and ``--out-dir``, anything else is refused), converts angles
-from degrees when ``--degrees`` is given, and writes the fully resolved
-configuration (angles as given, floats in full) next to its outputs as a
-record that ``--config`` reads back to repeat the run exactly.  CSV
-output uses 12 significant digits and is byte-stable across reruns with the
-same configuration and seed.  On failure a single ``error: <Kind>: <message>``
-line goes to stderr and the exit code is nonzero.
+from degrees when ``--degrees`` is given (defaults are radians, restated in
+degrees first), and writes the fully resolved configuration (angles as given,
+floats in full) next to its outputs as a record that ``--config`` reads back
+to repeat the run exactly.  CSV output uses 12 significant digits and is
+byte-stable across reruns with the same configuration and seed.  On failure a
+single ``error: <Kind>: <message>`` line goes to stderr and the exit code is
+nonzero.
 """
 
 from __future__ import annotations
@@ -108,6 +109,10 @@ class Resolver:
         return self._raw(name, float, default, required)
 
     def angle(self, name, default=None, required=False) -> float | None:
+        if default is not None and self.degrees:
+            # defaults are radians: restated in degrees, they are read and recorded
+            # like a given value, so a rerun from the record converts them alike
+            default = float(np.rad2deg(default))
         value = self._raw(name, float, default, required)
         return float(np.deg2rad(value)) if value is not None and self.degrees else value
 
@@ -119,6 +124,10 @@ class Resolver:
 
     def angle_grid(self, name, default=None, required=False) -> np.ndarray:
         """Parse 'v' or 'start:stop:count' (inclusive endpoints) into angles."""
+        if default is not None and self.degrees:
+            parts = default.split(":")  # radians, restated in degrees as in angle()
+            parts[:2] = [repr(float(np.rad2deg(float(v)))) for v in parts[:2]]
+            default = ":".join(parts)
         raw = self._raw(name, str, default, required)
         parts = str(raw).split(":")
         if len(parts) == 1:
@@ -374,8 +383,6 @@ def _cmd_fringe_analyze(args, config) -> int:
     r = Resolver(args, config)
     image = r.text("image", required=True)
     method = r.text("method", default="both")
-    sg_window = r.integer("sg-window", default=11)
-    sg_order = r.integer("sg-order", default=3)
     out = r.text("out", default=None)
     profiles_out = r.text("profiles-out", default=None)
     outdir = _outdir(args)
@@ -390,8 +397,7 @@ def _cmd_fringe_analyze(args, config) -> int:
         regions = fringes.default_regions(img)
         r.resolved["regions"] = "auto"
 
-    result = fringes.retrieve_phase(img, regions, method=method,
-                                    sg_window=sg_window, sg_order=sg_order)
+    result = fringes.retrieve_phase(img, regions, method=method)
     r.write(outdir)
 
     print(f"carrier_k0={result.carrier:.12g}")
@@ -419,8 +425,8 @@ def _cmd_fringe_analyze(args, config) -> int:
                    rows)
     if profiles_out:
         up, low = fringes.column_average(img, regions[0])
-        up_s = fringes.savitzky_golay(up, sg_window, sg_order)
-        low_s = fringes.savitzky_golay(low, sg_window, sg_order)
+        up_s = fringes.savitzky_golay(up)
+        low_s = fringes.savitzky_golay(low)
         _write_csv(_outpath(outdir, profiles_out),
                    ["column", "upper", "lower", "upper_smooth", "lower_smooth"],
                    zip(range(regions[0].col_start, regions[0].col_end),
@@ -537,8 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--region", action="append",
                     help="evaluation region 'c0:c1:r0:r1' (repeatable, ';'-separated in a "
                          "config file; default: auto)")
-    pa.add_argument("--sg-window", type=int)
-    pa.add_argument("--sg-order", type=int)
     pa.add_argument("--out", help="optional per-region CSV report")
     pa.add_argument("--profiles-out", help="optional CSV of the first region's profiles")
     _add_command(pa, _cmd_fringe_analyze, "fringe_analyze", recorded=("regions",))

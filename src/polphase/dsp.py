@@ -1,9 +1,10 @@
 """Signal processing shared by the scan and fringe analyses: the least-squares
 fit of an offset plus one harmonic that reads both scan methods (synchronous
 detection, Bruning et al., Appl. Opt. 13:2693, 1974, in the general form of
-Greivenkamp, Opt. Eng. 23:350, 1984), and for fringe profiles Savitzky-Golay
-smoothing (Savitzky & Golay, Anal. Chem. 36:1627, 1964) and the three-point
-parabolic vertex that refines a sampled extremum."""
+Greivenkamp, Opt. Eng. 23:350, 1984), and for fringe profiles the three-point
+parabolic vertex that refines a sampled extremum and the Savitzky-Golay
+smoothing (Savitzky & Golay, Anal. Chem. 36:1627, 1964) of the minima
+estimator, the only fringe step that smooths."""
 
 from __future__ import annotations
 

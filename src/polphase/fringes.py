@@ -10,14 +10,16 @@ phi(x) = k0 x + phi0, so the two halves carry the fringes
 
 mutually displaced by 2 delta / k0 pixels.  Because any drift of the
 instrument moves both halves together, the relative shift is immune to it;
-retrieving 2 delta is the whole game.  Two estimators are provided:
+retrieving 2 delta is the whole game.  Each half is column-averaged, and
+the carrier frequency k0 (between bins) is located on the raw upper profile.
+Two estimators are provided:
 
-* minima matching: column-average each half, low-pass with a Savitzky-Golay
-  filter (polphase.dsp), locate the fringe minima to sub-pixel accuracy and
-  compare their positions between the halves;
-* spatial-carrier Fourier: locate the carrier frequency k0 (between bins),
-  read the phase of each half's Hann-windowed transform at k0, and
-  difference them.
+* minima matching: smooth both profiles with a Savitzky-Golay filter
+  (polphase.dsp; no other step smooths), locate the fringe minima to
+  sub-pixel accuracy and compare their positions between the halves;
+* spatial-carrier Fourier: read the phase of each raw half's Hann-windowed
+  transform at k0 and difference them; the transform's magnitude over the
+  windowed mean level also gives the fringe visibility.
 
 Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 """
@@ -30,6 +32,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+# savgol_coefficients is not used here; it stays importable next to the filter
 from .dsp import savgol_coefficients, savitzky_golay, vertex
 from .su2 import finite, wrap_angle
 
@@ -48,6 +51,9 @@ class NoCarrier(ValueError):
 
 #: peak-to-peak profile span below which fringes count as absent entirely
 _FLAT_FLOOR = 1e-12
+
+#: savitzky_golay's default window, with which the minima estimator smooths
+_SG_WINDOW = 11
 
 
 @dataclass(frozen=True)
@@ -137,9 +143,10 @@ def generate(
     if envelope_width is not None:
         if finite("envelope_width", envelope_width) <= 0:
             raise ValueError("envelope_width must be positive")
-        y = np.arange(h, dtype=float)
-        r2 = (x - (w - 1) / 2.0) ** 2 + ((y - (h - 1) / 2.0) ** 2)[:, None]
-        pixels *= np.exp(-0.5 * r2 / envelope_width**2)
+        dx = x - (w - 1) / 2.0
+        dy = np.arange(h, dtype=float) - (h - 1) / 2.0
+        r2 = dx * dx + (dy * dy)[:, None]
+        pixels *= np.exp(-0.5 * r2 / (envelope_width * envelope_width))
 
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -240,12 +247,12 @@ def estimate_carrier(profile: np.ndarray) -> float:
     # X(k) = sum w_x e^{-ikx} and its first two k-derivatives; the origin sits
     # mid-profile, which leaves |X| alone and keeps the x^2 weights small
     x = np.arange(n) - (n - 1) / 2.0
-    weights = np.stack([windowed, -1j * x * windowed, -(x**2) * windowed])
+    weights = np.stack([windowed, -1j * x * windowed, -(x * x) * windowed])
     for _ in range(8):
         value, slope, bend = weights @ np.exp(-1j * k * x)
         # half the first and second derivatives of |X|^2
         gradient = (value.conjugate() * slope).real
-        curvature = abs(slope) ** 2 + (value.conjugate() * bend).real
+        curvature = (slope.conjugate() * slope).real + (value.conjugate() * bend).real
         if not curvature < 0.0:
             break
         step = min(max(k - gradient / curvature, lo), hi) - k
@@ -255,10 +262,8 @@ def estimate_carrier(profile: np.ndarray) -> float:
     return float(k)
 
 
-def _subpixel_extrema(
-    y: np.ndarray, minima: bool = True, carrier: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interior local minima (or maxima) with quadratic sub-sample refinement.
+def _subpixel_extrema(y: np.ndarray, carrier: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Interior local minima with quadratic sub-sample refinement.
 
     The three samples around each discrete extremum are fitted with a local
     quadratic vertex model.  When the carrier frequency is known the finite
@@ -268,12 +273,11 @@ def _subpixel_extrema(
     carrier, or where the harmonic vertex lands more than a sample away, the
     plain parabola limit is used.  Returns (positions, values).
     """
-    s = y if minima else -y
-    idx = np.nonzero((s[1:-1] < s[:-2]) & (s[1:-1] <= s[2:]))[0] + 1
-    positions, values = vertex(s, idx)
+    idx = np.nonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:]))[0] + 1
+    positions, values = vertex(y, idx)
     if carrier is not None and carrier > 1e-3:
-        # local model s = a + B cos(k0 x + psi), extremum at phase pi
-        ym, y0, yp = s[idx - 1], s[idx], s[idx + 1]
+        # local model y = a + B cos(k0 x + psi), minimum at phase pi
+        ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
         p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carrier) - 1.0))
         q = (yp - ym) / (2.0 * np.sin(carrier))
         theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
@@ -281,7 +285,7 @@ def _subpixel_extrema(
         fits = ~(np.abs(harmonic) > 1.0)  # else a degenerate fit: keep the parabola
         positions = np.where(fits, idx + harmonic, positions)
         values = np.where(fits, (y0 - p) - np.hypot(p, q), values)
-    return positions, values if minima else -values
+    return positions, values
 
 
 def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
@@ -315,6 +319,15 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     return float(np.angle(resultant))
 
 
+def _carrier_sums(y: np.ndarray, k0: float):
+    """Hann-windowed sums of profiles along the last axis: sum w (y - mean y)
+    e^{-i k0 x}, the fringe term at the carrier, and sum w y, the mean level
+    under the window."""
+    window = _periodic_hann(y.shape[-1])
+    kernel = window * np.exp(-1j * k0 * np.arange(y.shape[-1]))
+    return (y - y.mean(axis=-1, keepdims=True)) @ kernel, y @ window
+
+
 def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -> float:
     """Fringe shift from the transform phases at the carrier, in (-pi, pi].
 
@@ -336,9 +349,7 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     if k0 is None:
         k0 = estimate_carrier(up)
     finite("k0", k0)
-    window = _periodic_hann(len(up))
-    phasor = np.exp(-1j * k0 * np.arange(len(up)))
-    su, sl = (complex(np.sum((y - np.mean(y)) * window * phasor)) for y in (up, low))
+    (su, sl), _ = _carrier_sums(np.stack([up, low]), k0)
     if su == 0.0 or sl == 0.0:
         raise NoCarrier("no carrier power at the estimated frequency")
     return wrap_angle(np.angle(sl) - np.angle(su))
@@ -377,15 +388,14 @@ def retrieve_phase(
     img: Interferogram,
     regions: Sequence[Region] | None = None,
     method: RetrievalMethod = "both",
-    sg_window: int = 11,
-    sg_order: int = 3,
 ) -> RetrievalResult:
     """Recover the half-to-half fringe shift 2*delta of an interferogram.
 
-    Every region runs the pipeline column_average -> savitzky_golay -> shift
-    estimator(s); the carrier frequency estimated on the smoothed upper
-    profile is shared by both estimators.  Regions that raise are skipped
-    (and counted); the call fails only when every region fails.
+    Every region runs the pipeline column_average -> estimate_carrier on the
+    upper profile -> shift estimator(s), which share that carrier.  The
+    Fourier estimator reads the raw profiles; the minima estimator reads them
+    smoothed by savitzky_golay.  Regions that raise are skipped (and
+    counted); the call fails only when every region fails.
     """
     if method not in ("minima", "fourier", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -403,21 +413,23 @@ def retrieve_phase(
     for region in regions:
         try:
             up, low = column_average(img, region)
-            up_s = savitzky_golay(up, sg_window, sg_order)
-            low_s = savitzky_golay(low, sg_window, sg_order)
-            # the truncated edge fits are the filter's weakest samples; drop
-            # them before estimating so no minimum sits on a distorted stretch
-            trim = sg_window // 2
-            if len(up_s) > 6 * sg_window:
-                up_s = up_s[trim:len(up_s) - trim]
-                low_s = low_s[trim:len(low_s) - trim]
-            k0 = estimate_carrier(up_s)
+            # the raw profile: smoothing would damp a fast carrier below the
+            # low-frequency shoulder of an enveloped profile
+            k0 = estimate_carrier(up)
             values = []
             if method in ("minima", "both"):
+                up_s = savitzky_golay(up, _SG_WINDOW)
+                low_s = savitzky_golay(low, _SG_WINDOW)
+                # the truncated edge fits are the filter's weakest samples; drop
+                # them before estimating so no minimum sits on a distorted stretch
+                trim = _SG_WINDOW // 2
+                if len(up_s) > 6 * _SG_WINDOW:
+                    up_s = up_s[trim:len(up_s) - trim]
+                    low_s = low_s[trim:len(low_s) - trim]
                 values.append(shift_by_minima(up_s, low_s, k0))
                 minima_estimates.append(values[-1])
             if method in ("fourier", "both"):
-                values.append(shift_by_fourier(up_s, low_s, k0))
+                values.append(shift_by_fourier(up, low, k0))
                 fourier_estimates.append(values[-1])
         except (ValueError, ArithmeticError) as exc:
             failures += 1
@@ -455,21 +467,16 @@ def retrieve_phase(
     )
 
 
-def measure_visibility(
-    img: Interferogram,
-    region: Region,
-    sg_window: int = 11,
-    sg_order: int = 3,
-) -> float:
+def measure_visibility(img: Interferogram, region: Region) -> float:
     """Fringe contrast (I_max - I_min) / (I_max + I_min) within one half.
 
-    The region must lie entirely inside the upper or the lower half.  Extrema
-    are taken from the smoothed column-average profile with sub-pixel
-    interpolation and averaged separately; the filter's (exactly known)
-    passband gain at the carrier is divided back out, since smoothing leaves
-    the mean level alone but shallows the fringes.  Note that noise keeps the
-    interpolated minima strictly above zero, so measured visibilities sit
-    slightly below 1 even for a unit-contrast pattern.
+    The region must lie entirely inside the upper or the lower half.  The
+    carrier k0 is estimated on the column-average profile y, and the
+    contrast is read off its Hann-windowed transform at k0:
+    2 |sum w (y - mean y) e^{-i k0 x}| / sum w y, the fringe amplitude over
+    the mean level, both weighted by the same window, so a slowly varying
+    beam envelope scales them alike.  Raises NoCarrier when no carrier
+    stands out (a flat profile, or less than about two fringes in frame).
     """
     h, w = img.shape
     if region.col_end > w or region.row_end > h:
@@ -479,25 +486,8 @@ def measure_visibility(
         raise ValueError("visibility region must lie within a single half")
     profile = img.pixels[region.row_start:region.row_end,
                          region.col_start:region.col_end].mean(axis=0)
-    smooth = savitzky_golay(profile, sg_window, sg_order)
-    gain = 1.0
-    try:
-        k0 = estimate_carrier(smooth)
-        half = sg_window // 2
-        taps = savgol_coefficients(sg_window, sg_order)
-        gain = float(np.dot(taps, np.cos(k0 * np.arange(-half, half + 1))))
-        gain = min(max(gain, 0.2), 1.0)  # never amplify, never blow up
-    except NoCarrier:
-        pass
-    _, minima = _subpixel_extrema(smooth, minima=True)
-    _, maxima = _subpixel_extrema(smooth, minima=False)
-    if len(minima) < 2 or len(maxima) < 2:
-        raise TooFewMinima(
-            f"need >= 2 interior minima and maxima, got {len(minima)} and {len(maxima)}"
-        )
-    i_min = float(np.mean(minima))
-    i_max = float(np.mean(maxima))
-    return (i_max - i_min) / (gain * (i_max + i_min))
+    fringe, level = _carrier_sums(profile, estimate_carrier(profile))
+    return float(2.0 * abs(fringe) / level)
 
 
 # ---------------------------------------------------------------------------

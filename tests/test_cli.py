@@ -395,7 +395,7 @@ def test_every_value_option_is_a_config_key(tmp_path, capsys):
         (["fringe", "generate"], "delta=0.3\nbeta=0.2\nk0=0.25\nwidth=128\nheight=64\nnoise-sigma=0.0\n"
                                  "envelope-width=200\nphi0=0.1\nseed=2\nout=img.pgm\n"),
         (["fringe", "analyze"], f"image={tmp_path / 'out' / 'img.pgm'}\nmethod=both\n"
-                                "region=10:118:16:48;20:108:24:40\nsg-window=11\nsg-order=3\n"
+                                "region=10:118:16:48;20:108:24:40\n"
                                 "out=r.csv\nprofiles-out=pr.csv\n"),
         (["visibility"], "theta1=0:1:3\ntheta2=0.2\ntheta3=0.1\nout=v.csv\n"),
     ]
@@ -420,6 +420,7 @@ RECORDED_RUNS = {
                              "--samples", "512", "--degrees"],
     "interf_surface_degrees": ["interf", "surface", "--zeta", "40", "--xi-grid", "0:180:4",
                                "--eta-grid", "10:350:5", "--degrees"],
+    "interf_surface_default_degrees": ["interf", "surface", "--degrees"],
     "polarimetry_full": ["polarimetry", "--xi", "1", "--zeta", "2.141592653589793", "--eta-steps", "8",
                          "--n-grid", "512", "--eta", "0.3", "--sweep-out", "raw.csv"],
     "polarimetry_ximinuspi_degrees": ["polarimetry", "--mode", "ximinuspi", "--eta-steps", "6",
@@ -462,6 +463,22 @@ def test_a_record_keeps_angles_and_flags_as_given(tmp_path, capsys):
     assert (tmp_path / "interf_sweep_config.txt").read_text() == (
         "command=interf_sweep\ndegrees=True\neta=-70.0\nout=interf_sweep.csv\nsamples=512\n"
         "xi=50.0\nzeta=20.0\n")
+
+
+def test_default_angles_are_radians_under_degrees(tmp_path, capsys):
+    # --degrees converts the angles a user gives, not the defaults: the default
+    # grids still span a full turn and the ximinuspi default is still zeta = pi
+    code, _, _ = run_cli(capsys, *RECORDED_RUNS["interf_surface_default_degrees"], "--out-dir", str(tmp_path))
+    assert code == 0
+    _, rows = read_csv(tmp_path / "phase_surface.csv")
+    assert float(rows[-1][0]) == float(rows[-1][1]) == pytest.approx(2 * np.pi, abs=1e-11)
+    assert "xi-grid=0.0:360.0:33\n" in (tmp_path / "interf_surface_config.txt").read_text()
+    for sub, flags in (("deg", ["--degrees"]), ("rad", [])):
+        code, _, _ = run_cli(capsys, *RECORDED_RUNS["polarimetry_ximinuspi_degrees"][:-1], *flags,
+                             "--out-dir", str(tmp_path / sub))
+        assert code == 0
+    assert "zeta=180.0\n" in (tmp_path / "deg" / "polarimetry_config.txt").read_text()
+    assert (tmp_path / "deg" / "polarimetry.csv").read_bytes() == (tmp_path / "rad" / "polarimetry.csv").read_bytes()
 
 
 def test_a_record_of_another_command_is_refused(tmp_path, capsys):
