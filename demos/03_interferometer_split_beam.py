@@ -63,7 +63,7 @@ if plt is not None:
 
     t2 = np.linspace(-np.pi / 2, np.pi / 2, 121)
     t3 = np.linspace(-np.pi / 2, np.pi / 2, 121)
-    vis = np.array([[pp.visibility_plates(0.3, a, b) for a in t2] for b in t3])
+    vis = pp.visibility_plates(0.3, t2, t3[:, None])  # the whole map in one broadcast call
     im = axes[1].pcolormesh(t2, t3, vis, shading="auto")
     axes[1].set_xlabel("theta2 (rad)")
     axes[1].set_ylabel("theta3 (rad)")

@@ -43,7 +43,8 @@ for e in etas[::3]:
     print(f"  {e:5.3f}   {a:11.6f}   {b:11.6f}   {np.cos(e / 2) ** 2:11.6f}")
 
 # --- the alignment configuration ---------------------------------------------
-flat = polarimetry.intensity_xi_minus_pi(0.0, np.pi, np.linspace(0, 2 * np.pi, 9))
+# the xi = -pi scan (the three-plate reduction) at eta = 0, zeta = pi
+flat = polarimetry.polarimetric_intensity(-np.pi, 0.0, np.pi, np.linspace(0, 2 * np.pi, 9))
 print(f"\neta=0, zeta=pi gives a constant scan (useful for alignment): {flat}")
 
 try:

@@ -64,7 +64,6 @@ from .polarimetry import (
     PolarimetricSweep,
     add_scan_noise,
     extract_cos2_phase,
-    intensity_xi_minus_pi,
     measure_phase,
     polarimetric_intensity,
     polarimetric_sweep,

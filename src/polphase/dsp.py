@@ -1,10 +1,14 @@
-"""Signal processing shared by the scan and fringe analyses: the least-squares
-fit of an offset plus one harmonic that reads both scan methods (synchronous
-detection, Bruning et al., Appl. Opt. 13:2693, 1974, in the general form of
-Greivenkamp, Opt. Eng. 23:350, 1984), and for fringe profiles the three-point
-parabolic vertex that refines a sampled extremum and the Savitzky-Golay
-smoothing (Savitzky & Golay, Anal. Chem. 36:1627, 1964) of the minima
-estimator, the only fringe step that smooths."""
+"""Signal processing shared by the scan and fringe analyses.
+
+* harmonic_fit: the least-squares fit of an offset plus one harmonic that
+  reads both scan methods (synchronous detection, Bruning et al., Appl. Opt.
+  13:2693, 1974, in the general form of Greivenkamp, Opt. Eng. 23:350, 1984).
+* vertex: the position of the three-point parabola's vertex, which refines a
+  sampled extremum of a 1-D array (the carrier peak of a spectrum, the
+  minima of a fringe profile).
+* savitzky_golay: the smoothing (Savitzky & Golay, Anal. Chem. 36:1627, 1964)
+  of the minima estimator, the only fringe step that smooths.
+"""
 
 from __future__ import annotations
 
@@ -107,30 +111,16 @@ def harmonic_fit(values, phi, k: int):
     return offset, amplitude
 
 
-_NEIGHBOURS = np.arange(-1, 2)
-
-
 def vertex(values: np.ndarray, index):
-    """Sub-sample extremum through the three-point parabola, elementwise.
+    """Sub-sample position of a sampled extremum through the three-point parabola.
 
-    For each position in ``index`` along the last axis of ``values``, fits
-    the parabola through that sample and its two neighbours (wrapping around
-    the ends) and returns (index + vertex offset, vertex value).  ``index``
-    has the leading shape of ``values``, optionally with a trailing axis of
-    several positions per row.  A flat triple keeps the middle sample.
+    For each interior ``index`` (an integer or an integer array) of the 1-D
+    ``values``, fits the parabola through that sample and its two neighbours
+    and returns index + the vertex offset.  A flat triple keeps the index.
     """
-    values = np.asarray(values)
-    n = values.shape[-1]
-    index = np.asarray(index)[()]  # a scalar index stays a numpy scalar: its arithmetic is cheap
-    # flat positions of each sample and its neighbours, on a leading axis of three,
-    # wrapping around within the sample's row
-    positions = np.add.outer(_NEIGHBOURS, index) % n
-    if values.ndim > 1:
-        positions += np.arange(0, values.size, n).reshape(values.shape[:-1] + (1,) * (positions.ndim - values.ndim))
-    ym, y0, yp = values.reshape(-1).take(positions)
+    ym, y0, yp = values[index - 1], values[index], values[index + 1]
     slope = ym - yp
     curvature = ym - 2.0 * y0 + yp
     flat = curvature == 0.0
     # a flat triple divides 0 by 1: offset 0, without np.where's cost on scalars
-    offset = 0.5 * slope * ~flat / (curvature + flat)
-    return index + offset, y0 - 0.25 * slope * offset
+    return index + 0.5 * slope * ~flat / (curvature + flat)

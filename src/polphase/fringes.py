@@ -242,7 +242,7 @@ def estimate_carrier(profile: np.ndarray) -> float:
     lo = max(0.5 * dk, (kbin - 1.5) * dk)
     hi = min(np.pi - 1e-12, (kbin + 1.5) * dk)
     # three-bin vertex, never flat: argmax takes the first maximum, ym < y0 >= yp
-    peak = float(vertex(mags, kbin)[0]) if kbin + 1 < len(mags) else kbin
+    peak = float(vertex(mags, kbin)) if kbin + 1 < len(mags) else kbin
     k = min(max(peak * dk, lo), hi)
     # X(k) = sum w_x e^{-ikx} and its first two k-derivatives; the origin sits
     # mid-profile, which leaves |X| alone and keeps the x^2 weights small
@@ -262,7 +262,7 @@ def estimate_carrier(profile: np.ndarray) -> float:
     return float(k)
 
 
-def _subpixel_extrema(y: np.ndarray, carrier: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _subpixel_extrema(y: np.ndarray, carrier: float | None = None) -> np.ndarray:
     """Interior local minima with quadratic sub-sample refinement.
 
     The three samples around each discrete extremum are fitted with a local
@@ -271,10 +271,10 @@ def _subpixel_extrema(y: np.ndarray, carrier: float | None = None) -> tuple[np.n
     2 sin(k0) in place of their small-angle limits k0^2 and 2 k0, which makes
     the vertex exact for a sampled cosine of that frequency; without a
     carrier, or where the harmonic vertex lands more than a sample away, the
-    plain parabola limit is used.  Returns (positions, values).
+    plain parabola limit is used.  Returns the positions.
     """
     idx = np.nonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:]))[0] + 1
-    positions, values = vertex(y, idx)
+    positions = vertex(y, idx)
     if carrier is not None and carrier > 1e-3:
         # local model y = a + B cos(k0 x + psi), minimum at phase pi
         ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
@@ -284,8 +284,7 @@ def _subpixel_extrema(y: np.ndarray, carrier: float | None = None) -> tuple[np.n
         harmonic = -wrap_angle(theta - np.pi) / carrier
         fits = ~(np.abs(harmonic) > 1.0)  # else a degenerate fit: keep the parabola
         positions = np.where(fits, idx + harmonic, positions)
-        values = np.where(fits, (y0 - p) - np.hypot(p, q), values)
-    return positions, values
+    return positions
 
 
 def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
@@ -301,10 +300,10 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     mutually inconsistent (circular resultant below 0.5) the pairing is
     ambiguous and AmbiguousPairing is raised.
     """
-    if k0 <= 0:
+    if finite("k0", k0) <= 0:
         raise ValueError("k0 must be positive")
-    pos_up, _ = _subpixel_extrema(np.asarray(up, dtype=float), carrier=k0)
-    pos_low, _ = _subpixel_extrema(np.asarray(low, dtype=float), carrier=k0)
+    pos_up = _subpixel_extrema(np.asarray(up, dtype=float), carrier=k0)
+    pos_low = _subpixel_extrema(np.asarray(low, dtype=float), carrier=k0)
     if len(pos_up) < 2 or len(pos_low) < 2:
         raise TooFewMinima(
             f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}"
@@ -525,8 +524,10 @@ def _read_pgm(path) -> np.ndarray:
     while len(fields) < 4:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
-        if raw[pos:pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+        if pos == len(raw):
+            raise ValueError("truncated PGM header")
+        if raw[pos:pos + 1] == b"#":  # comment line; one left open runs to the end
+            pos = raw.find(b"\n", pos) + 1 or len(raw)
             continue
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
@@ -563,10 +564,13 @@ def load_interferogram(path) -> tuple[Interferogram, dict]:
             value = value.strip()
             for cast in (int, float):
                 try:
-                    value = cast(value)
-                    break
+                    parsed = cast(value)
                 except ValueError:
                     continue
+                # "-0" is how save writes the float -0.0: read it as a float, keeping the sign
+                if cast is float or parsed or not value.startswith("-"):
+                    value = parsed
+                    break
             meta[key.strip()] = value
     split = int(meta.get("split_row", pixels.shape[0] // 2))
     img = Interferogram(

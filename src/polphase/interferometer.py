@@ -19,10 +19,13 @@ and the phase is arg w.  Feeding the top half of the beam through a vertical
 polarizer and the bottom half through a horizontal one therefore shifts the
 two half-fringes, each an offset plus a first harmonic of phi, by 2 delta
 relative to each other: split_beam_shift reads it off their fitted phases.
+visibility_yzy and visibility_plates read |w| off the operator composed from
+its y-z-y angles or from its quarter-half-quarter plates.
 
 The 4x4 two-qubit operator product this law comes from (basis
 {|VX>, |VY>, |HX>, |HY>}, polarization index major) is kept in the test
-suite as the reference the overlap law is checked against.
+suite as the reference the overlap law is checked against, and so are the
+visibility's closed forms in the y-z-y and plate angles.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from .dsp import UnresolvableGrid, harmonic_fit  # UnresolvableGrid: the fit's refusal, raised from here too
-from .su2 import finite, wrap_angle
+from .plates import compose
+from .su2 import finite, from_yzy, wrap_angle
 
 #: visibility below this is treated as zero (fringes flat, shift undefined)
 EPS_VISIBILITY = 1e-6
@@ -98,39 +102,22 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     return wrap_angle(np.angle(amplitude[0]) - np.angle(amplitude[1]))
 
 
-def visibility_yzy(xi: float, eta: float, zeta: float) -> float:
-    """Fringe visibility in the y-z-y angles (scalars, or arrays elementwise).
+def visibility_yzy(xi: float, eta: float, zeta: float) -> "float | np.ndarray":
+    """Fringe visibility |<V|U|V>| = cos(beta) of U = from_yzy(xi, eta, zeta).
 
-    v^2 = (1/2)[1 + cos(xi) cos(zeta) - cos(eta) sin(xi) sin(zeta)], which
-    equals cos(beta)^2 = |<V|U|V>|^2.
+    Broadcasts over array angles; scalar angles give a float in [0, 1].
     """
-    xi, eta, zeta = finite("xi", xi), finite("eta", eta), finite("zeta", zeta)
-    v2 = 0.5 * (
-        1.0
-        + np.cos(xi) * np.cos(zeta)
-        - np.cos(eta) * np.sin(xi) * np.sin(zeta)
-    )
-    return _visibility(v2)
+    v = np.minimum(np.abs(from_yzy(xi, eta, zeta)[..., 0, 0]), 1.0)  # rounding can pass 1
+    return float(v) if v.ndim == 0 else v
 
 
-def visibility_plates(theta1: float, theta2: float, theta3: float) -> float:
-    """Fringe visibility in terms of the Q(theta1) H(theta2) Q(theta3) axes.
+def visibility_plates(theta1: float, theta2: float, theta3: float) -> "float | np.ndarray":
+    """Fringe visibility |<V|U|V>| of the array Q(theta1) H(theta2) Q(theta3).
 
-    Same quantity as visibility_yzy, written directly in the plate angles of
-    the compiling quarter-half-quarter array (theta1 is the first plate the
-    light meets).  Broadcasts over array angles like visibility_yzy.
+    Same quantity as visibility_yzy for the array's own operator; theta1 is
+    the first plate the light meets.  Broadcasts over array angles, composing
+    the whole grid in one call; scalar angles give a float in [0, 1].
     """
-    theta1, theta2, theta3 = finite("theta1", theta1), finite("theta2", theta2), finite("theta3", theta3)
-    v2 = 0.5 * (
-        1.0
-        + np.cos((3.0 * np.pi + 4.0 * theta3) / 2.0) * np.cos((np.pi - 4.0 * theta1) / 2.0)
-        - np.cos(2.0 * theta1 - 4.0 * theta2 + 2.0 * theta3)
-        * np.sin((3.0 * np.pi + 4.0 * theta3) / 2.0)
-        * np.sin((np.pi - 4.0 * theta1) / 2.0)
-    )
-    return _visibility(v2)
-
-
-def _visibility(v2):
-    v = np.sqrt(np.clip(v2, 0.0, 1.0))
-    return float(v) if np.ndim(v) == 0 else v
+    axes = np.broadcast_arrays(finite("theta1", theta1), finite("theta2", theta2), finite("theta3", theta3))
+    v = np.minimum(np.abs(compose("QHQ", np.stack(axes, axis=-1))[..., 0, 0]), 1.0)
+    return float(v) if v.ndim == 0 else v

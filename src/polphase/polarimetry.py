@@ -63,7 +63,9 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
 
     Closed form in the y-z-y angles; agrees with
     |<V| compose(polarimetric_array(xi, eta, zeta, phi)) |V>|^2 to rounding.
-    Accepts a scalar or an array of phi.
+    Accepts a scalar or an array of phi.  At xi = -pi it is the scan of the
+    three-plate reduction (plates.reduced_array_xi_minus_pi), constant in phi
+    at eta = 0, zeta = pi (the alignment configuration).
     """
     xi, eta, zeta, phi = finite("xi", xi), finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
     ce, se = np.cos(eta / 2.0), np.sin(eta / 2.0)
@@ -71,20 +73,6 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     swing = ce * np.sin((xi + zeta) / 2.0) * np.cos(phi) + se * np.sin((xi - zeta) / 2.0) * np.sin(phi)
     # squares as products: numpy squares a scalar with pow(), which can differ in the last bit
     out = ce * ce * (cs * cs) + swing * swing
-    return float(out) if out.ndim == 0 else out
-
-
-def intensity_xi_minus_pi(eta: float, zeta: float, phi) -> "float | np.ndarray":
-    """Scan intensity of the three-plate xi = -pi reduction.
-
-    I = cos^2(zeta/2) cos^2((eta - 2 phi)/2) + sin^2(zeta/2) cos^2(eta/2);
-    identical to polarimetric_intensity(-pi, eta, zeta, phi).  Constant in
-    phi at eta = 0, zeta = pi (the alignment configuration).
-    """
-    eta, zeta, phi = finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
-    cz, sz = np.cos(zeta / 2.0), np.sin(zeta / 2.0)
-    ce, cs = np.cos(eta / 2.0), np.cos((eta - 2.0 * phi) / 2.0)
-    out = cz * cz * (cs * cs) + sz * sz * (ce * ce)
     return float(out) if out.ndim == 0 else out
 
 
@@ -120,10 +108,13 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
     flattened, draws from ``default_rng(seed + k)``, so the stack repeats the
     scans made one at a time with seeds seed, seed + 1, ...; a stack
     therefore needs an integer seed, or None.  A noise-free call
-    (noise_sigma <= 0) returns the intensities unchanged.
+    (noise_sigma == 0) returns the intensities unchanged; a NaN or infinite
+    noise_sigma raises NonFiniteInput, a negative one ValueError.
     """
     intensity = np.asarray(intensity, dtype=float)
-    if not noise_sigma > 0.0:
+    if finite("noise_sigma", noise_sigma) < 0.0:
+        raise ValueError("noise_sigma must be nonnegative")
+    if noise_sigma == 0.0:
         return intensity
     stacked = intensity.ndim > 1
     if stacked and not (seed is None or isinstance(seed, (int, np.integer))):

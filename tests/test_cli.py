@@ -193,6 +193,22 @@ def test_polarimetry_user_plate_file_scan(tmp_path, capsys):
     assert len(rows) == 2048
 
 
+@pytest.mark.parametrize("sigma, error", [
+    ("inf", "NonFiniteInput: noise_sigma must be finite, got inf"),
+    ("nan", "NonFiniteInput: noise_sigma must be finite, got nan"),
+    ("-0.5", "ValueError: noise_sigma must be nonnegative"),
+])
+def test_polarimetry_refuses_a_non_finite_or_negative_noise_sigma(tmp_path, capsys, sigma, error):
+    # inf used to clip the scans to 0 and 1 and report a wrong curve; nan and
+    # -0.5 ran noise-free and recorded the sigma as if it had been applied
+    (tmp_path / "scan.txt").write_text(plates.format_plate_array(plates.polarimetric_array(1.0, 0.7, -0.4, 0.0)))
+    for argv in (["--mode", "zeta2pi"], ["--plates", str(tmp_path / "scan.txt")]):
+        code, _, err = run_cli(capsys, "polarimetry", *argv, "--noise-sigma", sigma, "--n-grid", "256",
+                               "--out-dir", str(tmp_path / "out"))
+        assert (code, err) == (1, f"error: {error}\n")
+        assert not (tmp_path / "out" / "polarimetry_config.txt").exists()
+
+
 def test_polarimetry_raw_sweep_out(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "polarimetry", "--mode", "zeta2pi", "--xi", "0.4",

@@ -254,8 +254,11 @@ def test_shift_by_minima_ambiguous_pairing():
 
 def test_shift_by_minima_k0_validation():
     up, low = make_profiles(0.2, 0.0, 0.2, 300)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k0 must be positive$"):
         fringes.shift_by_minima(up, low, 0.0)
+    for k0 in (np.nan, np.inf, -np.inf):  # k0 <= 0 alone lets NaN and inf through, to a NaN shift
+        with pytest.raises(su2.NonFiniteInput, match="^k0 must be finite"):
+            fringes.shift_by_minima(up, low, k0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +513,17 @@ def test_pgm_save_load_round_trip_property(tmp_path_factory, height, width, seed
     assert Path(f"{again}.meta").read_text() == Path(f"{path}.meta").read_text()
 
 
+def test_pgm_sidecar_keeps_the_sign_of_a_zero(tmp_path):
+    # %.17g writes -0.0 as "-0", which an int cast would read back as 0
+    img = fringes.Interferogram(np.zeros((16, 16)), 8, k0=1.0, true_delta=-0.0)
+    path = tmp_path / "zero.pgm"
+    fringes.save_interferogram(img, path, extra={"seed": 0})
+    loaded, meta = fringes.load_interferogram(path)
+    assert np.copysign(1.0, loaded.true_delta) == -1.0 and (loaded.k0, meta["seed"]) == (1, 0)
+    fringes.save_interferogram(loaded, tmp_path / "again.pgm", extra={"seed": 0})
+    assert (tmp_path / "again.pgm.meta").read_text() == Path(f"{path}.meta").read_text()
+
+
 def test_pgm_payload_format(tmp_path):
     img = fringes.generate(0.0, 0.0, 0.2, size=(16, 16))
     path = tmp_path / "fmt.pgm"
@@ -523,6 +537,17 @@ def test_pgm_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n4 4\n255\n" + b"0" * 32)
     with pytest.raises(ValueError):
+        fringes.load_interferogram(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"", b"P5", b"P5\n640", b"P5\n640 480", b"P5\n640 480 ", b"P5\n640 480\n# no newline",
+    b"P5 # a comment that never ends",
+])
+def test_pgm_rejects_a_truncated_header(tmp_path, header):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match="^truncated PGM header$"):
         fringes.load_interferogram(path)
 
 
@@ -594,7 +619,7 @@ def _savgol_reference(y, window, order):
 def _extrema_reference(y, carrier=None):
     """One minimum at a time: harmonic vertex fit, parabola fallback."""
     idx = np.nonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:]))[0] + 1
-    positions, values = [], []
+    positions = []
     for i in idx:
         ym, y0, yp = y[i - 1], y[i], y[i + 1]
         offset = None
@@ -604,15 +629,11 @@ def _extrema_reference(y, carrier=None):
             offset = float(-su2.wrap_angle(np.arctan2(-q, p) - np.pi) / carrier)
             if abs(offset) > 1.0:
                 offset = None
-            else:
-                val = (y0 - p) - np.hypot(p, q)
         if offset is None:
             denom = ym - 2.0 * y0 + yp
             offset = 0.5 * (ym - yp) / denom if denom != 0.0 else 0.0
-            val = y0 - 0.25 * (ym - yp) * offset
         positions.append(i + offset)
-        values.append(val)
-    return np.array(positions), np.array(values)
+    return np.array(positions)
 
 
 def _carrier_reference(y):
@@ -685,9 +706,8 @@ def test_subpixel_extrema_matches_scalar_loop(values, carrier):
     y = np.array(values)
     got = fringes._subpixel_extrema(y, carrier=carrier)
     want = _extrema_reference(y, carrier=carrier)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        np.testing.assert_array_equal(g, w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -700,10 +720,8 @@ def test_subpixel_extrema_on_noisy_fringes_matches_scalar_loop(phase, k0, with_c
     rng = np.random.default_rng(abs(hash((phase, k0))) % 2**32)
     y = 0.5 - 0.4 * np.cos(k0 * np.arange(200) + phase) + rng.normal(0.0, 0.01, 200)
     carrier = k0 if with_carrier else None
-    got = fringes._subpixel_extrema(y, carrier=carrier)
-    want = _extrema_reference(y, carrier=carrier)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(fringes._subpixel_extrema(y, carrier=carrier),
+                                  _extrema_reference(y, carrier=carrier))
 
 
 @settings(max_examples=150, deadline=None)

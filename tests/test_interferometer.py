@@ -1,15 +1,18 @@
-"""Tests for the Mach-Zehnder overlap law and the visibility formulas.
+"""Tests for the Mach-Zehnder overlap law and the visibility.
 
 The overlap law of interferometer.output_intensity is checked against the
 two-qubit model it comes from: the full 4x4 operator product over the
 polarization x path basis {|VX>, |VY>, |HX>, |HY>} (polarization index
-major), kept here as the reference.
+major), kept here as the reference.  The visibility |<V|U|V>| is checked
+against its closed forms in the y-z-y angles and in the plate angles of the
+quarter-half-quarter array, kept here too.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polphase import interferometer as itf
 from polphase import su2
@@ -87,6 +90,22 @@ def reference_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool 
 
 def random_su2():
     return su2.from_yzy(*RNG.uniform(-2 * np.pi, 2 * np.pi, 3))
+
+
+# ---------------------------------------------------------------------------
+# reference: the visibility's closed forms, cos(beta) in the angles
+
+def visibility_yzy_closed_form(xi, eta, zeta):
+    """cos(beta), the root of v^2 = (1/2)[1 + cos(xi) cos(zeta) - cos(eta) sin(xi) sin(zeta)]."""
+    v2 = 0.5 * (1.0 + np.cos(xi) * np.cos(zeta) - np.cos(eta) * np.sin(xi) * np.sin(zeta))
+    return np.sqrt(np.clip(v2, 0.0, 1.0))
+
+
+def visibility_plates_closed_form(t1, t2, t3):
+    """The same law in the axes of Q(t1) H(t2) Q(t3), t1 met first."""
+    a, b = (3.0 * np.pi + 4.0 * t3) / 2.0, (np.pi - 4.0 * t1) / 2.0
+    v2 = 0.5 * (1.0 + np.cos(a) * np.cos(b) - np.cos(2.0 * t1 - 4.0 * t2 + 2.0 * t3) * np.sin(a) * np.sin(b))
+    return np.sqrt(np.clip(v2, 0.0, 1.0))
 
 
 def test_beam_splitter_twice_is_i_times_swap():
@@ -330,7 +349,7 @@ def test_visibility_equals_numeric_contrast():
 
 
 def test_visibility_plates_identity_array():
-    assert itf.visibility_plates(np.pi / 4, -np.pi / 4, np.pi / 4) == pytest.approx(1.0)
+    assert itf.visibility_plates(np.pi / 4, -np.pi / 4, np.pi / 4) == 1.0
 
 
 def test_visibility_plates_matches_matrix_route():
@@ -400,6 +419,27 @@ def test_visibility_formulas_refuse_non_finite_angles():
         itf.visibility_plates(np.nan, 0.0, 0.0)
     with pytest.raises(su2.NonFiniteInput):
         itf.visibility_yzy(0.0, np.array([0.0, np.inf]), 0.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(["yzy", "plates"]), st.data())
+def test_visibility_equals_its_closed_form(form, data):
+    # scalars or mutually broadcast arrays; a Python float wherever the shape is ()
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=2, max_side=3))
+    angles = [data.draw(ANGLE if shape == () else hnp.arrays(float, shape, elements=ANGLE))
+              for shape in shapes.input_shapes]
+    visibility, closed_form = {"yzy": (itf.visibility_yzy, visibility_yzy_closed_form),
+                               "plates": (itf.visibility_plates, visibility_plates_closed_form)}[form]
+    got, want = visibility(*angles), closed_form(*angles)
+    if shapes.result_shape == ():
+        assert type(got) is float
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == shapes.result_shape
+    assert np.all((0.0 <= got) & (got <= 1.0))
+    # v^2 agrees everywhere; v itself wherever the closed form's square root is
+    # well conditioned (near v = 0 it turns v^2's rounding into ~1e-16 / v)
+    assert np.all(np.abs(got * got - want * want) <= 1e-12)
+    assert np.all(np.abs(got - want)[want >= 1e-2] <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -386,3 +386,20 @@ def test_five_plate_array_composes_to_the_conjugated_target(xi, eta, zeta, phi):
     composed = plates.compose(plates.polarimetric_array(xi, eta, zeta, phi))
     target = plates.polarimetric_target(su2.from_yzy(xi, eta, zeta), phi)
     np.testing.assert_allclose(composed, target, rtol=0, atol=su2.EPS_MAT)
+
+
+# ---------------------------------------------------------------------------
+# reverse traversal: every retarder's Jones matrix is symmetric, so crossing an
+# array backwards composes to the transpose of crossing it forwards
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from("QH"), AXIS), max_size=7))
+def test_reverse_traversal_composes_to_the_transpose(specs):
+    array = [plates.WavePlate(kind, axis) for kind, axis in specs]
+    forward, backward = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+    for plate in array:  # explicit products: each plate met multiplies from the left
+        forward = plates.jones(plate) @ forward
+        backward = backward @ plates.jones(plate)
+    np.testing.assert_allclose(plates.compose(array), forward, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plates.compose(array[::-1]), backward, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plates.compose(array[::-1]), plates.compose(array).T, rtol=0, atol=1e-12)

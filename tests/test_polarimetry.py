@@ -45,26 +45,33 @@ def test_intensity_zyz_form():
         assert abs(got - zyz_form) < 1e-12
 
 
+def intensity_xi_minus_pi(eta, zeta, phi):
+    """Reference: the scan law of the three-plate xi = -pi reduction,
+    I = cos^2(zeta/2) cos^2((eta - 2 phi)/2) + sin^2(zeta/2) cos^2(eta/2)."""
+    return (np.cos(zeta / 2) ** 2 * np.cos((eta - 2 * phi) / 2) ** 2
+            + np.sin(zeta / 2) ** 2 * np.cos(eta / 2) ** 2)
+
+
 def test_intensity_xi_minus_pi_zeta_zero():
     for eta, phi in RNG.uniform(-np.pi, np.pi, (20, 2)):
-        got = polarimetry.intensity_xi_minus_pi(eta, 0.0, phi)
+        got = polarimetry.polarimetric_intensity(-np.pi, eta, 0.0, phi)
         assert got == pytest.approx(np.cos((eta - 2 * phi) / 2) ** 2, abs=1e-14)
 
 
 def test_intensity_xi_minus_pi_zeta_pi_constant():
     eta = 0.8
-    values = polarimetry.intensity_xi_minus_pi(eta, np.pi, np.linspace(0, 7, 50))
+    values = polarimetry.polarimetric_intensity(-np.pi, eta, np.pi, np.linspace(0, 7, 50))
     np.testing.assert_allclose(values, np.cos(eta / 2) ** 2, atol=1e-14)
 
 
 def test_intensity_xi_minus_pi_cross_checks():
+    # the general law at xi = -pi, its three-plate reduction and the reduced law agree
     for _ in range(300):
         eta, zeta, phi = RNG.uniform(-2 * np.pi, 2 * np.pi, 3)
-        direct = polarimetry.intensity_xi_minus_pi(eta, zeta, phi)
         general = polarimetry.polarimetric_intensity(-np.pi, eta, zeta, phi)
-        assert abs(direct - general) < 1e-12
+        assert abs(general - intensity_xi_minus_pi(eta, zeta, phi)) < 1e-12
         m = plates.compose(plates.reduced_array_xi_minus_pi(eta, zeta, phi))
-        assert abs(direct - abs(m[0, 0]) ** 2) < 1e-12
+        assert abs(general - abs(m[0, 0]) ** 2) < 1e-12
 
 
 def test_scan_plate_array_matches_closed_form():
@@ -261,8 +268,8 @@ def test_closed_forms_refuse_non_finite_angles():
         polarimetry.polarimetric_intensity(np.nan, 0.0, 0.0, 0.0)
     with pytest.raises(su2.NonFiniteInput):
         polarimetry.measure_phase(0.0, np.inf, 0.0)
-    with pytest.raises(su2.NonFiniteInput):
-        polarimetry.intensity_xi_minus_pi(0.0, 0.0, np.array([0.0, np.nan]))
+    with pytest.raises(su2.NonFiniteInput, match="^phi must be finite"):
+        polarimetry.polarimetric_intensity(-np.pi, 0.0, 0.0, np.array([0.0, np.nan]))
 
 
 @pytest.mark.parametrize("name", ["xi", "eta", "zeta"])
@@ -311,6 +318,22 @@ def test_scan_noise_seeds():
     with pytest.raises(TypeError):
         polarimetry.add_scan_noise(clean, 0.1, [3, 4])
     assert polarimetry.add_scan_noise(clean, 0.0, [3, 4]) is clean
+
+
+@pytest.mark.parametrize("sigma, error, message", [
+    (np.inf, su2.NonFiniteInput, "^noise_sigma must be finite, got inf$"),
+    (np.nan, su2.NonFiniteInput, "^noise_sigma must be finite, got nan$"),
+    (-0.5, ValueError, "^noise_sigma must be nonnegative$"),
+])
+def test_scan_noise_refuses_a_non_finite_or_negative_sigma(sigma, error, message):
+    # an infinite sigma would clip every sample to 0 or 1; NaN and negative ones
+    # would run noise-free while the caller believes otherwise
+    with pytest.raises(error, match=message):
+        polarimetry.add_scan_noise(np.full(64, 0.5), sigma, 1)
+    with pytest.raises(error, match=message):
+        polarimetry.measure_phase(0.3, 0.5, -0.2, noise_sigma=sigma, seed=1)
+    with pytest.raises(error, match=message):
+        polarimetry.polarimetric_sweep(0.3, np.array([0.1, 0.5]), -0.2, 64, sigma, 1)
 
 
 # ---------------------------------------------------------------------------
