@@ -15,8 +15,9 @@ degrees first), and writes the fully resolved configuration (angles as given,
 floats in full) next to its outputs as a record that ``--config`` reads back
 to repeat the run exactly.  CSV output uses 12 significant digits and is
 byte-stable across reruns with the same configuration and seed.  On failure a
-single ``error: <Kind>: <message>`` line goes to stderr and the exit code is
-nonzero.
+single ``error: <Kind>: <message>`` line goes to stderr, the exit code is
+nonzero, and nothing is written: the output directory is made only once the
+inputs have been checked.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ class Resolver:
 
 
 def _outdir(args) -> Path:
+    """The output directory, created: each command calls this only once its inputs
+    have been checked and its results are in hand, so a refused run writes nothing."""
     out = args.out_dir or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -167,7 +170,6 @@ def _cmd_decompose(args, config) -> int:
     zeta = r.angle("zeta", required=True)
     mode = r.integer("mode", default=3)
     out = r.text("out", default="plates.txt")
-    outdir = _outdir(args)
 
     if mode == 3:
         array = plates.decompose_qhq(xi, eta, zeta)
@@ -182,6 +184,7 @@ def _cmd_decompose(args, config) -> int:
 
     composed = plates.compose(array)
     residual = float(np.max(np.abs(composed - target)))
+    outdir = _outdir(args)
     path = _outpath(outdir, out)
     path.write_text(plates.format_plate_array(array), encoding="ascii")
     r.write(outdir)
@@ -206,23 +209,23 @@ def _cmd_interf_sweep(args, config) -> int:
     zeta = r.angle("zeta", required=True)
     samples = r.integer("samples", default=1024)
     out = r.text("out", default="interf_sweep.csv")
-    outdir = _outdir(args)
 
     u = su2.from_yzy(xi, eta, zeta)
     phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     i_v = interferometer.output_intensity("V", u, phis)
     i_h = interferometer.output_intensity("H", u, phis)
+    try:
+        recovered = f"{interferometer.split_beam_shift(u, phis):.12g}"
+    except interferometer.ZeroVisibility as exc:
+        print(f"warning: {exc}", file=sys.stderr)
+        recovered = "undefined"
+    outdir = _outdir(args)
     _write_csv(_outpath(outdir, out), ["phi", "I_V", "I_H"],
                zip(phis.tolist(), i_v.tolist(), i_h.tolist()))
     r.write(outdir)
 
     zyz = su2.to_zyz(u)
-    try:
-        shift = interferometer.split_beam_shift(u, phis)
-        print(f"recovered_2delta={shift:.12g}")
-    except interferometer.ZeroVisibility as exc:
-        print(f"warning: {exc}", file=sys.stderr)
-        print("recovered_2delta=undefined")
+    print(f"recovered_2delta={recovered}")
     if zyz.delta_defined:
         print(f"expected_2delta={su2.wrap_angle(2.0 * zyz.delta):.12g}")
     print(f"visibility={np.cos(zyz.beta):.12g}")
@@ -235,7 +238,6 @@ def _cmd_interf_surface(args, config) -> int:
     xi_grid = r.angle_grid("xi-grid", default="0:6.283185307179586:33")
     eta_grid = r.angle_grid("eta-grid", default="0:6.283185307179586:33")
     out = r.text("out", default="phase_surface.csv")
-    outdir = _outdir(args)
 
     xi, eta = np.meshgrid(xi_grid, eta_grid, indexing="ij")
     zyz = su2.yzy_to_zyz(xi, eta, zeta)
@@ -246,6 +248,7 @@ def _cmd_interf_surface(args, config) -> int:
             zip(xi.ravel().tolist(), eta.ravel().tolist(), cos2.ravel().tolist(),
                 zyz.delta_defined.ravel().tolist())]
     degenerate = int(np.count_nonzero(~zyz.delta_defined))
+    outdir = _outdir(args)
     _write_csv(_outpath(outdir, out), ["xi", "eta", "cos2_phase"], rows)
     r.write(outdir)
     if degenerate:
@@ -280,7 +283,7 @@ def _cmd_polarimetry(args, config) -> int:
     noise = r.number("noise-sigma", default=0.0)
     seed = r.integer("seed", default=0)
     out = r.text("out", default="polarimetry.csv")
-    outdir = _outdir(args)
+    sweep_out = r.text("sweep-out", default=None)
 
     etas = np.linspace(0.0, 2.0 * np.pi, eta_steps, endpoint=False)
     zyz = su2.yzy_to_zyz(xi, etas, zeta)
@@ -300,12 +303,12 @@ def _cmd_polarimetry(args, config) -> int:
             measured = None
             degenerate += 1
         rows.append((eta, measured, expected))
-    _write_csv(_outpath(outdir, out), ["eta", "cos2_measured", "cos2_expected"], rows)
-
-    sweep_out = r.text("sweep-out", default=None)
     if sweep_out is not None:
-        eta0 = r.angle("eta", required=True)
-        sweep = polarimetry.polarimetric_sweep(xi, eta0, zeta, n_grid, noise, seed)
+        sweep = polarimetry.polarimetric_sweep(xi, r.angle("eta", required=True), zeta, n_grid, noise, seed)
+
+    outdir = _outdir(args)
+    _write_csv(_outpath(outdir, out), ["eta", "cos2_measured", "cos2_expected"], rows)
+    if sweep_out is not None:
         _write_csv(_outpath(outdir, sweep_out), ["phi", "intensity"],
                    zip(sweep.phi_grid.tolist(), sweep.intensities.tolist()))
     r.write(outdir)
@@ -320,17 +323,17 @@ def _polarimetry_plate_scan(args, r: Resolver, plate_file: str) -> int:
     noise = r.number("noise-sigma", default=0.0)
     seed = r.integer("seed", default=0)
     out = r.text("out", default="plate_scan.csv")
-    outdir = _outdir(args)
 
     array = plates.parse_plate_array(Path(plate_file).read_text())
     phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     intensity = polarimetry.add_scan_noise(polarimetry.scan_plate_array(array, phis), noise, seed)
+    sweep = polarimetry.PolarimetricSweep(phis, intensity, su2.YzyParams(0, 0, 0))
+    i_min, i_max = polarimetry.sweep_extrema(sweep)
+    outdir = _outdir(args)
     _write_csv(_outpath(outdir, out), ["phi", "intensity"],
                zip(phis.tolist(), intensity.tolist()))
     r.write(outdir)
 
-    sweep = polarimetry.PolarimetricSweep(phis, intensity, su2.YzyParams(0, 0, 0))
-    i_min, i_max = polarimetry.sweep_extrema(sweep)
     print(f"scan written to {_outpath(outdir, out)} ({len(array)} plates)")
     print(f"I_min={i_min:.12g}")
     print(f"I_max={i_max:.12g}")
@@ -357,12 +360,12 @@ def _cmd_fringe_generate(args, config) -> int:
     phi0 = r.angle("phi0", default=0.0)
     seed = r.integer("seed", default=0)
     out = r.text("out", default="interferogram.pgm")
-    outdir = _outdir(args)
 
     img = fringes.generate(
         delta, beta, k0, size=(height, width), noise_sigma=noise,
         envelope_width=envelope, seed=seed, phi0=phi0,
     )
+    outdir = _outdir(args)
     path = _outpath(outdir, out)
     fringes.save_interferogram(img, path, extra={"seed": seed, "beta": beta,
                                                  "noise_sigma": noise})
@@ -385,7 +388,6 @@ def _cmd_fringe_analyze(args, config) -> int:
     method = r.text("method", default="both")
     out = r.text("out", default=None)
     profiles_out = r.text("profiles-out", default=None)
-    outdir = _outdir(args)
 
     img, meta = fringes.load_interferogram(image)
     recorded = config.get("region") or config.get("regions", "auto")
@@ -398,6 +400,11 @@ def _cmd_fringe_analyze(args, config) -> int:
         r.resolved["regions"] = "auto"
 
     result = fringes.retrieve_phase(img, regions, method=method)
+    if profiles_out:
+        up, low = fringes.column_average(img, regions[0])
+        profiles = zip(range(regions[0].col_start, regions[0].col_end), up.tolist(), low.tolist(),
+                       fringes.savitzky_golay(up).tolist(), fringes.savitzky_golay(low).tolist())
+    outdir = _outdir(args)
     r.write(outdir)
 
     print(f"carrier_k0={result.carrier:.12g}")
@@ -424,13 +431,8 @@ def _cmd_fringe_analyze(args, config) -> int:
                    ["region", "col_start", "col_end", "row_start", "row_end", "estimate_2delta"],
                    rows)
     if profiles_out:
-        up, low = fringes.column_average(img, regions[0])
-        up_s = fringes.savitzky_golay(up)
-        low_s = fringes.savitzky_golay(low)
         _write_csv(_outpath(outdir, profiles_out),
-                   ["column", "upper", "lower", "upper_smooth", "lower_smooth"],
-                   zip(range(regions[0].col_start, regions[0].col_end),
-                       up.tolist(), low.tolist(), up_s.tolist(), low_s.tolist()))
+                   ["column", "upper", "lower", "upper_smooth", "lower_smooth"], profiles)
     return 0
 
 
@@ -453,7 +455,6 @@ def _cmd_visibility(args, config) -> int:
     t3_grid = r.angle_grid("theta3", required=True)
     out = r.text("out", default="visibility.csv")
     check = r.flag("check")
-    outdir = _outdir(args)
 
     header = ["theta1", "theta2", "theta3", "visibility"]
     if check:
@@ -463,6 +464,7 @@ def _cmd_visibility(args, config) -> int:
     if check:
         columns.append(_simulated_visibility(t1, t2, t3))
     rows = list(zip(*(c.tolist() for c in columns)))
+    outdir = _outdir(args)
     _write_csv(_outpath(outdir, out), header, rows)
     r.write(outdir)
     print(f"visibility data written to {_outpath(outdir, out)} ({len(rows)} points)")

@@ -3,6 +3,10 @@
 * harmonic_fit: the least-squares fit of an offset plus one harmonic that
   reads both scan methods (synchronous detection, Bruning et al., Appl. Opt.
   13:2693, 1974, in the general form of Greivenkamp, Opt. Eng. 23:350, 1984).
+* harmonics: cos k phi and sin k phi of a scan grid, the terms every scan
+  law and fit samples.  A 1-D grid's terms and its fit's normal matrix come
+  from a small cache keyed by the grid's contents (its bytes and k), bounded
+  to eight grids of up to 65536 points; other shapes are computed directly.
 * vertex: the position of the three-point parabola's vertex, which refines a
   sampled extremum of a 1-D array (the carrier peak of a spectrum, the
   minima of a fringe profile).
@@ -78,6 +82,49 @@ class UnresolvableGrid(ValueError):
     """The scanned phases cannot separate the offset from the fitted harmonic."""
 
 
+#: longest 1-D grid whose terms are cached: at most eight entries of 1.5 MB each
+_CACHED_POINTS = 1 << 16
+
+
+def _design(phi: np.ndarray, k) -> tuple:
+    """Read-only cos(k phi) and sin(k phi) of a 1-D grid, with the adjugate and
+    determinant of harmonic_fit's normal matrix on that grid."""
+    c, s = np.cos(k * phi), np.sin(k * phi)
+    c.flags.writeable = s.flags.writeable = False
+    # normal matrix [[n, sc, ss], [sc, scc, scs], [ss, scs, sss]] and its adjugate
+    n, sc, ss = float(len(phi)), c.sum(), s.sum()
+    scc, sss, scs = (c * c).sum(), (s * s).sum(), (c * s).sum()
+    a00, a01, a02 = scc * sss - scs * scs, ss * scs - sc * sss, sc * scs - ss * scc
+    a11, a12, a22 = n * sss - ss * ss, sc * ss - n * scs, n * scc - sc * sc
+    return c, s, (a00, a01, a02, a11, a12, a22), n * a00 + sc * a01 + ss * a02
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_terms(grid: bytes, k) -> tuple:
+    """_design of the float64 grid whose bytes are ``grid``, computed once per
+    grid and k however often the scans sample it."""
+    return _design(np.frombuffer(grid), k)
+
+
+def _terms(phi: np.ndarray, k) -> tuple:
+    """_design of a 1-D float64 grid, from the cache unless the grid is too long."""
+    return _grid_terms(phi.tobytes(), k) if len(phi) <= _CACHED_POINTS else _design(phi, k)
+
+
+def harmonics(phi, k: int = 1):
+    """(cos(k phi), sin(k phi)), the same floats numpy gives for k * phi.
+
+    A 1-D grid's pair is read-only and cached by the grid's contents, so a
+    grid changed in place gets the terms of its new values; a scalar or an
+    array of any other shape is computed on each call.
+    """
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 1:
+        return np.cos(k * phi), np.sin(k * phi)
+    c, s, _, _ = _terms(phi, k)
+    return c, s
+
+
 def harmonic_fit(values, phi, k: int):
     """Least-squares offset and k-th harmonic of scans along the last axis.
 
@@ -85,7 +132,9 @@ def harmonic_fit(values, phi, k: int):
     Im(amplitude) sin(k phi), arrays of the leading shape (scalars for one
     scan).  One inverse of the normal matrix serves every row, and each row's
     sums are elementwise products summed along the last axis, so a stack
-    gives bit for bit the fits of its rows on their own.  A grid that cannot
+    gives bit for bit the fits of its rows on their own.  The terms and the
+    inverse depend on the grid alone and come from the harmonics cache; a
+    call computes only the three sums of each row.  A grid that cannot
     resolve the terms (fewer than three distinct phases mod 2 pi / k, or too
     short a span) raises UnresolvableGrid.
     """
@@ -93,13 +142,8 @@ def harmonic_fit(values, phi, k: int):
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or y.shape[-1:] != phi.shape:
         raise ValueError(f"values of shape {y.shape} do not lie along a grid of shape {phi.shape}")
-    c, s = np.cos(k * phi), np.sin(k * phi)
-    # normal matrix [[n, sc, ss], [sc, scc, scs], [ss, scs, sss]] and its adjugate
-    n, sc, ss = float(len(phi)), c.sum(), s.sum()
-    scc, sss, scs = (c * c).sum(), (s * s).sum(), (c * s).sum()
-    a00, a01, a02 = scc * sss - scs * scs, ss * scs - sc * sss, sc * scs - ss * scc
-    a11, a12, a22 = n * sss - ss * ss, sc * ss - n * scs, n * scc - sc * sc
-    det = n * a00 + sc * a01 + ss * a02
+    c, s, (a00, a01, a02, a11, a12, a22), det = _terms(phi, k)
+    n = float(len(phi))
     ratio = 4.0 * det / n**3 if n else 0.0
     if not ratio > MIN_GRAM_RATIO:
         raise UnresolvableGrid(f"{len(phi)} phases cannot separate an offset from harmonic {k} (4 det / n^3 of "

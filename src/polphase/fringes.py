@@ -536,6 +536,9 @@ def _read_pgm(path) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P5":
         raise ValueError(f"not a binary PGM: magic {fields[0]!r}")
+    for name, text in zip(("width", "height", "maxval"), fields[1:]):
+        if not text.isdigit() or int(text) == 0:  # bytes.isdigit: ASCII digits only, no sign
+            raise ValueError(f"malformed PGM header: {name} {text!r} is not a positive integer")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != _PGM_MAXVAL:
         raise ValueError(f"expected 16-bit graymap (maxval {_PGM_MAXVAL}), got {maxval}")

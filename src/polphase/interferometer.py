@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import UnresolvableGrid, harmonic_fit  # UnresolvableGrid: the fit's refusal, raised from here too
+from .dsp import UnresolvableGrid, harmonic_fit, harmonics  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import compose
 from .su2 import finite, from_yzy, wrap_angle
 
@@ -75,7 +75,8 @@ def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = F
     phi = finite("phi", phi)
     k = _INPUT_INDEX[input_pol]
     w = u[..., k, k].reshape(u.shape[:-2] + (1,) * phi.ndim)
-    fringe = w.real * np.cos(phi) + w.imag * np.sin(phi)  # Re(e^{-i phi} w)
+    cos_phi, sin_phi = harmonics(phi)
+    fringe = w.real * cos_phi + w.imag * sin_phi  # Re(e^{-i phi} w)
     intensity = 0.5 * (1.0 + fringe) if complementary else 0.5 * (1.0 - fringe)
     return float(intensity) if intensity.ndim == 0 else intensity
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import UnresolvableGrid, harmonic_fit  # UnresolvableGrid: the fit's refusal, raised from here too
+from .dsp import UnresolvableGrid, harmonic_fit, harmonics  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import WavePlate, compose
 from .su2 import EPS_DEGENERATE, YzyParams, finite
 
@@ -70,7 +70,8 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     xi, eta, zeta, phi = finite("xi", xi), finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
     ce, se = np.cos(eta / 2.0), np.sin(eta / 2.0)
     cs = np.cos((xi + zeta) / 2.0)
-    swing = ce * np.sin((xi + zeta) / 2.0) * np.cos(phi) + se * np.sin((xi - zeta) / 2.0) * np.sin(phi)
+    cos_phi, sin_phi = harmonics(phi)
+    swing = ce * np.sin((xi + zeta) / 2.0) * cos_phi + se * np.sin((xi - zeta) / 2.0) * sin_phi
     # squares as products: numpy squares a scalar with pow(), which can differ in the last bit
     out = ce * ce * (cs * cs) + swing * swing
     return float(out) if out.ndim == 0 else out
@@ -171,7 +172,7 @@ def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
     phis = np.atleast_1d(finite("phi_grid", phi_grid))
     u = compose(plates)
     a, b, c = (u[0, 0] + u[1, 1]) / 2.0, (u[0, 0] - u[1, 1]) / 2.0, (u[0, 1] + u[1, 0]) / 2.0
-    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    cos_phi, sin_phi = harmonics(phis)
     re = a.real + b.real * cos_phi + c.real * sin_phi
     im = a.imag + b.imag * cos_phi + c.imag * sin_phi
     return re * re + im * im

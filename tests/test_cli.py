@@ -572,6 +572,33 @@ def test_non_finite_parameter_is_named_in_the_error(tmp_path, capsys):
     assert not (tmp_path / "interferogram.pgm").exists()
 
 
+# one run per command, each refused after its options were read: the output
+# directory is made only once the inputs are checked, so none is left behind
+REFUSED_RUNS = {
+    "decompose": ["decompose", "--xi", "nan", "--eta", "0", "--zeta", "0"],
+    "interf_sweep": ["interf", "sweep", "--xi", "0", "--eta", "0", "--zeta", "0", "--samples", "2"],
+    "interf_surface": ["interf", "surface", "--zeta", "nan"],
+    "polarimetry": ["polarimetry", "--mode", "zeta2pi", "--noise-sigma", "nan"],
+    "polarimetry_sweep_out_without_eta": ["polarimetry", "--mode", "zeta2pi", "--eta-steps", "4",
+                                          "--n-grid", "256", "--sweep-out", "scan.csv"],
+    "polarimetry_plates": ["polarimetry", "--plates", "bad_plates.txt"],
+    "fringe_generate": ["fringe", "generate", "--delta", "0.5", "--k0", "4"],
+    "fringe_analyze": ["fringe", "analyze", "--image", "bad.pgm"],
+    "visibility": ["visibility", "--theta1", "nan", "--theta2", "0", "--theta3", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_RUNS))
+def test_a_refused_run_writes_nothing(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad_plates.txt").write_text("Q not-an-angle\n")
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n-4 -4 65535\n")
+    code, out, err = run_cli(capsys, *REFUSED_RUNS[name], "--out-dir", "out")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # one process, many runs: nothing parsed carries over from one call to the next
 

@@ -77,3 +77,70 @@ def test_harmonic_fit_refuses_grids_that_cannot_resolve_the_harmonic(phi, k):
 def test_harmonic_fit_needs_values_along_the_grid():
     with pytest.raises(ValueError, match="do not lie along a grid"):
         dsp.harmonic_fit(np.ones((3, 10)), np.linspace(0.0, 6.0, 9), 1)
+
+
+# ---------------------------------------------------------------------------
+# the grid cache behind harmonics and harmonic_fit
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_harmonics_are_numpys_cos_and_sin_on_first_and_repeat_calls(k):
+    phi = np.sort(RNG.uniform(-3.0, 9.0, 777))  # a grid no other test has cached
+    misses = dsp._grid_terms.cache_info().misses
+    for _ in range(2):
+        c, s = dsp.harmonics(phi, k)
+        np.testing.assert_array_equal(c, np.cos(k * phi), strict=True)
+        np.testing.assert_array_equal(s, np.sin(k * phi), strict=True)
+    assert dsp._grid_terms.cache_info().misses == misses + 1
+
+
+def test_harmonics_of_other_shapes_are_computed_directly():
+    mesh = RNG.uniform(0.0, 6.0, (5, 7))
+    size = dsp._grid_terms.cache_info().currsize
+    for phi in (mesh, 0.3, np.float64(-2.5)):
+        c, s = dsp.harmonics(phi, 2)
+        np.testing.assert_array_equal(c, np.cos(2 * np.asarray(phi)))
+        np.testing.assert_array_equal(s, np.sin(2 * np.asarray(phi)))
+    assert dsp._grid_terms.cache_info().currsize == size
+
+
+def test_cached_harmonics_are_read_only():
+    c, s = dsp.harmonics(np.linspace(0.0, 2 * np.pi, 64, endpoint=False), 2)
+    for term in (c, s):
+        with pytest.raises(ValueError, match="read-only"):
+            term[0] = 1.0
+
+
+def test_the_cache_is_keyed_by_the_grid_contents():
+    phi = np.linspace(0.0, 2 * np.pi, 300, endpoint=False)
+    values = RNG.normal(size=(2, 300))
+    dsp.harmonic_fit(values, phi, 1)
+    phi *= 1.5  # changed in place after its fit was cached
+    values = 0.2 + 0.3 * np.cos(phi) - 0.4 * np.sin(phi) + np.zeros((2, 1))
+    offsets, amplitudes = dsp.harmonic_fit(values, phi, 1)
+    np.testing.assert_allclose(offsets, 0.2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(amplitudes, 0.3 - 0.4j, rtol=0, atol=1e-12)
+    for row in range(2):
+        assert dsp.harmonic_fit(values[row], phi.copy(), 1) == (offsets[row], amplitudes[row])
+    np.testing.assert_array_equal(dsp.harmonics(phi)[0], np.cos(phi))
+
+
+def test_a_cached_unresolvable_grid_is_refused_on_every_call():
+    phi = np.array([0.25, np.pi + 0.25, 0.25, np.pi + 0.25])  # two distinct phases mod 2 pi
+    hits = dsp._grid_terms.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(dsp.UnresolvableGrid):
+            dsp.harmonic_fit(np.ones(4), phi, 1)
+    assert dsp._grid_terms.cache_info().hits >= hits + 2
+
+
+def test_the_cache_is_bounded():
+    maxsize = dsp._grid_terms.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 16
+    for n in range(64, 64 + 2 * maxsize):
+        dsp.harmonic_fit(np.ones(n), np.linspace(0.0, 2 * np.pi, n, endpoint=False), 2)
+    assert dsp._grid_terms.cache_info().currsize == maxsize
+    # a grid longer than the cached ones is computed on each call, to the same floats
+    phi = np.linspace(0.0, 2 * np.pi, dsp._CACHED_POINTS + 1)
+    misses = dsp._grid_terms.cache_info().misses
+    np.testing.assert_array_equal(dsp.harmonics(phi, 2)[1], np.sin(2 * phi))
+    assert dsp._grid_terms.cache_info().misses == misses

@@ -551,6 +551,20 @@ def test_pgm_rejects_a_truncated_header(tmp_path, header):
         fringes.load_interferogram(path)
 
 
+@pytest.mark.parametrize("header, field", [
+    (b"P5\nabc 4 65535\n", "width"),  # used to leak int()'s "invalid literal"
+    (b"P5\n-4 -4 65535\n", "width"),  # used to reach reshape with negative sizes
+    (b"P5\n0 4 65535\n", "width"),
+    (b"P5\n4 0x4 65535\n", "height"),
+    (b"P5\n4 4 +65535\n", "maxval"),
+])
+def test_pgm_rejects_a_malformed_header(tmp_path, header, field):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(32))
+    with pytest.raises(ValueError, match=f"^malformed PGM header: {field} b'.*' is not a positive integer$"):
+        fringes.load_interferogram(path)
+
+
 def test_analyze_after_save_round_trip(tmp_path):
     img = fringes.generate(0.55, 0.3, 0.22, size=(480, 640))
     path = tmp_path / "rt.pgm"
