@@ -17,7 +17,7 @@ to repeat the run exactly.  CSV output uses 12 significant digits and is
 byte-stable across reruns with the same configuration and seed.  On failure a
 single ``error: <Kind>: <message>`` line goes to stderr, the exit code is
 nonzero, and nothing is written: the output directory is made only once the
-inputs have been checked.
+inputs, and the directory of every output, have been checked.
 """
 
 from __future__ import annotations
@@ -39,18 +39,25 @@ class UnknownConfigKey(ValueError):
     """A config-file line is not ``key=value`` with one of the command's value options."""
 
 
-@functools.cache
-def _row_template(types: tuple) -> str:
-    """printf template of a CSV line: None is an empty cell, a float (numpy's
-    too) has 12 significant digits, anything else is str()."""
-    return ",".join("%.0s" if t is type(None) else "%.12g" if issubclass(t, float) else "%s"
-                    for t in types) + "\n"
+class MissingOutputDirectory(FileNotFoundError):
+    """An output file would go to a directory that does not exist and will not be made."""
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    """Write equal-length columns under a header, the body in one printf pass: a
+    float array's cells get 12 significant digits, any other column's cells (ints,
+    or text for a column with empty cells) are written as they are."""
+    row = ",".join("%.12g" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s"
+                   for c in columns) + "\n"
+    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns]).ravel().tolist()
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([_row_template(tuple(map(type, row))) % row for row in map(tuple, rows)]))
+        fh.write(row * (len(cells) // len(columns)) % tuple(cells))
+
+
+def _cells(values, defined) -> list[str]:
+    """CSV text of a float column with 12 significant digits, empty where undefined."""
+    return ["%.12g" % v if ok else "" for v, ok in zip(values, defined)]
 
 
 def _load_config(args) -> dict:
@@ -146,18 +153,19 @@ class Resolver:
         (outdir / f"{self.args.name}_config.txt").write_text("".join(lines), encoding="ascii")
 
 
-def _outdir(args) -> Path:
-    """The output directory, created: each command calls this only once its inputs
-    have been checked and its results are in hand, so a refused run writes nothing."""
-    out = args.out_dir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _outpath(outdir: Path, name: str) -> Path:
-    p = Path(name)
-    return p if p.is_absolute() else outdir / p
+def _outdir(args, *names) -> tuple[Path, list]:
+    """The output directory, created, and the path of each named output in it (an
+    absolute name stays as it is; None for no output).  Each command calls this
+    only once its inputs have been checked and its results are in hand, and every
+    output's directory is checked before the output directory is made, so a
+    refused run writes nothing."""
+    outdir = Path(args.out_dir or os.environ.get(OUTDIR_ENV) or ".")
+    paths = [None if name is None else outdir / name for name in names]
+    for path in paths:
+        if path is not None and not path.parent.is_dir() and path.parent.resolve() != outdir.resolve():
+            raise MissingOutputDirectory(f"cannot write {str(path)!r}: no directory {str(path.parent)!r}")
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir, paths
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +192,7 @@ def _cmd_decompose(args, config) -> int:
 
     composed = plates.compose(array)
     residual = float(np.max(np.abs(composed - target)))
-    outdir = _outdir(args)
-    path = _outpath(outdir, out)
+    outdir, (path,) = _outdir(args, out)
     path.write_text(plates.format_plate_array(array), encoding="ascii")
     r.write(outdir)
 
@@ -219,9 +226,8 @@ def _cmd_interf_sweep(args, config) -> int:
     except interferometer.ZeroVisibility as exc:
         print(f"warning: {exc}", file=sys.stderr)
         recovered = "undefined"
-    outdir = _outdir(args)
-    _write_csv(_outpath(outdir, out), ["phi", "I_V", "I_H"],
-               zip(phis.tolist(), i_v.tolist(), i_h.tolist()))
+    outdir, (path,) = _outdir(args, out)
+    _write_csv(path, ["phi", "I_V", "I_H"], [phis, i_v, i_h])
     r.write(outdir)
 
     zyz = su2.to_zyz(u)
@@ -244,17 +250,15 @@ def _cmd_interf_surface(args, config) -> int:
     cos_delta = np.cos(zyz.delta)
     cos2 = cos_delta * cos_delta
     # beta = pi/2: phase undefined, cell left empty
-    rows = [(x, e, c if defined else None) for x, e, c, defined in
-            zip(xi.ravel().tolist(), eta.ravel().tolist(), cos2.ravel().tolist(),
-                zyz.delta_defined.ravel().tolist())]
+    cells = _cells(cos2.ravel().tolist(), zyz.delta_defined.ravel().tolist())
     degenerate = int(np.count_nonzero(~zyz.delta_defined))
-    outdir = _outdir(args)
-    _write_csv(_outpath(outdir, out), ["xi", "eta", "cos2_phase"], rows)
+    outdir, (path,) = _outdir(args, out)
+    _write_csv(path, ["xi", "eta", "cos2_phase"], [xi.ravel(), eta.ravel(), cells])
     r.write(outdir)
     if degenerate:
         print(f"warning: {degenerate} grid points with undefined phase (beta=pi/2)",
               file=sys.stderr)
-    print(f"surface written to {_outpath(outdir, out)} ({len(rows)} points)")
+    print(f"surface written to {path} ({len(cells)} points)")
     return 0
 
 
@@ -288,32 +292,27 @@ def _cmd_polarimetry(args, config) -> int:
     etas = np.linspace(0.0, 2.0 * np.pi, eta_steps, endpoint=False)
     zyz = su2.yzy_to_zyz(xi, etas, zeta)
     cos_delta = np.cos(zyz.delta)
-    expected_cos2 = [c if defined else None for c, defined in
-                     zip((cos_delta * cos_delta).tolist(), zyz.delta_defined.tolist())]
+    expected_cos2 = _cells((cos_delta * cos_delta).tolist(), zyz.delta_defined.tolist())
     # one scan per eta, as one stack; row k is the scan measure_phase makes with seed + k
     curve = polarimetry.polarimetric_sweep(xi, etas, zeta, n_grid, noise, seed)
     i_min, i_max = polarimetry.sweep_extrema(curve)
-    rows = []
-    degenerate = 0
-    for eta, lo, hi, expected in zip(etas.tolist(), i_min.tolist(), i_max.tolist(), expected_cos2):
+    measured_cos2 = []
+    for eta, lo, hi in zip(etas.tolist(), i_min.tolist(), i_max.tolist()):
         try:
-            measured = polarimetry.extract_cos2_phase(lo, hi)
+            measured_cos2.append("%.12g" % polarimetry.extract_cos2_phase(lo, hi))
         except polarimetry.DegenerateDenominator as exc:
             print(f"warning: eta={eta:.6g}: {exc}", file=sys.stderr)
-            measured = None
-            degenerate += 1
-        rows.append((eta, measured, expected))
+            measured_cos2.append("")
     if sweep_out is not None:
         sweep = polarimetry.polarimetric_sweep(xi, r.angle("eta", required=True), zeta, n_grid, noise, seed)
 
-    outdir = _outdir(args)
-    _write_csv(_outpath(outdir, out), ["eta", "cos2_measured", "cos2_expected"], rows)
+    outdir, (path, sweep_path) = _outdir(args, out, sweep_out)
+    _write_csv(path, ["eta", "cos2_measured", "cos2_expected"], [etas, measured_cos2, expected_cos2])
     if sweep_out is not None:
-        _write_csv(_outpath(outdir, sweep_out), ["phi", "intensity"],
-                   zip(sweep.phi_grid.tolist(), sweep.intensities.tolist()))
+        _write_csv(sweep_path, ["phi", "intensity"], [sweep.phi_grid, sweep.intensities])
     r.write(outdir)
-    print(f"curve written to {_outpath(outdir, out)} ({len(rows)} points, "
-          f"{degenerate} degenerate)")
+    print(f"curve written to {path} ({len(etas)} points, "
+          f"{measured_cos2.count('')} degenerate)")
     return 0
 
 
@@ -329,12 +328,11 @@ def _polarimetry_plate_scan(args, r: Resolver, plate_file: str) -> int:
     intensity = polarimetry.add_scan_noise(polarimetry.scan_plate_array(array, phis), noise, seed)
     sweep = polarimetry.PolarimetricSweep(phis, intensity, su2.YzyParams(0, 0, 0))
     i_min, i_max = polarimetry.sweep_extrema(sweep)
-    outdir = _outdir(args)
-    _write_csv(_outpath(outdir, out), ["phi", "intensity"],
-               zip(phis.tolist(), intensity.tolist()))
+    outdir, (path,) = _outdir(args, out)
+    _write_csv(path, ["phi", "intensity"], [phis, intensity])
     r.write(outdir)
 
-    print(f"scan written to {_outpath(outdir, out)} ({len(array)} plates)")
+    print(f"scan written to {path} ({len(array)} plates)")
     print(f"I_min={i_min:.12g}")
     print(f"I_max={i_max:.12g}")
     try:
@@ -365,8 +363,7 @@ def _cmd_fringe_generate(args, config) -> int:
         delta, beta, k0, size=(height, width), noise_sigma=noise,
         envelope_width=envelope, seed=seed, phi0=phi0,
     )
-    outdir = _outdir(args)
-    path = _outpath(outdir, out)
+    outdir, (path,) = _outdir(args, out)
     fringes.save_interferogram(img, path, extra={"seed": seed, "beta": beta,
                                                  "noise_sigma": noise})
     r.write(outdir)
@@ -402,9 +399,9 @@ def _cmd_fringe_analyze(args, config) -> int:
     result = fringes.retrieve_phase(img, regions, method=method)
     if profiles_out:
         up, low = fringes.column_average(img, regions[0])
-        profiles = zip(range(regions[0].col_start, regions[0].col_end), up.tolist(), low.tolist(),
-                       fringes.savitzky_golay(up).tolist(), fringes.savitzky_golay(low).tolist())
-    outdir = _outdir(args)
+        profiles = [range(regions[0].col_start, regions[0].col_end), up, low,
+                    fringes.savitzky_golay(up), fringes.savitzky_golay(low)]
+    outdir, (path, profiles_path) = _outdir(args, out or None, profiles_out or None)
     r.write(outdir)
 
     print(f"carrier_k0={result.carrier:.12g}")
@@ -425,14 +422,12 @@ def _cmd_fringe_analyze(args, config) -> int:
         print(f"true_2delta={truth:.12g}")
         print(f"abs_error={error:.12g}")
     if out:
-        rows = [(i, reg.col_start, reg.col_end, reg.row_start, reg.row_end, est)
-                for i, (reg, est) in enumerate(zip(regions, result.region_estimates))]
-        _write_csv(_outpath(outdir, out),
-                   ["region", "col_start", "col_end", "row_start", "row_end", "estimate_2delta"],
-                   rows)
+        estimates = np.array(result.region_estimates)
+        bounds = zip(*[(reg.col_start, reg.col_end, reg.row_start, reg.row_end) for reg in regions[:len(estimates)]])
+        _write_csv(path, ["region", "col_start", "col_end", "row_start", "row_end", "estimate_2delta"],
+                   [range(len(estimates)), *bounds, estimates])
     if profiles_out:
-        _write_csv(_outpath(outdir, profiles_out),
-                   ["column", "upper", "lower", "upper_smooth", "lower_smooth"], profiles)
+        _write_csv(profiles_path, ["column", "upper", "lower", "upper_smooth", "lower_smooth"], profiles)
     return 0
 
 
@@ -463,11 +458,10 @@ def _cmd_visibility(args, config) -> int:
     columns = [t1, t2, t3, interferometer.visibility_plates(t1, t2, t3)]
     if check:
         columns.append(_simulated_visibility(t1, t2, t3))
-    rows = list(zip(*(c.tolist() for c in columns)))
-    outdir = _outdir(args)
-    _write_csv(_outpath(outdir, out), header, rows)
+    outdir, (path,) = _outdir(args, out)
+    _write_csv(path, header, columns)
     r.write(outdir)
-    print(f"visibility data written to {_outpath(outdir, out)} ({len(rows)} points)")
+    print(f"visibility data written to {path} ({len(t1)} points)")
     return 0
 
 

@@ -149,7 +149,9 @@ def harmonic_fit(values, phi, k: int):
         raise UnresolvableGrid(f"{len(phi)} phases cannot separate an offset from harmonic {k} (4 det / n^3 of "
                                f"the normal matrix {ratio:.3g} < {MIN_GRAM_RATIO:g}): need three distinct "
                                f"phases mod 2 pi / {k}, over more than a sliver of the period")
-    r0, r1, r2 = y.sum(-1), (y * c).sum(-1), (y * s).sum(-1)
+    # one product buffer serves both sums; each row's sum is the pairwise sum it always was
+    product = y * c
+    r0, r1, r2 = y.sum(-1), product.sum(-1), np.multiply(y, s, out=product).sum(-1)
     offset = (a00 * r0 + a01 * r1 + a02 * r2) / det
     amplitude = (a01 * r0 + a11 * r1 + a12 * r2) / det + 1j * ((a02 * r0 + a12 * r1 + a22 * r2) / det)
     return offset, amplitude

@@ -94,7 +94,8 @@ class Interferogram:
             raise ValueError(f"image must be at least 16x16, got {h}x{w}")
         if not 0 < self.half_split_row < h:
             raise ValueError(f"half_split_row {self.half_split_row} outside (0, {h})")
-        if not np.all(np.isfinite(self.pixels)) or np.any(self.pixels < 0):
+        # NaN fails both comparisons; two reductions, no full-size boolean masks
+        if not (self.pixels.min() >= 0.0 and self.pixels.max() < np.inf):
             raise ValueError("pixel intensities must be finite and nonnegative")
 
     @property
@@ -146,12 +147,14 @@ def generate(
         dx = x - (w - 1) / 2.0
         dy = np.arange(h, dtype=float) - (h - 1) / 2.0
         r2 = dx * dx + (dy * dy)[:, None]
-        pixels *= np.exp(-0.5 * r2 / (envelope_width * envelope_width))
+        r2 *= -0.5
+        r2 /= envelope_width * envelope_width
+        pixels *= np.exp(r2, out=r2)
 
+    # in place: a fresh full-size array per step costs more in page faults than the arithmetic
     if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        pixels = pixels + rng.normal(0.0, noise_sigma, pixels.shape)
-    pixels = np.clip(pixels, 0.0, 1.0)
+        pixels += np.random.default_rng(seed).normal(0.0, noise_sigma, pixels.shape)
+    np.clip(pixels, 0.0, 1.0, out=pixels)
     return Interferogram(pixels, split, k0=k0, true_delta=delta)
 
 
@@ -499,10 +502,12 @@ def save_interferogram(img: Interferogram, path, extra: dict | None = None) -> N
     """Write a 16-bit binary PGM plus a ``<path>.meta`` key=value sidecar."""
     path = Path(path)
     h, w = img.shape
-    data = np.round(np.clip(img.pixels, 0.0, 1.0) * _PGM_MAXVAL).astype(">u2")
+    scaled = np.clip(img.pixels, 0.0, 1.0)
+    scaled *= _PGM_MAXVAL
+    data = np.round(scaled, out=scaled).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n{_PGM_MAXVAL}\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(data)
     meta: dict = {"split_row": img.half_split_row}
     if img.k0 is not None:
         meta["k0"] = img.k0
@@ -545,7 +550,9 @@ def _read_pgm(path) -> np.ndarray:
     data = np.frombuffer(raw[pos:pos + 2 * w * h], dtype=">u2")
     if data.size != w * h:
         raise ValueError("truncated PGM payload")
-    return data.reshape(h, w).astype(float) / _PGM_MAXVAL
+    pixels = data.reshape(h, w).astype(float)
+    pixels /= _PGM_MAXVAL
+    return pixels
 
 
 def load_interferogram(path) -> tuple[Interferogram, dict]:

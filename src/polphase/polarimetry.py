@@ -71,10 +71,13 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     ce, se = np.cos(eta / 2.0), np.sin(eta / 2.0)
     cs = np.cos((xi + zeta) / 2.0)
     cos_phi, sin_phi = harmonics(phi)
-    swing = ce * np.sin((xi + zeta) / 2.0) * cos_phi + se * np.sin((xi - zeta) / 2.0) * sin_phi
-    # squares as products: numpy squares a scalar with pow(), which can differ in the last bit
-    out = ce * ce * (cs * cs) + swing * swing
-    return float(out) if out.ndim == 0 else out
+    # swing is built and squared in place, in the closed form's order; the squares
+    # are products: numpy squares a scalar with pow(), which can differ in the last bit
+    swing = ce * np.sin((xi + zeta) / 2.0) * cos_phi
+    swing += se * np.sin((xi - zeta) / 2.0) * sin_phi
+    swing *= swing
+    swing += ce * ce * (cs * cs)
+    return float(swing) if swing.ndim == 0 else swing
 
 
 def extract_cos2_phase(i_min: float, i_max: float) -> float:
@@ -124,7 +127,8 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
     for k, row in enumerate(np.ndindex(intensity.shape[:-1])):
         row_seed = seed + k if stacked and seed is not None else seed
         noise[row] = np.random.default_rng(row_seed).normal(0.0, noise_sigma, intensity.shape[-1])
-    return np.clip(intensity + noise, 0.0, 1.0)
+    noise += intensity
+    return np.clip(noise, 0.0, 1.0, out=noise)
 
 
 def polarimetric_sweep(

@@ -113,7 +113,7 @@ def finite(name: str, value, dtype=float) -> np.ndarray:
     array = np.asarray(value, dtype=dtype)
     bad = ~np.isfinite(array)
     if bad.any():
-        shown = array.item() if array.ndim == 0 else f"{int(bad.sum())} of {array.size} values"
+        shown = array.item() if array.size == 1 else f"{int(bad.sum())} of {array.size} values"
         raise NonFiniteInput(f"{name} must be finite, got {shown}")
     return array
 

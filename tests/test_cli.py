@@ -599,6 +599,55 @@ def test_a_refused_run_writes_nothing(name, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_non_finite_one_point_grid_shows_its_value(tmp_path, capsys):
+    # a one-point grid is a one-element array, reported like the scalar it stands for
+    code, _, err = run_cli(capsys, "visibility", "--theta1", "nan", "--theta2", "0", "--theta3", "0",
+                           "--out-dir", str(tmp_path))
+    assert (code, err) == (1, "error: NonFiniteInput: theta1 must be finite, got nan\n")
+
+
+# every output goes to a directory that exists or is the output directory itself;
+# any other is refused before the output directory is made
+MISSING_DIRECTORY_RUNS = {
+    "interf_sweep": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
+                     "--out", "missing/x.csv"],
+    "polarimetry_sweep_out": ["polarimetry", "--mode", "zeta2pi", "--eta-steps", "4", "--n-grid", "256",
+                              "--eta", "1", "--sweep-out", "missing/scan.csv"],
+    "fringe_analyze_out": ["fringe", "analyze", "--image", "img.pgm", "--out", "missing/regions.csv"],
+    "fringe_analyze_profiles_out": ["fringe", "analyze", "--image", "img.pgm",
+                                    "--profiles-out", "missing/profiles.csv"],
+    "decompose_absolute": ["decompose", "--xi", "0", "--eta", "0", "--zeta", "0", "--out", "{tmp}/missing/p.txt"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_DIRECTORY_RUNS))
+def test_an_output_in_a_missing_directory_is_refused_before_anything_is_written(name, tmp_path, capsys,
+                                                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "fringe", "generate", "--delta", "0.5", "--k0", "0.25", "--width", "128",
+                   "--height", "64", "--out", "img.pgm")[0] == 0
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in MISSING_DIRECTORY_RUNS[name]]
+    code, out, err = run_cli(capsys, *argv, "--out-dir", "o")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: MissingOutputDirectory: ") and err.count("\n") == 1
+    assert "missing" in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "missing").exists()
+
+
+def test_outputs_may_go_to_the_new_output_directory_or_an_existing_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept").mkdir()
+    code, _, _ = run_cli(capsys, "polarimetry", "--mode", "zeta2pi", "--eta-steps", "4", "--n-grid", "256",
+                         "--eta", "1", "--out", "./curve.csv", "--sweep-out", str(tmp_path / "kept" / "scan.csv"),
+                         "--out-dir", "new/deeper")
+    assert code == 0
+    assert (tmp_path / "new" / "deeper" / "curve.csv").exists()
+    assert (tmp_path / "kept" / "scan.csv").exists()
+    code, _, _ = run_cli(capsys, "interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
+                         "--out", "../kept/sweep.csv", "--out-dir", "new")
+    assert code == 0 and (tmp_path / "kept" / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # one process, many runs: nothing parsed carries over from one call to the next
 
@@ -662,3 +711,57 @@ def test_outputs_match_the_recorded_bytes(name, tmp_path, capsys, monkeypatch):
     assert written == sorted(p.name for p in expected.iterdir() if p.name not in ("stdout.txt", "stderr.txt"))
     for file in written:
         assert (tmp_path / file).read_bytes() == (expected / file).read_bytes(), file
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer: one printf pass over the columns writes the bytes the per-row
+# writer it replaced wrote, kept here as the oracle
+
+def _row_template(types: tuple) -> str:
+    """printf template of a CSV line: None is an empty cell, a float (numpy's
+    too) has 12 significant digits, anything else is str()."""
+    return ",".join("%.0s" if t is type(None) else "%.12g" if issubclass(t, float) else "%s"
+                    for t in types) + "\n"
+
+
+def write_csv_by_rows(path, header, rows):
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([_row_template(tuple(map(type, row))) % row for row in map(tuple, rows)]))
+
+
+def _mixed_table(n):
+    """n rows of a Python float, a numpy float, an int and a float that is
+    sometimes missing, as rows for the oracle and as columns for the writer."""
+    rng = np.random.default_rng(n)
+    floats = rng.normal(scale=10.0 ** rng.integers(-20, 20, n), size=n)
+    specials = [0.0, -0.0, 1e300, -5e-324, np.pi, 2.0 ** 60, 1 / 3, 123456789012.5]
+    floats[:min(n, len(specials))] = specials[:n]
+    numpy_floats = rng.uniform(-1.0, 1.0, n)
+    ints = rng.integers(-10**6, 10**6, n).tolist()
+    defined = (rng.uniform(size=n) < 0.6).tolist()
+    maybe = rng.uniform(size=n)
+    rows = [(f, g, i, m if ok else None) for f, g, i, m, ok in
+            zip(floats.tolist(), list(numpy_floats), ints, maybe.tolist(), defined)]
+    columns = [floats, numpy_floats, ints, cli._cells(maybe.tolist(), defined)]
+    return rows, columns
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 57, 4096])
+def test_the_csv_writer_writes_the_bytes_of_the_per_row_writer(n, tmp_path):
+    rows, columns = _mixed_table(n)
+    header = ["f", "g", "i", "maybe"]
+    write_csv_by_rows(tmp_path / "rows.csv", header, rows)
+    cli._write_csv(tmp_path / "columns.csv", header, columns)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert len((tmp_path / "columns.csv").read_text().splitlines()) == n + 1
+
+
+def test_the_csv_writer_takes_ranges_and_numpy_ints_as_they_are(tmp_path):
+    values = np.linspace(-1.0, 1.0, 5)
+    write_csv_by_rows(tmp_path / "rows.csv", ["k", "n", "v"],
+                      zip(range(3, 8), np.arange(5, dtype=np.int64), values))
+    cli._write_csv(tmp_path / "columns.csv", ["k", "n", "v"], [range(3, 8), np.arange(5, dtype=np.int64), values])
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "ragged.csv", ["k", "v"], [range(4), values])

@@ -60,6 +60,31 @@ def test_harmonic_fit_of_a_stack_equals_the_fits_of_its_rows_bit_for_bit():
         assert dsp.harmonic_fit(values[index], phi, 2) == (offsets[index], amplitudes[index])
 
 
+def _fit_with_fresh_products(values, phi, k):
+    """harmonic_fit with a new array for each product, as it was first written."""
+    c, s, (a00, a01, a02, a11, a12, a22), det = dsp._terms(phi, k)
+    r0, r1, r2 = values.sum(-1), (values * c).sum(-1), (values * s).sum(-1)
+    offset = (a00 * r0 + a01 * r1 + a02 * r2) / det
+    return offset, (a01 * r0 + a11 * r1 + a12 * r2) / det + 1j * ((a02 * r0 + a12 * r1 + a22 * r2) / det)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_harmonic_fit_leaves_its_inputs_and_the_cached_terms_untouched(k):
+    phi = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    stack = RNG.normal(size=(64, 4096))
+    cached = [term.copy() for term in dsp.harmonics(phi, k)]
+    for values in (stack, stack[5], stack[::3, :], np.asfortranarray(stack), stack[:, None, :]):
+        kept, grid = values.copy(), phi.copy()
+        got = dsp.harmonic_fit(values, phi, k)
+        np.testing.assert_array_equal(values, kept, strict=True)
+        np.testing.assert_array_equal(phi, grid, strict=True)
+        # one product buffer for both sums: the same floats as a new array for each
+        for part, want in zip(got, _fit_with_fresh_products(values, phi, k)):
+            np.testing.assert_array_equal(part, want, strict=True)
+    for term, copy in zip(dsp.harmonics(phi, k), cached):
+        np.testing.assert_array_equal(term, copy, strict=True)
+
+
 @pytest.mark.parametrize("phi, k", [
     (np.array([]), 1),
     (np.array([0.4, 1.1]), 1),

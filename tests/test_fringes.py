@@ -1,6 +1,7 @@
 """Tests for synthetic interferograms and the two shift estimators."""
 
 import gc
+import hashlib
 import weakref
 from pathlib import Path
 
@@ -531,6 +532,81 @@ def test_pgm_payload_format(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n16 16\n65535\n")
     assert len(raw) == len(b"P5\n16 16\n65535\n") + 16 * 16 * 2
+
+
+def _generate_with_fresh_arrays(delta, beta, k0, size, noise_sigma, envelope_width, seed):
+    """generate with a new array for every step, as it was first written."""
+    h, w = size
+    x = np.arange(w, dtype=float)
+    pixels = np.empty((h, w))
+    pixels[:h // 2] = 0.5 * (1.0 - np.cos(beta) * np.cos(k0 * x - delta))
+    pixels[h // 2:] = 0.5 * (1.0 - np.cos(beta) * np.cos(k0 * x + delta))
+    if envelope_width is not None:
+        dx, dy = x - (w - 1) / 2.0, np.arange(h, dtype=float) - (h - 1) / 2.0
+        pixels *= np.exp(-0.5 * (dx * dx + (dy * dy)[:, None]) / (envelope_width * envelope_width))
+    if noise_sigma > 0.0:
+        pixels = pixels + np.random.default_rng(seed).normal(0.0, noise_sigma, pixels.shape)
+    return np.clip(pixels, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("noise_sigma, envelope_width", [(0.0, None), (0.3, None), (0.3, 120.0)])
+def test_generate_in_place_gives_the_floats_of_fresh_arrays(noise_sigma, envelope_width):
+    args = (0.4, 0.2, 0.3, (96, 160), noise_sigma, envelope_width, 11)
+    img = fringes.generate(*args[:4], noise_sigma=noise_sigma, envelope_width=envelope_width, seed=11)
+    np.testing.assert_array_equal(img.pixels, _generate_with_fresh_arrays(*args), strict=True)
+    assert img.pixels.flags.owndata and img.pixels.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_interferogram_refuses_a_non_finite_or_negative_pixel(bad):
+    pixels = np.full((16, 16), 0.5)
+    pixels[3, 7] = bad
+    with pytest.raises(ValueError, match="^pixel intensities must be finite and nonnegative$"):
+        fringes.Interferogram(pixels, 8)
+    # zero, negative zero and the largest float are finite and nonnegative
+    pixels[3, 7], pixels[0, 0], pixels[-1, -1] = 0.0, -0.0, np.finfo(float).max
+    fringes.Interferogram(pixels, 8)
+
+
+def test_save_leaves_the_image_and_its_caller_array_untouched(tmp_path):
+    pixels = np.random.default_rng(3).uniform(0.0, 1.3, (24, 40))  # above 1 is clipped on save
+    kept = pixels.copy()
+    img = fringes.Interferogram(pixels, 12, k0=0.5, true_delta=0.1)
+    fringes.save_interferogram(img, tmp_path / "img.pgm")
+    np.testing.assert_array_equal(pixels, kept, strict=True)
+    assert img.pixels is pixels
+    # one scaled buffer, rounded in place: the 16-bit levels of the out-of-place expression
+    payload = (tmp_path / "img.pgm").read_bytes()[len(b"P5\n40 24\n65535\n"):]
+    assert payload == np.round(np.clip(kept, 0.0, 1.0) * 65535).astype(">u2").tobytes()
+
+
+# generate -> save -> load at two seeds, plain and under an envelope: SHA-256 of the
+# PGM file and of the pixels read back.  The 16-bit levels do not move with the last
+# bit of cos/exp, which can differ between CPUs; the floats are pinned against the
+# out-of-place expression above instead.
+IMAGE_DIGESTS = {
+    (7, None): ("ca9ac82366966b23e9a4cbe05d1741187d01cd7119c63cb2efd4121edc930d71",
+                "accaada315acfd9b4ce023fbfef7f913597ba83abef1a7d1299b817c8109697b"),
+    (7, 300.0): ("186bea7e4a205b3e4fdb73d5fdb6cfd0d7d0d900eba884f6a2b1e69821a5bccf",
+                 "52f46ac93b91bfaaa3fd407564df253c776c09632347c91f985164b21dd669bf"),
+    (8, None): ("a5be2c7cf35879a47e3c006633a7fe28e941c10501a57e718c2ad94719d08d0e",
+                "707757a21a149767405f8260d87dfaf6cea506af90a9be343faf00f7eb4d6c4e"),
+    (8, 300.0): ("48adfae52083e619775ef8c088a3caccfc73acd20506b32f0fd373139fcd0126",
+                 "cf46efe7fa8bc69a2cdbac359bc753d6ac9ed4ea839f4da166e64e86e962ec6d"),
+}
+
+
+@pytest.mark.parametrize("seed, envelope_width", sorted(IMAGE_DIGESTS, key=str))
+def test_generated_images_keep_their_bytes(seed, envelope_width, tmp_path):
+    img = fringes.generate(0.5, 0.4, 0.25, noise_sigma=0.02, envelope_width=envelope_width, seed=seed)
+    path = tmp_path / "img.pgm"
+    fringes.save_interferogram(img, path)
+    loaded, _ = fringes.load_interferogram(path)
+    digests = (hashlib.sha256(path.read_bytes()).hexdigest(), hashlib.sha256(loaded.pixels.tobytes()).hexdigest())
+    assert digests == IMAGE_DIGESTS[seed, envelope_width]
+    # the reader divides in place: the floats of level / 65535
+    levels = np.frombuffer(path.read_bytes()[-2 * 480 * 640:], dtype=">u2").reshape(480, 640)
+    np.testing.assert_array_equal(loaded.pixels, levels.astype(float) / 65535, strict=True)
 
 
 def test_pgm_rejects_wrong_magic(tmp_path):

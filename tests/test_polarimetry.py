@@ -320,6 +320,43 @@ def test_scan_noise_seeds():
     assert polarimetry.add_scan_noise(clean, 0.0, [3, 4]) is clean
 
 
+def test_scan_noise_leaves_its_input_and_the_cached_grid_terms_untouched():
+    phi = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    cached = [term.copy() for term in dsp.harmonics(phi)]
+    clean = polarimetry.polarimetric_intensity(0.3, np.linspace(0.0, 6.0, 8)[:, None], -1.2, phi)
+    kept = clean.copy()
+    for intensity, seed in ((clean, 4), (clean[2], 4), (clean[::2, ::3], None)):
+        noisy = polarimetry.add_scan_noise(intensity, 0.3, seed)
+        assert noisy is not intensity and not np.shares_memory(noisy, clean)
+        np.testing.assert_array_equal(clean, kept, strict=True)
+    # the noise buffer takes the sum in place: the floats of a fresh sum, clipped
+    noise = np.random.default_rng(4).normal(0.0, 0.3, 4096)
+    np.testing.assert_array_equal(polarimetry.add_scan_noise(clean[2], 0.3, 4),
+                                  np.clip(clean[2] + noise, 0.0, 1.0), strict=True)
+    for term, copy in zip(dsp.harmonics(phi), cached):
+        np.testing.assert_array_equal(term, copy, strict=True)
+
+
+def _intensity_with_fresh_arrays(xi, eta, zeta, phi):
+    """polarimetric_intensity with a new array for every step, as it was first written."""
+    ce, se, cs = np.cos(eta / 2.0), np.sin(eta / 2.0), np.cos((xi + zeta) / 2.0)
+    swing = ce * np.sin((xi + zeta) / 2.0) * np.cos(phi) + se * np.sin((xi - zeta) / 2.0) * np.sin(phi)
+    return ce * ce * (cs * cs) + swing * swing
+
+
+def test_intensity_built_in_place_is_the_closed_form_bit_for_bit():
+    phi = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+    etas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)[:, None]
+    cached = [term.copy() for term in dsp.harmonics(phi)]
+    for xi, eta, zeta, grid in ((0.3, etas, 2 * np.pi, phi), (-np.pi, 0.4, 0.5, phi),
+                                (np.array([[0.1], [2.0]]), 0.7, -1.0, phi), (1.0, etas, -2.0, 0.25)):
+        np.testing.assert_array_equal(polarimetry.polarimetric_intensity(xi, eta, zeta, grid),
+                                      _intensity_with_fresh_arrays(xi, eta, zeta, grid))
+    assert isinstance(polarimetry.polarimetric_intensity(0.3, 0.4, 0.5, 0.6), float)
+    for term, copy in zip(dsp.harmonics(phi), cached):
+        np.testing.assert_array_equal(term, copy, strict=True)
+
+
 @pytest.mark.parametrize("sigma, error, message", [
     (np.inf, su2.NonFiniteInput, "^noise_sigma must be finite, got inf$"),
     (np.nan, su2.NonFiniteInput, "^noise_sigma must be finite, got nan$"),

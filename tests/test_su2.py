@@ -330,6 +330,8 @@ def test_non_finite_matrix_raises():
 @pytest.mark.parametrize("value, shown", [
     (float("nan"), "nan"), (np.float64(np.inf), "inf"), (np.float32(-np.inf), "-inf"),
     (np.array(np.nan), "nan"), (np.array([0.0, np.nan, np.inf]), "2 of 3 values"),
+    # a one-element array shows its value, whatever its shape
+    (np.array([np.nan]), "nan"), ([[-np.inf]], "-inf"), (np.full((1, 1, 1), np.inf), "inf"),
 ])
 def test_finite_names_the_value_it_refuses(value, shown):
     with pytest.raises(su2.NonFiniteInput, match=f"^angle must be finite, got {shown}$"):
