@@ -44,7 +44,7 @@ print(f"  Fourier carrier : {fringes.shift_by_fourier(up, low, carrier):+.6f}")
 # --- full retrieval over four stacked regions --------------------------------
 result = fringes.retrieve_phase(img, method="both")
 print("\nfour-region retrieval:")
-for i, est in enumerate(result.region_estimates):
+for i, est in zip(result.region_indices, result.region_estimates):
     print(f"  region {i}: {est:+.6f}")
 print(f"  estimate    : {result.estimate:+.6f}  (truth {2 * delta:+.6f})")
 print(f"  uncertainty : {result.uncertainty:.2e}")

@@ -405,7 +405,7 @@ def _cmd_fringe_analyze(args, config) -> int:
     r.write(outdir)
 
     print(f"carrier_k0={result.carrier:.12g}")
-    for i, est in enumerate(result.region_estimates):
+    for i, est in zip(result.region_indices, result.region_estimates):
         print(f"region_{i}_2delta={est:.12g}")
     print(f"estimate_2delta={result.estimate:.12g}")
     if result.uncertainty is None:
@@ -422,10 +422,10 @@ def _cmd_fringe_analyze(args, config) -> int:
         print(f"true_2delta={truth:.12g}")
         print(f"abs_error={error:.12g}")
     if out:
-        estimates = np.array(result.region_estimates)
-        bounds = zip(*[(reg.col_start, reg.col_end, reg.row_start, reg.row_end) for reg in regions[:len(estimates)]])
+        kept = [regions[i] for i in result.region_indices]
+        bounds = zip(*[(reg.col_start, reg.col_end, reg.row_start, reg.row_end) for reg in kept])
         _write_csv(path, ["region", "col_start", "col_end", "row_start", "row_end", "estimate_2delta"],
-                   [range(len(estimates)), *bounds, estimates])
+                   [result.region_indices, *bounds, np.array(result.region_estimates)])
     if profiles_out:
         _write_csv(profiles_path, ["column", "upper", "lower", "upper_smooth", "lower_smooth"], profiles)
     return 0

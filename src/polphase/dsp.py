@@ -8,10 +8,11 @@
   from a small cache keyed by the grid's contents (its bytes and k), bounded
   to eight grids of up to 65536 points; other shapes are computed directly.
 * vertex: the position of the three-point parabola's vertex, which refines a
-  sampled extremum of a 1-D array (the carrier peak of a spectrum, the
-  minima of a fringe profile).
+  sampled extremum of a 1-D array or of the rows of a stack (the carrier
+  peaks of spectra, the minima of fringe profiles).
 * savitzky_golay: the smoothing (Savitzky & Golay, Anal. Chem. 36:1627, 1964)
-  of the minima estimator, the only fringe step that smooths.
+  of the minima estimator, the only fringe step that smooths; a stack of
+  profiles is smoothed in one pass.
 """
 
 from __future__ import annotations
@@ -47,16 +48,19 @@ def savgol_coefficients(window: int, order: int) -> np.ndarray:
 
 
 def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.ndarray:
-    """Least-squares local-polynomial smoothing of a fringe profile.
+    """Least-squares local-polynomial smoothing of fringe profiles along the last axis.
 
     Endpoints are handled by refitting on the truncated window that remains
     inside the data (no reflection padding), so polynomials of degree <=
     order pass through unchanged everywhere, endpoints included.  All fits
-    are cached per (window, order): a call is one convolution plus one small
-    matrix product per edge.
+    are cached per (window, order).  A stack of profiles is smoothed in one
+    pass, each row bit for bit as on its own: one convolution runs over the
+    rows laid end to end, every centre sample is the same dot product of its
+    own window, and the outputs whose window straddles two rows are dropped;
+    each edge is one matrix product over the stack.
     """
     y = np.asarray(profile, dtype=float)
-    n = len(y)
+    n = y.shape[-1]
     if window % 2 == 0 or window < 1:
         raise ValueError(f"window must be odd and positive, got {window}")
     if order < 0 or order >= window:
@@ -66,11 +70,14 @@ def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.
 
     half = window // 2
     fits = _savgol_fits(window, order)
-    out = np.empty_like(y)
-    out[half:n - half] = np.convolve(y, fits[half, ::-1], mode="valid")
-    out[:half] = fits[:half] @ y[:window]
-    out[n - half:] = (fits[:half] @ y[::-1][:window])[::-1]
-    return out
+    rows = y.reshape(-1, n)
+    out = np.empty(rows.shape)
+    # full mode: output j + window - 1 is the fit centred in the window that starts at sample j
+    centre = np.convolve(rows.ravel(), fits[half, ::-1])[window - 1:window - 1 + rows.size]
+    out[:, half:n - half] = centre.reshape(-1, n)[:, :n - window + 1]
+    out[:, :half] = (fits[:half] @ rows[:, :window, None])[..., 0]
+    out[:, n - half:] = (fits[:half] @ rows[:, ::-1][:, :window, None])[:, ::-1, 0]
+    return out.reshape(y.shape)
 
 
 #: smallest accepted 4 det(G) / n^3 of the fit's normal matrix G over n phases: 1 on
@@ -160,13 +167,16 @@ def harmonic_fit(values, phi, k: int):
 def vertex(values: np.ndarray, index):
     """Sub-sample position of a sampled extremum through the three-point parabola.
 
-    For each interior ``index`` (an integer or an integer array) of the 1-D
-    ``values``, fits the parabola through that sample and its two neighbours
-    and returns index + the vertex offset.  A flat triple keeps the index.
+    For each interior ``index``, fits the parabola through that sample and its
+    two neighbours along the last axis and returns the index along that axis
+    + the vertex offset.  ``index`` is an integer or an integer array into a
+    1-D ``values``, or a (rows, columns) pair of integer arrays into a stack
+    of rows.  A flat triple keeps the index.
     """
-    ym, y0, yp = values[index - 1], values[index], values[index + 1]
+    *rows, col = index if isinstance(index, tuple) else (index,)
+    ym, y0, yp = values[(*rows, col - 1)], values[(*rows, col)], values[(*rows, col + 1)]
     slope = ym - yp
     curvature = ym - 2.0 * y0 + yp
     flat = curvature == 0.0
     # a flat triple divides 0 by 1: offset 0, without np.where's cost on scalars
-    return index + 0.5 * slope * ~flat / (curvature + flat)
+    return col + 0.5 * slope * ~flat / (curvature + flat)

@@ -21,18 +21,25 @@ Two estimators are provided:
   transform at k0 and difference them; the transform's magnitude over the
   windowed mean level also gives the fringe visibility.
 
+Every step works on a stack of profiles, one row per evaluation region.
+retrieve_phase stacks all regions of one width and runs each step once over
+the stack; column_average, estimate_carrier, shift_by_minima,
+shift_by_fourier and measure_visibility are the one-row calls of the same
+code, and give bit for bit the numbers retrieve_phase gives each region.
 Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
-# savgol_coefficients is not used here; it stays importable next to the filter
+# savgol_coefficients is not used here: it is imported so that code wrapping
+# fringes.savgol_coefficients by name (the benchmark's tracer does) finds it
 from .dsp import savgol_coefficients, savitzky_golay, vertex
 from .su2 import finite, wrap_angle
 
@@ -54,6 +61,8 @@ _FLAT_FLOOR = 1e-12
 
 #: savitzky_golay's default window, with which the minima estimator smooths
 _SG_WINDOW = 11
+
+_NO_POWER = "no carrier power at the estimated frequency"
 
 
 @dataclass(frozen=True)
@@ -177,8 +186,11 @@ def default_regions(img: Interferogram, count: int = 4, width_fraction: float = 
     return regions
 
 
-def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """Mean fringe profiles of the upper and lower halves within a region."""
+def _half_rows(img: Interferogram, region: Region) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Row ranges of a region's parts in the upper and the lower half.
+
+    Raises ValueError for a region that leaves the image or misses a half.
+    """
     h, w = img.shape
     if region.col_end > w or region.row_end > h:
         raise ValueError(f"region {region} outside image {h}x{w}")
@@ -187,38 +199,140 @@ def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.n
     low_rows = (max(region.row_start, split), region.row_end)
     if up_rows[0] >= up_rows[1] or low_rows[0] >= low_rows[1]:
         raise ValueError(f"region {region} does not intersect both halves (split={split})")
-    cols = slice(region.col_start, region.col_end)
-    up = img.pixels[up_rows[0]:up_rows[1], cols].mean(axis=0)
-    low = img.pixels[low_rows[0]:low_rows[1], cols].mean(axis=0)
-    return up, low
+    return up_rows, low_rows
+
+
+def _column_averages(img: Interferogram, regions: Sequence[Region]) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower mean profiles of regions of one width, as two (R, n) stacks.
+
+    Each row is its region's column sums over its row count, the bits of
+    ``mean(axis=0)``.
+    """
+    n = regions[0].col_end - regions[0].col_start
+    sums = np.empty((2, len(regions), n))
+    counts = np.empty((2, len(regions), 1))
+    for i, region in enumerate(regions):
+        cols = slice(region.col_start, region.col_end)
+        for half, (start, end) in enumerate(_half_rows(img, region)):
+            img.pixels[start:end, cols].sum(axis=0, out=sums[half, i])
+            counts[half, i] = end - start
+    sums /= counts
+    return sums[0], sums[1]
+
+
+def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """Mean fringe profiles of the upper and lower halves within a region."""
+    up, low = _column_averages(img, [region])
+    return up[0], low[0]
 
 
 # ---------------------------------------------------------------------------
-# Shift estimators
+# Shift estimators: each works on a stack of profiles, one row per region;
+# the public functions are their one-row calls
 
+@functools.lru_cache(maxsize=16)
 def _periodic_hann(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.flags.writeable = False
+    return window
 
 
-def _peak_bin(mags: np.ndarray) -> int:
-    """Index of the dominant nonzero-frequency peak of a magnitude spectrum.
+def _peak_bins(mags: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, list]:
+    """Dominant nonzero-frequency bin of each row of (R, m) magnitude spectra.
 
-    Raises NoCarrier when no candidate stands out: the peak must sit at bin
-    >= 2 and exceed the low-frequency shoulder (leakage around the zero peak)
-    by at least a factor of 2.
+    Returns the bins and, for each row, the NoCarrier saying why no
+    candidate stands out (None when one does): a flat profile, or a peak
+    that is zero, sits below bin 2 or fails to exceed the low-frequency
+    shoulder (leakage around the zero peak) by a factor of 2.
     """
-    kbin = int(np.argmax(mags[1:]) + 1)
-    if not mags[kbin] > 0:
-        raise NoCarrier("profile is constant")
+    kbin = mags[:, 1:].argmax(axis=1) + 1
+    peak = mags[np.arange(len(mags)), kbin]
+    below = np.arange(mags.shape[1]) < np.maximum(kbin // 2, 2)[:, None]
+    shoulder = np.where(below, mags, -np.inf)[:, 1:].max(axis=1)
+    errors = [None] * len(mags)
+    for r in np.flatnonzero(flat | ~(peak > 0) | (kbin < 2) | ~(peak >= 2.0 * shoulder)):
+        errors[r] = _no_carrier(flat[r], peak[r], kbin[r], shoulder[r])
+    return kbin, errors
+
+
+def _no_carrier(flat, peak, kbin, shoulder) -> NoCarrier:
+    """Why a row that _peak_bins refuses has no carrier."""
+    if flat:
+        return NoCarrier("profile is flat")
+    if not peak > 0:
+        return NoCarrier("profile is constant")
     if kbin < 2:
-        raise NoCarrier("spectrum peaks adjacent to zero frequency")
-    shoulder = float(np.max(mags[1:max(kbin // 2, 2)]))
-    if not mags[kbin] >= 2.0 * shoulder:
-        raise NoCarrier(
-            f"peak at bin {kbin} ({mags[kbin]:.3g}) does not dominate the "
-            f"low-frequency shoulder ({shoulder:.3g}) by 2x"
-        )
-    return kbin
+        return NoCarrier("spectrum peaks adjacent to zero frequency")
+    return NoCarrier(
+        f"peak at bin {kbin} ({peak:.3g}) does not dominate the "
+        f"low-frequency shoulder ({shoulder:.3g}) by 2x"
+    )
+
+
+def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
+    """estimate_carrier of every row of an (R, n) stack.
+
+    Returns the carriers, NaN where a row has none, and each row's NoCarrier
+    (None where it has a carrier).  One transform covers the stack, and the
+    Newton refinement runs on the rows that have not yet converged.
+    """
+    count, n = profiles.shape
+    k = np.full(count, np.nan)
+    if n < 8:
+        return k, [NoCarrier(f"profile too short ({n} samples)") for _ in range(count)]
+    windowed = (profiles - profiles.mean(axis=1, keepdims=True)) * _periodic_hann(n)
+    mags = np.abs(np.fft.rfft(windowed))
+    kbin, errors = _peak_bins(mags, np.ptp(profiles, axis=1) < _FLAT_FLOOR)
+    rows = np.array([r for r, error in enumerate(errors) if error is None], dtype=int)
+    if rows.size == 0:
+        return k, errors
+    kbin = kbin[rows]
+    dk = 2.0 * np.pi / n
+    lo = np.maximum(0.5 * dk, (kbin - 1.5) * dk)
+    hi = np.minimum(np.pi - 1e-12, (kbin + 1.5) * dk)
+    # three-bin vertex, never flat: argmax takes the first maximum, ym < y0 >= yp;
+    # a peak in the last bin keeps its bin (its column 1 is a stand-in)
+    inner = kbin + 1 < mags.shape[1]
+    peak = np.where(inner, vertex(mags, (rows, np.where(inner, kbin, 1))), kbin)
+    k[rows] = _refine_carriers(windowed[rows], np.minimum(np.maximum(peak * dk, lo), hi), lo, hi)
+    return k, errors
+
+
+def _refine_carriers(windowed: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Newton steps toward the maximum of each row's transform power |X(k)|^2.
+
+    A row leaves the iteration once its power stops bending down or its step
+    falls below 1e-13; at most 8 steps.
+    """
+    # X(k) = sum w_x e^{-ikx} and its first two k-derivatives; the origin sits
+    # mid-profile, which leaves |X| alone and keeps the x^2 weights small
+    n = windowed.shape[1]
+    x = np.arange(n) - (n - 1) / 2.0
+    weights = np.stack([windowed, -1j * x * windowed, -(x * x) * windowed], axis=1)
+    refined = k.copy()
+    rows = np.arange(len(k))  # the rows still iterating, whose weights, k, lo and hi these are
+    for _ in range(8):
+        value, slope, bend = (weights @ np.exp(-1j * k[:, None] * x)[..., None])[..., 0].T
+        # half the first and second derivatives of |X|^2, Re(X* X') and
+        # |X'|^2 + Re(X* X''), written out in real arithmetic as numpy's
+        # product of complex scalars computes them: its product of complex
+        # arrays may fuse multiply-adds and move the last bits of k
+        gradient = value.real * slope.real + value.imag * slope.imag
+        curvature = ((slope.real * slope.real + slope.imag * slope.imag)
+                     + (value.real * bend.real + value.imag * bend.imag))
+        keep = curvature < 0.0
+        if not keep.all():
+            rows, weights, k, lo, hi, gradient, curvature = (
+                a[keep] for a in (rows, weights, k, lo, hi, gradient, curvature))
+        step = np.minimum(np.maximum(k - gradient / curvature, lo), hi) - k
+        k = k + step
+        refined[rows] = k
+        keep = ~(np.abs(step) < 1e-13)
+        if not keep.all():
+            rows, weights, k, lo, hi = (a[keep] for a in (rows, weights, k, lo, hi))
+        if rows.size == 0:
+            break
+    return refined
 
 
 def estimate_carrier(profile: np.ndarray) -> float:
@@ -232,62 +346,64 @@ def estimate_carrier(profile: np.ndarray) -> float:
     of the coarse peak; this is accurate to a small fraction of a bin on
     clean fringes.  Raises NoCarrier when no dominant peak stands out.
     """
-    y = np.asarray(profile, dtype=float)
-    n = len(y)
-    if n < 8:
-        raise NoCarrier(f"profile too short ({n} samples)")
-    if np.ptp(y) < _FLAT_FLOOR:
-        raise NoCarrier("profile is flat")
-    windowed = (y - y.mean()) * _periodic_hann(n)
-    mags = np.abs(np.fft.rfft(windowed))
-    kbin = _peak_bin(mags)
-    dk = 2.0 * np.pi / n
-    lo = max(0.5 * dk, (kbin - 1.5) * dk)
-    hi = min(np.pi - 1e-12, (kbin + 1.5) * dk)
-    # three-bin vertex, never flat: argmax takes the first maximum, ym < y0 >= yp
-    peak = float(vertex(mags, kbin)) if kbin + 1 < len(mags) else kbin
-    k = min(max(peak * dk, lo), hi)
-    # X(k) = sum w_x e^{-ikx} and its first two k-derivatives; the origin sits
-    # mid-profile, which leaves |X| alone and keeps the x^2 weights small
-    x = np.arange(n) - (n - 1) / 2.0
-    weights = np.stack([windowed, -1j * x * windowed, -(x * x) * windowed])
-    for _ in range(8):
-        value, slope, bend = weights @ np.exp(-1j * k * x)
-        # half the first and second derivatives of |X|^2
-        gradient = (value.conjugate() * slope).real
-        curvature = (slope.conjugate() * slope).real + (value.conjugate() * bend).real
-        if not curvature < 0.0:
-            break
-        step = min(max(k - gradient / curvature, lo), hi) - k
-        k += step
-        if abs(step) < 1e-13:
-            break
-    return float(k)
+    k, (error,) = _carriers(np.asarray(profile, dtype=float)[None])
+    if error is not None:
+        raise error
+    return float(k[0])
+
+
+def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
+    """Interior local minima of every row of an (R, n) stack, to sub-sample accuracy.
+
+    The three samples around each discrete minimum are fitted with a local
+    quadratic vertex model.  The finite differences carry the harmonic
+    correction factors 2(1 - cos k0) and 2 sin(k0) of the row's carrier in
+    place of their small-angle limits k0^2 and 2 k0, which makes the vertex
+    exact for a sampled cosine of that frequency; for a carrier of 1e-3 or
+    less, or where the harmonic vertex lands more than a sample away, the
+    plain parabola limit is used.  Returns the positions of each row.
+    """
+    centre = profiles[:, 1:-1]
+    rows, idx = np.nonzero((centre < profiles[:, :-2]) & (centre <= profiles[:, 2:]))
+    idx += 1
+    positions = vertex(profiles, (rows, idx))
+    # local model y = a + B cos(k0 x + psi), minimum at phase pi
+    tuned = np.flatnonzero(carriers[rows] > 1e-3)
+    r, i = rows[tuned], idx[tuned]
+    ym, y0, yp = profiles[r, i - 1], profiles[r, i], profiles[r, i + 1]
+    p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carriers) - 1.0))[r]
+    q = (yp - ym) / (2.0 * np.sin(carriers))[r]
+    theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
+    harmonic = -wrap_angle(theta - np.pi) / carriers[r]
+    fits = ~(np.abs(harmonic) > 1.0)  # else a degenerate fit: keep the parabola
+    positions[tuned] = np.where(fits, i + harmonic, positions[tuned])
+    return np.split(positions, np.searchsorted(rows, np.arange(1, len(profiles))))
 
 
 def _subpixel_extrema(y: np.ndarray, carrier: float | None = None) -> np.ndarray:
-    """Interior local minima with quadratic sub-sample refinement.
+    """_minima of one profile; no carrier, no harmonic correction."""
+    return _minima(y[None], np.array([0.0 if carrier is None else carrier]))[0]
 
-    The three samples around each discrete extremum are fitted with a local
-    quadratic vertex model.  When the carrier frequency is known the finite
-    differences carry the harmonic correction factors 2(1 - cos k0) and
-    2 sin(k0) in place of their small-angle limits k0^2 and 2 k0, which makes
-    the vertex exact for a sampled cosine of that frequency; without a
-    carrier, or where the harmonic vertex lands more than a sample away, the
-    plain parabola limit is used.  Returns the positions.
-    """
-    idx = np.nonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:]))[0] + 1
-    positions = vertex(y, idx)
-    if carrier is not None and carrier > 1e-3:
-        # local model y = a + B cos(k0 x + psi), minimum at phase pi
-        ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
-        p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carrier) - 1.0))
-        q = (yp - ym) / (2.0 * np.sin(carrier))
-        theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
-        harmonic = -wrap_angle(theta - np.pi) / carrier
-        fits = ~(np.abs(harmonic) > 1.0)  # else a degenerate fit: keep the parabola
-        positions = np.where(fits, idx + harmonic, positions)
-    return positions
+
+def _positive_carrier(k0) -> None:
+    if finite("k0", k0) <= 0:
+        raise ValueError("k0 must be positive")
+
+
+def _pair_minima(pos_up: np.ndarray, pos_low: np.ndarray, k0: float) -> float:
+    """The shift_by_minima phase of two profiles' minima positions."""
+    if len(pos_up) < 2 or len(pos_low) < 2:
+        raise TooFewMinima(
+            f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}"
+        )
+    partner = pos_low[np.argmin(np.abs(pos_low - pos_up[:, None]), axis=1)]
+    phases = wrap_angle(k0 * (pos_up - partner))
+    resultant = np.mean(np.exp(1j * phases))
+    if abs(resultant) < 0.5:
+        raise AmbiguousPairing(
+            f"per-minimum shifts are inconsistent (resultant {abs(resultant):.2f})"
+        )
+    return float(np.angle(resultant))
 
 
 def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
@@ -303,31 +419,32 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     mutually inconsistent (circular resultant below 0.5) the pairing is
     ambiguous and AmbiguousPairing is raised.
     """
-    if finite("k0", k0) <= 0:
-        raise ValueError("k0 must be positive")
+    _positive_carrier(k0)
     pos_up = _subpixel_extrema(np.asarray(up, dtype=float), carrier=k0)
     pos_low = _subpixel_extrema(np.asarray(low, dtype=float), carrier=k0)
-    if len(pos_up) < 2 or len(pos_low) < 2:
-        raise TooFewMinima(
-            f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}"
-        )
-    partner = pos_low[np.argmin(np.abs(pos_low - pos_up[:, None]), axis=1)]
-    phases = wrap_angle(k0 * (pos_up - partner))
-    resultant = np.mean(np.exp(1j * phases))
-    if abs(resultant) < 0.5:
-        raise AmbiguousPairing(
-            f"per-minimum shifts are inconsistent (resultant {abs(resultant):.2f})"
-        )
-    return float(np.angle(resultant))
+    return _pair_minima(pos_up, pos_low, k0)
 
 
-def _carrier_sums(y: np.ndarray, k0: float):
-    """Hann-windowed sums of profiles along the last axis: sum w (y - mean y)
-    e^{-i k0 x}, the fringe term at the carrier, and sum w y, the mean level
-    under the window."""
-    window = _periodic_hann(y.shape[-1])
-    kernel = window * np.exp(-1j * k0 * np.arange(y.shape[-1]))
-    return (y - y.mean(axis=-1, keepdims=True)) @ kernel, y @ window
+def _fringe_terms(profiles: np.ndarray, k0: np.ndarray) -> np.ndarray:
+    """Hann-windowed sums sum w (y - mean y) e^{-i k0 x} of an (R, m, n) stack
+    of profiles, the m profiles of row r read at the carrier k0[r]: the
+    fringe term of each profile, as an (R, m) array."""
+    n = profiles.shape[-1]
+    kernel = _periodic_hann(n) * np.exp(-1j * k0[:, None] * np.arange(n))
+    return ((profiles - profiles.mean(axis=-1, keepdims=True)) @ kernel[..., None])[..., 0]
+
+
+def _flat(up: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Rows of two profile stacks of which either side carries no fringes."""
+    return (np.ptp(up, axis=-1) < _FLAT_FLOOR) | (np.ptp(low, axis=-1) < _FLAT_FLOOR)
+
+
+def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-minus-upper transform phase of each (upper, lower) row of an
+    (R, 2, n) stack at its carrier k0[r], wrapped, and the rows where either
+    transform is zero: no carrier power to read a phase from."""
+    terms = _fringe_terms(pairs, k0)
+    return wrap_angle(np.angle(terms[:, 1]) - np.angle(terms[:, 0])), (terms == 0.0).any(axis=1)
 
 
 def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -> float:
@@ -346,15 +463,15 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     low = np.asarray(low, dtype=float)
     if len(up) != len(low):
         raise ValueError(f"profile lengths differ: {len(up)} vs {len(low)}")
-    if np.ptp(up) < _FLAT_FLOOR or np.ptp(low) < _FLAT_FLOOR:
+    if _flat(up, low):
         raise NoCarrier("profile is flat")
     if k0 is None:
         k0 = estimate_carrier(up)
     finite("k0", k0)
-    (su, sl), _ = _carrier_sums(np.stack([up, low]), k0)
-    if su == 0.0 or sl == 0.0:
-        raise NoCarrier("no carrier power at the estimated frequency")
-    return wrap_angle(np.angle(sl) - np.angle(su))
+    shifts, powerless = _fourier_shifts(np.stack([up, low])[None], np.array([k0], dtype=float))
+    if powerless[0]:
+        raise NoCarrier(_NO_POWER)
+    return float(shifts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +487,10 @@ class RetrievalResult:
     ``estimate`` is the circular mean of the per-region estimates (radians,
     in (-pi, pi]); ``uncertainty`` is their circular sample standard
     deviation, or None when fewer than two regions succeeded (a single region
-    gives no spread information).  ``method_disagreement`` is filled only for
-    method="both".
+    gives no spread information).  ``region_indices`` holds, for each entry
+    of ``region_estimates``, the index of its region in the regions analysed;
+    the other ``failed_regions`` regions are left out of both lists.
+    ``method_disagreement`` is filled only for method="both".
     """
 
     estimate: float
@@ -380,10 +499,76 @@ class RetrievalResult:
     method_disagreement: float | None = None
     carrier: float | None = None
     failed_regions: int = 0
+    region_indices: list[int] = field(default_factory=list)
 
 
 def _circular_mean(angles) -> float:
     return float(np.angle(np.mean(np.exp(1j * np.asarray(angles)))))
+
+
+def _analyse_stack(img: Interferogram, regions: Sequence[Region], method: RetrievalMethod) -> list:
+    """The outcome of each of a list of in-image regions of one width.
+
+    An outcome is the region's first failure, in the order carrier, minima,
+    Fourier, or (carrier, minima shift, Fourier shift) with None for a
+    method not run.  Every stage runs once over the regions still standing.
+    """
+    up, low = _column_averages(img, regions)
+    # the raw profile: smoothing would damp a fast carrier below the
+    # low-frequency shoulder of an enveloped profile
+    k0, errors = _carriers(up)
+    minima: dict[int, float] = {}
+    fourier: dict[int, float] = {}
+
+    def standing() -> list[int]:
+        return [r for r, error in enumerate(errors) if error is None]
+
+    def fail(r: int, exc: Exception) -> None:
+        errors[r] = exc.with_traceback(None)  # see retrieve_phase
+
+    if method in ("minima", "both") and (live := standing()):
+        try:
+            smooth = savitzky_golay(np.stack([up[live], low[live]]), _SG_WINDOW)
+        except ValueError as exc:  # profiles shorter than the window
+            for r in live:
+                fail(r, type(exc)(*exc.args))
+        else:
+            # the truncated edge fits are the filter's weakest samples; drop
+            # them before estimating so no minimum sits on a distorted stretch
+            n = smooth.shape[-1]
+            if n > 6 * _SG_WINDOW:
+                smooth = smooth[..., _SG_WINDOW // 2:n - _SG_WINDOW // 2]
+            for r in live:
+                try:
+                    _positive_carrier(float(k0[r]))
+                except ValueError as exc:
+                    fail(r, exc)
+            keep = [j for j, r in enumerate(live) if errors[r] is None]
+            pairs = [live[j] for j in keep]
+            positions = _minima(smooth[:, keep].reshape(2 * len(keep), smooth.shape[-1]), np.tile(k0[pairs], 2))
+            for j, r in enumerate(pairs):
+                try:
+                    minima[r] = _pair_minima(positions[j], positions[j + len(pairs)], float(k0[r]))
+                except (ValueError, ArithmeticError) as exc:
+                    fail(r, exc)
+    if method in ("fourier", "both") and (live := standing()):
+        flat = _flat(up[live], low[live])
+        for j, r in enumerate(live):
+            if flat[j]:
+                errors[r] = NoCarrier("profile is flat")
+                continue
+            try:
+                finite("k0", float(k0[r]))
+            except ValueError as exc:
+                fail(r, exc)
+        if live := standing():
+            shifts, powerless = _fourier_shifts(np.stack([up[live], low[live]], axis=1), k0[live])
+            for j, r in enumerate(live):
+                if powerless[j]:
+                    errors[r] = NoCarrier(_NO_POWER)
+                else:
+                    fourier[r] = float(shifts[j])
+    return [errors[r] or (float(k0[r]), minima.get(r), fourier.get(r)) for r in range(len(regions))]
 
 
 def retrieve_phase(
@@ -393,11 +578,21 @@ def retrieve_phase(
 ) -> RetrievalResult:
     """Recover the half-to-half fringe shift 2*delta of an interferogram.
 
-    Every region runs the pipeline column_average -> estimate_carrier on the
-    upper profile -> shift estimator(s), which share that carrier.  The
-    Fourier estimator reads the raw profiles; the minima estimator reads them
-    smoothed by savitzky_golay.  Regions that raise are skipped (and
-    counted); the call fails only when every region fails.
+    The regions are analysed together, one stack of profiles per region
+    width: the column averages of every region, then the carrier of each
+    upper profile, then the shift estimator(s), which share that carrier.
+    Each stage is one pass over the regions still standing: one transform
+    and a joint Newton refinement find the carriers, one Savitzky-Golay pass
+    smooths every profile the minima estimator reads, one minima search
+    covers them all and only the pairing of minima is done region by region,
+    and one product reads every raw profile's transform at its carrier.
+    Every region gets the checks and the numbers of the one-region
+    functions column_average -> estimate_carrier -> shift_by_minima (on the
+    savitzky_golay-smoothed profiles less the filter's edge fits) /
+    shift_by_fourier (on the raw ones).  A region that fails (outside the image or missing a
+    half, no carrier, too few or unpaired minima, no carrier power) is
+    skipped and counted, with its first failure in that order; the call
+    fails, with the last region's error, only when every region fails.
     """
     if method not in ("minima", "fourier", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -406,48 +601,34 @@ def retrieve_phase(
     if len(regions) == 0:
         raise ValueError("need at least one evaluation region")
 
-    per_region: list[float] = []
-    minima_estimates: list[float] = []
-    fourier_estimates: list[float] = []
-    carriers: list[float] = []
-    failures = 0
-    last_error: Exception | None = None
-    for region in regions:
+    outcomes: dict[int, object] = {}
+    widths: dict[int, list[int]] = {}
+    for i, region in enumerate(regions):
         try:
-            up, low = column_average(img, region)
-            # the raw profile: smoothing would damp a fast carrier below the
-            # low-frequency shoulder of an enveloped profile
-            k0 = estimate_carrier(up)
-            values = []
-            if method in ("minima", "both"):
-                up_s = savitzky_golay(up, _SG_WINDOW)
-                low_s = savitzky_golay(low, _SG_WINDOW)
-                # the truncated edge fits are the filter's weakest samples; drop
-                # them before estimating so no minimum sits on a distorted stretch
-                trim = _SG_WINDOW // 2
-                if len(up_s) > 6 * _SG_WINDOW:
-                    up_s = up_s[trim:len(up_s) - trim]
-                    low_s = low_s[trim:len(low_s) - trim]
-                values.append(shift_by_minima(up_s, low_s, k0))
-                minima_estimates.append(values[-1])
-            if method in ("fourier", "both"):
-                values.append(shift_by_fourier(up, low, k0))
-                fourier_estimates.append(values[-1])
-        except (ValueError, ArithmeticError) as exc:
-            failures += 1
-            last_error = exc
+            _half_rows(img, region)
+        except ValueError as exc:
+            # without its traceback, a kept exception holds no frame alive
+            outcomes[i] = exc.with_traceback(None)
             continue
-        carriers.append(k0)
-        per_region.append(_circular_mean(values))
-    if not per_region:
+        widths.setdefault(region.col_end - region.col_start, []).append(i)
+    for members in widths.values():
+        outcomes.update(zip(members, _analyse_stack(img, [regions[i] for i in members], method)))
+    kept = {i: outcomes[i] for i in range(len(regions)) if not isinstance(outcomes[i], Exception)}
+    if not kept:
+        error, outcomes = outcomes[len(regions) - 1], None
         try:
-            raise last_error
+            raise error
         finally:
             # the traceback holds this frame; a frame that also held the
             # exception would be a cycle pinning the image until a full GC
-            last_error = None
-    last_error = None  # same cycle, for a failure a later region made up for
+            error = None
 
+    carriers, minima, fourier = zip(*kept.values())
+    minima_estimates = [v for v in minima if v is not None]
+    fourier_estimates = [v for v in fourier if v is not None]
+    # each region's circular mean of its one or two estimates, all regions at once
+    values = np.array([v for v in (minima_estimates, fourier_estimates) if v]).T
+    per_region = np.angle(np.exp(1j * values).mean(axis=1)).tolist()
     estimate = _circular_mean(per_region)
     if len(per_region) >= 2:
         deviations = wrap_angle(np.asarray(per_region) - estimate)
@@ -465,7 +646,8 @@ def retrieve_phase(
         region_estimates=per_region,
         method_disagreement=disagreement,
         carrier=float(np.mean(carriers)),
-        failed_regions=failures,
+        failed_regions=len(regions) - len(kept),
+        region_indices=list(kept),
     )
 
 
@@ -488,8 +670,9 @@ def measure_visibility(img: Interferogram, region: Region) -> float:
         raise ValueError("visibility region must lie within a single half")
     profile = img.pixels[region.row_start:region.row_end,
                          region.col_start:region.col_end].mean(axis=0)
-    fringe, level = _carrier_sums(profile, estimate_carrier(profile))
-    return float(2.0 * abs(fringe) / level)
+    k0 = np.array([estimate_carrier(profile)])
+    fringe = _fringe_terms(profile[None, None], k0)[0, 0]
+    return float(2.0 * abs(fringe) / (profile @ _periodic_hann(len(profile))))
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,23 @@ def test_fringe_analyze_flat_image_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error: NoCarrier")
 
 
+def test_fringe_analyze_reports_each_estimate_under_its_own_region(tmp_path, capsys):
+    # the first region is five columns wide, too narrow for a carrier: the
+    # estimate of the second region is region 1's, under region 1's bounds
+    run_cli(capsys, "fringe", "generate", "--delta", "0.3", "--beta", "0.2", "--k0", "0.2",
+            "--out-dir", str(tmp_path), "--out", "img.pgm")
+    code, out, err = run_cli(capsys, "fringe", "analyze", "--image", str(tmp_path / "img.pgm"),
+                             "--region", "100:105:200:280", "--region", "100:500:200:280",
+                             "--out-dir", str(tmp_path), "--out", "regions.csv")
+    assert code == 0
+    assert err == "warning: 1 region(s) failed\n"
+    values = stdout_values(out)
+    assert "region_0_2delta" not in values
+    assert values["region_1_2delta"] == values["estimate_2delta"]
+    _, rows = read_csv(tmp_path / "regions.csv")
+    assert rows == [["1", "100", "500", "200", "280", values["region_1_2delta"]]]
+
+
 def test_visibility_identity_plates(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "visibility", "--theta1", "0.7853981633974483",
@@ -676,7 +693,8 @@ def test_repeated_runs_do_not_share_parsed_options(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # recorded outputs: every byte of stdout, stderr and the out-dir files, as
-# written by the per-eta implementation these runs were first recorded with
+# written by the implementation each run was first recorded with: the per-eta
+# polarimetry loop, and the region-by-region fringe retrieval
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RUNS = {
@@ -692,8 +710,16 @@ GOLDEN_RUNS = {
     "polarimetry_noisy_plate_scan": ["polarimetry", "--plates", "plates.txt", "--n-grid", "512",
                                      "--noise-sigma", "0.02", "--seed", "5"],
     "interf_sweep": ["interf", "sweep", "--xi", "0.5", "--eta", "1.0", "--zeta=-0.3", "--samples", "256"],
+    # 64x240 noisy images from `fringe generate`: regions of three widths, the last too
+    # narrow for a carrier; and the default regions over a fast enveloped carrier
+    "fringe_analyze/plain": ["fringe", "analyze", "--image", "plain.pgm", "--region", "20:220:8:56",
+                             "--region", "40:200:16:48", "--region", "10:230:24:40",
+                             "--region", "100:105:8:56", "--out", "regions.csv",
+                             "--profiles-out", "profiles.csv"],
+    "fringe_analyze/enveloped": ["fringe", "analyze", "--image", "enveloped.pgm", "--out", "regions.csv",
+                                 "--profiles-out", "profiles.csv"],
 }
-INPUTS = {"plates.txt"}
+INPUTS = {"plates.txt", "plain.pgm", "plain.pgm.meta", "enveloped.pgm", "enveloped.pgm.meta"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

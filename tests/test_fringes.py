@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from polphase import fringes, su2
+from polphase import dsp, fringes, su2
 from polphase.fringes import Region
 
 RNG = np.random.default_rng(55667788)
@@ -731,7 +731,10 @@ def _carrier_reference(y):
     n = len(y)
     centred = y - y.mean()
     windowed = centred * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
-    kbin = fringes._peak_bin(np.abs(np.fft.rfft(windowed)))
+    kbins, (refusal,) = fringes._peak_bins(np.abs(np.fft.rfft(windowed))[None], np.zeros(1, dtype=bool))
+    if refusal is not None:
+        raise refusal
+    kbin = int(kbins[0])
     dk = 2.0 * np.pi / n
     x = np.arange(n)
     res = minimize_scalar(
@@ -854,3 +857,186 @@ def test_estimate_carrier_matches_bounded_search_on_retrieval_profiles():
                 continue
             assert abs(fringes.estimate_carrier(profile) - want) <= 1e-7
 
+
+
+# ---------------------------------------------------------------------------
+# retrieve_phase stacks its regions; every number and every refusal is still
+# that of the one-profile functions composed region by region
+
+def _retrieve_region_by_region(img, regions, method):
+    """retrieve_phase's result as (estimate, uncertainty, region estimates,
+    disagreement, carrier, failed regions, region indices), built from the
+    public one-profile functions; raises the last region's error when every
+    region fails."""
+    per_region, indices, minima, fourier, carriers, errors = [], [], [], [], [], []
+    for index, region in enumerate(regions):
+        try:
+            up, low = fringes.column_average(img, region)
+            k0 = fringes.estimate_carrier(up)
+            values = []
+            if method in ("minima", "both"):
+                up_s, low_s = fringes.savitzky_golay(up, 11), fringes.savitzky_golay(low, 11)
+                if len(up_s) > 66:
+                    up_s, low_s = up_s[5:-5], low_s[5:-5]
+                values.append(fringes.shift_by_minima(up_s, low_s, k0))
+                minima.append(values[-1])
+            if method in ("fourier", "both"):
+                values.append(fringes.shift_by_fourier(up, low, k0))
+                fourier.append(values[-1])
+        except ValueError as exc:
+            errors.append(exc)
+            continue
+        carriers.append(k0)
+        per_region.append(fringes._circular_mean(values))
+        indices.append(index)
+    if not per_region:
+        raise errors[-1]
+    estimate = fringes._circular_mean(per_region)
+    uncertainty = None
+    if len(per_region) >= 2:
+        uncertainty = float(np.std(su2.wrap_angle(np.asarray(per_region) - estimate), ddof=1))
+    disagreement = None
+    if method == "both":
+        disagreement = abs(su2.wrap_angle(fringes._circular_mean(minima) - fringes._circular_mean(fourier)))
+    return (estimate, uncertainty, per_region, disagreement, float(np.mean(carriers)),
+            len(errors), indices)
+
+
+@st.composite
+def stacked_retrievals(draw):
+    """A small noisy image and 1-6 regions of mixed widths: some fit, some are
+    too narrow for a carrier, the smoothing window or two minima, some leave
+    the image or stay within one half."""
+    h, w = draw(st.integers(48, 112)), draw(st.integers(96, 224))
+    img = fringes.generate(
+        draw(st.floats(-1.5, 1.5)), draw(st.floats(0.0, 1.4)), draw(st.floats(0.05, 2.5)), size=(h, w),
+        noise_sigma=draw(st.sampled_from([0.0, 0.02, 0.2])),
+        envelope_width=draw(st.sampled_from([None, None, 30.0, 80.0])), seed=draw(st.integers(0, 2**16)),
+    )
+    regions = []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.sampled_from([5, 9, 12, 14, 16, 24, 40, 70, 100, w]))
+        c0 = draw(st.integers(0, max(0, w - width) + 8))  # the last 8 starts leave the image
+        r0 = draw(st.integers(0, h // 2 - 1))
+        # one region in five may end in the upper half
+        r1 = draw(st.integers(r0 + 1, h) if draw(st.integers(0, 4)) == 0 else st.integers(h // 2 + 1, h))
+        regions.append(Region(c0, c0 + width, r0, r1))
+    return img, regions, draw(st.sampled_from(["minima", "fourier", "both"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_retrievals())
+def test_stacked_retrieval_is_the_region_by_region_composition_bit_for_bit(case):
+    img, regions, method = case
+    try:
+        want = _retrieve_region_by_region(img, regions, method)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as refused:
+            fringes.retrieve_phase(img, regions, method=method)
+        assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
+        return
+    result = fringes.retrieve_phase(img, regions, method=method)
+    got = (result.estimate, result.uncertainty, result.region_estimates, result.method_disagreement,
+           result.carrier, result.failed_regions, result.region_indices)
+    assert got == want
+
+
+def test_stacked_retrieval_keeps_each_refusal_of_its_region():
+    # one region per refusal, among regions that succeed: every failure is
+    # counted, and each estimate keeps the index of its own region
+    img = fringes.generate(0.4, 0.3, 2.4, size=(96, 200), noise_sigma=0.02, seed=4)
+    regions = {
+        Region(20, 180, 10, 86): None,
+        Region(10, 15, 10, 86): (fringes.NoCarrier, "profile too short"),
+        Region(18, 30, 30, 70): (fringes.TooFewMinima, "got 2 and 1"),
+        Region(150, 250, 10, 86): (ValueError, "outside image"),
+        Region(40, 140, 30, 70): None,
+        Region(3, 15, 30, 70): (fringes.AmbiguousPairing, "inconsistent"),
+        Region(20, 180, 60, 90): (ValueError, "does not intersect both halves"),
+    }
+    for region, refusal in regions.items():
+        if refusal is not None:
+            with pytest.raises(refusal[0], match=refusal[1]):
+                fringes.retrieve_phase(img, [region])
+    want = _retrieve_region_by_region(img, list(regions), "both")
+    result = fringes.retrieve_phase(img, list(regions), method="both")
+    assert result.region_indices == [0, 4] == want[-1]
+    assert result.failed_regions == 5
+    assert (result.estimate, result.region_estimates, result.carrier) == (want[0], want[2], want[4])
+
+
+# the per-profile code the stacked kernels replaced, kept as their oracle
+
+def _hann(n):
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def _carrier_by_profile(y):
+    """estimate_carrier of a profile that has a carrier, one profile at a time."""
+    n = len(y)
+    windowed = (y - y.mean()) * _hann(n)
+    mags = np.abs(np.fft.rfft(windowed))
+    kbin = int(np.argmax(mags[1:]) + 1)
+    dk = 2.0 * np.pi / n
+    lo = max(0.5 * dk, (kbin - 1.5) * dk)
+    hi = min(np.pi - 1e-12, (kbin + 1.5) * dk)
+    peak = kbin
+    if kbin + 1 < len(mags):
+        ym, y0, yp = mags[kbin - 1], mags[kbin], mags[kbin + 1]
+        peak = float(kbin + 0.5 * (ym - yp) / (ym - 2.0 * y0 + yp))
+    k = min(max(peak * dk, lo), hi)
+    x = np.arange(n) - (n - 1) / 2.0
+    weights = np.stack([windowed, -1j * x * windowed, -(x * x) * windowed])
+    for _ in range(8):
+        value, slope, bend = weights @ np.exp(-1j * k * x)
+        gradient = (value.conjugate() * slope).real
+        curvature = (slope.conjugate() * slope).real + (value.conjugate() * bend).real
+        if not curvature < 0.0:
+            break
+        step = min(max(k - gradient / curvature, lo), hi) - k
+        k += step
+        if abs(step) < 1e-13:
+            break
+    return float(k)
+
+
+def _savgol_by_profile(y, window=11, order=3):
+    fits = dsp._savgol_fits(window, order)
+    half, n = window // 2, len(y)
+    out = np.empty(n)
+    out[half:n - half] = np.convolve(y, fits[half, ::-1], mode="valid")
+    out[:half] = fits[:half] @ y[:window]
+    out[n - half:] = (fits[:half] @ y[::-1][:window])[::-1]
+    return out
+
+
+def _fringe_terms_by_pair(up, low, k0):
+    kernel = _hann(len(up)) * np.exp(-1j * k0 * np.arange(len(up)))
+    y = np.stack([up, low])
+    return (y - y.mean(axis=-1, keepdims=True)) @ kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(16, 400), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+def test_stacked_kernels_give_the_bits_of_the_per_profile_code(count, n, sigma, seed):
+    rng = np.random.default_rng(seed)
+    k0 = rng.uniform(4.0 * np.pi / n, 0.95 * np.pi, (count, 1))
+    phase = rng.uniform(-np.pi, np.pi, (2, count, 1))
+    up, low = 0.5 - 0.4 * np.cos(k0 * np.arange(n) + phase) + rng.normal(0.0, sigma, (2, count, n))
+    carriers, errors = fringes._carriers(up)
+    for row, k, error in zip(up, carriers, errors):
+        assert k == _carrier_by_profile(row) if error is None else np.isnan(k)
+    smooth = fringes.savitzky_golay(np.stack([up, low]))
+    for row, got in zip(np.concatenate([up, low]), smooth.reshape(2 * count, n)):
+        np.testing.assert_array_equal(got, _savgol_by_profile(row))
+    terms = fringes._fringe_terms(np.stack([up, low], axis=1), k0[:, 0])
+    for u, v, k, got in zip(up, low, k0[:, 0], terms):
+        np.testing.assert_array_equal(got, _fringe_terms_by_pair(u, v, float(k)))
+
+
+def test_column_average_is_the_mean_of_each_half():
+    img = fringes.generate(0.3, 0.2, 0.4, size=(64, 96), noise_sigma=0.05, seed=2)
+    for region in (Region(0, 96, 0, 64), Region(7, 90, 20, 33), Region(31, 32, 31, 33)):
+        up, low = fringes.column_average(img, region)
+        np.testing.assert_array_equal(up, img.pixels[region.row_start:32, region.col_start:region.col_end].mean(axis=0))
+        np.testing.assert_array_equal(low, img.pixels[32:region.row_end, region.col_start:region.col_end].mean(axis=0))
