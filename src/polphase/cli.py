@@ -398,8 +398,9 @@ def _cmd_fringe_analyze(args, config) -> int:
 
     result = fringes.retrieve_phase(img, regions, method=method)
     if profiles_out:
-        up, low = fringes.column_average(img, regions[0])
-        profiles = [range(regions[0].col_start, regions[0].col_end), up, low,
+        first = regions[result.region_indices[0]]
+        up, low = fringes.column_average(img, first)
+        profiles = [range(first.col_start, first.col_end), up, low,
                     fringes.savitzky_golay(up), fringes.savitzky_golay(low)]
     outdir, (path, profiles_path) = _outdir(args, out or None, profiles_out or None)
     r.write(outdir)
@@ -540,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evaluation region 'c0:c1:r0:r1' (repeatable, ';'-separated in a "
                          "config file; default: auto)")
     pa.add_argument("--out", help="optional per-region CSV report")
-    pa.add_argument("--profiles-out", help="optional CSV of the first region's profiles")
+    pa.add_argument("--profiles-out", help="optional CSV of the first retrieved region's profiles")
     _add_command(pa, _cmd_fringe_analyze, "fringe_analyze", recorded=("regions",))
 
     p = sub.add_parser("visibility", help="fringe contrast over plate angles")

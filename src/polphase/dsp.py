@@ -6,7 +6,8 @@
 * harmonics: cos k phi and sin k phi of a scan grid, the terms every scan
   law and fit samples.  A 1-D grid's terms and its fit's normal matrix come
   from a small cache keyed by the grid's contents (its bytes and k), bounded
-  to eight grids of up to 65536 points; other shapes are computed directly.
+  to eight grids of up to 65536 points; an entry is found by comparing
+  bytes, not by hashing them.  Other shapes are computed directly.
 * vertex: the position of the three-point parabola's vertex, which refines a
   sampled extremum of a 1-D array or of the rows of a stack (the carrier
   peaks of spectra, the minima of fringe profiles).
@@ -18,6 +19,7 @@
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -106,24 +108,42 @@ def _design(phi: np.ndarray, k) -> tuple:
     return c, s, (a00, a01, a02, a11, a12, a22), n * a00 + sc * a01 + ss * a02
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_terms(grid: bytes, k) -> tuple:
-    """_design of the float64 grid whose bytes are ``grid``, computed once per
-    grid and k however often the scans sample it."""
-    return _design(np.frombuffer(grid), k)
+#: the grid cache: (grid bytes, k, terms) entries, least recently used first
+_GRID_CACHE: list = []
+_GRID_CACHE_SIZE = 8
+#: a lookup reorders the list: one thread at a time, as lru_cache would be
+_GRID_LOCK = threading.Lock()
 
 
 def _terms(phi: np.ndarray, k) -> tuple:
-    """_design of a 1-D float64 grid, from the cache unless the grid is too long."""
-    return _grid_terms(phi.tobytes(), k) if len(phi) <= _CACHED_POINTS else _design(phi, k)
+    """_design of a 1-D float64 grid, computed once per grid contents and k.
+
+    An entry is found by comparing the grid's bytes with each entry's (a
+    length check, then one memcmp), which costs less than hashing them; at
+    most _GRID_CACHE_SIZE entries are kept, in least-recently-used order.  A
+    grid longer than _CACHED_POINTS is computed on each call.
+    """
+    if len(phi) > _CACHED_POINTS:
+        return _design(phi, k)
+    grid = phi.tobytes()
+    with _GRID_LOCK:
+        for index, (cached, cached_k, terms) in enumerate(_GRID_CACHE):
+            if cached_k == k and cached == grid:
+                _GRID_CACHE.append(_GRID_CACHE.pop(index))
+                return terms
+        terms = _design(np.frombuffer(grid), k)
+        _GRID_CACHE.append((grid, k, terms))
+        del _GRID_CACHE[:-_GRID_CACHE_SIZE]
+        return terms
 
 
 def harmonics(phi, k: int = 1):
     """(cos(k phi), sin(k phi)), the same floats numpy gives for k * phi.
 
-    A 1-D grid's pair is read-only and cached by the grid's contents, so a
-    grid changed in place gets the terms of its new values; a scalar or an
-    array of any other shape is computed on each call.
+    A 1-D grid's pair is read-only and cached by the grid's contents (see
+    _terms), so a grid changed in place gets the terms of its new values, and
+    a copy of a cached grid gets the very same arrays; a scalar or an array
+    of any other shape is computed on each call.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1:

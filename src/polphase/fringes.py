@@ -730,12 +730,13 @@ def _read_pgm(path) -> np.ndarray:
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != _PGM_MAXVAL:
         raise ValueError(f"expected 16-bit graymap (maxval {_PGM_MAXVAL}), got {maxval}")
-    data = np.frombuffer(raw[pos:pos + 2 * w * h], dtype=">u2")
-    if data.size != w * h:
+    if len(raw) - pos < 2 * w * h:
         raise ValueError("truncated PGM payload")
-    pixels = data.reshape(h, w).astype(float)
-    pixels /= _PGM_MAXVAL
-    return pixels
+    # the slice copy aligns the words (an odd-length header would leave them unaligned,
+    # which slows the division more than the copy costs); one pass then gives the
+    # floats of astype(float) followed by /= maxval
+    data = np.frombuffer(raw[pos:pos + 2 * w * h], dtype=">u2")
+    return np.divide(data.reshape(h, w), float(_PGM_MAXVAL), dtype=float)
 
 
 def load_interferogram(path) -> tuple[Interferogram, dict]:

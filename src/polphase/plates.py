@@ -19,7 +19,12 @@ Besides a list of WavePlates, jones and compose take a plate array as
 ``(kinds, axes)``: one kind letter per plate and an ``axes`` array of shape
 ``(..., n_plates)``.  The leading axes broadcast, so a whole stack of arrays
 sharing their kinds (a rotation scan, a grid of plate angles) composes in one
-call into a ``(..., 2, 2)`` stack of Jones matrices.
+call into a ``(..., 2, 2)`` stack of Jones matrices.  A list is the stack with
+no leading axes: both go through compose's one fold, in which each plate
+costs two ufunc calls whatever the stack's size.  numpy's matmul would run a
+small-matrix loop per stacked pair, an order of magnitude slower on long
+stacks, and the eight element products written out one by one would take
+some thirty numpy operations per plate, which is what a single matrix costs.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .su2 import IDENTITY2, finite, matrix, product, rot_z
+from .su2 import IDENTITY2, finite, matrix, rot_z
 
 QUARTER_RETARDANCE = np.pi / 2.0
 HALF_RETARDANCE = np.pi
@@ -49,10 +54,10 @@ class WavePlate:
         if self.kind not in ("Q", "H"):
             raise ValueError(f"plate kind must be 'Q' or 'H', got {self.kind!r}")
         # canonical mounting angle: axes are pi-periodic
-        axis = np.remainder(finite("plate axis", self.axis), np.pi)
+        axis = float(finite("plate axis", self.axis)) % np.pi  # the floats of np.remainder
         if axis > np.pi / 2.0:
             axis -= np.pi
-        object.__setattr__(self, "axis", float(axis))
+        object.__setattr__(self, "axis", axis)
 
 
 def quarter_wave(axis: float) -> WavePlate:
@@ -102,8 +107,11 @@ def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarra
     ``compose(plates)`` takes a sequence of WavePlates and returns a (2, 2)
     matrix.  ``compose(kinds, axes)`` takes the kind letters of the plates
     (e.g. ``"QHQ"``) and an axis array of shape (..., n_plates), and returns
-    the (..., 2, 2) stack: every Jones matrix comes from one broadcast
-    _retarder call, then an n_plates-long fold of stacked 2x2 products.  An
+    the (..., 2, 2) stack.  Both go through one fold: every Jones matrix comes
+    from one broadcast _retarder call, laid out matrix indices first, and each
+    plate then costs two ufunc calls over the whole stack, the eight element
+    products ``m[i, j] * out[j, l]`` and the sums ``out[i, l] = p[i, 0, l] +
+    p[i, 1, l]``, in the order of the 2x2 product's element formulas.  An
     empty array composes to the identity.
     """
     if axes is None:
@@ -114,11 +122,16 @@ def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarra
     axes = np.asarray(axes, dtype=float)
     if axes.ndim == 0 or axes.shape[-1] != len(kinds):
         raise ValueError(f"axes of shape {axes.shape} do not match {len(kinds)} plate kinds")
-    mats = _retarder(_retardances(kinds), axes)
-    out = np.broadcast_to(IDENTITY2, axes.shape[:-1] + (2, 2)).copy()
+    if not kinds:
+        return np.broadcast_to(IDENTITY2, axes.shape[:-1] + (2, 2)).copy()
+    lead = axes.ndim - 1
+    # (..., n, 2, 2) -> (2, 2, n, ...) by a transpose, which costs less than np.moveaxis
+    mats = _retarder(_retardances(kinds), axes).transpose(lead + 1, lead + 2, lead, *range(lead))
+    out = IDENTITY2.reshape((2, 2) + (1,) * lead)
     for k in range(len(kinds)):
-        out = product(mats[..., k, :, :], out)
-    return out
+        p = mats[:, :, None, k] * out[None]
+        out = p[:, 0] + p[:, 1]
+    return np.ascontiguousarray(out.transpose(*range(2, lead + 2), 0, 1))
 
 
 def decompose_qhq(xi: float, eta: float, zeta: float) -> list[WavePlate]:

@@ -100,7 +100,8 @@ def extract_cos2_phase(i_min: float, i_max: float) -> float:
     ratio = i_min / denominator
     if not -_RATIO_SLACK <= ratio <= 1.0 + _RATIO_SLACK:
         raise InvalidExtrema(f"ratio {ratio} outside [0, 1] beyond slack")
-    return float(np.clip(ratio, 0.0, 1.0))
+    # np.clip's result, -0.0 included: max keeps its first argument on a tie
+    return float(min(max(ratio, 0.0), 1.0))
 
 
 def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.ndarray:

@@ -13,7 +13,8 @@ Conventions used throughout the package:
   the result has the broadcast shape in front.  A call with scalar angles
   returns a single ``(2, 2)`` matrix, and to_zyz of a single matrix returns a
   ZyzParams of Python floats and bools.  NaN or infinite inputs raise
-  NonFiniteInput.
+  NonFiniteInput.  Every operator is built by ``matrix`` from its element
+  formulas; products of plate operators are formed by plates.compose.
 * The canonical ZYZ branch puts beta in [0, pi/2], so cos(beta) >= 0 and the
   fringe visibility cos(beta) is nonnegative.  Any sign of cos(beta) is
   absorbed into delta, which is therefore defined modulo pi.
@@ -120,26 +121,12 @@ def finite(name: str, value, dtype=float) -> np.ndarray:
 
 def matrix(m11, m12, m21, m22) -> np.ndarray:
     """Stack four broadcastable element arrays into a ``(..., 2, 2)`` complex array."""
-    m11, m12, m21, m22 = np.broadcast_arrays(m11, m12, m21, m22)
-    out = np.empty(m11.shape + (2, 2), dtype=complex)
+    out = np.empty(np.broadcast(m11, m12, m21, m22).shape + (2, 2), dtype=complex)
     out[..., 0, 0] = m11
     out[..., 0, 1] = m12
     out[..., 1, 0] = m21
     out[..., 1, 1] = m22
     return out
-
-
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for broadcastable ``(..., 2, 2)`` stacks, from the element formulas.
-
-    numpy's matmul runs a separate small-matrix loop per stacked 2x2 pair,
-    which on long stacks is an order of magnitude slower than these eight
-    elementwise products.
-    """
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    return matrix(a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-                  a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 def rot_y(angle) -> np.ndarray:

@@ -296,6 +296,26 @@ def test_fringe_analyze_reports_each_estimate_under_its_own_region(tmp_path, cap
     assert rows == [["1", "100", "500", "200", "280", values["region_1_2delta"]]]
 
 
+@pytest.mark.parametrize("first", ["600:700:200:280", "100:105:200:280"])  # outside the image, too narrow
+def test_fringe_analyze_profiles_are_the_first_retrieved_regions(first, tmp_path, capsys):
+    from polphase import fringes
+
+    run_cli(capsys, "fringe", "generate", "--delta", "0.3", "--beta", "0.2", "--k0", "0.2",
+            "--out-dir", str(tmp_path), "--out", "labels.pgm")
+    code, out, err = run_cli(capsys, "fringe", "analyze", "--image", str(tmp_path / "labels.pgm"),
+                             "--region", first, "--region", "100:500:200:280",
+                             "--out-dir", str(tmp_path), "--profiles-out", "p.csv")
+    assert code == 0, err
+    assert "region_1_2delta" in stdout_values(out)
+    header, rows = read_csv(tmp_path / "p.csv")
+    assert header == ["column", "upper", "lower", "upper_smooth", "lower_smooth"]
+    assert [row[0] for row in rows] == [str(c) for c in range(100, 500)]
+    img, _ = fringes.load_interferogram(tmp_path / "labels.pgm")
+    up, low = fringes.column_average(img, fringes.Region(100, 500, 200, 280))
+    assert [row[1] for row in rows] == ["%.12g" % v for v in up]
+    assert [row[2] for row in rows] == ["%.12g" % v for v in low]
+
+
 def test_visibility_identity_plates(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "visibility", "--theta1", "0.7853981633974483",
@@ -694,7 +714,8 @@ def test_repeated_runs_do_not_share_parsed_options(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # recorded outputs: every byte of stdout, stderr and the out-dir files, as
 # written by the implementation each run was first recorded with: the per-eta
-# polarimetry loop, and the region-by-region fringe retrieval
+# polarimetry loop, the region-by-region fringe retrieval, and the compose fold
+# of one su2.product per plate
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RUNS = {
@@ -718,6 +739,14 @@ GOLDEN_RUNS = {
                              "--profiles-out", "profiles.csv"],
     "fringe_analyze/enveloped": ["fringe", "analyze", "--image", "enveloped.pgm", "--out", "regions.csv",
                                  "--profiles-out", "profiles.csv"],
+    # compose of a plate list: the axes to 17 digits and the residual to the target
+    "decompose_3": ["decompose", "--xi", "0.7", "--eta=-1.2", "--zeta", "2.5", "--mode", "3",
+                    "--out", "array.txt"],
+    "decompose_5": ["decompose", "--xi", "0.7", "--eta=-1.2", "--zeta", "2.5", "--mode", "5", "--phi=0",
+                    "--out", "array.txt"],
+    # compose of a (41 x 3 x 1, 3) QHQ stack, twice: the closed form and the simulated sweeps
+    "visibility_check": ["visibility", "--theta1=-1.5:1.5:41", "--theta2=-1:1:3", "--theta3=-0.9", "--check",
+                         "--out", "vis.csv"],
 }
 INPUTS = {"plates.txt", "plain.pgm", "plain.pgm.meta", "enveloped.pgm", "enveloped.pgm.meta"}
 

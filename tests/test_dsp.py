@@ -1,5 +1,8 @@
 """Tests for the shared signal-processing helpers."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,27 +108,50 @@ def test_harmonic_fit_needs_values_along_the_grid():
 
 
 # ---------------------------------------------------------------------------
-# the grid cache behind harmonics and harmonic_fit
+# the grid cache behind harmonics and harmonic_fit: a cached pair is the same
+# read-only arrays on every call, so ``is`` tells a cache hit from a computation
+
+def _count_computations(monkeypatch) -> list:
+    """The k of every grid whose terms are computed from here on."""
+    calls, design = [], dsp._design
+    monkeypatch.setattr(dsp, "_design", lambda phi, k: calls.append(k) or design(phi, k))
+    return calls
+
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_harmonics_are_numpys_cos_and_sin_on_first_and_repeat_calls(k):
+def test_harmonics_are_numpys_cos_and_sin_on_first_and_repeat_calls(k, monkeypatch):
     phi = np.sort(RNG.uniform(-3.0, 9.0, 777))  # a grid no other test has cached
-    misses = dsp._grid_terms.cache_info().misses
-    for _ in range(2):
-        c, s = dsp.harmonics(phi, k)
+    calls = _count_computations(monkeypatch)
+    first = dsp.harmonics(phi, k)
+    for c, s in (first, dsp.harmonics(phi, k), dsp.harmonics(phi.copy(), k)):
         np.testing.assert_array_equal(c, np.cos(k * phi), strict=True)
         np.testing.assert_array_equal(s, np.sin(k * phi), strict=True)
-    assert dsp._grid_terms.cache_info().misses == misses + 1
+        # one computation per grid contents and k, then hits: a copy of the grid hits too
+        assert c is first[0] and s is first[1]
+    assert calls == [k]
+    assert dsp.harmonics(phi, 3 - k)[0] is not first[0]
+    assert calls == [k, 3 - k]
+
+
+def _fill_the_cache(k: int) -> list:
+    """Cache as many new grids as the cache holds; their (grid, cos) pairs."""
+    grids = [np.sort(RNG.uniform(0.0, 2 * np.pi, 100)) for _ in range(dsp._GRID_CACHE_SIZE)]
+    return [(phi, dsp.harmonics(phi, k)[0]) for phi in grids]
+
+
+def _all_held(pairs, k: int) -> bool:
+    return all(dsp.harmonics(phi, k)[0] is c for phi, c in pairs)
 
 
 def test_harmonics_of_other_shapes_are_computed_directly():
+    held = _fill_the_cache(2)
     mesh = RNG.uniform(0.0, 6.0, (5, 7))
-    size = dsp._grid_terms.cache_info().currsize
     for phi in (mesh, 0.3, np.float64(-2.5)):
         c, s = dsp.harmonics(phi, 2)
         np.testing.assert_array_equal(c, np.cos(2 * np.asarray(phi)))
         np.testing.assert_array_equal(s, np.sin(2 * np.asarray(phi)))
-    assert dsp._grid_terms.cache_info().currsize == size
+    # nothing was cached: every grid cached before is still held
+    assert _all_held(held, 2)
 
 
 def test_cached_harmonics_are_read_only():
@@ -149,23 +175,71 @@ def test_the_cache_is_keyed_by_the_grid_contents():
     np.testing.assert_array_equal(dsp.harmonics(phi)[0], np.cos(phi))
 
 
-def test_a_cached_unresolvable_grid_is_refused_on_every_call():
+def test_a_cached_unresolvable_grid_is_refused_on_every_call(monkeypatch):
     phi = np.array([0.25, np.pi + 0.25, 0.25, np.pi + 0.25])  # two distinct phases mod 2 pi
-    hits = dsp._grid_terms.cache_info().hits
+    calls = _count_computations(monkeypatch)
     for _ in range(3):
         with pytest.raises(dsp.UnresolvableGrid):
             dsp.harmonic_fit(np.ones(4), phi, 1)
-    assert dsp._grid_terms.cache_info().hits >= hits + 2
+    # computed once: the second and third refusals read the cached determinant
+    assert calls == [1]
 
 
-def test_the_cache_is_bounded():
-    maxsize = dsp._grid_terms.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 16
-    for n in range(64, 64 + 2 * maxsize):
-        dsp.harmonic_fit(np.ones(n), np.linspace(0.0, 2 * np.pi, n, endpoint=False), 2)
-    assert dsp._grid_terms.cache_info().currsize == maxsize
-    # a grid longer than the cached ones is computed on each call, to the same floats
+def test_the_cache_is_bounded(monkeypatch):
+    size = dsp._GRID_CACHE_SIZE
+    assert 0 < size <= 16
+    grids = [np.linspace(0.0, 2 * np.pi, n, endpoint=False) for n in range(64, 64 + 2 * size)]
+    for phi in grids:
+        dsp.harmonic_fit(np.ones(len(phi)), phi, 2)
+    # the last `size` grids are held (a hit keeps them all), the one before them is not
+    held = [(phi, dsp.harmonics(phi, 2)[0]) for phi in grids[size:]]
+    assert _all_held(held, 2)
+    # a grid longer than the cached ones is computed on each call, to the same floats,
+    # and evicts nothing
+    calls = _count_computations(monkeypatch)
     phi = np.linspace(0.0, 2 * np.pi, dsp._CACHED_POINTS + 1)
-    misses = dsp._grid_terms.cache_info().misses
-    np.testing.assert_array_equal(dsp.harmonics(phi, 2)[1], np.sin(2 * phi))
-    assert dsp._grid_terms.cache_info().misses == misses
+    first = dsp.harmonics(phi, 2)[1]
+    np.testing.assert_array_equal(first, np.sin(2 * phi))
+    assert dsp.harmonics(phi, 2)[1] is not first
+    assert calls == [2, 2]
+    assert _all_held(held, 2)
+    # a hit makes a grid the most recently used, so a new grid takes the place of the next one
+    assert _all_held(held[:1], 2)
+    dsp.harmonics(grids[size - 1], 2)
+    assert calls == [2, 2, 2]
+    assert _all_held(held[:1] + held[2:], 2)
+    assert not _all_held(held[1:2], 2)
+
+
+def test_threads_sharing_the_cache_get_numpys_terms_and_keep_its_bound():
+    grids = [np.linspace(0.0, 2 * np.pi, n, endpoint=False) for n in range(200, 200 + 3 * dsp._GRID_CACHE_SIZE)]
+    errors = []
+
+    def scan(offset):
+        try:
+            for i in range(300):
+                phi = grids[(offset + 7 * i) % len(grids)]
+                k = 1 + i % 2
+                c, s = dsp.harmonics(phi, k)
+                if not (np.array_equal(c, np.cos(k * phi)) and np.array_equal(s, np.sin(k * phi))):
+                    errors.append(f"wrong terms for {len(phi)} points, k = {k}")
+                with dsp._GRID_LOCK:  # between two lookups: within the bound, one entry per grid and k
+                    keys = [(grid, k) for grid, k, _ in dsp._GRID_CACHE]
+                if len(keys) > dsp._GRID_CACHE_SIZE or len(set(keys)) < len(keys):
+                    errors.append(f"{len(keys)} entries, {len(set(keys))} distinct")
+        except Exception as exc:  # a race in the reordering surfaces as an IndexError
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan, args=(offset,)) for offset in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(dsp._GRID_CACHE) == dsp._GRID_CACHE_SIZE

@@ -627,6 +627,26 @@ def test_pgm_rejects_a_truncated_header(tmp_path, header):
         fringes.load_interferogram(path)
 
 
+@pytest.mark.parametrize("payload", [0, 1, 2 * 16 * 16 - 1, 2 * 16 * 16 - 2])
+def test_pgm_rejects_a_truncated_payload(tmp_path, payload):
+    # an odd byte count too: the length is checked before the words are read
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n16 16\n65535\n" + b"\x01" * payload)
+    with pytest.raises(ValueError, match="^truncated PGM payload$"):
+        fringes.load_interferogram(path)
+
+
+def test_pgm_payload_is_decoded_to_the_floats_of_astype_then_divide(tmp_path):
+    words = np.arange(65536, dtype=">u2")
+    path = tmp_path / "all.pgm"
+    path.write_bytes(b"P5\n256 256\n65535\n" + words.tobytes() + b"trailing bytes are ignored")
+    pixels = fringes.load_interferogram(path)[0].pixels
+    want = words.reshape(256, 256).astype(float)
+    want /= 65535
+    assert pixels.dtype == want.dtype and pixels.tobytes() == want.tobytes()
+    assert pixels.flags.writeable and pixels.flags.c_contiguous
+
+
 @pytest.mark.parametrize("header, field", [
     (b"P5\nabc 4 65535\n", "width"),  # used to leak int()'s "invalid literal"
     (b"P5\n-4 -4 65535\n", "width"),  # used to reach reshape with negative sizes

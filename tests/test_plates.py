@@ -310,6 +310,70 @@ def test_batched_compose_matches_scalar_calls(data):
         np.testing.assert_allclose(got[k], plates.compose(single), rtol=0, atol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# compose's fold gives the bits of the per-step fold it replaced, kept here as
+# the oracle: one su2.matrix of the eight element products per plate
+
+def _compose_by_products(kinds, axes) -> np.ndarray:
+    axes = np.asarray(axes, dtype=float)
+    mats = plates._retarder(plates._retardances(kinds), axes)
+    out = np.broadcast_to(su2.IDENTITY2, axes.shape[:-1] + (2, 2)).copy()
+    for k in range(len(kinds)):
+        a, b = mats[..., k, :, :], out
+        a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+        b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+        out = su2.matrix(a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                         a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    return out
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shapes, dtypes and bytes: unlike ==, this tells -0.0 from 0.0."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+#: axes anywhere, at multiples of pi/8, and at +-0.0, where the Jones matrices hold exact zeros
+FOLD_AXIS = st.one_of(AXIS, st.integers(-16, 16).map(lambda k: k * np.pi / 8), st.sampled_from([0.0, -0.0]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from("QH"), FOLD_AXIS), max_size=7))
+def test_compose_of_a_plate_list_has_the_bits_of_the_per_step_fold(specs):
+    array = [plates.WavePlate(kind, axis) for kind, axis in specs]
+    want = _compose_by_products([p.kind for p in array], [p.axis for p in array])
+    assert_same_bits(plates.compose(array), want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_compose_of_a_stack_has_the_bits_of_the_per_step_fold(data):
+    kinds = data.draw(st.text("QH", min_size=1, max_size=6))
+    lead = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    axes = np.array(data.draw(st.lists(FOLD_AXIS, min_size=int(np.prod(lead)) * len(kinds),
+                                       max_size=int(np.prod(lead)) * len(kinds))))
+    axes = axes.reshape(*lead, len(kinds))
+    if data.draw(st.booleans()):
+        # a broadcast view: every size-1 axis stretched to 3 with a zero stride
+        axes = np.broadcast_to(axes, tuple(3 if n == 1 else n for n in lead) + (len(kinds),))
+    assert_same_bits(plates.compose(kinds, axes), _compose_by_products(kinds, axes))
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.integers(-64, 64).map(lambda k: k * np.pi / 2),
+                 st.integers(-64, 64).map(lambda k: np.nextafter(k * np.pi / 2, np.inf)),
+                 st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324])))
+def test_plate_axes_are_canonical_with_the_floats_of_np_remainder(axis):
+    want = np.remainder(np.float64(axis), np.pi)
+    if want > np.pi / 2.0:
+        want -= np.pi
+    got = plates.WavePlate("Q", axis).axis
+    assert type(got) is float
+    assert got.hex() == float(want).hex()
+
+
 def test_compose_empty_stacks():
     assert plates.compose("QHQ", np.empty((0, 3))).shape == (0, 2, 2)
     np.testing.assert_array_equal(plates.compose("", np.empty((4, 0))), np.broadcast_to(np.eye(2), (4, 2, 2)))

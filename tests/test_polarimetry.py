@@ -1,5 +1,7 @@
 """Tests for the rotating-array (single-beam) phase measurement."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -100,6 +102,22 @@ def test_extract_cos2_phase_from_model_extrema():
         i_max = i_min + np.sin(beta) ** 2
         got = polarimetry.extract_cos2_phase(i_min, i_max)
         assert abs(got - np.cos(delta) ** 2) < 1e-12
+
+
+def test_extract_cos2_phase_keeps_the_sign_of_a_zero_ratio():
+    # np.clip(-0.0, 0.0, 1.0) is -0.0, and so is the clamp that replaced it
+    assert math.copysign(1.0, polarimetry.extract_cos2_phase(-0.0, 0.5)) == -1.0
+    assert math.copysign(1.0, polarimetry.extract_cos2_phase(0.0, 0.5)) == 1.0
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.floats(-2e-9, 1.0), st.floats(-2e-9, 1.0 + 2e-9))
+def test_extract_cos2_phase_clamps_to_the_floats_of_np_clip(i_min, i_max):
+    try:
+        got = polarimetry.extract_cos2_phase(i_min, i_max)
+    except (polarimetry.InvalidExtrema, polarimetry.DegenerateDenominator):
+        return
+    assert got.hex() == float(np.clip(i_min / (1.0 - i_max + i_min), 0.0, 1.0)).hex()
 
 
 def test_extract_cos2_phase_beta_zero():
