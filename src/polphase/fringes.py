@@ -21,11 +21,14 @@ Two estimators are provided:
   transform at k0 and difference them; the transform's magnitude over the
   windowed mean level also gives the fringe visibility.
 
-Every step works on a stack of profiles, one row per evaluation region.
-retrieve_phase stacks all regions of one width and runs each step once over
-the stack; column_average, estimate_carrier, shift_by_minima,
-shift_by_fourier and measure_visibility are the one-row calls of the same
-code, and give bit for bit the numbers retrieve_phase gives each region.
+Every step is a kernel on a stack of profiles, one row per evaluation
+region, that returns each row's result and each row's refusal.
+retrieve_phase stacks all regions of one width and calls each kernel once on
+the rows still standing; column_average, estimate_carrier, shift_by_minima,
+shift_by_fourier and measure_visibility are one-row calls of the same
+kernels.  They check only what their caller passes in (k0, equal lengths)
+and raise their row's refusal, so they give bit for bit the numbers and the
+refusals retrieve_phase gives each region.
 Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 """
 
@@ -62,6 +65,7 @@ _FLAT_FLOOR = 1e-12
 #: savitzky_golay's default window, with which the minima estimator smooths
 _SG_WINDOW = 11
 
+_FLAT = "profile is flat"
 _NO_POWER = "no carrier power at the estimated frequency"
 
 
@@ -186,14 +190,18 @@ def default_regions(img: Interferogram, count: int = 4, width_fraction: float = 
     return regions
 
 
+def _inside(img: Interferogram, region: Region) -> None:
+    h, w = img.shape
+    if region.col_end > w or region.row_end > h:
+        raise ValueError(f"region {region} outside image {h}x{w}")
+
+
 def _half_rows(img: Interferogram, region: Region) -> tuple[tuple[int, int], tuple[int, int]]:
     """Row ranges of a region's parts in the upper and the lower half.
 
     Raises ValueError for a region that leaves the image or misses a half.
     """
-    h, w = img.shape
-    if region.col_end > w or region.row_end > h:
-        raise ValueError(f"region {region} outside image {h}x{w}")
+    _inside(img, region)
     split = img.half_split_row
     up_rows = (region.row_start, min(region.row_end, split))
     low_rows = (max(region.row_start, split), region.row_end)
@@ -258,7 +266,7 @@ def _peak_bins(mags: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, list]:
 def _no_carrier(flat, peak, kbin, shoulder) -> NoCarrier:
     """Why a row that _peak_bins refuses has no carrier."""
     if flat:
-        return NoCarrier("profile is flat")
+        return NoCarrier(_FLAT)
     if not peak > 0:
         return NoCarrier("profile is constant")
     if kbin < 2:
@@ -284,8 +292,6 @@ def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
     mags = np.abs(np.fft.rfft(windowed))
     kbin, errors = _peak_bins(mags, np.ptp(profiles, axis=1) < _FLAT_FLOOR)
     rows = np.array([r for r, error in enumerate(errors) if error is None], dtype=int)
-    if rows.size == 0:
-        return k, errors
     kbin = kbin[rows]
     dk = 2.0 * np.pi / n
     lo = np.maximum(0.5 * dk, (kbin - 1.5) * dk)
@@ -295,6 +301,9 @@ def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
     inner = kbin + 1 < mags.shape[1]
     peak = np.where(inner, vertex(mags, (rows, np.where(inner, kbin, 1))), kbin)
     k[rows] = _refine_carriers(windowed[rows], np.minimum(np.maximum(peak * dk, lo), hi), lo, hi)
+    # an overflowing transform leaves a NaN; every other carrier lies in [lo, hi]
+    for r in rows[np.isnan(k[rows])]:
+        errors[r] = NoCarrier("the windowed transform overflows")
     return k, errors
 
 
@@ -308,6 +317,9 @@ def _refine_carriers(windowed: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np
     # mid-profile, which leaves |X| alone and keeps the x^2 weights small
     n = windowed.shape[1]
     x = np.arange(n) - (n - 1) / 2.0
+    # a power-of-two scale per row moves no bit of a step, and keeps the
+    # products below from overflowing on profiles of 1e154 and more
+    windowed = np.ldexp(windowed, -np.frexp(np.abs(windowed).max(axis=1, keepdims=True))[1])
     weights = np.stack([windowed, -1j * x * windowed, -(x * x) * windowed], axis=1)
     refined = k.copy()
     rows = np.arange(len(k))  # the rows still iterating, whose weights, k, lo and hi these are
@@ -380,30 +392,31 @@ def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
     return np.split(positions, np.searchsorted(rows, np.arange(1, len(profiles))))
 
 
-def _subpixel_extrema(y: np.ndarray, carrier: float | None = None) -> np.ndarray:
-    """_minima of one profile; no carrier, no harmonic correction."""
-    return _minima(y[None], np.array([0.0 if carrier is None else carrier]))[0]
+def _minima_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
+    """shift_by_minima of each row of an (R, n) and an (R, m) stack at its carrier k0[r].
 
-
-def _positive_carrier(k0) -> None:
-    if finite("k0", k0) <= 0:
-        raise ValueError("k0 must be positive")
-
-
-def _pair_minima(pos_up: np.ndarray, pos_low: np.ndarray, k0: float) -> float:
-    """The shift_by_minima phase of two profiles' minima positions."""
-    if len(pos_up) < 2 or len(pos_low) < 2:
-        raise TooFewMinima(
-            f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}"
-        )
-    partner = pos_low[np.argmin(np.abs(pos_low - pos_up[:, None]), axis=1)]
-    phases = wrap_angle(k0 * (pos_up - partner))
-    resultant = np.mean(np.exp(1j * phases))
-    if abs(resultant) < 0.5:
-        raise AmbiguousPairing(
-            f"per-minimum shifts are inconsistent (resultant {abs(resultant):.2f})"
-        )
-    return float(np.angle(resultant))
+    Returns the shifts, NaN where a row has none, and each row's
+    TooFewMinima or AmbiguousPairing (None where it has a shift).  One minima
+    search covers both sides when they stack; only the pairing runs row by row.
+    """
+    count = len(k0)
+    minima = (_minima(np.concatenate([up, low]), np.tile(k0, 2)) if up.shape == low.shape
+              else _minima(up, k0) + _minima(low, k0))
+    shifts = np.full(count, np.nan)
+    errors: list = [None] * count
+    for r, (pos_up, pos_low) in enumerate(zip(minima[:count], minima[count:])):
+        if len(pos_up) < 2 or len(pos_low) < 2:
+            errors[r] = TooFewMinima(
+                f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}")
+            continue
+        partner = pos_low[np.argmin(np.abs(pos_low - pos_up[:, None]), axis=1)]
+        resultant = np.mean(np.exp(1j * wrap_angle(k0[r] * (pos_up - partner))))
+        if abs(resultant) < 0.5:
+            errors[r] = AmbiguousPairing(
+                f"per-minimum shifts are inconsistent (resultant {abs(resultant):.2f})")
+        else:
+            shifts[r] = np.angle(resultant)
+    return shifts, errors
 
 
 def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
@@ -419,10 +432,13 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     mutually inconsistent (circular resultant below 0.5) the pairing is
     ambiguous and AmbiguousPairing is raised.
     """
-    _positive_carrier(k0)
-    pos_up = _subpixel_extrema(np.asarray(up, dtype=float), carrier=k0)
-    pos_low = _subpixel_extrema(np.asarray(low, dtype=float), carrier=k0)
-    return _pair_minima(pos_up, pos_low, k0)
+    if finite("k0", k0) <= 0:
+        raise ValueError("k0 must be positive")
+    shifts, (error,) = _minima_shifts(np.asarray(up, dtype=float)[None],
+                                      np.asarray(low, dtype=float)[None], np.array([k0]))
+    if error is not None:
+        raise error
+    return float(shifts[0])
 
 
 def _fringe_terms(profiles: np.ndarray, k0: np.ndarray) -> np.ndarray:
@@ -439,12 +455,17 @@ def _flat(up: np.ndarray, low: np.ndarray) -> np.ndarray:
     return (np.ptp(up, axis=-1) < _FLAT_FLOOR) | (np.ptp(low, axis=-1) < _FLAT_FLOOR)
 
 
-def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower-minus-upper transform phase of each (upper, lower) row of an
-    (R, 2, n) stack at its carrier k0[r], wrapped, and the rows where either
-    transform is zero: no carrier power to read a phase from."""
-    terms = _fringe_terms(pairs, k0)
-    return wrap_angle(np.angle(terms[:, 1]) - np.angle(terms[:, 0])), (terms == 0.0).any(axis=1)
+def _fourier_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
+    """shift_by_fourier of each row of two (R, n) stacks at its carrier k0[r].
+
+    Returns the lower-minus-upper transform phases, wrapped, and each row's
+    NoCarrier (None where it has a shift): a flat profile on either side, else
+    a zero transform on either side, no carrier power to read a phase from.
+    """
+    terms = _fringe_terms(np.stack([up, low], axis=1), k0)
+    errors = [NoCarrier(_FLAT) if flat else NoCarrier(_NO_POWER) if powerless else None
+              for flat, powerless in zip(_flat(up, low), (terms == 0.0).any(axis=1))]
+    return wrap_angle(np.angle(terms[:, 1]) - np.angle(terms[:, 0])), errors
 
 
 def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -> float:
@@ -463,14 +484,14 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     low = np.asarray(low, dtype=float)
     if len(up) != len(low):
         raise ValueError(f"profile lengths differ: {len(up)} vs {len(low)}")
+    # a flat pair is refused before k0 is estimated or checked
     if _flat(up, low):
-        raise NoCarrier("profile is flat")
+        raise NoCarrier(_FLAT)
     if k0 is None:
         k0 = estimate_carrier(up)
-    finite("k0", k0)
-    shifts, powerless = _fourier_shifts(np.stack([up, low])[None], np.array([k0], dtype=float))
-    if powerless[0]:
-        raise NoCarrier(_NO_POWER)
+    shifts, (error,) = _fourier_shifts(up[None], low[None], finite("k0", k0)[None])
+    if error is not None:
+        raise error
     return float(shifts[0])
 
 
@@ -506,69 +527,43 @@ def _circular_mean(angles) -> float:
     return float(np.angle(np.mean(np.exp(1j * np.asarray(angles)))))
 
 
+def _smoothed_minima_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
+    """_minima_shifts of the savitzky_golay-smoothed profiles, less the filter's
+    edge fits when the profiles are long enough to spare them."""
+    try:
+        smooth = savitzky_golay(np.stack([up, low]), _SG_WINDOW)
+    except ValueError as exc:  # profiles shorter than the window
+        return np.full(len(k0), np.nan), [type(exc)(*exc.args) for _ in k0]
+    # the truncated edge fits are the filter's weakest samples; drop them
+    # before estimating so no minimum sits on a distorted stretch
+    n = smooth.shape[-1]
+    if n > 6 * _SG_WINDOW:
+        smooth = smooth[..., _SG_WINDOW // 2:n - _SG_WINDOW // 2]
+    return _minima_shifts(*smooth, k0)
+
+
 def _analyse_stack(img: Interferogram, regions: Sequence[Region], method: RetrievalMethod) -> list:
     """The outcome of each of a list of in-image regions of one width.
 
     An outcome is the region's first failure, in the order carrier, minima,
     Fourier, or (carrier, minima shift, Fourier shift) with None for a
-    method not run.  Every stage runs once over the regions still standing.
+    method not run.  Each stage is one kernel call on the regions still
+    standing; the kernels hold every check.
     """
     up, low = _column_averages(img, regions)
     # the raw profile: smoothing would damp a fast carrier below the
     # low-frequency shoulder of an enveloped profile
     k0, errors = _carriers(up)
-    minima: dict[int, float] = {}
-    fourier: dict[int, float] = {}
-
-    def standing() -> list[int]:
-        return [r for r, error in enumerate(errors) if error is None]
-
-    def fail(r: int, exc: Exception) -> None:
-        errors[r] = exc.with_traceback(None)  # see retrieve_phase
-
-    if method in ("minima", "both") and (live := standing()):
-        try:
-            smooth = savitzky_golay(np.stack([up[live], low[live]]), _SG_WINDOW)
-        except ValueError as exc:  # profiles shorter than the window
-            for r in live:
-                fail(r, type(exc)(*exc.args))
-        else:
-            # the truncated edge fits are the filter's weakest samples; drop
-            # them before estimating so no minimum sits on a distorted stretch
-            n = smooth.shape[-1]
-            if n > 6 * _SG_WINDOW:
-                smooth = smooth[..., _SG_WINDOW // 2:n - _SG_WINDOW // 2]
-            for r in live:
-                try:
-                    _positive_carrier(float(k0[r]))
-                except ValueError as exc:
-                    fail(r, exc)
-            keep = [j for j, r in enumerate(live) if errors[r] is None]
-            pairs = [live[j] for j in keep]
-            positions = _minima(smooth[:, keep].reshape(2 * len(keep), smooth.shape[-1]), np.tile(k0[pairs], 2))
-            for j, r in enumerate(pairs):
-                try:
-                    minima[r] = _pair_minima(positions[j], positions[j + len(pairs)], float(k0[r]))
-                except (ValueError, ArithmeticError) as exc:
-                    fail(r, exc)
-    if method in ("fourier", "both") and (live := standing()):
-        flat = _flat(up[live], low[live])
-        for j, r in enumerate(live):
-            if flat[j]:
-                errors[r] = NoCarrier("profile is flat")
-                continue
-            try:
-                finite("k0", float(k0[r]))
-            except ValueError as exc:
-                fail(r, exc)
-        if live := standing():
-            shifts, powerless = _fourier_shifts(np.stack([up[live], low[live]], axis=1), k0[live])
-            for j, r in enumerate(live):
-                if powerless[j]:
-                    errors[r] = NoCarrier(_NO_POWER)
-                else:
-                    fourier[r] = float(shifts[j])
-    return [errors[r] or (float(k0[r]), minima.get(r), fourier.get(r)) for r in range(len(regions))]
+    shifts: dict[str, dict[int, float]] = {"minima": {}, "fourier": {}}
+    for name, kernel in (("minima", _smoothed_minima_shifts), ("fourier", _fourier_shifts)):
+        live = [r for r, error in enumerate(errors) if error is None]
+        if method in (name, "both") and live:
+            values, failures = kernel(up[live], low[live], k0[live])
+            shifts[name] = dict(zip(live, values.tolist()))
+            for r, error in zip(live, failures):
+                errors[r] = error
+    return [errors[r] or (float(k0[r]), shifts["minima"].get(r), shifts["fourier"].get(r))
+            for r in range(len(regions))]
 
 
 def retrieve_phase(
@@ -583,16 +578,18 @@ def retrieve_phase(
     upper profile, then the shift estimator(s), which share that carrier.
     Each stage is one pass over the regions still standing: one transform
     and a joint Newton refinement find the carriers, one Savitzky-Golay pass
-    smooths every profile the minima estimator reads, one minima search
-    covers them all and only the pairing of minima is done region by region,
-    and one product reads every raw profile's transform at its carrier.
-    Every region gets the checks and the numbers of the one-region
-    functions column_average -> estimate_carrier -> shift_by_minima (on the
-    savitzky_golay-smoothed profiles less the filter's edge fits) /
-    shift_by_fourier (on the raw ones).  A region that fails (outside the image or missing a
-    half, no carrier, too few or unpaired minima, no carrier power) is
-    skipped and counted, with its first failure in that order; the call
-    fails, with the last region's error, only when every region fails.
+    smooths every profile the minima estimator reads, one minima search per
+    half covers them all and only the pairing of minima is done region by
+    region, and one product reads every raw profile's transform at its
+    carrier.
+    These are the kernels that the one-region functions column_average ->
+    estimate_carrier -> shift_by_minima (on the savitzky_golay-smoothed
+    profiles less the filter's edge fits) / shift_by_fourier (on the raw
+    ones) call, so every region gets their numbers and their refusals.  A
+    region that fails (outside the image or missing a half, no carrier, too
+    few or unpaired minima, a flat half, no carrier power) is skipped and
+    counted, with its first failure in that order; the call fails, with the
+    last region's error, only when every region fails.
     """
     if method not in ("minima", "fourier", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -662,9 +659,7 @@ def measure_visibility(img: Interferogram, region: Region) -> float:
     beam envelope scales them alike.  Raises NoCarrier when no carrier
     stands out (a flat profile, or less than about two fringes in frame).
     """
-    h, w = img.shape
-    if region.col_end > w or region.row_end > h:
-        raise ValueError(f"region {region} outside image {h}x{w}")
+    _inside(img, region)
     split = img.half_split_row
     if not (region.row_end <= split or region.row_start >= split):
         raise ValueError("visibility region must lie within a single half")
@@ -766,10 +761,13 @@ def load_interferogram(path) -> tuple[Interferogram, dict]:
                     value = parsed
                     break
             meta[key.strip()] = value
-    split = int(meta.get("split_row", pixels.shape[0] // 2))
+    split = meta.get("split_row", pixels.shape[0] // 2)
+    # int() would truncate 31.7 and fail unlabelled on nan
+    if not (isinstance(split, int) or isinstance(split, float) and split.is_integer()):
+        raise ValueError(f"split_row must be an integer, got {split!r}")
     img = Interferogram(
         pixels,
-        split,
+        int(split),
         k0=meta.get("k0"),
         true_delta=meta.get("true_delta"),
     )

@@ -208,6 +208,43 @@ def test_estimate_carrier_no_carrier_cases():
         fringes.estimate_carrier(np.exp(-0.5 * ((x - 128) / 40.0) ** 2))
 
 
+def test_estimate_carrier_refuses_an_overflowing_transform():
+    # the windowed transform of this profile overflows to inf, and its three-bin
+    # vertex to NaN, which used to be returned as the carrier
+    rng = np.random.default_rng(4)
+    y = (0.5 - 0.4 * np.cos(rng.uniform(0.0, np.pi) * np.arange(51)) + rng.normal(0.0, 3.0, 51)) * 1e307
+    with pytest.raises(fringes.NoCarrier, match="^the windowed transform overflows$"):
+        fringes.estimate_carrier(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(8, 300), st.sampled_from([1.0, 1e-300, 1e300, 1e307]),
+    st.sampled_from([0.0, 0.01, 0.3, 3.0]), st.integers(0, 2**32 - 1),
+)
+def test_every_carrier_not_refused_is_finite_and_below_nyquist(count, n, scale, sigma, seed):
+    # the shift kernels read _carriers' k0 unchecked: a row it does not refuse
+    # must carry a finite k0 in (0, pi), also where a huge profile's transform overflows
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(0.0, np.pi, (count, 1))
+    phase = rng.uniform(-np.pi, np.pi, (count, 1))
+    profiles = (0.5 - 0.4 * np.cos(k * np.arange(n) + phase) + rng.normal(0.0, sigma, (count, n))) * scale
+    carriers, errors = fringes._carriers(profiles)
+    for k0, error in zip(carriers, errors):
+        assert 0.0 < k0 < np.pi if error is None else np.isnan(k0)
+
+
+def test_retrieve_phase_on_huge_intensities():
+    # 1e300 leaves every sum finite and is retrieved; at 1e307 the column sums
+    # overflow to inf and every region is refused
+    img = fringes.generate(0.5, 0.4, 0.25, size=(64, 128), seed=1)
+    want = fringes.retrieve_phase(img).estimate
+    huge = fringes.Interferogram(img.pixels * 1e300, img.half_split_row)
+    assert abs(fringes.retrieve_phase(huge).estimate - want) < 1e-9
+    with pytest.raises(fringes.NoCarrier):
+        fringes.retrieve_phase(fringes.Interferogram(img.pixels * 1e307, img.half_split_row))
+
+
 # ---------------------------------------------------------------------------
 # minima estimator
 
@@ -292,6 +329,20 @@ def test_shift_by_fourier_flat_raises():
 def test_shift_by_fourier_length_mismatch():
     with pytest.raises(ValueError):
         fringes.shift_by_fourier(np.zeros(100), np.zeros(101))
+
+
+def test_shift_by_fourier_refusal_order():
+    # lengths first, then a flat pair (whatever k0 is), then a non-finite k0
+    up, low = make_profiles(0.2, 0.4, 0.2, 300)
+    with pytest.raises(ValueError, match="^profile lengths differ: 100 vs 101$"):
+        fringes.shift_by_fourier(np.full(100, 0.5), np.full(101, 0.5), np.nan)
+    for flat_up, flat_low in ((np.full(300, 0.5), low), (up, np.full(300, 0.5)), (np.full(6, 0.5), np.full(6, 0.5))):
+        for k0 in (np.nan, None):
+            with pytest.raises(fringes.NoCarrier, match="^profile is flat$"):
+                fringes.shift_by_fourier(flat_up, flat_low, k0)
+    for k0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(su2.NonFiniteInput, match="^k0 must be finite"):
+            fringes.shift_by_fourier(up, low, k0)
 
 
 @pytest.mark.parametrize("k0", [0.237, 0.5, 1.3])
@@ -469,6 +520,13 @@ def test_measure_visibility_region_must_stay_in_one_half():
         fringes.measure_visibility(img, Region(0, 128, 10, 50))
 
 
+def test_measure_visibility_region_must_lie_inside_the_image():
+    img = fringes.generate(0.0, 0.3, 0.2, size=(64, 128))
+    for region in (Region(0, 129, 0, 32), Region(100, 140, 0, 32), Region(0, 128, 32, 65)):
+        with pytest.raises(ValueError, match="outside image 64x128"):
+            fringes.measure_visibility(img, region)
+
+
 def test_measure_visibility_too_few_extrema():
     img = fringes.generate(0.0, 0.3, 0.05, size=(64, 64))  # < 1 fringe in frame
     with pytest.raises(fringes.NoCarrier):
@@ -523,6 +581,26 @@ def test_pgm_sidecar_keeps_the_sign_of_a_zero(tmp_path):
     assert np.copysign(1.0, loaded.true_delta) == -1.0 and (loaded.k0, meta["seed"]) == (1, 0)
     fringes.save_interferogram(loaded, tmp_path / "again.pgm", extra={"seed": 0})
     assert (tmp_path / "again.pgm.meta").read_text() == Path(f"{path}.meta").read_text()
+
+
+@pytest.mark.parametrize("text", ["31.7", "32.5", "nan", "inf", "1e400", "half"])
+def test_load_refuses_a_non_integral_split_row(tmp_path, text):
+    # int() truncated 31.7 to row 31 and split the wrong halves; NaN failed unlabelled
+    path = tmp_path / "split.pgm"
+    fringes.save_interferogram(fringes.generate(0.3, 0.2, 0.4, size=(64, 96)), path)
+    sidecar = Path(f"{path}.meta")
+    sidecar.write_text(sidecar.read_text().replace("split_row=32\n", f"split_row={text}\n"))
+    with pytest.raises(ValueError, match="^split_row must be an integer, got "):
+        fringes.load_interferogram(path)
+
+
+def test_load_reads_an_integral_split_row_written_as_a_float(tmp_path):
+    path = tmp_path / "split.pgm"
+    fringes.save_interferogram(fringes.generate(0.3, 0.2, 0.4, size=(64, 96)), path)
+    sidecar = Path(f"{path}.meta")
+    sidecar.write_text(sidecar.read_text().replace("split_row=32\n", "split_row=30.0\n"))
+    img, meta = fringes.load_interferogram(path)
+    assert type(img.half_split_row) is int and img.half_split_row == 30 and meta["split_row"] == 30.0
 
 
 def test_pgm_payload_format(tmp_path):
@@ -817,7 +895,7 @@ def test_savgol_coefficients_returns_a_private_copy():
 )
 def test_subpixel_extrema_matches_scalar_loop(values, carrier):
     y = np.array(values)
-    got = fringes._subpixel_extrema(y, carrier=carrier)
+    got = fringes._minima(y[None], np.array([0.0 if carrier is None else carrier]))[0]
     want = _extrema_reference(y, carrier=carrier)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
@@ -833,7 +911,7 @@ def test_subpixel_extrema_on_noisy_fringes_matches_scalar_loop(phase, k0, with_c
     rng = np.random.default_rng(abs(hash((phase, k0))) % 2**32)
     y = 0.5 - 0.4 * np.cos(k0 * np.arange(200) + phase) + rng.normal(0.0, 0.01, 200)
     carrier = k0 if with_carrier else None
-    np.testing.assert_array_equal(fringes._subpixel_extrema(y, carrier=carrier),
+    np.testing.assert_array_equal(fringes._minima(y[None], np.array([0.0 if carrier is None else carrier]))[0],
                                   _extrema_reference(y, carrier=carrier))
 
 
