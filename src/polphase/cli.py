@@ -9,15 +9,17 @@ Subcommands
 
 Every run resolves its parameters from flags plus an optional ``key=value``
 config file (flags win; its keys are the command's own value-taking options
-bar ``--config`` and ``--out-dir``, anything else is refused), converts angles
-from degrees when ``--degrees`` is given (defaults are radians, restated in
-degrees first), and writes the fully resolved configuration (angles as given,
-floats in full) next to its outputs as a record that ``--config`` reads back
-to repeat the run exactly.  CSV output uses 12 significant digits and is
-byte-stable across reruns with the same configuration and seed.  On failure a
-single ``error: <Kind>: <message>`` line goes to stderr, the exit code is
-nonzero, and nothing is written: the output directory is made only once the
-inputs, and the directory of every output, have been checked.
+bar ``--config`` and ``--out-dir``, anything else is refused, and each value
+is read with the type its option declares), converts angles from degrees when
+``--degrees`` is given (defaults are radians, restated in degrees first), and
+writes the fully resolved configuration (angles as given, floats in full) as a
+record that ``--config`` reads back to repeat the run exactly.  The record is
+written in the step that makes the output directory, before the outputs.  CSV
+output uses 12 significant digits and is byte-stable across reruns with the
+same configuration and seed.  On failure a single ``error: <Kind>: <message>``
+line goes to stderr, the exit code is nonzero, and nothing is written: the
+output directory is made only once the inputs, and the directory of every
+output, have been checked.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _load_config(args) -> dict:
     record = config.pop("command", None)
     if record is not None and record != args.name:
         raise UnknownConfigKey(f"{path}: a record of command {record!r}, not {args.name!r}")
-    accepted = args.config_keys if record is None else args.record_keys
+    accepted = set(args.types) if record is None else args.record_keys
     unknown = sorted(set(config) - accepted)
     if unknown:
         raise UnknownConfigKey(f"{path}: {', '.join(map(repr, unknown))} not accepted; "
@@ -87,18 +89,19 @@ def _load_config(args) -> dict:
 
 
 class Resolver:
-    """Merge CLI flags with config-file values and record the result."""
+    """The run's parameters: its flags merged with its --config values (flags win),
+    each read as its option's parser type, and recorded as they are resolved."""
 
-    def __init__(self, args, config: dict):
+    def __init__(self, args):
         self.args = args
-        self.config = config
+        self.config = _load_config(args)
         self.resolved: dict = {}
         self.degrees = self.flag("degrees")
 
-    def _raw(self, name: str, cast, default, required):
+    def value(self, name: str, default=None, required=False):
         value = getattr(self.args, name.replace("-", "_"), None)
         if value is None and name in self.config:
-            value = cast(self.config[name])
+            value = self.args.types[name](self.config[name])
         if value is None:
             value = default
         if required and value is None:
@@ -113,22 +116,13 @@ class Resolver:
         value = self.resolved[name] = getattr(self.args, name) or text.lower() == "true"
         return value
 
-    def number(self, name, default=None, required=False) -> float | None:
-        return self._raw(name, float, default, required)
-
     def angle(self, name, default=None, required=False) -> float | None:
         if default is not None and self.degrees:
             # defaults are radians: restated in degrees, they are read and recorded
             # like a given value, so a rerun from the record converts them alike
             default = float(np.rad2deg(default))
-        value = self._raw(name, float, default, required)
+        value = self.value(name, default, required)
         return float(np.deg2rad(value)) if value is not None and self.degrees else value
-
-    def integer(self, name, default=None, required=False) -> int | None:
-        return self._raw(name, int, default, required)
-
-    def text(self, name, default=None, required=False) -> str | None:
-        return self._raw(name, str, default, required)
 
     def angle_grid(self, name, default=None, required=False) -> np.ndarray:
         """Parse 'v' or 'start:stop:count' (inclusive endpoints) into angles."""
@@ -136,7 +130,7 @@ class Resolver:
             parts = default.split(":")  # radians, restated in degrees as in angle()
             parts[:2] = [repr(float(np.rad2deg(float(v)))) for v in parts[:2]]
             default = ":".join(parts)
-        raw = self._raw(name, str, default, required)
+        raw = self.value(name, default, required)
         parts = str(raw).split(":")
         if len(parts) == 1:
             values = np.array([float(parts[0])])
@@ -146,38 +140,34 @@ class Resolver:
             raise ValueError(f"--{name} must be 'value' or 'start:stop:count', got {raw!r}")
         return np.deg2rad(values) if self.degrees else values
 
-    def write(self, outdir: Path) -> None:
-        """The run record: the command, then every resolved value, floats in full."""
+    def outputs(self, *names) -> list:
+        """The path of each named output in the output directory (an absolute name
+        stays as it is; None for no output).  The directory of every output is
+        checked first; then the output directory is made and the run record,
+        the command and every resolved value (floats in full), written in it.
+        Each command calls this once, with its inputs checked and its results
+        in hand, so a refused run writes nothing."""
+        outdir = Path(self.args.out_dir or os.environ.get(OUTDIR_ENV) or ".")
+        paths = [None if name is None else outdir / name for name in names]
+        for path in paths:
+            if path is not None and not path.parent.is_dir() and path.parent.resolve() != outdir.resolve():
+                raise MissingOutputDirectory(f"cannot write {str(path)!r}: no directory {str(path.parent)!r}")
+        outdir.mkdir(parents=True, exist_ok=True)
         lines = [f"command={self.args.name}\n"]
         lines += [f"{key}={'' if value is None else value}\n" for key, value in sorted(self.resolved.items())]
         (outdir / f"{self.args.name}_config.txt").write_text("".join(lines), encoding="ascii")
-
-
-def _outdir(args, *names) -> tuple[Path, list]:
-    """The output directory, created, and the path of each named output in it (an
-    absolute name stays as it is; None for no output).  Each command calls this
-    only once its inputs have been checked and its results are in hand, and every
-    output's directory is checked before the output directory is made, so a
-    refused run writes nothing."""
-    outdir = Path(args.out_dir or os.environ.get(OUTDIR_ENV) or ".")
-    paths = [None if name is None else outdir / name for name in names]
-    for path in paths:
-        if path is not None and not path.parent.is_dir() and path.parent.resolve() != outdir.resolve():
-            raise MissingOutputDirectory(f"cannot write {str(path)!r}: no directory {str(path.parent)!r}")
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir, paths
+        return paths
 
 
 # ---------------------------------------------------------------------------
 # decompose
 
-def _cmd_decompose(args, config) -> int:
-    r = Resolver(args, config)
+def _cmd_decompose(r: Resolver) -> int:
     xi = r.angle("xi", required=True)
     eta = r.angle("eta", required=True)
     zeta = r.angle("zeta", required=True)
-    mode = r.integer("mode", default=3)
-    out = r.text("out", default="plates.txt")
+    mode = r.value("mode", default=3)
+    out = r.value("out", default="plates.txt")
 
     if mode == 3:
         array = plates.decompose_qhq(xi, eta, zeta)
@@ -192,9 +182,8 @@ def _cmd_decompose(args, config) -> int:
 
     composed = plates.compose(array)
     residual = float(np.max(np.abs(composed - target)))
-    outdir, (path,) = _outdir(args, out)
+    (path,) = r.outputs(out)
     path.write_text(plates.format_plate_array(array), encoding="ascii")
-    r.write(outdir)
 
     print(f"plates written to {path}")
     for p in array:
@@ -209,13 +198,12 @@ def _cmd_decompose(args, config) -> int:
 # ---------------------------------------------------------------------------
 # interf
 
-def _cmd_interf_sweep(args, config) -> int:
-    r = Resolver(args, config)
+def _cmd_interf_sweep(r: Resolver) -> int:
     xi = r.angle("xi", required=True)
     eta = r.angle("eta", required=True)
     zeta = r.angle("zeta", required=True)
-    samples = r.integer("samples", default=1024)
-    out = r.text("out", default="interf_sweep.csv")
+    samples = r.value("samples", default=1024)
+    out = r.value("out", default="interf_sweep.csv")
 
     u = su2.from_yzy(xi, eta, zeta)
     phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
@@ -226,9 +214,8 @@ def _cmd_interf_sweep(args, config) -> int:
     except interferometer.ZeroVisibility as exc:
         print(f"warning: {exc}", file=sys.stderr)
         recovered = "undefined"
-    outdir, (path,) = _outdir(args, out)
+    (path,) = r.outputs(out)
     _write_csv(path, ["phi", "I_V", "I_H"], [phis, i_v, i_h])
-    r.write(outdir)
 
     zyz = su2.to_zyz(u)
     print(f"recovered_2delta={recovered}")
@@ -238,12 +225,11 @@ def _cmd_interf_sweep(args, config) -> int:
     return 0
 
 
-def _cmd_interf_surface(args, config) -> int:
-    r = Resolver(args, config)
+def _cmd_interf_surface(r: Resolver) -> int:
     zeta = r.angle("zeta", default=0.0)
     xi_grid = r.angle_grid("xi-grid", default="0:6.283185307179586:33")
     eta_grid = r.angle_grid("eta-grid", default="0:6.283185307179586:33")
-    out = r.text("out", default="phase_surface.csv")
+    out = r.value("out", default="phase_surface.csv")
 
     xi, eta = np.meshgrid(xi_grid, eta_grid, indexing="ij")
     zyz = su2.yzy_to_zyz(xi, eta, zeta)
@@ -252,9 +238,8 @@ def _cmd_interf_surface(args, config) -> int:
     # beta = pi/2: phase undefined, cell left empty
     cells = _cells(cos2.ravel().tolist(), zyz.delta_defined.ravel().tolist())
     degenerate = int(np.count_nonzero(~zyz.delta_defined))
-    outdir, (path,) = _outdir(args, out)
+    (path,) = r.outputs(out)
     _write_csv(path, ["xi", "eta", "cos2_phase"], [xi.ravel(), eta.ravel(), cells])
-    r.write(outdir)
     if degenerate:
         print(f"warning: {degenerate} grid points with undefined phase (beta=pi/2)",
               file=sys.stderr)
@@ -265,12 +250,14 @@ def _cmd_interf_surface(args, config) -> int:
 # ---------------------------------------------------------------------------
 # polarimetry
 
-def _cmd_polarimetry(args, config) -> int:
-    r = Resolver(args, config)
-    plate_file = r.text("plates", default=None)
+def _cmd_polarimetry(r: Resolver) -> int:
+    plate_file = r.value("plates", default=None)
+    n_grid = r.value("n-grid", default=4096)
+    noise = r.value("noise-sigma", default=0.0)
+    seed = r.value("seed", default=0)
     if plate_file is not None:
-        return _polarimetry_plate_scan(args, r, plate_file)
-    mode = r.text("mode", default="full")
+        return _polarimetry_plate_scan(r, plate_file, n_grid, noise, seed)
+    mode = r.value("mode", default="full")
     if mode not in ("full", "zeta2pi", "ximinuspi"):
         raise ValueError(f"--mode must be full, zeta2pi or ximinuspi, got {mode!r}")
     if mode == "zeta2pi":
@@ -282,12 +269,9 @@ def _cmd_polarimetry(args, config) -> int:
     else:
         xi = r.angle("xi", required=True)
         zeta = r.angle("zeta", required=True)
-    eta_steps = r.integer("eta-steps", default=64)
-    n_grid = r.integer("n-grid", default=4096)
-    noise = r.number("noise-sigma", default=0.0)
-    seed = r.integer("seed", default=0)
-    out = r.text("out", default="polarimetry.csv")
-    sweep_out = r.text("sweep-out", default=None)
+    eta_steps = r.value("eta-steps", default=64)
+    out = r.value("out", default="polarimetry.csv")
+    sweep_out = r.value("sweep-out", default=None)
 
     etas = np.linspace(0.0, 2.0 * np.pi, eta_steps, endpoint=False)
     zyz = su2.yzy_to_zyz(xi, etas, zeta)
@@ -306,31 +290,26 @@ def _cmd_polarimetry(args, config) -> int:
     if sweep_out is not None:
         sweep = polarimetry.polarimetric_sweep(xi, r.angle("eta", required=True), zeta, n_grid, noise, seed)
 
-    outdir, (path, sweep_path) = _outdir(args, out, sweep_out)
+    path, sweep_path = r.outputs(out, sweep_out)
     _write_csv(path, ["eta", "cos2_measured", "cos2_expected"], [etas, measured_cos2, expected_cos2])
     if sweep_out is not None:
         _write_csv(sweep_path, ["phi", "intensity"], [sweep.phi_grid, sweep.intensities])
-    r.write(outdir)
     print(f"curve written to {path} ({len(etas)} points, "
           f"{measured_cos2.count('')} degenerate)")
     return 0
 
 
-def _polarimetry_plate_scan(args, r: Resolver, plate_file: str) -> int:
+def _polarimetry_plate_scan(r: Resolver, plate_file: str, n_grid: int, noise: float, seed: int) -> int:
     """Scan a user-supplied plate array (plain-text plate list) over phi."""
-    n_grid = r.integer("n-grid", default=4096)
-    noise = r.number("noise-sigma", default=0.0)
-    seed = r.integer("seed", default=0)
-    out = r.text("out", default="plate_scan.csv")
+    out = r.value("out", default="plate_scan.csv")
 
     array = plates.parse_plate_array(Path(plate_file).read_text())
     phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     intensity = polarimetry.add_scan_noise(polarimetry.scan_plate_array(array, phis), noise, seed)
     sweep = polarimetry.PolarimetricSweep(phis, intensity, su2.YzyParams(0, 0, 0))
     i_min, i_max = polarimetry.sweep_extrema(sweep)
-    outdir, (path,) = _outdir(args, out)
+    (path,) = r.outputs(out)
     _write_csv(path, ["phi", "intensity"], [phis, intensity])
-    r.write(outdir)
 
     print(f"scan written to {path} ({len(array)} plates)")
     print(f"I_min={i_min:.12g}")
@@ -346,27 +325,25 @@ def _polarimetry_plate_scan(args, r: Resolver, plate_file: str) -> int:
 # ---------------------------------------------------------------------------
 # fringe
 
-def _cmd_fringe_generate(args, config) -> int:
-    r = Resolver(args, config)
+def _cmd_fringe_generate(r: Resolver) -> int:
     delta = r.angle("delta", required=True)
     beta = r.angle("beta", default=0.0)
-    k0 = r.number("k0", default=0.2)
-    width = r.integer("width", default=640)
-    height = r.integer("height", default=480)
-    noise = r.number("noise-sigma", default=0.0)
-    envelope = r.number("envelope-width", default=None)
+    k0 = r.value("k0", default=0.2)
+    width = r.value("width", default=640)
+    height = r.value("height", default=480)
+    noise = r.value("noise-sigma", default=0.0)
+    envelope = r.value("envelope-width", default=None)
     phi0 = r.angle("phi0", default=0.0)
-    seed = r.integer("seed", default=0)
-    out = r.text("out", default="interferogram.pgm")
+    seed = r.value("seed", default=0)
+    out = r.value("out", default="interferogram.pgm")
 
     img = fringes.generate(
         delta, beta, k0, size=(height, width), noise_sigma=noise,
         envelope_width=envelope, seed=seed, phi0=phi0,
     )
-    outdir, (path,) = _outdir(args, out)
+    (path,) = r.outputs(out)
     fringes.save_interferogram(img, path, extra={"seed": seed, "beta": beta,
                                                  "noise_sigma": noise})
-    r.write(outdir)
     print(f"image written to {path} ({height}x{width}, 2*delta={2*delta:.6g})")
     return 0
 
@@ -379,16 +356,15 @@ def _parse_region(text: str) -> fringes.Region:
     return fringes.Region(c0, c1, r0, r1)
 
 
-def _cmd_fringe_analyze(args, config) -> int:
-    r = Resolver(args, config)
-    image = r.text("image", required=True)
-    method = r.text("method", default="both")
-    out = r.text("out", default=None)
-    profiles_out = r.text("profiles-out", default=None)
+def _cmd_fringe_analyze(r: Resolver) -> int:
+    image = r.value("image", required=True)
+    method = r.value("method", default="both")
+    out = r.value("out", default=None)
+    profiles_out = r.value("profiles-out", default=None)
 
     img, meta = fringes.load_interferogram(image)
-    recorded = config.get("region") or config.get("regions", "auto")
-    specs = args.region or [s for s in recorded.split(";") if s and recorded != "auto"]
+    recorded = r.config.get("region") or r.config.get("regions", "auto")
+    specs = r.args.region or [s for s in recorded.split(";") if s and recorded != "auto"]
     if specs:
         regions = [_parse_region(s) for s in specs]
         r.resolved["regions"] = ";".join(specs)
@@ -402,8 +378,7 @@ def _cmd_fringe_analyze(args, config) -> int:
         up, low = fringes.column_average(img, first)
         profiles = [range(first.col_start, first.col_end), up, low,
                     fringes.savitzky_golay(up), fringes.savitzky_golay(low)]
-    outdir, (path, profiles_path) = _outdir(args, out or None, profiles_out or None)
-    r.write(outdir)
+    path, profiles_path = r.outputs(out or None, profiles_out or None)
 
     print(f"carrier_k0={result.carrier:.12g}")
     for i, est in zip(result.region_indices, result.region_estimates):
@@ -444,12 +419,11 @@ def _simulated_visibility(theta1, theta2, theta3, samples=1024) -> np.ndarray:
     return np.abs(amplitude) / offset
 
 
-def _cmd_visibility(args, config) -> int:
-    r = Resolver(args, config)
+def _cmd_visibility(r: Resolver) -> int:
     t1_grid = r.angle_grid("theta1", required=True)
     t2_grid = r.angle_grid("theta2", required=True)
     t3_grid = r.angle_grid("theta3", required=True)
-    out = r.text("out", default="visibility.csv")
+    out = r.value("out", default="visibility.csv")
     check = r.flag("check")
 
     header = ["theta1", "theta2", "theta3", "visibility"]
@@ -459,9 +433,8 @@ def _cmd_visibility(args, config) -> int:
     columns = [t1, t2, t3, interferometer.visibility_plates(t1, t2, t3)]
     if check:
         columns.append(_simulated_visibility(t1, t2, t3))
-    outdir, (path,) = _outdir(args, out)
+    (path,) = r.outputs(out)
     _write_csv(path, header, columns)
-    r.write(outdir)
     print(f"visibility data written to {path} ({len(t1)} points)")
     return 0
 
@@ -470,15 +443,16 @@ def _cmd_visibility(args, config) -> int:
 
 def _add_command(parser: argparse.ArgumentParser, func, name: str, recorded=()) -> None:
     """Add the options every command shares and set its handler; its config keys are
-    the value options it had before this call, plus degrees and ``recorded`` in a record."""
-    keys = {opt[2:] for action in parser._actions if action.nargs != 0
-            for opt in action.option_strings if opt.startswith("--")}
+    the value options it had before this call, each read as its parser type (str
+    when it has none), plus degrees and ``recorded`` in a record."""
+    types = {opt[2:]: action.type or str for action in parser._actions if action.nargs != 0
+             for opt in action.option_strings if opt.startswith("--")}
     parser.add_argument("--degrees", action="store_true",
                         help="interpret angle arguments as degrees")
     parser.add_argument("--config", help="key=value file supplying defaults, or a run record")
     parser.add_argument("--out-dir", help=f"output directory (default ${OUTDIR_ENV} or '.')")
-    parser.set_defaults(func=func, name=name, config_keys=frozenset(keys),
-                        record_keys=frozenset(keys | {"degrees", *recorded}))
+    parser.set_defaults(func=func, name=name, types=types,
+                        record_keys=frozenset({*types, "degrees", *recorded}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,7 +539,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args, _load_config(args))
+        return args.func(Resolver(args))
     except Exception as exc:  # single machine-parsable error line
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

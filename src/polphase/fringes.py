@@ -59,14 +59,17 @@ class NoCarrier(ValueError):
     """No dominant spatial carrier frequency stands out of the spectrum."""
 
 
-#: peak-to-peak profile span below which fringes count as absent entirely
+#: peak-to-peak profile span, relative to the profile's largest magnitude, at
+#: or below which fringes count as absent entirely
 _FLAT_FLOOR = 1e-12
 
 #: savitzky_golay's default window, with which the minima estimator smooths
 _SG_WINDOW = 11
 
 _FLAT = "profile is flat"
+_NOT_FINITE = "profile is not finite"
 _NO_POWER = "no carrier power at the estimated frequency"
+_OVERFLOWS = "the windowed transform overflows"
 
 
 @dataclass(frozen=True)
@@ -238,6 +241,22 @@ def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.n
 # Shift estimators: each works on a stack of profiles, one row per region;
 # the public functions are their one-row calls
 
+def _flat(rows: np.ndarray) -> np.ndarray:
+    """The rows of a profile stack that carry no fringes: a peak-to-peak span of
+    at most _FLAT_FLOOR times the row's largest magnitude, so that the test
+    holds at any intensity scale and an all-zero row is flat."""
+    return np.ptp(rows, axis=-1) <= _FLAT_FLOOR * np.abs(rows).max(axis=-1)
+
+
+def _profile_pair(up, low) -> tuple[np.ndarray, np.ndarray]:
+    """An upper and a lower profile as float arrays, refused unless finite and of one length."""
+    up = finite("upper profile", up)
+    low = finite("lower profile", low)
+    if len(up) != len(low):
+        raise ValueError(f"profile lengths differ: {len(up)} vs {len(low)}")
+    return up, low
+
+
 @functools.lru_cache(maxsize=16)
 def _periodic_hann(n: int) -> np.ndarray:
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -290,7 +309,10 @@ def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
         return k, [NoCarrier(f"profile too short ({n} samples)") for _ in range(count)]
     windowed = (profiles - profiles.mean(axis=1, keepdims=True)) * _periodic_hann(n)
     mags = np.abs(np.fft.rfft(windowed))
-    kbin, errors = _peak_bins(mags, np.ptp(profiles, axis=1) < _FLAT_FLOOR)
+    kbin, errors = _peak_bins(mags, _flat(profiles))
+    # an overflowed or missing sample leaves no spectrum to read a carrier from
+    for r in np.flatnonzero(~np.isfinite(profiles).all(axis=1)):
+        errors[r] = NoCarrier(_NOT_FINITE)
     rows = np.array([r for r, error in enumerate(errors) if error is None], dtype=int)
     kbin = kbin[rows]
     dk = 2.0 * np.pi / n
@@ -303,7 +325,7 @@ def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
     k[rows] = _refine_carriers(windowed[rows], np.minimum(np.maximum(peak * dk, lo), hi), lo, hi)
     # an overflowing transform leaves a NaN; every other carrier lies in [lo, hi]
     for r in rows[np.isnan(k[rows])]:
-        errors[r] = NoCarrier("the windowed transform overflows")
+        errors[r] = NoCarrier(_OVERFLOWS)
     return k, errors
 
 
@@ -393,15 +415,14 @@ def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
 
 
 def _minima_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
-    """shift_by_minima of each row of an (R, n) and an (R, m) stack at its carrier k0[r].
+    """shift_by_minima of each row of two (R, n) stacks at its carrier k0[r].
 
     Returns the shifts, NaN where a row has none, and each row's
     TooFewMinima or AmbiguousPairing (None where it has a shift).  One minima
-    search covers both sides when they stack; only the pairing runs row by row.
+    search covers both sides; only the pairing runs row by row.
     """
     count = len(k0)
-    minima = (_minima(np.concatenate([up, low]), np.tile(k0, 2)) if up.shape == low.shape
-              else _minima(up, k0) + _minima(low, k0))
+    minima = _minima(np.concatenate([up, low]), np.tile(k0, 2))
     shifts = np.full(count, np.nan)
     errors: list = [None] * count
     for r, (pos_up, pos_low) in enumerate(zip(minima[:count], minima[count:])):
@@ -434,8 +455,8 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     """
     if finite("k0", k0) <= 0:
         raise ValueError("k0 must be positive")
-    shifts, (error,) = _minima_shifts(np.asarray(up, dtype=float)[None],
-                                      np.asarray(low, dtype=float)[None], np.array([k0]))
+    up, low = _profile_pair(up, low)
+    shifts, (error,) = _minima_shifts(up[None], low[None], np.array([k0]))
     if error is not None:
         raise error
     return float(shifts[0])
@@ -450,21 +471,19 @@ def _fringe_terms(profiles: np.ndarray, k0: np.ndarray) -> np.ndarray:
     return ((profiles - profiles.mean(axis=-1, keepdims=True)) @ kernel[..., None])[..., 0]
 
 
-def _flat(up: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Rows of two profile stacks of which either side carries no fringes."""
-    return (np.ptp(up, axis=-1) < _FLAT_FLOOR) | (np.ptp(low, axis=-1) < _FLAT_FLOOR)
-
-
 def _fourier_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
     """shift_by_fourier of each row of two (R, n) stacks at its carrier k0[r].
 
     Returns the lower-minus-upper transform phases, wrapped, and each row's
     NoCarrier (None where it has a shift): a flat profile on either side, else
-    a zero transform on either side, no carrier power to read a phase from.
+    a transform that overflows, or is zero (no carrier power to read a phase
+    from), on either side.
     """
     terms = _fringe_terms(np.stack([up, low], axis=1), k0)
-    errors = [NoCarrier(_FLAT) if flat else NoCarrier(_NO_POWER) if powerless else None
-              for flat, powerless in zip(_flat(up, low), (terms == 0.0).any(axis=1))]
+    flat = _flat(up) | _flat(low)
+    overflows = ~np.isfinite(terms).all(axis=1)
+    errors = [NoCarrier(_FLAT) if f else NoCarrier(_OVERFLOWS) if o else NoCarrier(_NO_POWER) if z else None
+              for f, o, z in zip(flat, overflows, (terms == 0.0).any(axis=1))]
     return wrap_angle(np.angle(terms[:, 1]) - np.angle(terms[:, 0])), errors
 
 
@@ -480,12 +499,9 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     linear-phase term, so any phase offset common to both halves drops out of
     the result.
     """
-    up = np.asarray(up, dtype=float)
-    low = np.asarray(low, dtype=float)
-    if len(up) != len(low):
-        raise ValueError(f"profile lengths differ: {len(up)} vs {len(low)}")
+    up, low = _profile_pair(up, low)
     # a flat pair is refused before k0 is estimated or checked
-    if _flat(up, low):
+    if _flat(up) or _flat(low):
         raise NoCarrier(_FLAT)
     if k0 is None:
         k0 = estimate_carrier(up)
@@ -554,6 +570,9 @@ def _analyse_stack(img: Interferogram, regions: Sequence[Region], method: Retrie
     # the raw profile: smoothing would damp a fast carrier below the
     # low-frequency shoulder of an enveloped profile
     k0, errors = _carriers(up)
+    # the carrier search reads the upper profiles only
+    for r in np.flatnonzero(~np.isfinite(low).all(axis=1)):
+        errors[r] = errors[r] or NoCarrier(_NOT_FINITE)
     shifts: dict[str, dict[int, float]] = {"minima": {}, "fourier": {}}
     for name, kernel in (("minima", _smoothed_minima_shifts), ("fourier", _fourier_shifts)):
         live = [r for r, error in enumerate(errors) if error is None]

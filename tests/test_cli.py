@@ -460,6 +460,62 @@ def test_every_value_option_is_a_config_key(tmp_path, capsys):
     assert "regions=10:118:16:48;20:108:24:40\n" in (out_dir / "fringe_analyze_config.txt").read_text()
 
 
+# one run per command over options of every parser type (int, float, text):
+# a config value is read exactly as the same value given as a flag
+TYPED_RUNS = {
+    "decompose": (["decompose"], {"xi": "1.1", "eta": "0.4", "zeta": "-0.7", "phi": "0.3",
+                                  "mode": "5", "out": "p.txt"}),
+    "interf_sweep": (["interf", "sweep"], {"xi": "0.5", "eta": "1", "zeta": "0", "samples": "512",
+                                           "out": "s.csv"}),
+    "interf_surface": (["interf", "surface"], {"zeta": "0.25", "xi-grid": "0:3.14:5", "eta-grid": "1",
+                                               "out": "f.csv"}),
+    "polarimetry": (["polarimetry"], {"mode": "full", "xi": "1", "eta": "0.3", "zeta": "-0.4",
+                                      "eta-steps": "8", "n-grid": "512", "noise-sigma": "0.01",
+                                      "seed": "3", "sweep-out": "w.csv", "out": "c.csv"}),
+    "polarimetry_plates": (["polarimetry"], {"plates": "plates.txt", "n-grid": "256",
+                                             "noise-sigma": "0.02", "seed": "5", "out": "q.csv"}),
+    "fringe_generate": (["fringe", "generate"], {"delta": "0.4", "beta": "0.3", "k0": "0.25",
+                                                 "width": "160", "height": "64", "noise-sigma": "0.02",
+                                                 "envelope-width": "300", "phi0": "0.1", "seed": "7",
+                                                 "out": "g.pgm"}),
+    "fringe_analyze": (["fringe", "analyze"], {"image": "img.pgm", "method": "minima",
+                                               "region": "10:150:4:28", "out": "r.csv",
+                                               "profiles-out": "pr.csv"}),
+    "visibility": (["visibility"], {"theta1": "0:1:3", "theta2": "-0.2", "theta3": "0.1", "out": "v.csv"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_RUNS))
+def test_a_config_value_is_read_exactly_as_its_flag(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plates.txt").write_text(plates.format_plate_array(plates.polarimetric_array(0.9, 0.5, -1.2, 0.0)))
+    from polphase import fringes
+
+    fringes.save_interferogram(fringes.generate(0.35, 0.2, 0.3, size=(32, 160), seed=1), tmp_path / "img.pgm")
+    words, options = TYPED_RUNS[name]
+    code, by_flags, err = run_cli(capsys, *words, *[f"--{k}={v}" for k, v in options.items()],
+                                  "--out-dir", "flags")
+    assert (code, err.startswith("error")) == (0, False)
+    Path("run.cfg").write_text("".join(f"{k}={v}\n" for k, v in options.items()))
+    code, by_config, err = run_cli(capsys, *words, "--config", "run.cfg", "--out-dir", "config")
+    assert (code, err.startswith("error")) == (0, False)
+    assert by_flags.replace("flags", "config") == by_config
+    first, second = sorted(Path("flags").iterdir()), sorted(Path("config").iterdir())
+    assert [p.name for p in first] == [p.name for p in second]
+    outputs = {options[k] for k in ("out", "sweep-out", "profiles-out") if k in options}
+    assert outputs < {p.name for p in first} and any(p.name.endswith("_config.txt") for p in first)
+    for a, b in zip(first, second):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_a_config_value_not_of_its_option_type_is_refused(tmp_path, capsys):
+    code, err, out_dir = _config_run(tmp_path, capsys, ["interf", "sweep"],
+                                     "xi=0.5\neta=1\nzeta=0\nsamples=64.5\n")
+    assert code == 1
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # the run record is a config file: rerunning from it repeats every output byte
 

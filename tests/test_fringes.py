@@ -245,6 +245,53 @@ def test_retrieve_phase_on_huge_intensities():
         fringes.retrieve_phase(fringes.Interferogram(img.pixels * 1e307, img.half_split_row))
 
 
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-100, 1e-300])
+def test_retrieve_phase_on_tiny_intensities(scale):
+    # flatness is relative to the profile's magnitude, so a small intensity
+    # scale is retrieved as the unscaled image is, not refused as flat
+    img = fringes.generate(0.4, 0.3, 0.25, size=(64, 128), noise_sigma=0.01, seed=3)
+    want = fringes.retrieve_phase(img).estimate
+    tiny = fringes.Interferogram(img.pixels * scale, img.half_split_row)
+    assert abs(fringes.retrieve_phase(tiny).estimate - want) < 1e-12
+
+
+def test_a_non_finite_profile_is_refused_as_not_finite():
+    for bad in (np.inf, -np.inf, np.nan):
+        y = 0.5 - 0.4 * np.cos(0.3 * np.arange(64))
+        y[10] = bad
+        with pytest.raises(fringes.NoCarrier, match="^profile is not finite$"):
+            fringes.estimate_carrier(y)
+    # the column sums of this image overflow to inf
+    img = fringes.generate(0.5, 0.4, 0.25, size=(64, 128), seed=1)
+    with pytest.raises(fringes.NoCarrier, match="^profile is not finite$"):
+        fringes.retrieve_phase(fringes.Interferogram(img.pixels * 1e307, img.half_split_row))
+
+
+def test_a_lower_half_near_the_float_limit_is_refused_not_read_as_nan():
+    # the lower half's column sums stay finite but its Fourier terms overflow:
+    # the Fourier estimate is refused, the minima estimate still read
+    img = fringes.generate(0.4, 0.3, 0.25, size=(64, 128), noise_sigma=0.01, seed=3)
+    pixels = img.pixels * 1e300
+    pixels[img.half_split_row:] *= 1e7
+    huge = fringes.Interferogram(pixels, img.half_split_row)
+    region = fringes.default_regions(huge)[0]
+    with pytest.raises(fringes.NoCarrier, match="^the windowed transform overflows$"):
+        fringes.shift_by_fourier(*fringes.column_average(huge, region))
+    with pytest.raises(fringes.NoCarrier):
+        fringes.retrieve_phase(huge, method="fourier")
+    result = fringes.retrieve_phase(huge, method="minima")
+    assert np.isfinite(result.estimate) and abs(result.estimate - 0.8) < 0.01
+
+
+def test_the_shift_estimators_refuse_a_non_finite_profile():
+    up, low = make_profiles(0.2, 0.4, 0.2, 300)
+    low[7] = np.nan
+    for shift in (fringes.shift_by_minima, fringes.shift_by_fourier):
+        with pytest.raises(su2.NonFiniteInput, match="^lower profile must be finite"):
+            shift(up, low, 0.2)
+
+
 # ---------------------------------------------------------------------------
 # minima estimator
 
@@ -288,6 +335,12 @@ def test_shift_by_minima_ambiguous_pairing():
     low = 0.5 - 0.4 * np.cos(0.26 * x + 1.0)
     with pytest.raises(fringes.AmbiguousPairing):
         fringes.shift_by_minima(up, low, 0.2)
+
+
+def test_shift_by_minima_refuses_profiles_of_unequal_length():
+    up, _ = make_profiles(0.0, 0.5, 0.2, 300)
+    with pytest.raises(ValueError, match="^profile lengths differ: 300 vs 299$"):
+        fringes.shift_by_minima(up, up[:-1], 0.2)
 
 
 def test_shift_by_minima_k0_validation():
