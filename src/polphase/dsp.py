@@ -196,7 +196,8 @@ def vertex(values: np.ndarray, index):
     *rows, col = index if isinstance(index, tuple) else (index,)
     ym, y0, yp = values[(*rows, col - 1)], values[(*rows, col)], values[(*rows, col + 1)]
     slope = ym - yp
-    curvature = ym - 2.0 * y0 + yp
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf sample makes an inf or NaN vertex
+        curvature = ym - 2.0 * y0 + yp
     flat = curvature == 0.0
     # a flat triple divides 0 by 1: offset 0, without np.where's cost on scalars
     return col + 0.5 * slope * ~flat / (curvature + flat)

@@ -35,6 +35,9 @@ Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 from __future__ import annotations
 
 import functools
+import os
+import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence
@@ -65,6 +68,9 @@ _FLAT_FLOOR = 1e-12
 
 #: savitzky_golay's default window, with which the minima estimator smooths
 _SG_WINDOW = 11
+
+#: the float64 bit pattern of +inf, read as an unsigned integer
+_INF_BITS = 0x7FF0000000000000
 
 _FLAT = "profile is flat"
 _NOT_FINITE = "profile is not finite"
@@ -110,8 +116,12 @@ class Interferogram:
             raise ValueError(f"image must be at least 16x16, got {h}x{w}")
         if not 0 < self.half_split_row < h:
             raise ValueError(f"half_split_row {self.half_split_row} outside (0, {h})")
-        # NaN fails both comparisons; two reductions, no full-size boolean masks
-        if not (self.pixels.min() >= 0.0 and self.pixels.max() < np.inf):
+        # one reduction, no full-size boolean mask: as uint64, the bits of +0.0 and of
+        # every positive finite float lie below +inf's, and those of NaN, +inf and any
+        # float with its sign bit set do not; only such an image pays for the two
+        # reductions that accept -0.0 and refuse the rest (NaN fails both comparisons)
+        if not (self.pixels.view(np.uint64).max() < _INF_BITS
+                or self.pixels.min() >= 0.0 and self.pixels.max() < np.inf):
             raise ValueError("pixel intensities must be finite and nonnegative")
 
     @property
@@ -222,11 +232,13 @@ def _column_averages(img: Interferogram, regions: Sequence[Region]) -> tuple[np.
     n = regions[0].col_end - regions[0].col_start
     sums = np.empty((2, len(regions), n))
     counts = np.empty((2, len(regions), 1))
-    for i, region in enumerate(regions):
-        cols = slice(region.col_start, region.col_end)
-        for half, (start, end) in enumerate(_half_rows(img, region)):
-            img.pixels[start:end, cols].sum(axis=0, out=sums[half, i])
-            counts[half, i] = end - start
+    # a sum that overflows is left inf, and the carrier search refuses its profile as not finite
+    with np.errstate(over="ignore"):
+        for i, region in enumerate(regions):
+            cols = slice(region.col_start, region.col_end)
+            for half, (start, end) in enumerate(_half_rows(img, region)):
+                img.pixels[start:end, cols].sum(axis=0, out=sums[half, i])
+                counts[half, i] = end - start
     sums /= counts
     return sums[0], sums[1]
 
@@ -244,7 +256,8 @@ def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.n
 def _flat(rows: np.ndarray) -> np.ndarray:
     """The rows of a profile stack that carry no fringes: a peak-to-peak span of
     at most _FLAT_FLOOR times the row's largest magnitude, so that the test
-    holds at any intensity scale and an all-zero row is flat."""
+    holds at any intensity scale and an all-zero row is flat.  A span beyond the
+    float limit overflows to inf, which is not flat; callers ignore that overflow."""
     return np.ptp(rows, axis=-1) <= _FLAT_FLOOR * np.abs(rows).max(axis=-1)
 
 
@@ -276,8 +289,10 @@ def _peak_bins(mags: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, list]:
     peak = mags[np.arange(len(mags)), kbin]
     below = np.arange(mags.shape[1]) < np.maximum(kbin // 2, 2)[:, None]
     shoulder = np.where(below, mags, -np.inf)[:, 1:].max(axis=1)
+    with np.errstate(over="ignore"):  # a shoulder above half the float limit outweighs any peak
+        twice = 2.0 * shoulder
     errors = [None] * len(mags)
-    for r in np.flatnonzero(flat | ~(peak > 0) | (kbin < 2) | ~(peak >= 2.0 * shoulder)):
+    for r in np.flatnonzero(flat | ~(peak > 0) | (kbin < 2) | ~(peak >= twice)):
         errors[r] = _no_carrier(flat[r], peak[r], kbin[r], shoulder[r])
     return kbin, errors
 
@@ -307,11 +322,16 @@ def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
     k = np.full(count, np.nan)
     if n < 8:
         return k, [NoCarrier(f"profile too short ({n} samples)") for _ in range(count)]
-    windowed = (profiles - profiles.mean(axis=1, keepdims=True)) * _periodic_hann(n)
-    mags = np.abs(np.fft.rfft(windowed))
-    kbin, errors = _peak_bins(mags, _flat(profiles))
     # an overflowed or missing sample leaves no spectrum to read a carrier from
-    for r in np.flatnonzero(~np.isfinite(profiles).all(axis=1)):
+    finite = np.isfinite(profiles).all(axis=1)
+    # such a row, or a finite one near the float limit, turns inf or NaN here; the
+    # peak checks read that, and a non-finite row is refused as such below
+    with np.errstate(over="ignore", invalid="ignore"):
+        windowed = (profiles - profiles.mean(axis=1, keepdims=True)) * _periodic_hann(n)
+        mags = np.abs(np.fft.rfft(windowed))
+        flat = _flat(profiles)
+    kbin, errors = _peak_bins(mags, flat)
+    for r in np.flatnonzero(~finite):
         errors[r] = NoCarrier(_NOT_FINITE)
     rows = np.array([r for r, error in enumerate(errors) if error is None], dtype=int)
     kbin = kbin[rows]
@@ -479,8 +499,9 @@ def _fourier_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np
     a transform that overflows, or is zero (no carrier power to read a phase
     from), on either side.
     """
-    terms = _fringe_terms(np.stack([up, low], axis=1), k0)
-    flat = _flat(up) | _flat(low)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing term is refused below
+        terms = _fringe_terms(np.stack([up, low], axis=1), k0)
+        flat = _flat(up) | _flat(low)
     overflows = ~np.isfinite(terms).all(axis=1)
     errors = [NoCarrier(_FLAT) if f else NoCarrier(_OVERFLOWS) if o else NoCarrier(_NO_POWER) if z else None
               for f, o, z in zip(flat, overflows, (terms == 0.0).any(axis=1))]
@@ -501,7 +522,9 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     """
     up, low = _profile_pair(up, low)
     # a flat pair is refused before k0 is estimated or checked
-    if _flat(up) or _flat(low):
+    with np.errstate(over="ignore"):
+        flat = _flat(up) or _flat(low)
+    if flat:
         raise NoCarrier(_FLAT)
     if k0 is None:
         k0 = estimate_carrier(up)
@@ -693,6 +716,14 @@ def measure_visibility(img: Interferogram, region: Region) -> float:
 # Image I/O: 16-bit binary portable graymap plus plain key=value sidecar
 
 _PGM_MAXVAL = 65535
+#: bytes of a PGM file's first read, enough for a header without long comments
+_PGM_FIRST_READ = 256
+#: a PGM header's four fields, magic, width, height and maxval.  A field starts at
+#: a byte that is neither whitespace nor '#' and runs to the next whitespace; a
+#: '#' where a field could start opens a comment that runs to the end of its line.
+#: Fields after the first follow at least one whitespace byte, so no match splits one.
+_PGM_GAP = rb"(?:\s|#[^\n]*\n)*"
+_PGM_HEADER = re.compile(_PGM_GAP + rb"([^\s#]\S*)" + (rb"\s" + _PGM_GAP + rb"([^\s#]\S*)") * 3)
 
 
 def save_interferogram(img: Interferogram, path, extra: dict | None = None) -> None:
@@ -720,37 +751,44 @@ def save_interferogram(img: Interferogram, path, extra: dict | None = None) -> N
 
 
 def _read_pgm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos == len(raw):
+    with open(path, "rb", buffering=0) as fh:
+        head = b""
+        while True:  # a header of any length: read on in doubling chunks until it ends
+            more = fh.read(max(len(head), _PGM_FIRST_READ))
+            head += more
+            header = _PGM_HEADER.match(head)
+            # a match that reaches the end of what was read may go on in the next chunk
+            if not more or header and header.end() < len(head):
+                break
+        if header is None:
             raise ValueError("truncated PGM header")
-        if raw[pos:pos + 1] == b"#":  # comment line; one left open runs to the end
-            pos = raw.find(b"\n", pos) + 1 or len(raw)
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    if fields[0] != b"P5":
-        raise ValueError(f"not a binary PGM: magic {fields[0]!r}")
-    for name, text in zip(("width", "height", "maxval"), fields[1:]):
-        if not text.isdigit() or int(text) == 0:  # bytes.isdigit: ASCII digits only, no sign
-            raise ValueError(f"malformed PGM header: {name} {text!r} is not a positive integer")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != _PGM_MAXVAL:
-        raise ValueError(f"expected 16-bit graymap (maxval {_PGM_MAXVAL}), got {maxval}")
-    if len(raw) - pos < 2 * w * h:
-        raise ValueError("truncated PGM payload")
-    # the slice copy aligns the words (an odd-length header would leave them unaligned,
-    # which slows the division more than the copy costs); one pass then gives the
-    # floats of astype(float) followed by /= maxval
-    data = np.frombuffer(raw[pos:pos + 2 * w * h], dtype=">u2")
-    return np.divide(data.reshape(h, w), float(_PGM_MAXVAL), dtype=float)
+        fields = header.groups()
+        if fields[0] != b"P5":
+            raise ValueError(f"not a binary PGM: magic {fields[0]!r}")
+        for name, text in zip(("width", "height", "maxval"), fields[1:]):
+            if not text.isdigit() or int(text) == 0:  # bytes.isdigit: ASCII digits only, no sign
+                raise ValueError(f"malformed PGM header: {name} {text!r} is not a positive integer")
+        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        if maxval != _PGM_MAXVAL:
+            raise ValueError(f"expected 16-bit graymap (maxval {_PGM_MAXVAL}), got {maxval}")
+        pos = header.end() + 1  # single whitespace after maxval
+        # the file's length is checked before the words are allocated: a header may claim any size
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size - pos < 2 * w * h:
+            raise ValueError("truncated PGM payload")
+        # the payload goes straight into a fresh (so aligned) array: the few bytes read
+        # with the header, then one readinto for the rest (more only if it comes up short)
+        words = np.empty((h, w), dtype=">u2")
+        payload = memoryview(words).cast("B")
+        ahead = head[pos:pos + len(payload)]
+        payload[:len(ahead)] = ahead
+        filled = len(ahead)
+        while filled < len(payload) and (count := fh.readinto(payload[filled:])):
+            filled += count
+        if filled < len(payload):
+            raise ValueError("truncated PGM payload")
+    # one pass gives the floats of astype(float) followed by /= maxval
+    return np.divide(words, float(_PGM_MAXVAL), dtype=float)
 
 
 def load_interferogram(path) -> tuple[Interferogram, dict]:
@@ -761,25 +799,28 @@ def load_interferogram(path) -> tuple[Interferogram, dict]:
     default split at mid-height.
     """
     pixels = _read_pgm(path)
+    try:
+        with open(f"{path}.meta", "rb", buffering=0) as fh:
+            sidecar = fh.read().decode("ascii")
+    except FileNotFoundError:
+        sidecar = ""
     meta: dict = {}
-    sidecar = Path(f"{path}.meta")
-    if sidecar.exists():
-        for line in sidecar.read_text(encoding="ascii").splitlines():
-            line = line.strip()
-            if not line or "=" not in line:
+    for line in sidecar.splitlines():
+        line = line.strip()
+        if not line or "=" not in line:
+            continue
+        key, _, value = line.partition("=")
+        value = value.strip()
+        for cast in (int, float):
+            try:
+                parsed = cast(value)
+            except ValueError:
                 continue
-            key, _, value = line.partition("=")
-            value = value.strip()
-            for cast in (int, float):
-                try:
-                    parsed = cast(value)
-                except ValueError:
-                    continue
-                # "-0" is how save writes the float -0.0: read it as a float, keeping the sign
-                if cast is float or parsed or not value.startswith("-"):
-                    value = parsed
-                    break
-            meta[key.strip()] = value
+            # "-0" is how save writes the float -0.0: read it as a float, keeping the sign
+            if cast is float or parsed or not value.startswith("-"):
+                value = parsed
+                break
+        meta[key.strip()] = value
     split = meta.get("split_row", pixels.shape[0] // 2)
     # int() would truncate 31.7 and fail unlabelled on nan
     if not (isinstance(split, int) or isinstance(split, float) and split.is_integer()):

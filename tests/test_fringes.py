@@ -2,6 +2,9 @@
 
 import gc
 import hashlib
+import os
+import re
+import threading
 import weakref
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
 from polphase import dsp, fringes, su2
@@ -688,7 +692,8 @@ def test_generate_in_place_gives_the_floats_of_fresh_arrays(noise_sigma, envelop
     assert img.pixels.flags.owndata and img.pixels.flags.writeable
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -5e-324,
+                                 pytest.param(np.copysign(np.nan, -1.0), id="nan-with-its-sign-bit")])
 def test_interferogram_refuses_a_non_finite_or_negative_pixel(bad):
     pixels = np.full((16, 16), 0.5)
     pixels[3, 7] = bad
@@ -697,6 +702,67 @@ def test_interferogram_refuses_a_non_finite_or_negative_pixel(bad):
     # zero, negative zero and the largest float are finite and nonnegative
     pixels[3, 7], pixels[0, 0], pixels[-1, -1] = 0.0, -0.0, np.finfo(float).max
     fringes.Interferogram(pixels, 8)
+
+
+def _accepted(pixels) -> bool:
+    try:
+        fringes.Interferogram(pixels, 8)
+    except ValueError as exc:
+        assert str(exc) == "pixel intensities must be finite and nonnegative"
+        return False
+    return True
+
+
+def _two_reductions(pixels) -> bool:
+    """The check as first written: min() >= 0 and max() < inf of the float64 pixels."""
+    pixels = np.asarray(pixels, dtype=float)
+    return bool(pixels.min() >= 0.0 and pixels.max() < np.inf)
+
+
+#: float64 values around the edges of "finite and nonnegative", NaNs of both signs
+#: and with payloads among them
+SPECIAL_PIXELS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, np.finfo(float).max, -5e-324, -1e-300, -1.0,
+    np.inf, -np.inf, np.nan, -np.nan, np.copysign(np.nan, -1.0),
+    np.uint64(0x7FF0000000000001).view(float), np.uint64(0xFFFFFFFFFFFFFFFF).view(float),
+]
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "float32", "float32-strided"])
+def test_the_pixel_check_reads_any_layout_as_before(layout):
+    base = np.random.default_rng(6).uniform(0.0, 1.0, (40, 48))
+    for value in SPECIAL_PIXELS:
+        pixels = base.copy()
+        pixels[4, 6] = value  # inside every view below
+        pixels[1, 1] = np.nan  # outside the strided views
+        if layout == "fortran":
+            pixels = np.asfortranarray(pixels)
+        elif layout.endswith("strided"):
+            pixels = pixels[2::2, ::3]
+        if layout.startswith("float32"):
+            with np.errstate(over="ignore", invalid="ignore"):  # NaN payloads and values beyond float32
+                pixels = pixels.astype(np.float32)
+        assert _accepted(pixels) == _two_reductions(pixels), (layout, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(16, 24), st.integers(16, 24),
+    st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(SPECIAL_PIXELS)), max_size=6),
+    st.sampled_from(["C", "F", "strided", "float32"]),
+)
+def test_the_one_pass_check_accepts_exactly_what_the_two_reductions_accept(h, w, seeded, layout):
+    pixels = np.random.default_rng(h * w).uniform(0.0, 2.0, (h, w))
+    for index, value in seeded:
+        pixels.flat[index % pixels.size] = value
+    if layout == "F":
+        pixels = np.asfortranarray(pixels)
+    elif layout == "strided":
+        pixels = np.concatenate([pixels, pixels], axis=1)[:, ::2]
+    elif layout == "float32":
+        with np.errstate(over="ignore", invalid="ignore"):
+            pixels = pixels.astype(np.float32)
+    assert _accepted(pixels) == _two_reductions(pixels)
 
 
 def test_save_leaves_the_image_and_its_caller_array_untouched(tmp_path):
@@ -789,6 +855,134 @@ def test_pgm_rejects_a_malformed_header(tmp_path, header, field):
     path = tmp_path / "bad.pgm"
     path.write_bytes(header + bytes(32))
     with pytest.raises(ValueError, match=f"^malformed PGM header: {field} b'.*' is not a positive integer$"):
+        fringes.load_interferogram(path)
+
+
+def _read_pgm_from_bytes(raw: bytes) -> np.ndarray:
+    """The reader as first written, over the whole file's bytes: the oracle of
+    the reader that parses the header from the open file."""
+    fields: list[bytes] = []
+    pos = 0
+    while len(fields) < 4:
+        while pos < len(raw) and raw[pos:pos + 1].isspace():
+            pos += 1
+        if pos == len(raw):
+            raise ValueError("truncated PGM header")
+        if raw[pos:pos + 1] == b"#":
+            pos = raw.find(b"\n", pos) + 1 or len(raw)
+            continue
+        start = pos
+        while pos < len(raw) and not raw[pos:pos + 1].isspace():
+            pos += 1
+        fields.append(raw[start:pos])
+    pos += 1
+    if fields[0] != b"P5":
+        raise ValueError(f"not a binary PGM: magic {fields[0]!r}")
+    for name, text in zip(("width", "height", "maxval"), fields[1:]):
+        if not text.isdigit() or int(text) == 0:
+            raise ValueError(f"malformed PGM header: {name} {text!r} is not a positive integer")
+    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if maxval != 65535:
+        raise ValueError(f"expected 16-bit graymap (maxval 65535), got {maxval}")
+    if len(raw) - pos < 2 * w * h:
+        raise ValueError("truncated PGM payload")
+    return np.frombuffer(raw[pos:pos + 2 * w * h], dtype=">u2").reshape(h, w) / 65535.0
+
+
+_WHITESPACE = [b" ", b"\t", b"\n", b"\r\n", b"\r", b"\x0b", b"\x0c"]
+
+
+@st.composite
+def _pgm_files(draw):
+    """(file bytes, header length, words) of a PGM with a varied header and trailing bytes."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    words = draw(hnp.arrays(np.dtype(">u2"), (h, w), elements=st.integers(0, 65535)))
+
+    def gap(leading=False):
+        # whitespace (none before the magic), with comments where a field could start
+        parts = [] if leading else [draw(st.sampled_from(_WHITESPACE))]
+        for _ in range(draw(st.integers(0, 2))):
+            size = draw(st.sampled_from([0, 1, 6, 80, 8193, 20000]))
+            parts.append(b"#" + b"c #\t\r" * (size // 5) + b"x" * (size % 5) + b"\n")
+            parts.append(draw(st.sampled_from([b""] + _WHITESPACE)))
+        return b"".join(parts)
+
+    header = (gap(leading=True) + b"P5" + gap() + str(w).encode() + gap() + str(h).encode() + gap()
+              + b"65535" + draw(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])))
+    trailing = draw(st.binary(max_size=40))
+    return header + words.tobytes() + trailing, len(header), words
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pgm_files(), st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_pgm_reader_matches_the_whole_file_formula_and_its_refusals(tmp_path_factory, pgm, cuts):
+    # any header (comments, tabs, CRLF, long comments, odd lengths) and trailing
+    # bytes: the words / 65535 of the old formula, bit for bit; every prefix of the
+    # file is refused with the message the whole-file reader gave it, or read alike
+    raw, header_length, words = pgm
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    path.write_bytes(raw)
+    pixels = fringes._read_pgm(path)
+    np.testing.assert_array_equal(pixels, np.frombuffer(words.tobytes(), ">u2").reshape(words.shape) / 65535.0,
+                                  strict=True)
+    assert pixels.flags.c_contiguous and pixels.flags.writeable
+    ends = {0, 1, header_length - 1, header_length, header_length + 1, header_length + words.nbytes - 1}
+    for end in sorted(ends | {int(f * len(raw)) for f in cuts}):
+        if not 0 <= end < len(raw):
+            continue
+        path.write_bytes(raw[:end])
+        try:
+            want = _read_pgm_from_bytes(raw[:end])
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                fringes._read_pgm(path)
+        else:
+            np.testing.assert_array_equal(fringes._read_pgm(path), want, strict=True)
+
+
+def test_pgm_header_fields_cut_by_the_reader_chunks_are_read_whole(tmp_path):
+    # the header is read in chunks of 256, 512, 1024... bytes: move every byte of
+    # "4 4 65535\n" across each of the first three chunk ends
+    words = (np.arange(16) * 4000).astype(">u2").reshape(4, 4)
+    path = tmp_path / "img.pgm"
+    for end in (256, 512, 1024):
+        for pad in range(end - 30, end + 1):
+            path.write_bytes(b"P5\n#" + b"x" * pad + b"\n4 4 65535\n" + words.tobytes())
+            np.testing.assert_array_equal(fringes._read_pgm(path), words / 65535.0, strict=True)
+
+
+def test_pgm_header_claiming_more_than_the_file_holds_is_refused_before_allocating(tmp_path):
+    # 2e16 bytes of words: refused from the file's length, as the whole-file reader did
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P5\n99999999 99999999 65535\n" + bytes(64))
+    with pytest.raises(ValueError, match="^truncated PGM payload$"):
+        fringes.load_interferogram(path)
+
+
+def test_pgm_is_read_from_a_pipe(tmp_path):
+    # a file without a length (a FIFO, a shell's <(...)) is read to its end
+    img = fringes.generate(0.3, 0.2, 0.4, size=(40, 64), noise_sigma=0.1, seed=5)
+    fringes.save_interferogram(img, tmp_path / "img.pgm")
+    raw = (tmp_path / "img.pgm").read_bytes()
+    fifo = tmp_path / "pipe.pgm"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,))
+    writer.start()
+    try:
+        pixels = fringes._read_pgm(fifo)
+    finally:
+        writer.join()
+    np.testing.assert_array_equal(pixels, _read_pgm_from_bytes(raw), strict=True)
+
+
+def test_load_without_a_sidecar_reads_an_empty_record_and_a_directory_sidecar_raises(tmp_path):
+    path = tmp_path / "img.pgm"
+    fringes.save_interferogram(fringes.generate(0.3, 0.2, 0.4, size=(40, 64)), path)
+    Path(f"{path}.meta").unlink()
+    img, meta = fringes.load_interferogram(path)
+    assert meta == {} and img.half_split_row == 20 and img.k0 is None
+    Path(f"{path}.meta").mkdir()
+    with pytest.raises(IsADirectoryError):
         fringes.load_interferogram(path)
 
 
