@@ -14,6 +14,7 @@
 * savitzky_golay: the smoothing (Savitzky & Golay, Anal. Chem. 36:1627, 1964)
   of the minima estimator, the only fringe step that smooths; a stack of
   profiles is smoothed in one pass.
+* _row_blocks: the cache-sized row blocks of the image, noise and scan-stack kernels.
 """
 
 from __future__ import annotations
@@ -22,6 +23,18 @@ import functools
 import threading
 
 import numpy as np
+
+
+#: most elements (of float64: 256 KiB) in one row block
+_BLOCK = 1 << 15
+
+
+def _row_blocks(rows: int, n: int) -> list:
+    """Slices that cut rows of n elements into blocks of at most _BLOCK elements, or of one
+    longer row.  Run by blocks, a kernel whose elements and row sums read no other row
+    gives the same bits with temporaries of one block."""
+    step = max(1, _BLOCK // max(n, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -152,6 +165,12 @@ def harmonics(phi, k: int = 1):
     return c, s
 
 
+def _sums(y: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple:
+    """Each row's (pairwise) sums of y, y c and y s; one product buffer serves both products."""
+    product = y * c
+    return y.sum(-1), product.sum(-1), np.multiply(y, s, out=product).sum(-1)
+
+
 def harmonic_fit(values, phi, k: int):
     """Least-squares offset and k-th harmonic of scans along the last axis.
 
@@ -163,7 +182,7 @@ def harmonic_fit(values, phi, k: int):
     inverse depend on the grid alone and come from the harmonics cache; a
     call computes only the three sums of each row.  A grid that cannot
     resolve the terms (fewer than three distinct phases mod 2 pi / k, or too
-    short a span) raises UnresolvableGrid.
+    short a span) raises UnresolvableGrid.  A stack over one row block is summed by blocks.
     """
     y = np.asarray(values, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -176,9 +195,16 @@ def harmonic_fit(values, phi, k: int):
         raise UnresolvableGrid(f"{len(phi)} phases cannot separate an offset from harmonic {k} (4 det / n^3 of "
                                f"the normal matrix {ratio:.3g} < {MIN_GRAM_RATIO:g}): need three distinct "
                                f"phases mod 2 pi / {k}, over more than a sliver of the period")
-    # one product buffer serves both sums; each row's sum is the pairwise sum it always was
-    product = y * c
-    r0, r1, r2 = y.sum(-1), product.sum(-1), np.multiply(y, s, out=product).sum(-1)
+    if y.ndim > 1 and y.size > _BLOCK and y.strides[-1] == y.itemsize:
+        # block by block, each row summed as on its own; where a row's samples are not
+        # adjacent, numpy may sum a lone row in another order, so those stacks take one pass
+        rows = y.reshape(-1, len(phi))
+        sums = np.empty((3, len(rows)))
+        for block in _row_blocks(*rows.shape):
+            sums[:, block] = _sums(rows[block], c, s)
+        r0, r1, r2 = sums.reshape((3,) + y.shape[:-1])
+    else:
+        r0, r1, r2 = _sums(y, c, s)
     offset = (a00 * r0 + a01 * r1 + a02 * r2) / det
     amplitude = (a01 * r0 + a11 * r1 + a12 * r2) / det + 1j * ((a02 * r0 + a12 * r1 + a22 * r2) / det)
     return offset, amplitude

@@ -46,7 +46,7 @@ import numpy as np
 
 # savgol_coefficients is not used here: it is imported so that code wrapping
 # fringes.savgol_coefficients by name (the benchmark's tracer does) finds it
-from .dsp import savgol_coefficients, savitzky_golay, vertex
+from .dsp import _row_blocks, savgol_coefficients, savitzky_golay, vertex
 from .su2 import finite, wrap_angle
 
 
@@ -172,15 +172,20 @@ def generate(
             raise ValueError("envelope_width must be positive")
         dx = x - (w - 1) / 2.0
         dy = np.arange(h, dtype=float) - (h - 1) / 2.0
-        r2 = dx * dx + (dy * dy)[:, None]
-        r2 *= -0.5
-        r2 /= envelope_width * envelope_width
-        pixels *= np.exp(r2, out=r2)
-
-    # in place: a fresh full-size array per step costs more in page faults than the arithmetic
-    if noise_sigma > 0.0:
-        pixels += np.random.default_rng(seed).normal(0.0, noise_sigma, pixels.shape)
-    np.clip(pixels, 0.0, 1.0, out=pixels)
+        dx2, dy2 = dx * dx, (dy * dy)[:, None]
+    rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
+    # by row blocks, so no temporary is full-size; drawn by blocks, one generator gives one stream
+    for rows in _row_blocks(h, w):
+        block = pixels[rows]
+        if envelope_width is not None:
+            r2 = dx2 + dy2[rows]
+            r2 *= -0.5
+            r2 /= envelope_width * envelope_width
+            block *= np.exp(r2, out=r2)
+            del r2  # before the next block's is made
+        if rng is not None:
+            block += rng.normal(0.0, noise_sigma, block.shape)
+        np.clip(block, 0.0, 1.0, out=block)
     return Interferogram(pixels, split, k0=k0, true_delta=delta)
 
 
@@ -414,8 +419,8 @@ def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
     correction factors 2(1 - cos k0) and 2 sin(k0) of the row's carrier in
     place of their small-angle limits k0^2 and 2 k0, which makes the vertex
     exact for a sampled cosine of that frequency; for a carrier of 1e-3 or
-    less, or where the harmonic vertex lands more than a sample away, the
-    plain parabola limit is used.  Returns the positions of each row.
+    less, or where the harmonic vertex lands more than a sample away or is
+    NaN, the plain parabola limit is used.  Returns the positions of each row.
     """
     centre = profiles[:, 1:-1]
     rows, idx = np.nonzero((centre < profiles[:, :-2]) & (centre <= profiles[:, 2:]))
@@ -425,11 +430,14 @@ def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
     tuned = np.flatnonzero(carriers[rows] > 1e-3)
     r, i = rows[tuned], idx[tuned]
     ym, y0, yp = profiles[r, i - 1], profiles[r, i], profiles[r, i + 1]
-    p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carriers) - 1.0))[r]
-    q = (yp - ym) / (2.0 * np.sin(carriers))[r]
+    # near 1e306 at small carriers these overflow: an inf p or q puts the vertex over a
+    # sample away, a NaN one (inf - inf) makes it NaN, and the parabola is kept for both
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carriers) - 1.0))[r]
+        q = (yp - ym) / (2.0 * np.sin(carriers))[r]
     theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
     harmonic = -wrap_angle(theta - np.pi) / carriers[r]
-    fits = ~(np.abs(harmonic) > 1.0)  # else a degenerate fit: keep the parabola
+    fits = np.abs(harmonic) <= 1.0  # else a degenerate or NaN fit: keep the parabola
     positions[tuned] = np.where(fits, i + harmonic, positions[tuned])
     return np.split(positions, np.searchsorted(rows, np.arange(1, len(profiles))))
 
@@ -730,9 +738,12 @@ def save_interferogram(img: Interferogram, path, extra: dict | None = None) -> N
     """Write a 16-bit binary PGM plus a ``<path>.meta`` key=value sidecar."""
     path = Path(path)
     h, w = img.shape
-    scaled = np.clip(img.pixels, 0.0, 1.0)
-    scaled *= _PGM_MAXVAL
-    data = np.round(scaled, out=scaled).astype(">u2")
+    data = np.empty((h, w), dtype=">u2")
+    for rows in _row_blocks(h, w):  # one scaled block at a time, rounded in place
+        scaled = np.clip(img.pixels[rows], 0.0, 1.0)
+        scaled *= _PGM_MAXVAL
+        data[rows] = np.round(scaled, out=scaled)
+        del scaled  # before the next block's is made
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n{_PGM_MAXVAL}\n".encode("ascii"))
         fh.write(data)

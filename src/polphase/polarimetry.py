@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import UnresolvableGrid, harmonic_fit, harmonics  # UnresolvableGrid: the fit's refusal, raised from here too
+from .dsp import UnresolvableGrid, _row_blocks, harmonic_fit, harmonics  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import WavePlate, compose
 from .su2 import EPS_DEGENERATE, YzyParams, finite
 
@@ -68,16 +68,21 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     at eta = 0, zeta = pi (the alignment configuration).
     """
     xi, eta, zeta, phi = finite("xi", xi), finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
+    swing = _scan_law(xi, eta, zeta, *harmonics(phi))
+    return float(swing) if swing.ndim == 0 else swing
+
+
+def _scan_law(xi, eta, zeta, cos_phi, sin_phi, out=None):
+    """polarimetric_intensity of checked angles from the grid's harmonics, into out if given."""
     ce, se = np.cos(eta / 2.0), np.sin(eta / 2.0)
     cs = np.cos((xi + zeta) / 2.0)
-    cos_phi, sin_phi = harmonics(phi)
     # swing is built and squared in place, in the closed form's order; the squares
     # are products: numpy squares a scalar with pow(), which can differ in the last bit
-    swing = ce * np.sin((xi + zeta) / 2.0) * cos_phi
+    swing = np.multiply(ce * np.sin((xi + zeta) / 2.0), cos_phi, out=out)
     swing += se * np.sin((xi - zeta) / 2.0) * sin_phi
     swing *= swing
     swing += ce * ce * (cs * cs)
-    return float(swing) if swing.ndim == 0 else swing
+    return swing
 
 
 def extract_cos2_phase(i_min: float, i_max: float) -> float:
@@ -117,19 +122,26 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
     noise_sigma raises NonFiniteInput, a negative one ValueError.
     """
     intensity = np.asarray(intensity, dtype=float)
+    add_noise = _scan_noise(noise_sigma, seed, intensity.ndim > 1)
+    return intensity if add_noise is None else add_noise(intensity.copy())
+
+
+def _scan_noise(noise_sigma, seed, stacked: bool):
+    """add_scan_noise's refusals, made before any draw.  None if noise-free, else a function
+    that adds in place to the scans of a block their rows' draws (row k at first + k) and clips."""
     if finite("noise_sigma", noise_sigma) < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
     if noise_sigma == 0.0:
-        return intensity
-    stacked = intensity.ndim > 1
+        return None
     if stacked and not (seed is None or isinstance(seed, (int, np.integer))):
         raise TypeError(f"a stack of scans draws row k from seed + k and needs an integer seed, got {seed!r}")
-    noise = np.empty(intensity.shape)
-    for k, row in enumerate(np.ndindex(intensity.shape[:-1])):
-        row_seed = seed + k if stacked and seed is not None else seed
-        noise[row] = np.random.default_rng(row_seed).normal(0.0, noise_sigma, intensity.shape[-1])
-    noise += intensity
-    return np.clip(noise, 0.0, 1.0, out=noise)
+
+    def add_noise(scans: np.ndarray, first: int = 0) -> np.ndarray:
+        for k, row in enumerate(np.ndindex(scans.shape[:-1]), first):
+            row_seed = seed + k if stacked and seed is not None else seed
+            scans[row] += np.random.default_rng(row_seed).normal(0.0, noise_sigma, scans.shape[-1])
+        return np.clip(scans, 0.0, 1.0, out=scans)
+    return add_noise
 
 
 def polarimetric_sweep(
@@ -150,9 +162,16 @@ def polarimetric_sweep(
     if n_grid < 64:
         raise ValueError(f"n_grid must be at least 64, got {n_grid}")
     phi = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    # eta gets an axis in front of phi, so an array of eta stacks one scan per row
-    intensity = polarimetric_intensity(xi, finite("eta", eta)[..., None], zeta, phi)
-    intensity = add_scan_noise(intensity, noise_sigma, seed)
+    etas, x, z = finite("eta", eta), finite("xi", xi), finite("zeta", zeta)
+    add_noise = _scan_noise(noise_sigma, seed, etas.ndim > 0)
+    # one scan per eta, built in row blocks: the law, then each row's noise and the clip
+    intensity = np.empty(etas.shape + (n_grid,))
+    scans, etas = intensity.reshape(-1, n_grid), etas.reshape(-1, 1)
+    cos_phi, sin_phi = harmonics(phi)
+    for rows in _row_blocks(*scans.shape):
+        _scan_law(x, etas[rows], z, cos_phi, sin_phi, out=scans[rows])
+        if add_noise is not None:
+            add_noise(scans[rows], rows.start)
     return PolarimetricSweep(phi, intensity, YzyParams(xi, eta, zeta))
 
 

@@ -88,6 +88,28 @@ def test_harmonic_fit_leaves_its_inputs_and_the_cached_terms_untouched(k):
         np.testing.assert_array_equal(term, copy, strict=True)
 
 
+@pytest.mark.parametrize("rows, n", [(0, 4096), (1, 10), (64, 4096), (67, 4096), (301, 640), (3, 40000), (5, 0)])
+def test_row_blocks_cover_every_row_once_within_one_block(rows, n):
+    blocks = dsp._row_blocks(rows, n)
+    assert [row for block in blocks for row in range(rows)[block]] == list(range(rows))
+    # at most _BLOCK elements, or one row that is longer
+    assert all(1 <= len(range(rows)[block]) <= max(1, dsp._BLOCK // max(n, 1)) for block in blocks)
+
+
+@pytest.mark.parametrize("layout", ["C", "row-strided", "column-strided", "fortran", "3-D"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_harmonic_fit_across_row_blocks_gives_the_floats_of_fresh_products(layout, k):
+    # 67 scans of 4096 span eight row blocks and end in a ragged one; strided and
+    # Fortran stacks must give the sums of their own layout, blocked or not
+    phi = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    wide = RNG.normal(size=(201, 8192))
+    values = {"C": wide[:67, :4096].copy(), "row-strided": wide[::3, :4096], "column-strided": wide[:67, ::2],
+              "fortran": np.asfortranarray(wide[:67, :4096]), "3-D": wide[::3, None, :4096]}[layout]
+    assert values.size > dsp._BLOCK
+    for part, want in zip(dsp.harmonic_fit(values, phi, k), _fit_with_fresh_products(values, phi, k)):
+        np.testing.assert_array_equal(part, want, strict=True)
+
+
 @pytest.mark.parametrize("phi, k", [
     (np.array([]), 1),
     (np.array([0.4, 1.1]), 1),

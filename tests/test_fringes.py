@@ -1,10 +1,12 @@
 """Tests for synthetic interferograms and the two shift estimators."""
 
+import contextlib
 import gc
 import hashlib
 import os
 import re
 import threading
+import warnings
 import weakref
 from pathlib import Path
 
@@ -356,6 +358,32 @@ def test_shift_by_minima_k0_validation():
             fringes.shift_by_minima(up, low, k0)
 
 
+def _in_error_state(state: str, call):
+    """call() in numpy's default error state, with RuntimeWarnings as errors, or raising on all."""
+    with warnings.catch_warnings():
+        if state == "warnings-as-errors":
+            warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(all="raise") if state == "raise-all" else contextlib.nullcontext():
+            return call()
+
+
+@pytest.mark.parametrize("scale, k0", [(1e306, 0.01), (0.8e308, 0.3)])
+def test_shift_by_minima_with_overflowing_vertex_terms_is_one_float_in_every_error_state(scale, k0):
+    # the harmonic vertex's p and q overflow: to inf at 1e306 and a small carrier, to
+    # inf - inf = NaN near the float limit; both vertices fall back to the parabola,
+    # silently and alike under strict floating point, and the shift is finite
+    rng = np.random.default_rng(1)
+    x = np.arange(200)
+    up = (1.05 + 0.1 * np.cos(0.3 * x + 0.3) + 0.01 * rng.normal(size=200)) * scale
+    low = (1.05 + 0.1 * np.cos(0.3 * x - 0.3) + 0.01 * rng.normal(size=200)) * scale
+    shifts = [_in_error_state(state, lambda: fringes.shift_by_minima(up, low, k0))
+              for state in ("default", "warnings-as-errors", "raise-all")]
+    assert type(shifts[0]) is float and np.isfinite(shifts[0])
+    assert shifts[1:] == shifts[:1] * 2
+    if k0 == 0.3:  # the profiles' own carrier: the estimate of the unscaled profiles
+        assert abs(shifts[0] - fringes.shift_by_minima(up / scale, low / scale, k0)) < 0.01
+
+
 # ---------------------------------------------------------------------------
 # Fourier estimator
 
@@ -692,6 +720,17 @@ def test_generate_in_place_gives_the_floats_of_fresh_arrays(noise_sigma, envelop
     assert img.pixels.flags.owndata and img.pixels.flags.writeable
 
 
+@pytest.mark.parametrize("noise_sigma, envelope_width", [(0.3, None), (0.3, 120.0)])
+@pytest.mark.parametrize("size", [(301, 640), (16, 33001)])
+def test_generate_across_row_blocks_gives_the_floats_of_fresh_arrays(size, noise_sigma, envelope_width):
+    # 301 rows of 640 span several row blocks and end in a ragged one; a row of
+    # 33001 pixels is longer than a block and makes a block of its own
+    args = (0.4, 0.2, 0.3, size, noise_sigma, envelope_width, 11)
+    img = fringes.generate(*args[:4], noise_sigma=noise_sigma, envelope_width=envelope_width, seed=11)
+    assert img.pixels.size > dsp._BLOCK
+    np.testing.assert_array_equal(img.pixels, _generate_with_fresh_arrays(*args), strict=True)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -5e-324,
                                  pytest.param(np.copysign(np.nan, -1.0), id="nan-with-its-sign-bit")])
 def test_interferogram_refuses_a_non_finite_or_negative_pixel(bad):
@@ -774,6 +813,19 @@ def test_save_leaves_the_image_and_its_caller_array_untouched(tmp_path):
     assert img.pixels is pixels
     # one scaled buffer, rounded in place: the 16-bit levels of the out-of-place expression
     payload = (tmp_path / "img.pgm").read_bytes()[len(b"P5\n40 24\n65535\n"):]
+    assert payload == np.round(np.clip(kept, 0.0, 1.0) * 65535).astype(">u2").tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "fortran", "strided"])
+def test_save_across_row_blocks_writes_the_levels_of_the_whole_image(tmp_path, layout):
+    # 301 rows of 640 span several row blocks and end in a ragged one; images of any
+    # layout, Fortran order included, are written in row order
+    kept = np.random.default_rng(5).uniform(0.0, 1.3, (301, 640))  # above 1 is clipped on save
+    wide = np.zeros((301, 1280))
+    wide[:, ::2] = kept
+    pixels = {"C": kept.copy(), "fortran": np.asfortranarray(kept), "strided": wide[:, ::2]}[layout]
+    fringes.save_interferogram(fringes.Interferogram(pixels, 150), tmp_path / "img.pgm")
+    payload = (tmp_path / "img.pgm").read_bytes()[len(b"P5\n640 301\n65535\n"):]
     assert payload == np.round(np.clip(kept, 0.0, 1.0) * 65535).astype(">u2").tobytes()
 
 

@@ -4,11 +4,14 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polphase
+from polphase import dsp, fringes, polarimetry
 
 SRC = Path(polphase.__file__).resolve().parent
 
@@ -86,3 +89,44 @@ def test_cli_uses_only_the_public_api():
 @pytest.mark.parametrize("module", ["polarimetry", "interferometer"])
 def test_measurement_models_do_not_import_fringes(module):
     assert "fringes" not in {source for source, _, _ in _polphase_imports(_parse(module))}
+
+
+# ---------------------------------------------------------------------------
+# working set, read off tracemalloc, which sees numpy's buffers
+
+#: one row block of float64
+BLOCK_BYTES = dsp._BLOCK * 8
+#: room for the grid bytes the terms cache compares (32 KiB at 4096 points), a
+#: generator's state and numpy's small temporaries; a full-size temporary is 0.6-2.3 MiB here
+SLACK_BYTES = BLOCK_BYTES // 2
+
+
+def _peak_traced_bytes(call) -> int:
+    """Peak bytes allocated by a second call(), the first having filled the caches."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_the_image_and_scan_kernels_hold_their_output_and_one_row_block(tmp_path):
+    img = fringes.generate(0.5, 0.4, 0.25, noise_sigma=0.02, seed=3)
+    etas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    stack = polarimetry.polarimetric_sweep(0.3, etas, 2 * np.pi, 4096, 0.01, 4)
+    calls = {  # each call's output bytes and the call
+        "generate": (480 * 640 * 8, lambda: fringes.generate(0.5, 0.4, 0.25, noise_sigma=0.02, seed=3)),
+        "save_interferogram": (480 * 640 * 2, lambda: fringes.save_interferogram(img, tmp_path / "img.pgm")),
+        "polarimetric_sweep": (64 * 4096 * 8,
+                               lambda: polarimetry.polarimetric_sweep(0.3, etas, 2 * np.pi, 4096, 0.01, 4)),
+        "sweep_extrema": (2 * 64 * 8, lambda: polarimetry.sweep_extrema(stack)),
+    }
+    beyond_output = {name: _peak_traced_bytes(call) - output for name, (output, call) in calls.items()}
+    assert {name: peak for name, peak in beyond_output.items() if peak > BLOCK_BYTES + SLACK_BYTES} == {}

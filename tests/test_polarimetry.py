@@ -375,6 +375,46 @@ def test_intensity_built_in_place_is_the_closed_form_bit_for_bit():
         np.testing.assert_array_equal(term, copy, strict=True)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("shape", [(67,), (3, 5)])
+def test_sweep_across_row_blocks_is_the_closed_form_and_the_stack_of_its_scans(shape, noise):
+    # 67 scans of 4096 span eight row blocks and end in a ragged one; the blocks
+    # of a (3, 5) eta cut across its rows
+    phi = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    etas = np.linspace(0.0, 2 * np.pi, math.prod(shape), endpoint=False).reshape(shape)
+    stack = polarimetry.polarimetric_sweep(0.3, etas, -1.2, 4096, noise, 40)
+    assert stack.intensities.shape == shape + (4096,) and stack.intensities.size > dsp._BLOCK
+    if noise == 0.0:
+        np.testing.assert_array_equal(stack.intensities, _intensity_with_fresh_arrays(0.3, etas[..., None], -1.2, phi),
+                                      strict=True)
+    for k, index in enumerate(np.ndindex(shape)):
+        # row k of the flattened eta is the scan made on its own with seed + k
+        single = polarimetry.polarimetric_sweep(0.3, etas[index], -1.2, 4096, noise, 40 + k)
+        np.testing.assert_array_equal(stack.intensities[index], single.intensities, strict=True)
+
+
+@pytest.mark.parametrize("seed", [[3, 4], 4.0, np.array(4), np.array([3, 4])], ids=["list", "float", "0-d", "array"])
+def test_a_stacked_sweep_refuses_a_non_integer_seed_before_drawing_a_row(seed, monkeypatch):
+    with pytest.raises(TypeError) as refused:
+        polarimetry.add_scan_noise(np.full((67, 64), 0.5), 0.1, seed)
+    assert str(refused.value).startswith("a stack of scans draws row k from seed + k and needs an integer seed, got ")
+    drawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
+    for etas in (np.linspace(0.0, 6.0, 67), np.zeros((3, 5)), np.array([0.5])):
+        with pytest.raises(TypeError) as got:
+            polarimetry.polarimetric_sweep(0.3, etas, -1.2, 4096, 0.1, seed)
+        assert str(got.value) == str(refused.value)
+    assert drawn == []
+
+
+def test_a_single_scan_sweep_takes_any_seed_numpy_does():
+    sweep = polarimetry.polarimetric_sweep(0.3, 0.5, -1.2, 64, 0.1, [3, 4])
+    clean = polarimetry.polarimetric_sweep(0.3, 0.5, -1.2, 64)
+    np.testing.assert_array_equal(
+        sweep.intensities, np.clip(clean.intensities + np.random.default_rng([3, 4]).normal(0.0, 0.1, 64), 0.0, 1.0),
+        strict=True)
+
+
 @pytest.mark.parametrize("sigma, error, message", [
     (np.inf, su2.NonFiniteInput, "^noise_sigma must be finite, got inf$"),
     (np.nan, su2.NonFiniteInput, "^noise_sigma must be finite, got nan$"),
