@@ -28,6 +28,9 @@ import numpy as np
 #: most elements (of float64: 256 KiB) in one row block
 _BLOCK = 1 << 15
 
+#: savitzky_golay's default window, the one the minima estimator smooths with
+_SG_WINDOW = 11
+
 
 def _row_blocks(rows: int, n: int) -> list:
     """Slices that cut rows of n elements into blocks of at most _BLOCK elements, or of one
@@ -62,7 +65,7 @@ def savgol_coefficients(window: int, order: int) -> np.ndarray:
     return _savgol_fits(window, order)[-1].copy()
 
 
-def savitzky_golay(profile: np.ndarray, window: int = 11, order: int = 3) -> np.ndarray:
+def savitzky_golay(profile: np.ndarray, window: int = _SG_WINDOW, order: int = 3) -> np.ndarray:
     """Least-squares local-polynomial smoothing of fringe profiles along the last axis.
 
     Endpoints are handled by refitting on the truncated window that remains
@@ -138,6 +141,8 @@ def _terms(phi: np.ndarray, k) -> tuple:
     """
     if len(phi) > _CACHED_POINTS:
         return _design(phi, k)
+    # the copy is the cheap way to compare: bytes == bytes is one memcmp, while
+    # memoryview == compares element by element, several times slower at 4096 points
     grid = phi.tobytes()
     with _GRID_LOCK:
         for index, (cached, cached_k, terms) in enumerate(_GRID_CACHE):

@@ -21,20 +21,21 @@ Two estimators are provided:
   transform at k0 and difference them; the transform's magnitude over the
   windowed mean level also gives the fringe visibility.
 
-Every step is a kernel on a stack of profiles, one row per evaluation
-region, that returns each row's result and each row's refusal.
-retrieve_phase stacks all regions of one width and calls each kernel once on
-the rows still standing; column_average, estimate_carrier, shift_by_minima,
-shift_by_fourier and measure_visibility are one-row calls of the same
-kernels.  They check only what their caller passes in (k0, equal lengths)
-and raise their row's refusal, so they give bit for bit the numbers and the
-refusals retrieve_phase gives each region.
+Every step is a kernel on one (R, 2, n) stack of (upper, lower) profile
+pairs, one per evaluation region, that returns each pair's result and
+refusal.  retrieve_phase stacks all regions of one width and calls each
+kernel once on the pairs still standing; column_average, estimate_carrier,
+shift_by_minima, shift_by_fourier and measure_visibility are one-pair calls
+of the same kernels.  They check only what their caller passes in (k0, equal
+lengths) and raise their pair's refusal, so they give bit for bit the
+numbers and the refusals retrieve_phase gives each region.
 Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 import re
 import stat
@@ -46,7 +47,7 @@ import numpy as np
 
 # savgol_coefficients is not used here: it is imported so that code wrapping
 # fringes.savgol_coefficients by name (the benchmark's tracer does) finds it
-from .dsp import _row_blocks, savgol_coefficients, savitzky_golay, vertex
+from .dsp import _SG_WINDOW, _row_blocks, savgol_coefficients, savitzky_golay, vertex
 from .su2 import finite, wrap_angle
 
 
@@ -65,9 +66,6 @@ class NoCarrier(ValueError):
 #: peak-to-peak profile span, relative to the profile's largest magnitude, at
 #: or below which fringes count as absent entirely
 _FLAT_FLOOR = 1e-12
-
-#: savitzky_golay's default window, with which the minima estimator smooths
-_SG_WINDOW = 11
 
 #: the float64 bit pattern of +inf, read as an unsigned integer
 _INF_BITS = 0x7FF0000000000000
@@ -94,6 +92,13 @@ class Region:
             raise ValueError(f"negative region bounds {self}")
 
 
+def _split_row(split) -> int:
+    """A split row as an int; int() alone would truncate 31.7 and fail unlabelled on NaN."""
+    if not (isinstance(split, numbers.Integral) or isinstance(split, float) and split.is_integer()):
+        raise ValueError(f"split_row must be an integer, got {split!r}")
+    return int(split)
+
+
 @dataclass
 class Interferogram:
     """Intensity grid split at ``half_split_row`` into the V and H halves.
@@ -108,6 +113,7 @@ class Interferogram:
     true_delta: float | None = None
 
     def __post_init__(self):
+        self.half_split_row = _split_row(self.half_split_row)
         self.pixels = np.asarray(self.pixels, dtype=float)
         if self.pixels.ndim != 2:
             raise ValueError("pixels must be a 2-d array")
@@ -156,7 +162,7 @@ def generate(
         raise ValueError(f"k0 must lie in (0, pi), got {k0}")
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
-    split = h // 2 if split_row is None else int(split_row)
+    split = h // 2 if split_row is None else _split_row(split_row)
     if not 0 < split < h:
         raise ValueError(f"split_row {split} outside (0, {h})")
 
@@ -228,35 +234,33 @@ def _half_rows(img: Interferogram, region: Region) -> tuple[tuple[int, int], tup
     return up_rows, low_rows
 
 
-def _column_averages(img: Interferogram, regions: Sequence[Region]) -> tuple[np.ndarray, np.ndarray]:
-    """Upper and lower mean profiles of regions of one width, as two (R, n) stacks.
+def _column_averages(img: Interferogram, regions: Sequence[Region], rows: Sequence[tuple]) -> np.ndarray:
+    """(upper, lower) mean profiles of regions of one width, as one (R, 2, n) stack.
 
-    Each row is its region's column sums over its row count, the bits of
-    ``mean(axis=0)``.
+    ``rows`` holds each region's _half_rows.  Each profile is its rows' column
+    sums over their count, the bits of ``mean(axis=0)``.
     """
     n = regions[0].col_end - regions[0].col_start
-    sums = np.empty((2, len(regions), n))
-    counts = np.empty((2, len(regions), 1))
+    pairs = np.empty((len(regions), 2, n))
+    counts = np.empty((len(regions), 2, 1))
     # a sum that overflows is left inf, and the carrier search refuses its profile as not finite
     with np.errstate(over="ignore"):
-        for i, region in enumerate(regions):
-            cols = slice(region.col_start, region.col_end)
-            for half, (start, end) in enumerate(_half_rows(img, region)):
-                img.pixels[start:end, cols].sum(axis=0, out=sums[half, i])
-                counts[half, i] = end - start
-    sums /= counts
-    return sums[0], sums[1]
+        for i, (region, halves) in enumerate(zip(regions, rows)):
+            for half, (start, end) in enumerate(halves):
+                img.pixels[start:end, region.col_start:region.col_end].sum(axis=0, out=pairs[i, half])
+                counts[i, half] = end - start
+    pairs /= counts
+    return pairs
 
 
 def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.ndarray]:
     """Mean fringe profiles of the upper and lower halves within a region."""
-    up, low = _column_averages(img, [region])
-    return up[0], low[0]
+    return tuple(_column_averages(img, [region], [_half_rows(img, region)])[0])
 
 
 # ---------------------------------------------------------------------------
-# Shift estimators: each works on a stack of profiles, one row per region;
-# the public functions are their one-row calls
+# Shift estimators: each works on an (R, 2, n) stack of (upper, lower) profile
+# pairs, one pair per region; the public functions are their one-pair calls
 
 def _flat(rows: np.ndarray) -> np.ndarray:
     """The rows of a profile stack that carry no fringes: a peak-to-peak span of
@@ -266,13 +270,13 @@ def _flat(rows: np.ndarray) -> np.ndarray:
     return np.ptp(rows, axis=-1) <= _FLAT_FLOOR * np.abs(rows).max(axis=-1)
 
 
-def _profile_pair(up, low) -> tuple[np.ndarray, np.ndarray]:
-    """An upper and a lower profile as float arrays, refused unless finite and of one length."""
+def _profile_pair(up, low) -> np.ndarray:
+    """An upper and a lower profile as a (1, 2, n) stack, refused unless finite and of one length."""
     up = finite("upper profile", up)
     low = finite("lower profile", low)
     if len(up) != len(low):
         raise ValueError(f"profile lengths differ: {len(up)} vs {len(low)}")
-    return up, low
+    return np.stack([up, low])[None]
 
 
 @functools.lru_cache(maxsize=16)
@@ -442,18 +446,17 @@ def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
     return np.split(positions, np.searchsorted(rows, np.arange(1, len(profiles))))
 
 
-def _minima_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
-    """shift_by_minima of each row of two (R, n) stacks at its carrier k0[r].
+def _minima_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
+    """shift_by_minima of each pair of an (R, 2, n) stack at its carrier k0[r].
 
-    Returns the shifts, NaN where a row has none, and each row's
+    Returns the shifts, NaN where a pair has none, and each pair's
     TooFewMinima or AmbiguousPairing (None where it has a shift).  One minima
-    search covers both sides; only the pairing runs row by row.
+    search covers every profile; only the pairing runs pair by pair.
     """
-    count = len(k0)
-    minima = _minima(np.concatenate([up, low]), np.tile(k0, 2))
-    shifts = np.full(count, np.nan)
-    errors: list = [None] * count
-    for r, (pos_up, pos_low) in enumerate(zip(minima[:count], minima[count:])):
+    minima = _minima(pairs.reshape(-1, pairs.shape[-1]), np.repeat(k0, 2))
+    shifts = np.full(len(k0), np.nan)
+    errors: list = [None] * len(k0)
+    for r, (pos_up, pos_low) in enumerate(zip(minima[::2], minima[1::2])):
         if len(pos_up) < 2 or len(pos_low) < 2:
             errors[r] = TooFewMinima(
                 f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}")
@@ -483,8 +486,7 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     """
     if finite("k0", k0) <= 0:
         raise ValueError("k0 must be positive")
-    up, low = _profile_pair(up, low)
-    shifts, (error,) = _minima_shifts(up[None], low[None], np.array([k0]))
+    shifts, (error,) = _minima_shifts(_profile_pair(up, low), np.array([k0]))
     if error is not None:
         raise error
     return float(shifts[0])
@@ -499,17 +501,17 @@ def _fringe_terms(profiles: np.ndarray, k0: np.ndarray) -> np.ndarray:
     return ((profiles - profiles.mean(axis=-1, keepdims=True)) @ kernel[..., None])[..., 0]
 
 
-def _fourier_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
-    """shift_by_fourier of each row of two (R, n) stacks at its carrier k0[r].
+def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
+    """shift_by_fourier of each pair of an (R, 2, n) stack at its carrier k0[r].
 
-    Returns the lower-minus-upper transform phases, wrapped, and each row's
+    Returns the lower-minus-upper transform phases, wrapped, and each pair's
     NoCarrier (None where it has a shift): a flat profile on either side, else
     a transform that overflows, or is zero (no carrier power to read a phase
     from), on either side.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing term is refused below
-        terms = _fringe_terms(np.stack([up, low], axis=1), k0)
-        flat = _flat(up) | _flat(low)
+        terms = _fringe_terms(pairs, k0)
+        flat = _flat(pairs).any(axis=1)
     overflows = ~np.isfinite(terms).all(axis=1)
     errors = [NoCarrier(_FLAT) if f else NoCarrier(_OVERFLOWS) if o else NoCarrier(_NO_POWER) if z else None
               for f, o, z in zip(flat, overflows, (terms == 0.0).any(axis=1))]
@@ -528,15 +530,14 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     linear-phase term, so any phase offset common to both halves drops out of
     the result.
     """
-    up, low = _profile_pair(up, low)
+    pair = _profile_pair(up, low)
     # a flat pair is refused before k0 is estimated or checked
     with np.errstate(over="ignore"):
-        flat = _flat(up) or _flat(low)
-    if flat:
-        raise NoCarrier(_FLAT)
+        if _flat(pair).any():
+            raise NoCarrier(_FLAT)
     if k0 is None:
-        k0 = estimate_carrier(up)
-    shifts, (error,) = _fourier_shifts(up[None], low[None], finite("k0", k0)[None])
+        k0 = estimate_carrier(pair[0, 0])
+    shifts, (error,) = _fourier_shifts(pair, finite("k0", k0)[None])
     if error is not None:
         raise error
     return float(shifts[0])
@@ -574,11 +575,11 @@ def _circular_mean(angles) -> float:
     return float(np.angle(np.mean(np.exp(1j * np.asarray(angles)))))
 
 
-def _smoothed_minima_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
-    """_minima_shifts of the savitzky_golay-smoothed profiles, less the filter's
+def _smoothed_minima_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
+    """_minima_shifts of the savitzky_golay-smoothed pairs, less the filter's
     edge fits when the profiles are long enough to spare them."""
     try:
-        smooth = savitzky_golay(np.stack([up, low]), _SG_WINDOW)
+        smooth = savitzky_golay(pairs)
     except ValueError as exc:  # profiles shorter than the window
         return np.full(len(k0), np.nan), [type(exc)(*exc.args) for _ in k0]
     # the truncated edge fits are the filter's weakest samples; drop them
@@ -586,34 +587,46 @@ def _smoothed_minima_shifts(up: np.ndarray, low: np.ndarray, k0: np.ndarray) -> 
     n = smooth.shape[-1]
     if n > 6 * _SG_WINDOW:
         smooth = smooth[..., _SG_WINDOW // 2:n - _SG_WINDOW // 2]
-    return _minima_shifts(*smooth, k0)
+    return _minima_shifts(smooth, k0)
 
 
-def _analyse_stack(img: Interferogram, regions: Sequence[Region], method: RetrievalMethod) -> list:
-    """The outcome of each of a list of in-image regions of one width.
+def _analyse_regions(img: Interferogram, regions: Sequence[Region],
+                     method: RetrievalMethod) -> tuple[np.ndarray, np.ndarray, list]:
+    """Each region's carrier, its (minima, Fourier) shifts as a (2, R) array, and
+    its first refusal (None when it has none) in the order bounds, carrier (a
+    non-finite profile included), minima, Fourier.
 
-    An outcome is the region's first failure, in the order carrier, minima,
-    Fourier, or (carrier, minima shift, Fourier shift) with None for a
-    method not run.  Each stage is one kernel call on the regions still
-    standing; the kernels hold every check.
+    A value not reached, or of a method not run, is NaN.  The in-image regions
+    of one width are one stack of profile pairs, and each stage is one kernel
+    call on the pairs still standing; the kernels hold every check.
     """
-    up, low = _column_averages(img, regions)
-    # the raw profile: smoothing would damp a fast carrier below the
-    # low-frequency shoulder of an enveloped profile
-    k0, errors = _carriers(up)
-    # the carrier search reads the upper profiles only
-    for r in np.flatnonzero(~np.isfinite(low).all(axis=1)):
-        errors[r] = errors[r] or NoCarrier(_NOT_FINITE)
-    shifts: dict[str, dict[int, float]] = {"minima": {}, "fourier": {}}
-    for name, kernel in (("minima", _smoothed_minima_shifts), ("fourier", _fourier_shifts)):
-        live = [r for r, error in enumerate(errors) if error is None]
-        if method in (name, "both") and live:
-            values, failures = kernel(up[live], low[live], k0[live])
-            shifts[name] = dict(zip(live, values.tolist()))
-            for r, error in zip(live, failures):
-                errors[r] = error
-    return [errors[r] or (float(k0[r]), shifts["minima"].get(r), shifts["fourier"].get(r))
-            for r in range(len(regions))]
+    carriers = np.full(len(regions), np.nan)
+    shifts = np.full((2, len(regions)), np.nan)
+    errors: list = [None] * len(regions)
+    rows: list = [None] * len(regions)
+    widths: dict[int, list[int]] = {}
+    for i, region in enumerate(regions):
+        try:
+            rows[i] = _half_rows(img, region)
+        except ValueError as exc:
+            # without its traceback, a kept exception holds no frame alive
+            errors[i] = exc.with_traceback(None)
+            continue
+        widths.setdefault(region.col_end - region.col_start, []).append(i)
+    for members in map(np.array, widths.values()):
+        pairs = _column_averages(img, [regions[i] for i in members], [rows[i] for i in members])
+        # the carrier of each raw upper profile (smoothing would damp a fast carrier below an
+        # enveloped profile's low-frequency shoulder); a non-finite lower one is refused here
+        carriers[members], refusals = _carriers(pairs[:, 0])
+        for i, refusal, low_finite in zip(members, refusals, np.isfinite(pairs[:, 1]).all(axis=1)):
+            errors[i] = refusal or (None if low_finite else NoCarrier(_NOT_FINITE))
+        for stage, name, kernel in ((0, "minima", _smoothed_minima_shifts), (1, "fourier", _fourier_shifts)):
+            live = [r for r, i in enumerate(members) if errors[i] is None]
+            if method in (name, "both") and live:
+                shifts[stage, members[live]], failures = kernel(pairs[live], carriers[members[live]])
+                for i, error in zip(members[live], failures):
+                    errors[i] = error
+    return carriers, shifts, errors
 
 
 def retrieve_phase(
@@ -623,14 +636,14 @@ def retrieve_phase(
 ) -> RetrievalResult:
     """Recover the half-to-half fringe shift 2*delta of an interferogram.
 
-    The regions are analysed together, one stack of profiles per region
-    width: the column averages of every region, then the carrier of each
-    upper profile, then the shift estimator(s), which share that carrier.
-    Each stage is one pass over the regions still standing: one transform
-    and a joint Newton refinement find the carriers, one Savitzky-Golay pass
-    smooths every profile the minima estimator reads, one minima search per
-    half covers them all and only the pairing of minima is done region by
-    region, and one product reads every raw profile's transform at its
+    The regions are analysed together, one (R, 2, n) stack of (upper, lower)
+    profile pairs per region width: the column averages of every region, then
+    the carrier of each upper profile, then the shift estimator(s), which
+    share that carrier.  Each stage is one pass over the pairs still
+    standing: one transform and a joint Newton refinement find the carriers,
+    one Savitzky-Golay pass smooths every profile the minima estimator reads,
+    one minima search covers them all and only the pairing of minima is done
+    pair by pair, and one product reads every raw profile's transform at its
     carrier.
     These are the kernels that the one-region functions column_average ->
     estimate_carrier -> shift_by_minima (on the savitzky_golay-smoothed
@@ -648,21 +661,10 @@ def retrieve_phase(
     if len(regions) == 0:
         raise ValueError("need at least one evaluation region")
 
-    outcomes: dict[int, object] = {}
-    widths: dict[int, list[int]] = {}
-    for i, region in enumerate(regions):
-        try:
-            _half_rows(img, region)
-        except ValueError as exc:
-            # without its traceback, a kept exception holds no frame alive
-            outcomes[i] = exc.with_traceback(None)
-            continue
-        widths.setdefault(region.col_end - region.col_start, []).append(i)
-    for members in widths.values():
-        outcomes.update(zip(members, _analyse_stack(img, [regions[i] for i in members], method)))
-    kept = {i: outcomes[i] for i in range(len(regions)) if not isinstance(outcomes[i], Exception)}
+    carriers, shifts, errors = _analyse_regions(img, regions, method)
+    kept = [i for i, error in enumerate(errors) if error is None]
     if not kept:
-        error, outcomes = outcomes[len(regions) - 1], None
+        error, errors = errors[-1], None
         try:
             raise error
         finally:
@@ -670,12 +672,10 @@ def retrieve_phase(
             # exception would be a cycle pinning the image until a full GC
             error = None
 
-    carriers, minima, fourier = zip(*kept.values())
-    minima_estimates = [v for v in minima if v is not None]
-    fourier_estimates = [v for v in fourier if v is not None]
+    # the estimates of the methods run, one column per region kept
+    estimates = shifts[[method != "fourier", method != "minima"]][:, kept]
     # each region's circular mean of its one or two estimates, all regions at once
-    values = np.array([v for v in (minima_estimates, fourier_estimates) if v]).T
-    per_region = np.angle(np.exp(1j * values).mean(axis=1)).tolist()
+    per_region = np.angle(np.exp(1j * estimates).mean(axis=0)).tolist()
     estimate = _circular_mean(per_region)
     if len(per_region) >= 2:
         deviations = wrap_angle(np.asarray(per_region) - estimate)
@@ -683,18 +683,16 @@ def retrieve_phase(
     else:
         uncertainty = None
     disagreement = None
-    if method == "both" and minima_estimates and fourier_estimates:
-        disagreement = abs(
-            wrap_angle(_circular_mean(minima_estimates) - _circular_mean(fourier_estimates))
-        )
+    if method == "both":
+        disagreement = abs(wrap_angle(_circular_mean(estimates[0]) - _circular_mean(estimates[1])))
     return RetrievalResult(
         estimate=estimate,
         uncertainty=uncertainty,
         region_estimates=per_region,
         method_disagreement=disagreement,
-        carrier=float(np.mean(carriers)),
+        carrier=float(np.mean(carriers[kept])),
         failed_regions=len(regions) - len(kept),
-        region_indices=list(kept),
+        region_indices=kept,
     )
 
 
@@ -832,14 +830,6 @@ def load_interferogram(path) -> tuple[Interferogram, dict]:
                 value = parsed
                 break
         meta[key.strip()] = value
-    split = meta.get("split_row", pixels.shape[0] // 2)
-    # int() would truncate 31.7 and fail unlabelled on nan
-    if not (isinstance(split, int) or isinstance(split, float) and split.is_integer()):
-        raise ValueError(f"split_row must be an integer, got {split!r}")
-    img = Interferogram(
-        pixels,
-        int(split),
-        k0=meta.get("k0"),
-        true_delta=meta.get("true_delta"),
-    )
+    img = Interferogram(pixels, meta.get("split_row", pixels.shape[0] // 2),
+                        k0=meta.get("k0"), true_delta=meta.get("true_delta"))
     return img, meta

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polphase import cli, plates, su2
+from polphase import cli, fringes, plates, su2
 from polphase.interferometer import visibility_plates
 
 
@@ -690,6 +691,39 @@ def test_a_refused_run_writes_nothing(name, tmp_path, capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config, error", [
+    (["visibility", "--theta1", "0:1", "--theta2", "0", "--theta3", "0"], "",
+     "--theta1 must be 'value' or 'start:stop:count', got '0:1'"),
+    (["interf", "surface", "--zeta", "0", "--xi-grid", "0:1:2:3"], "",
+     "--xi-grid must be 'value' or 'start:stop:count', got '0:1:2:3'"),
+    # argparse's choices guard only the flags; a config file's mode reaches the command
+    (["decompose"], "xi=0\neta=0\nzeta=0\nmode=4\n", "--mode must be 3 or 5, got 4"),
+    (["polarimetry"], "mode=bogus\n", "--mode must be full, zeta2pi or ximinuspi, got 'bogus'"),
+    (["fringe", "analyze", "--image", "img.pgm", "--region", "100:500:200"], "",
+     "region must be 'c0:c1:r0:r1', got '100:500:200'"),
+])
+def test_a_malformed_value_is_refused_and_writes_nothing(argv, config, error, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fringes.save_interferogram(fringes.generate(0.3, 0.2, 0.4, size=(64, 96)), "img.pgm")
+    Path("run.cfg").write_text(config)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, *argv, "--config", "run.cfg", "--out-dir", "out")
+    assert (code, out, err) == (1, "", f"error: ValueError: {error}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_plate_scan_without_phase_contrast_reports_an_undefined_phase(tmp_path, capsys):
+    # a lone half-wave plate swings the intensity over all of [0, 1]: 1 - I_max + I_min
+    # vanishes, so the scan is written and its phase reported undefined, with a warning
+    (tmp_path / "h.txt").write_text("H 0\n")
+    code, out, err = run_cli(capsys, "polarimetry", "--plates", str(tmp_path / "h.txt"), "--n-grid", "256",
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    assert stdout_values(out)["cos2_phase"] == "undefined"
+    assert re.fullmatch(r"warning: 1 - I_max \+ I_min = \S+; phase contrast vanished\n", err)
+    assert len(read_csv(tmp_path / "out" / "plate_scan.csv")[1]) == 256
 
 
 def test_a_non_finite_one_point_grid_shows_its_value(tmp_path, capsys):

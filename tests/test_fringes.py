@@ -688,6 +688,61 @@ def test_load_reads_an_integral_split_row_written_as_a_float(tmp_path):
     assert type(img.half_split_row) is int and img.half_split_row == 30 and meta["split_row"] == 30.0
 
 
+@pytest.mark.parametrize("split", [31.7, np.nan, np.inf])
+def test_constructors_refuse_a_non_integral_split_row(split):
+    # Interferogram took 31.7 and retrieve_phase then failed on negative region
+    # bounds; generate split at row 31; NaN failed unlabelled in int()
+    with pytest.raises(ValueError, match="^split_row must be an integer, got "):
+        fringes.Interferogram(np.zeros((64, 96)), split)
+    with pytest.raises(ValueError, match="^split_row must be an integer, got "):
+        fringes.generate(0.3, 0.2, 0.4, size=(64, 96), split_row=split)
+
+
+def test_constructors_store_an_integral_split_row_as_an_int():
+    images = [fringes.Interferogram(np.zeros((64, 96)), 30.0), fringes.Interferogram(np.zeros((64, 96)), np.int64(30)),
+              fringes.generate(0.3, 0.2, 0.4, size=(64, 96), split_row=np.float64(30.0))]
+    for img in images:
+        assert type(img.half_split_row) is int and img.half_split_row == 30
+    np.testing.assert_array_equal(images[2].pixels, fringes.generate(0.3, 0.2, 0.4, size=(64, 96), split_row=30).pixels)
+
+
+def test_interferogram_refuses_one_dimensional_pixels():
+    with pytest.raises(ValueError, match="^pixels must be a 2-d array$"):
+        fringes.Interferogram(np.zeros(64), 32)
+
+
+@pytest.mark.parametrize("split", [-1, 0, 64, 100])
+def test_interferogram_refuses_a_split_row_outside_the_image(split):
+    with pytest.raises(ValueError, match=re.escape(f"half_split_row {split} outside (0, 64)")):
+        fringes.Interferogram(np.zeros((64, 96)), split)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.0, -5.0])
+def test_generate_refuses_a_non_positive_envelope_width(width):
+    with pytest.raises(ValueError, match="^envelope_width must be positive$"):
+        fringes.generate(0.3, 0.2, 0.4, size=(32, 64), envelope_width=width)
+
+
+def test_load_refuses_a_payload_cut_short_on_a_pipe():
+    # a pipe has no size to check before the payload is read: the short read itself is refused
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader, os.fdopen(write_end, "wb") as writer:
+        writer.write(b"P5\n16 16\n65535\n" + bytes(100))
+        writer.close()
+        with pytest.raises(ValueError, match="^truncated PGM payload$"):
+            fringes.load_interferogram(f"/dev/fd/{reader.fileno()}")
+
+
+def test_load_skips_a_sidecar_line_without_an_equals_sign(tmp_path):
+    path = tmp_path / "note.pgm"
+    fringes.save_interferogram(fringes.generate(0.3, 0.2, 0.4, size=(64, 96)), path)
+    sidecar = Path(f"{path}.meta")
+    sidecar.write_text("a note without a value\n" + sidecar.read_text())
+    img, meta = fringes.load_interferogram(path)
+    assert sorted(meta) == ["k0", "split_row", "true_delta"]
+    assert (img.half_split_row, img.k0, img.true_delta) == (32, 0.4, 0.3)
+
+
 def test_pgm_payload_format(tmp_path):
     img = fringes.generate(0.0, 0.0, 0.2, size=(16, 16))
     path = tmp_path / "fmt.pgm"

@@ -8,6 +8,8 @@ against its closed forms in the y-z-y angles and in the plate angles of the
 quarter-half-quarter array, kept here too.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,13 @@ def test_split_beam_shift_known_delta():
     grid = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     got = itf.split_beam_shift(u, grid)
     assert abs(su2.wrap_angle(got - 1.8)) < 2 * np.pi / 4096
+
+
+@pytest.mark.parametrize("u", [np.eye(3), np.eye(2)[None], np.ones(4)])
+def test_split_beam_shift_refuses_a_u_that_is_not_2x2(u):
+    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    with pytest.raises(ValueError, match=re.escape(f"u must be a (2, 2) matrix, got shape {u.shape}")):
+        itf.split_beam_shift(u, grid)
 
 
 def test_split_beam_shift_identity_is_zero():

@@ -120,6 +120,12 @@ def test_extract_cos2_phase_clamps_to_the_floats_of_np_clip(i_min, i_max):
     assert got.hex() == float(np.clip(i_min / (1.0 - i_max + i_min), 0.0, 1.0)).hex()
 
 
+def test_extract_cos2_phase_refuses_a_ratio_beyond_the_slack():
+    # an I_max a hair above 1 shrinks the denominator below I_min: a ratio of about 1.001
+    with pytest.raises(polarimetry.InvalidExtrema, match=r"^ratio 1\.001\d* outside \[0, 1\] beyond slack$"):
+        polarimetry.extract_cos2_phase(1e-6, 1 + 1e-9)
+
+
 def test_extract_cos2_phase_beta_zero():
     value = np.cos(0.7) ** 2
     assert polarimetry.extract_cos2_phase(value, value) == pytest.approx(value)
