@@ -16,10 +16,10 @@ writes the fully resolved configuration (angles as given, floats in full) as a
 record that ``--config`` reads back to repeat the run exactly.  The record is
 written in the step that makes the output directory, before the outputs.  CSV
 output uses 12 significant digits and is byte-stable across reruns with the
-same configuration and seed.  On failure a single ``error: <Kind>: <message>``
-line goes to stderr, the exit code is nonzero, and nothing is written: the
-output directory is made only once the inputs, and the directory of every
-output, have been checked.
+same configuration and seed.  On failure, a flag the argument parser refuses
+included, a single ``error: <Kind>: <message>`` line goes to stderr, the exit
+code is 1, and nothing is written: the output directory is made only once the
+inputs, and the directory of every output, have been checked.
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ class UnknownConfigKey(ValueError):
 
 class MissingOutputDirectory(FileNotFoundError):
     """An output file would go to a directory that does not exist and will not be made."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its refusal, for main to report in its one line;
+    its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _write_csv(path: Path, header, columns) -> None:
@@ -101,7 +109,11 @@ class Resolver:
     def value(self, name: str, default=None, required=False):
         value = getattr(self.args, name.replace("-", "_"), None)
         if value is None and name in self.config:
-            value = self.args.types[name](self.config[name])
+            parse, text = self.args.types[name], self.config[name]
+            try:
+                value = parse(text)
+            except ValueError:  # worded as argparse words the same value given as a flag
+                raise ValueError(f"argument --{name}: invalid {parse.__name__} value: {text!r}") from None
         if value is None:
             value = default
         if required and value is None:
@@ -132,12 +144,15 @@ class Resolver:
             default = ":".join(parts)
         raw = self.value(name, default, required)
         parts = str(raw).split(":")
-        if len(parts) == 1:
-            values = np.array([float(parts[0])])
-        elif len(parts) == 3:
-            values = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
-        else:
-            raise ValueError(f"--{name} must be 'value' or 'start:stop:count', got {raw!r}")
+        try:
+            if len(parts) == 1:
+                values = np.array([float(parts[0])])
+            elif len(parts) == 3 and int(parts[2]) >= 0:
+                values = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"--{name} must be 'value' or 'start:stop:count', got {raw!r}") from None
         return np.deg2rad(values) if self.degrees else values
 
     def outputs(self, *names) -> list:
@@ -349,10 +364,10 @@ def _cmd_fringe_generate(r: Resolver) -> int:
 
 
 def _parse_region(text: str) -> fringes.Region:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ValueError(f"region must be 'c0:c1:r0:r1', got {text!r}")
-    c0, c1, r0, r1 = (int(p) for p in parts)
+    try:
+        c0, c1, r0, r1 = (int(p) for p in text.split(":"))
+    except ValueError:  # a field that is not an integer, or not four fields
+        raise ValueError(f"region must be 'c0:c1:r0:r1', got {text!r}") from None
     return fringes.Region(c0, c1, r0, r1)
 
 
@@ -442,9 +457,11 @@ def _cmd_visibility(r: Resolver) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_command(parser: argparse.ArgumentParser, func, name: str, recorded=()) -> None:
-    """Add the options every command shares and set its handler; its config keys are
-    the value options it had before this call, each read as its parser type (str
-    when it has none), plus degrees and ``recorded`` in a record."""
+    """Add the options every command shares and set its handler.  ``--out`` comes
+    first, so the command's config keys are ``out`` and the value options it had
+    before this call, each read as its parser type (str when it has none), plus
+    degrees and ``recorded`` in a record."""
+    parser.add_argument("--out", help="output file, in the output directory")
     types = {opt[2:]: action.type or str for action in parser._actions if action.nargs != 0
              for opt in action.option_strings if opt.startswith("--")}
     parser.add_argument("--degrees", action="store_true",
@@ -456,7 +473,7 @@ def _add_command(parser: argparse.ArgumentParser, func, name: str, recorded=()) 
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polphase",
         description="Pancharatnam-phase simulation and retrieval toolkit",
     )
@@ -466,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("xi", "eta", "zeta", "phi"):
         p.add_argument(f"--{name}", type=float)
     p.add_argument("--mode", type=int, choices=(3, 5))
-    p.add_argument("--out")
     _add_command(p, _cmd_decompose, "decompose")
 
     p = sub.add_parser("interf", help="Mach-Zehnder interferometer sweeps")
@@ -475,13 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("xi", "eta", "zeta"):
         ps.add_argument(f"--{name}", type=float)
     ps.add_argument("--samples", type=int)
-    ps.add_argument("--out")
     _add_command(ps, _cmd_interf_sweep, "interf_sweep")
     pu = isub.add_parser("surface", help="cos^2(phase) over an (xi, eta) grid at fixed zeta")
     pu.add_argument("--zeta", type=float)
     pu.add_argument("--xi-grid", help="'start:stop:count' or single value")
     pu.add_argument("--eta-grid", help="'start:stop:count' or single value")
-    pu.add_argument("--out")
     _add_command(pu, _cmd_interf_surface, "interf_surface")
 
     p = sub.add_parser("polarimetry", help="rotating plate-array scans")
@@ -495,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--plates", help="scan a plate-list file instead of Euler angles")
     p.add_argument("--sweep-out", help="also write the raw (phi, intensity) scan at --eta")
-    p.add_argument("--out")
     _add_command(p, _cmd_polarimetry, "polarimetry")
 
     p = sub.add_parser("fringe", help="synthetic dual-half interferograms")
@@ -506,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--width", type=int)
     pg.add_argument("--height", type=int)
     pg.add_argument("--seed", type=int)
-    pg.add_argument("--out")
     _add_command(pg, _cmd_fringe_generate, "fringe_generate")
     pa = fsub.add_parser("analyze", help="retrieve 2*delta from an image")
     pa.add_argument("--image")
@@ -514,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--region", action="append",
                     help="evaluation region 'c0:c1:r0:r1' (repeatable, ';'-separated in a "
                          "config file; default: auto)")
-    pa.add_argument("--out", help="optional per-region CSV report")
     pa.add_argument("--profiles-out", help="optional CSV of the first retrieved region's profiles")
     _add_command(pa, _cmd_fringe_analyze, "fringe_analyze", recorded=("regions",))
 
@@ -523,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", help="'value' or 'start:stop:count'")
     p.add_argument("--check", action="store_true",
                    help="add a column cross-checking against the simulated interferometer")
-    p.add_argument("--out")
     _add_command(p, _cmd_visibility, "visibility", recorded=("check",))
 
     return parser
@@ -537,8 +547,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(Resolver(args))
     except Exception as exc:  # single machine-parsable error line
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -92,19 +92,27 @@ class Region:
             raise ValueError(f"negative region bounds {self}")
 
 
-def _split_row(split) -> int:
-    """A split row as an int; int() alone would truncate 31.7 and fail unlabelled on NaN."""
+def _geometry(h: int, w: int, split) -> int:
+    """The split row of an h x w image as an int, refused unless it is an integer
+    strictly inside an image of at least 16x16; int() alone would truncate 31.7
+    and fail unlabelled on NaN."""
     if not (isinstance(split, numbers.Integral) or isinstance(split, float) and split.is_integer()):
         raise ValueError(f"split_row must be an integer, got {split!r}")
+    if h < 16 or w < 16:
+        raise ValueError(f"image must be at least 16x16, got {h}x{w}")
+    if not 0 < split < h:
+        raise ValueError(f"half_split_row {int(split)} outside (0, {h})")
     return int(split)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Interferogram:
     """Intensity grid split at ``half_split_row`` into the V and H halves.
 
     ``k0`` and ``true_delta`` are metadata: the carrier frequency when known
-    and, for synthetic images, the phase the generator encoded.
+    and, for synthetic images, the phase the generator encoded.  The fields
+    are read-only, so the split row checked here stays the one retrieval
+    reads; the pixels may still be written in place.
     """
 
     pixels: np.ndarray
@@ -113,15 +121,11 @@ class Interferogram:
     true_delta: float | None = None
 
     def __post_init__(self):
-        self.half_split_row = _split_row(self.half_split_row)
-        self.pixels = np.asarray(self.pixels, dtype=float)
-        if self.pixels.ndim != 2:
+        pixels = np.asarray(self.pixels, dtype=float)
+        if pixels.ndim != 2:
             raise ValueError("pixels must be a 2-d array")
-        h, w = self.pixels.shape
-        if h < 16 or w < 16:
-            raise ValueError(f"image must be at least 16x16, got {h}x{w}")
-        if not 0 < self.half_split_row < h:
-            raise ValueError(f"half_split_row {self.half_split_row} outside (0, {h})")
+        object.__setattr__(self, "pixels", pixels)
+        object.__setattr__(self, "half_split_row", _geometry(*pixels.shape, self.half_split_row))
         # one reduction, no full-size boolean mask: as uint64, the bits of +0.0 and of
         # every positive finite float lie below +inf's, and those of NaN, +inf and any
         # float with its sign bit set do not; only such an image pays for the two
@@ -162,9 +166,7 @@ def generate(
         raise ValueError(f"k0 must lie in (0, pi), got {k0}")
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
-    split = h // 2 if split_row is None else _split_row(split_row)
-    if not 0 < split < h:
-        raise ValueError(f"split_row {split} outside (0, {h})")
+    split = _geometry(h, w, h // 2 if split_row is None else split_row)
 
     x = np.arange(w, dtype=float)
     upper = 0.5 * (1.0 - np.cos(beta) * np.cos(k0 * x + phi0 - delta))
@@ -235,22 +237,24 @@ def _half_rows(img: Interferogram, region: Region) -> tuple[tuple[int, int], tup
 
 
 def _column_averages(img: Interferogram, regions: Sequence[Region], rows: Sequence[tuple]) -> np.ndarray:
-    """(upper, lower) mean profiles of regions of one width, as one (R, 2, n) stack.
+    """Mean profiles of regions of one width over m row ranges each, as one (R, m, n) stack.
 
-    ``rows`` holds each region's _half_rows.  Each profile is its rows' column
-    sums over their count, the bits of ``mean(axis=0)``.
+    ``rows`` holds each region's m (start, end) row ranges: its _half_rows for
+    its (upper, lower) pair, or, for measure_visibility, its own rows as one
+    range.  Each profile is its rows' column sums over their count, the bits
+    of ``mean(axis=0)``.
     """
     n = regions[0].col_end - regions[0].col_start
-    pairs = np.empty((len(regions), 2, n))
-    counts = np.empty((len(regions), 2, 1))
+    profiles = np.empty((len(regions), len(rows[0]), n))
+    counts = np.empty((len(regions), len(rows[0]), 1))
     # a sum that overflows is left inf, and the carrier search refuses its profile as not finite
     with np.errstate(over="ignore"):
-        for i, (region, halves) in enumerate(zip(regions, rows)):
-            for half, (start, end) in enumerate(halves):
-                img.pixels[start:end, region.col_start:region.col_end].sum(axis=0, out=pairs[i, half])
-                counts[i, half] = end - start
-    pairs /= counts
-    return pairs
+        for i, (region, ranges) in enumerate(zip(regions, rows)):
+            for j, (start, end) in enumerate(ranges):
+                img.pixels[start:end, region.col_start:region.col_end].sum(axis=0, out=profiles[i, j])
+                counts[i, j] = end - start
+    profiles /= counts
+    return profiles
 
 
 def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +295,8 @@ def _peak_bins(mags: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, list]:
 
     Returns the bins and, for each row, the NoCarrier saying why no
     candidate stands out (None when one does): a flat profile, or a peak
-    that is zero, sits below bin 2 or fails to exceed the low-frequency
-    shoulder (leakage around the zero peak) by a factor of 2.
+    that overflowed, is zero, sits below bin 2 or fails to exceed the
+    low-frequency shoulder (leakage around the zero peak) by a factor of 2.
     """
     kbin = mags[:, 1:].argmax(axis=1) + 1
     peak = mags[np.arange(len(mags)), kbin]
@@ -310,6 +314,8 @@ def _no_carrier(flat, peak, kbin, shoulder) -> NoCarrier:
     """Why a row that _peak_bins refuses has no carrier."""
     if flat:
         return NoCarrier(_FLAT)
+    if not np.isfinite(peak):  # the windowed mean or the transform overflowed
+        return NoCarrier(_OVERFLOWS)
     if not peak > 0:
         return NoCarrier("profile is constant")
     if kbin < 2:
@@ -711,8 +717,7 @@ def measure_visibility(img: Interferogram, region: Region) -> float:
     split = img.half_split_row
     if not (region.row_end <= split or region.row_start >= split):
         raise ValueError("visibility region must lie within a single half")
-    profile = img.pixels[region.row_start:region.row_end,
-                         region.col_start:region.col_end].mean(axis=0)
+    profile = _column_averages(img, [region], [[(region.row_start, region.row_end)]])[0, 0]
     k0 = np.array([estimate_carrier(profile)])
     fringe = _fringe_terms(profile[None, None], k0)[0, 0]
     return float(2.0 * abs(fringe) / (profile @ _periodic_hann(len(profile))))

@@ -703,6 +703,20 @@ def test_a_refused_run_writes_nothing(name, tmp_path, capsys, monkeypatch):
     (["polarimetry"], "mode=bogus\n", "--mode must be full, zeta2pi or ximinuspi, got 'bogus'"),
     (["fringe", "analyze", "--image", "img.pgm", "--region", "100:500:200"], "",
      "region must be 'c0:c1:r0:r1', got '100:500:200'"),
+    (["fringe", "analyze", "--image", "img.pgm", "--region", "100:500:200:x"], "",
+     "region must be 'c0:c1:r0:r1', got '100:500:200:x'"),
+    (["visibility", "--theta1", "0:1:x", "--theta2", "0", "--theta3", "0"], "",
+     "--theta1 must be 'value' or 'start:stop:count', got '0:1:x'"),
+    (["interf", "surface", "--zeta", "0", "--xi-grid", "0:1:2.5"], "",
+     "--xi-grid must be 'value' or 'start:stop:count', got '0:1:2.5'"),
+    (["visibility", "--theta1", "0:1:-1", "--theta2", "0", "--theta3", "0"], "",
+     "--theta1 must be 'value' or 'start:stop:count', got '0:1:-1'"),
+    (["interf", "sweep"], "xi=0\neta=0\nzeta=0\nsamples=abc\n", "argument --samples: invalid int value: 'abc'"),
+    # argparse's own refusals are the same one line, not a usage block and exit 2
+    (["interf", "sweep", "--xi", "abc", "--eta", "0", "--zeta", "0"], "", "argument --xi: invalid float value: 'abc'"),
+    (["decompose", "--mode", "4", "--xi", "0", "--eta", "0", "--zeta", "0"], "",
+     "argument --mode: invalid choice: 4 (choose from 3, 5)"),
+    (["fringe", "generate", "--delta", "0.3", "--width", "-5"], "", "image must be at least 16x16, got 480x-5"),
 ])
 def test_a_malformed_value_is_refused_and_writes_nothing(argv, config, error, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

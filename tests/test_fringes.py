@@ -1,6 +1,7 @@
 """Tests for synthetic interferograms and the two shift estimators."""
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import os
@@ -612,6 +613,31 @@ def test_measure_visibility_region_must_lie_inside_the_image():
             fringes.measure_visibility(img, region)
 
 
+def test_measure_visibility_refuses_overflowing_column_sums_in_every_error_state():
+    # the half's column sums overflow to inf and are refused as retrieval refuses
+    # them; its own mean(axis=0) warned, or raised FloatingPointError
+    img = fringes.generate(0.3, 0.2, 0.25, size=(64, 128))
+    huge = fringes.Interferogram(img.pixels * 1e307, img.half_split_row)
+    for state in ("default", "warnings-as-errors", "raise-all"):
+        with pytest.raises(fringes.NoCarrier, match="^profile is not finite$"):
+            _in_error_state(state, lambda: fringes.measure_visibility(huge, Region(0, 128, 0, 32)))
+
+
+def test_a_finite_profile_whose_windowed_mean_overflows_is_refused_as_an_overflow():
+    # every bin of the spectrum came out NaN, and the profile was called constant
+    img = fringes.generate(0.3, 0.2, 0.25, size=(64, 128))
+    huge = fringes.Interferogram(img.pixels * 3e306, img.half_split_row)
+    up, _ = fringes.column_average(huge, Region(0, 128, 16, 48))
+    assert np.isfinite(up).all()
+    with pytest.raises(fringes.NoCarrier, match="^the windowed transform overflows$"):
+        fringes.estimate_carrier(up)
+    with pytest.raises(fringes.NoCarrier, match="^the windowed transform overflows$"):
+        fringes.retrieve_phase(huge, [Region(0, 128, 16, 48)])
+    rows = np.tile(1e307 * (1.0 + 1e-3 * np.cos(0.4 * np.arange(128))), (32, 1))
+    with pytest.raises(fringes.NoCarrier, match="^the windowed transform overflows$"):
+        fringes.measure_visibility(fringes.Interferogram(rows, 16), Region(0, 128, 0, 1))
+
+
 def test_measure_visibility_too_few_extrema():
     img = fringes.generate(0.0, 0.3, 0.05, size=(64, 64))  # < 1 fringe in frame
     with pytest.raises(fringes.NoCarrier):
@@ -715,6 +741,25 @@ def test_interferogram_refuses_one_dimensional_pixels():
 def test_interferogram_refuses_a_split_row_outside_the_image(split):
     with pytest.raises(ValueError, match=re.escape(f"half_split_row {split} outside (0, 64)")):
         fringes.Interferogram(np.zeros((64, 96)), split)
+
+
+@pytest.mark.parametrize("size", [(480, -5), (8, 8), (-4, 64)])
+def test_generate_refuses_an_image_below_16x16_with_the_interferogram_message(size):
+    # generate checked only its split row before allocating: a negative width
+    # failed in numpy with "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=re.escape(f"image must be at least 16x16, got {size[0]}x{size[1]}")):
+        fringes.generate(0.3, 0.2, 0.25, size=size)
+
+
+def test_an_interferogram_is_read_only_but_its_pixels_are_writable():
+    # a split row assigned after construction skipped its check: 31.7 made
+    # retrieve_phase fail later on negative region bounds
+    img = fringes.generate(0.3, 0.2, 0.4, size=(64, 96))
+    for name, value in (("half_split_row", 31.7), ("pixels", np.zeros((64, 96))), ("k0", 0.5)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(img, name, value)
+    img.pixels[40:] = 0.5
+    assert img.half_split_row == 32 and (img.pixels[40:] == 0.5).all()
 
 
 @pytest.mark.parametrize("width", [0.0, -0.0, -5.0])
