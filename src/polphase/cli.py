@@ -137,7 +137,7 @@ class Resolver:
         return float(np.deg2rad(value)) if value is not None and self.degrees else value
 
     def angle_grid(self, name, default=None, required=False) -> np.ndarray:
-        """Parse 'v' or 'start:stop:count' (inclusive endpoints) into angles."""
+        """Parse 'v' or 'start:stop:count' (inclusive endpoints, count at least 1) into angles."""
         if default is not None and self.degrees:
             parts = default.split(":")  # radians, restated in degrees as in angle()
             parts[:2] = [repr(float(np.rad2deg(float(v)))) for v in parts[:2]]
@@ -147,7 +147,7 @@ class Resolver:
         try:
             if len(parts) == 1:
                 values = np.array([float(parts[0])])
-            elif len(parts) == 3 and int(parts[2]) >= 0:
+            elif len(parts) == 3 and int(parts[2]) >= 1:
                 values = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
             else:
                 raise ValueError
@@ -219,6 +219,8 @@ def _cmd_interf_sweep(r: Resolver) -> int:
     zeta = r.angle("zeta", required=True)
     samples = r.value("samples", default=1024)
     out = r.value("out", default="interf_sweep.csv")
+    if samples < 0:  # zero samples reach the fit, which refuses them as UnresolvableGrid
+        raise ValueError(f"--samples must not be negative, got {samples}")
 
     u = su2.from_yzy(xi, eta, zeta)
     phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
@@ -287,6 +289,8 @@ def _cmd_polarimetry(r: Resolver) -> int:
     eta_steps = r.value("eta-steps", default=64)
     out = r.value("out", default="polarimetry.csv")
     sweep_out = r.value("sweep-out", default=None)
+    if eta_steps < 1:
+        raise ValueError(f"--eta-steps must be at least 1, got {eta_steps}")
 
     etas = np.linspace(0.0, 2.0 * np.pi, eta_steps, endpoint=False)
     zyz = su2.yzy_to_zyz(xi, etas, zeta)

@@ -190,20 +190,29 @@ def harmonic_fit(values, phi, k: int):
     short a span) raises UnresolvableGrid.  A stack over one row block is summed by blocks.
     """
     y = np.asarray(values, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 1 or y.shape[-1:] != phi.shape:
-        raise ValueError(f"values of shape {y.shape} do not lie along a grid of shape {phi.shape}")
-    c, s, (a00, a01, a02, a11, a12, a22), det = _terms(phi, k)
-    n = float(len(phi))
+    return _fit(y, _grid_terms(y.shape, np.asarray(phi, dtype=float), k), k)
+
+
+def _grid_terms(shape: tuple, phi: np.ndarray, k) -> tuple:
+    """_terms of phi for values of the given shape; ValueError unless phi is a 1-D grid of their last axis."""
+    if phi.ndim != 1 or shape[-1:] != phi.shape:
+        raise ValueError(f"values of shape {shape} do not lie along a grid of shape {phi.shape}")
+    return _terms(phi, k)
+
+
+def _fit(y: np.ndarray, terms: tuple, k) -> tuple:
+    """harmonic_fit of float scans y along the grid whose _terms(phi, k) are terms."""
+    c, s, (a00, a01, a02, a11, a12, a22), det = terms
+    n = float(len(c))
     ratio = 4.0 * det / n**3 if n else 0.0
     if not ratio > MIN_GRAM_RATIO:
-        raise UnresolvableGrid(f"{len(phi)} phases cannot separate an offset from harmonic {k} (4 det / n^3 of "
+        raise UnresolvableGrid(f"{len(c)} phases cannot separate an offset from harmonic {k} (4 det / n^3 of "
                                f"the normal matrix {ratio:.3g} < {MIN_GRAM_RATIO:g}): need three distinct "
                                f"phases mod 2 pi / {k}, over more than a sliver of the period")
     if y.ndim > 1 and y.size > _BLOCK and y.strides[-1] == y.itemsize:
         # block by block, each row summed as on its own; where a row's samples are not
         # adjacent, numpy may sum a lone row in another order, so those stacks take one pass
-        rows = y.reshape(-1, len(phi))
+        rows = y.reshape(-1, len(c))
         sums = np.empty((3, len(rows)))
         for block in _row_blocks(*rows.shape):
             sums[:, block] = _sums(rows[block], c, s)

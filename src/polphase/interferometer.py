@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import UnresolvableGrid, harmonic_fit, harmonics  # UnresolvableGrid: the fit's refusal, raised from here too
+from .dsp import UnresolvableGrid, _fit, _grid_terms, harmonics  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import compose
 from .su2 import finite, from_yzy, wrap_angle
 
@@ -66,41 +66,57 @@ def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = F
     """
     if input_pol not in _INPUT_INDEX:
         raise ValueError(f"input_pol must be 'V' or 'H', got {input_pol!r}")
+    u, phi = _checked(u, phi)
+    k = _INPUT_INDEX[input_pol]
+    w = u[..., k, k].reshape(u.shape[:-2] + (1,) * phi.ndim)
+    intensity = _port(w, *harmonics(phi), complementary)
+    return float(intensity) if intensity.ndim == 0 else intensity
+
+
+def _checked(u, phi) -> tuple:
+    """u as a finite complex (..., 2, 2) stack of unitary matrices and phi as finite floats, or the refusal."""
     u = finite("u", u, dtype=complex)
     if u.shape[-2:] != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix or a (..., 2, 2) stack, got shape {u.shape}")
     worst = np.abs(np.einsum("...ji,...jk->...ik", u.conj(), u) - np.eye(2)).max(initial=0.0)
     if worst > EPS_UNITARY:
         raise NonUnitary(f"u must be unitary: |u^dagger u - 1| reaches {worst:.3e}, above {EPS_UNITARY:g}")
-    phi = finite("phi", phi)
-    k = _INPUT_INDEX[input_pol]
-    w = u[..., k, k].reshape(u.shape[:-2] + (1,) * phi.ndim)
-    cos_phi, sin_phi = harmonics(phi)
+    return u, finite("phi", phi)
+
+
+def _port(w, cos_phi, sin_phi, complementary=False):
+    """output_intensity of the overlaps w from the grid's harmonics."""
     fringe = w.real * cos_phi + w.imag * sin_phi  # Re(e^{-i phi} w)
-    intensity = 0.5 * (1.0 + fringe) if complementary else 0.5 * (1.0 - fringe)
-    return float(intensity) if intensity.ndim == 0 else intensity
+    return 0.5 * (1.0 + fringe) if complementary else 0.5 * (1.0 - fringe)
 
 
 def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     """Relative fringe shift 2*delta between the V-fed and H-fed halves.
 
-    Evaluates both half-fringes over phi_grid as one two-row stack (the
-    H-fed fringe is the V-fed fringe of u with both axes reversed), fits
-    each with an offset and a first harmonic, and returns the difference of
-    the fitted phases, arg amp_V - arg amp_H, in (-pi, pi].  Any grid the
-    fit resolves will do, uniform or not, whole periods or not; one that
-    cannot raises UnresolvableGrid.  A fitted visibility 2|amp_V| at or
-    below EPS_VISIBILITY raises ZeroVisibility.
+    Evaluates both half-fringes over phi_grid, fits each with an offset and
+    a first harmonic, and returns the difference of the fitted phases,
+    arg amp_V - arg amp_H, in (-pi, pi].  Any grid the fit resolves will do,
+    uniform or not, whole periods or not; one that cannot raises
+    UnresolvableGrid.  A fitted visibility 2|amp_V| at or below
+    EPS_VISIBILITY raises ZeroVisibility.
+
+    The H-fed fringe is the V-fed fringe of u with both axes reversed, so the
+    halves are output_intensity("V", ...) of the pair of u and its reversal,
+    bit for bit and with the same refusals, but each is evaluated on its own:
+    the pair and the grid pass output_intensity's checks once, each half is
+    output_intensity's expression of its overlap u[0, 0] or u[1, 1], and one
+    lookup of the grid's harmonics serves both halves and both fits.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix, got shape {u.shape}")
-    halves = output_intensity("V", np.stack([u, u[::-1, ::-1]]), phi_grid)
-    _, amplitude = harmonic_fit(halves, phi_grid, 1)
-    visibility = 2.0 * abs(amplitude[0])
+    pair, phi = _checked((u, u[::-1, ::-1]), phi_grid)
+    terms = _grid_terms((2,) + phi.shape, phi, 1)
+    amp_v, amp_h = (_fit(_port(w, terms[0], terms[1]), terms, 1)[1] for w in pair[:, 0, 0])
+    visibility = 2.0 * abs(amp_v)
     if visibility <= EPS_VISIBILITY:
         raise ZeroVisibility(f"visibility {visibility:.3e} below {EPS_VISIBILITY:g}")
-    return wrap_angle(np.angle(amplitude[0]) - np.angle(amplitude[1]))
+    return wrap_angle(np.angle(amp_v) - np.angle(amp_h))
 
 
 def visibility_yzy(xi: float, eta: float, zeta: float) -> "float | np.ndarray":

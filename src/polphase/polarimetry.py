@@ -28,12 +28,14 @@ together, and in the y-z-y angles the same intensity reads
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dsp import UnresolvableGrid, _row_blocks, harmonic_fit, harmonics  # UnresolvableGrid: the fit's refusal, raised from here too
+from .dsp import UnresolvableGrid, _CACHED_POINTS, _design, _fit, _row_blocks, harmonic_fit, harmonics  # UnresolvableGrid: raised here too
 from .plates import WavePlate, compose
 from .su2 import EPS_DEGENERATE, YzyParams, finite
 
@@ -72,8 +74,9 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     return float(swing) if swing.ndim == 0 else swing
 
 
-def _scan_law(xi, eta, zeta, cos_phi, sin_phi, out=None):
-    """polarimetric_intensity of checked angles from the grid's harmonics, into out if given."""
+def _scan_law(xi, eta, zeta, cos_phi, sin_phi, out=None, add_noise=None, first=0):
+    """polarimetric_intensity of checked angles (one scan, or a row per entry of an eta column) from the
+    grid's harmonics, into out if given; then, if given, add_noise's draws from row first and the clip."""
     ce, se = np.cos(eta / 2.0), np.sin(eta / 2.0)
     cs = np.cos((xi + zeta) / 2.0)
     # swing is built and squared in place, in the closed form's order; the squares
@@ -82,7 +85,7 @@ def _scan_law(xi, eta, zeta, cos_phi, sin_phi, out=None):
     swing += se * np.sin((xi - zeta) / 2.0) * sin_phi
     swing *= swing
     swing += ce * ce * (cs * cs)
-    return swing
+    return swing if add_noise is None else add_noise(swing, first)
 
 
 def extract_cos2_phase(i_min: float, i_max: float) -> float:
@@ -127,8 +130,8 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
 
 
 def _scan_noise(noise_sigma, seed, stacked: bool):
-    """add_scan_noise's refusals, made before any draw.  None if noise-free, else a function
-    that adds in place to the scans of a block their rows' draws (row k at first + k) and clips."""
+    """add_scan_noise's refusals, made before any draw.  None if noise-free, else a function that adds
+    in place to C-contiguous scans (one, or a block's rows) their draws (row k at first + k) and clips."""
     if finite("noise_sigma", noise_sigma) < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
     if noise_sigma == 0.0:
@@ -137,9 +140,9 @@ def _scan_noise(noise_sigma, seed, stacked: bool):
         raise TypeError(f"a stack of scans draws row k from seed + k and needs an integer seed, got {seed!r}")
 
     def add_noise(scans: np.ndarray, first: int = 0) -> np.ndarray:
-        for k, row in enumerate(np.ndindex(scans.shape[:-1]), first):
+        for k, row in enumerate(scans.reshape(-1, scans.shape[-1]), first):
             row_seed = seed + k if stacked and seed is not None else seed
-            scans[row] += np.random.default_rng(row_seed).normal(0.0, noise_sigma, scans.shape[-1])
+            row += np.random.default_rng(row_seed).normal(0.0, noise_sigma, len(row))
         return np.clip(scans, 0.0, 1.0, out=scans)
     return add_noise
 
@@ -158,21 +161,32 @@ def polarimetric_sweep(
     grid; row k is bit for bit the scan of its own eta made with seed + k.
     Noise is additive Gaussian on the intensity, clamped to [0, 1], from
     explicitly seeded generators (add_scan_noise), so runs are reproducible.
+    The returned phi_grid is the caller's own array.
     """
-    if n_grid < 64:
-        raise ValueError(f"n_grid must be at least 64, got {n_grid}")
-    phi = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    phi, law, _ = _scan_grid(n_grid)
     etas, x, z = finite("eta", eta), finite("xi", xi), finite("zeta", zeta)
     add_noise = _scan_noise(noise_sigma, seed, etas.ndim > 0)
-    # one scan per eta, built in row blocks: the law, then each row's noise and the clip
-    intensity = np.empty(etas.shape + (n_grid,))
-    scans, etas = intensity.reshape(-1, n_grid), etas.reshape(-1, 1)
-    cos_phi, sin_phi = harmonics(phi)
+    # one scan per eta, built in row blocks
+    intensity = np.empty(etas.shape + phi.shape)
+    scans, etas = intensity.reshape(-1, len(phi)), etas.reshape(-1, 1)
     for rows in _row_blocks(*scans.shape):
-        _scan_law(x, etas[rows], z, cos_phi, sin_phi, out=scans[rows])
-        if add_noise is not None:
-            add_noise(scans[rows], rows.start)
-    return PolarimetricSweep(phi, intensity, YzyParams(xi, eta, zeta))
+        _scan_law(x, etas[rows], z, *law[:2], scans[rows], add_noise, rows.start)
+    return PolarimetricSweep(phi.copy(), intensity, YzyParams(xi, eta, zeta))
+
+
+def _scan_grid(n_grid) -> tuple:
+    """The read-only grid of n_grid >= 64 points over [0, 2 pi) and its _design for the law (k = 1) and the
+    fit (k = 2), kept per n_grid up to the grid length dsp caches; operator.index is np.linspace's own."""
+    if n_grid < 64:
+        raise ValueError(f"n_grid must be at least 64, got {n_grid}")
+    return (_grid if n_grid <= _CACHED_POINTS else _grid.__wrapped__)(operator.index(n_grid))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(n_grid: int) -> tuple:
+    phi = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    phi.flags.writeable = False
+    return phi, _design(phi, 1), _design(phi, 2)
 
 
 def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
@@ -207,13 +221,19 @@ def sweep_extrema(sweep: PolarimetricSweep):
 
     I_min, I_max = a -+ sqrt(b^2 + c^2), clipped to [0, 1]: floats for a scan, or
     for a stack two arrays of its leading shape, entry bit for bit the scan's own.
+    One scan is clipped with Python's min and max, which give np.clip's floats at
+    a fraction of its cost on scalars.
     """
-    offset, amplitude = harmonic_fit(sweep.intensities, sweep.phi_grid, 2)
-    swing = np.abs(amplitude)
-    i_min, i_max = np.clip(offset - swing, 0.0, 1.0), np.clip(offset + swing, 0.0, 1.0)
-    if np.ndim(i_min) == 0:
-        return float(i_min), float(i_max)
-    return i_min, i_max
+    return _extrema(*harmonic_fit(sweep.intensities, sweep.phi_grid, 2))
+
+
+def _extrema(offset, amplitude) -> tuple:
+    """sweep_extrema of a fit's offset and amplitude; for one scan, max and min keep their first argument
+    on a tie and so give np.clip's floats, -0.0 and NaN included."""
+    swing = np.abs(amplitude)  # Python's abs(complex) can differ in the last bit
+    if np.ndim(offset):
+        return np.clip(offset - swing, 0.0, 1.0), np.clip(offset + swing, 0.0, 1.0)
+    return tuple(min(max(float(v), 0.0), 1.0) for v in (offset - swing, offset + swing))
 
 
 def measure_phase(
@@ -230,6 +250,19 @@ def measure_phase(
     and second harmonic (sweep_extrema) and applies the extremum ratio.
     Equals cos^2(delta) of the underlying transformation to rounding for a
     noise-free scan; noise enters only through the fitted coefficients.
+
+    The result is bit for bit extract_cos2_phase(*sweep_extrema(polarimetric_sweep(...)))
+    of the same arguments, and the refusals are polarimetric_sweep's, in its
+    order; an angle that is not a scalar then raises ValueError.  The one scan
+    takes a direct path: the grid and its terms come from a cache kept per
+    n_grid, and the law, one generator's draw and the clip are written into
+    one buffer, which is fitted as it is.
     """
-    sweep = polarimetric_sweep(xi, eta, zeta, n_grid, noise_sigma, seed)
-    return extract_cos2_phase(*sweep_extrema(sweep))
+    phi, law, fit = _scan_grid(n_grid)
+    angles = {"eta": finite("eta", eta), "xi": finite("xi", xi), "zeta": finite("zeta", zeta)}
+    for name, angle in angles.items():
+        if angle.ndim:
+            raise ValueError(f"{name} must be a scalar angle, got an array of shape {angle.shape}")
+    scan = _scan_law(angles["xi"], angles["eta"], angles["zeta"], *law[:2], np.empty(len(phi)),
+                     _scan_noise(noise_sigma, seed, False))
+    return extract_cos2_phase(*_extrema(*_fit(scan, fit, 2)))

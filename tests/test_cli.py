@@ -717,6 +717,14 @@ def test_a_refused_run_writes_nothing(name, tmp_path, capsys, monkeypatch):
     (["decompose", "--mode", "4", "--xi", "0", "--eta", "0", "--zeta", "0"], "",
      "argument --mode: invalid choice: 4 (choose from 3, 5)"),
     (["fringe", "generate", "--delta", "0.3", "--width", "-5"], "", "image must be at least 16x16, got 480x-5"),
+    # a negative count, and a grid of no points, which would compute nothing and report success
+    (["interf", "sweep", "--xi", "0", "--eta", "0", "--zeta", "0", "--samples", "-3"], "",
+     "--samples must not be negative, got -3"),
+    (["visibility", "--theta1", "0:1:0", "--theta2", "0", "--theta3", "0"], "",
+     "--theta1 must be 'value' or 'start:stop:count', got '0:1:0'"),
+    (["interf", "surface", "--xi-grid", "0:1:0"], "", "--xi-grid must be 'value' or 'start:stop:count', got '0:1:0'"),
+    (["polarimetry", "--mode", "zeta2pi", "--eta-steps", "0"], "", "--eta-steps must be at least 1, got 0"),
+    (["polarimetry", "--mode", "zeta2pi"], "eta-steps=-2\n", "--eta-steps must be at least 1, got -2"),
 ])
 def test_a_malformed_value_is_refused_and_writes_nothing(argv, config, error, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -726,6 +734,14 @@ def test_a_malformed_value_is_refused_and_writes_nothing(argv, config, error, tm
     code, out, err = run_cli(capsys, *argv, "--config", "run.cfg", "--out-dir", "out")
     assert (code, out, err) == (1, "", f"error: ValueError: {error}\n")
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_zero_sweep_samples_are_refused_by_the_fit(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "interf", "sweep", "--xi", "0", "--eta", "0", "--zeta", "0", "--samples", "0",
+                             "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: UnresolvableGrid: 0 phases cannot separate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_plate_scan_without_phase_contrast_reports_an_undefined_phase(tmp_path, capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from polphase import interferometer as itf
-from polphase import su2
+from polphase import dsp, su2
 
 RNG = np.random.default_rng(31415)
 ANGLE = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
@@ -525,3 +525,82 @@ def test_output_intensity_accepts_unitary_matrices_outside_su2():
 def test_output_intensity_refuses_an_unknown_input():
     with pytest.raises(ValueError, match="input_pol"):
         itf.output_intensity("D", np.eye(2), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# split_beam_shift's one-scan path against the two-row stack it replaces
+
+def stacked_shift(u, grid):
+    """split_beam_shift as output_intensity of the stack of u and u reversed, then harmonic_fit."""
+    halves = itf.output_intensity("V", np.stack([u, u[::-1, ::-1]]), grid)
+    _, amplitude = dsp.harmonic_fit(halves, grid, 1)
+    visibility = 2.0 * abs(amplitude[0])
+    if visibility <= itf.EPS_VISIBILITY:
+        raise itf.ZeroVisibility(f"visibility {visibility:.3e} below {itf.EPS_VISIBILITY:g}")
+    return su2.wrap_angle(np.angle(amplitude[0]) - np.angle(amplitude[1]))
+
+
+def outcome(f, *args):
+    """repr of f's result, which is exact to the bit (-0.0 included), or its refusal's type and message."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def grids(draw):
+    n = draw(st.integers(3, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["uniform", "sorted", "partial", "scattered"]))
+    if kind == "uniform":
+        return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    if kind == "sorted":
+        return np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    if kind == "partial":
+        return np.linspace(0.3, 0.3 + rng.uniform(0.5, 20.0), n)
+    return rng.uniform(-50.0, 50.0, n)
+
+
+@st.composite
+def unitaries(draw):
+    if draw(st.booleans()):
+        # near beta = pi/2, where the visibility cos(beta) crosses EPS_VISIBILITY
+        beta = np.pi / 2 - draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 4e-7, 6e-7, 1e-6, 1e-3]))
+        return su2.from_zyz(beta, draw(ANGLE), draw(ANGLE))
+    return np.exp(1j * draw(ANGLE)) * su2.from_yzy(draw(ANGLE), draw(ANGLE), draw(ANGLE))
+
+
+@settings(deadline=None, max_examples=300)
+@given(unitaries(), grids())
+def test_split_beam_shift_is_the_stacked_fit_bit_for_bit(u, grid):
+    assert outcome(itf.split_beam_shift, u, grid) == outcome(stacked_shift, u, grid)
+
+
+def _nan_at(array, index):
+    array = np.array(array, dtype=complex if array.ndim == 2 else float)
+    array[index] = np.nan
+    return array
+
+
+GRID64 = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+
+
+@pytest.mark.parametrize("u, grid, error, message", [
+    (np.diag([1.0, 1.1]), GRID64, itf.NonUnitary, "u must be unitary: |u^dagger u - 1| reaches 2.100e-01, above 1e-09"),
+    (np.array([[0.6, 0.8], [0.8, 0.6]]), GRID64, itf.NonUnitary,
+     "u must be unitary: |u^dagger u - 1| reaches 9.600e-01, above 1e-09"),
+    (_nan_at(np.eye(2), (1, 0)), GRID64, su2.NonFiniteInput, "u must be finite, got 2 of 8 values"),
+    (_nan_at(np.eye(2), (slice(None), 0)), GRID64, su2.NonFiniteInput, "u must be finite, got 4 of 8 values"),
+    (np.eye(2), _nan_at(GRID64, 5), su2.NonFiniteInput, "phi must be finite, got 1 of 64 values"),
+    (_nan_at(np.eye(2), (0, 0)), _nan_at(GRID64, 5), su2.NonFiniteInput, "u must be finite, got 2 of 8 values"),
+    (np.diag([1.0, 1.1]), _nan_at(GRID64, 5), itf.NonUnitary,
+     "u must be unitary: |u^dagger u - 1| reaches 2.100e-01, above 1e-09"),
+    (np.eye(2), 0.5, ValueError, "values of shape (2,) do not lie along a grid of shape ()"),
+    (np.eye(2), np.zeros((3, 4)), ValueError, "values of shape (2, 3, 4) do not lie along a grid of shape (3, 4)"),
+], ids=["diagonal", "real", "one-nan", "column-nan", "nan-grid", "nan-both", "non-unitary-nan-grid", "scalar-grid",
+        "2-d-grid"])
+def test_split_beam_shift_refuses_as_the_stacked_fit_does(u, grid, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        itf.split_beam_shift(u, grid)
+    assert outcome(stacked_shift, np.asarray(u, dtype=complex), grid) == (error, message)

@@ -1,6 +1,7 @@
 """Tests for the rotating-array (single-beam) phase measurement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -485,3 +486,101 @@ def test_sweep_extrema_refuses_a_grid_without_the_second_harmonic():
                                           su2.YzyParams(0.3, 0.2, 0.1))
     with pytest.raises(polarimetry.UnresolvableGrid):
         polarimetry.sweep_extrema(sweep)
+
+
+# ---------------------------------------------------------------------------
+# the one-scan path of measure_phase and sweep_extrema against the stack path
+
+def outcome(f, *args):
+    """repr of f's result, which is exact to the bit (-0.0 included), or its refusal's type and message."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def stack_path_phase(*args):
+    """measure_phase as a sweep, then its extrema, then the ratio."""
+    return polarimetry.extract_cos2_phase(*polarimetry.sweep_extrema(polarimetry.polarimetric_sweep(*args)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(ANGLE, ANGLE, ANGLE, st.sampled_from([64, 1000, 4096]), st.one_of(st.just(0.0), st.floats(1e-4, 0.3)),
+       st.integers(0, 2**32), st.integers(0, 2))
+def test_measure_phase_is_the_stack_path_bit_for_bit(xi, eta, zeta, n_grid, noise, seed, k):
+    direct = outcome(polarimetry.measure_phase, xi, eta, zeta, n_grid, noise, seed + k)
+    assert direct == outcome(stack_path_phase, xi, eta, zeta, n_grid, noise, seed + k)
+    # and row k of a stack of scans seeded seed
+    etas = np.array([0.4, -1.3, 2.2])
+    etas[k] = eta
+    i_min, i_max = polarimetry.sweep_extrema(polarimetry.polarimetric_sweep(xi, etas, zeta, n_grid, noise, seed))
+    assert direct == outcome(polarimetry.extract_cos2_phase, float(i_min[k]), float(i_max[k]))
+
+
+@pytest.mark.parametrize("n_grid", [np.int64(128), np.array(128), 70000])
+def test_measure_phase_takes_the_grid_lengths_numpy_does(n_grid):
+    # 0-d arrays and numpy integers as np.linspace takes them; a grid too long to keep is made on each call
+    for noise, seed in ((0.0, None), (0.05, 9)):
+        assert outcome(polarimetry.measure_phase, 0.7, -1.1, 0.4, n_grid, noise, seed) == \
+            outcome(stack_path_phase, 0.7, -1.1, 0.4, n_grid, noise, seed)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((np.nan, 0.2, 0.3), su2.NonFiniteInput, "xi must be finite, got nan"),
+    ((0.1, np.nan, np.nan), su2.NonFiniteInput, "eta must be finite, got nan"),
+    ((0.1, 0.2, 0.3, 4096, np.nan, 1), su2.NonFiniteInput, "noise_sigma must be finite, got nan"),
+    ((0.1, 0.2, 0.3, 63), ValueError, "n_grid must be at least 64, got 63"),
+    ((np.nan, 0.2, 0.3, 63, np.nan), ValueError, "n_grid must be at least 64, got 63"),
+    ((0.1, 0.2, 0.3, 64.5), TypeError, "'float' object cannot be interpreted as an integer"),
+])
+def test_measure_phase_refuses_as_the_stack_path_does(args, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        polarimetry.measure_phase(*args)
+    assert outcome(stack_path_phase, *args) == (error, message)
+
+
+@pytest.mark.parametrize("name", ["xi", "eta", "zeta"])
+@pytest.mark.parametrize("angle", [np.array([0.1, 0.2]), np.array([0.1]), [[0.3]]], ids=["two", "one", "nested"])
+def test_measure_phase_refuses_an_angle_that_is_not_a_scalar(name, angle):
+    angles = {"xi": 0.3, "eta": 0.5, "zeta": -0.2, name: angle}
+    with pytest.raises(ValueError, match=f"^{name} must be a scalar angle, got an array of shape "
+                                         f"{re.escape(str(np.shape(angle)))}$"):
+        polarimetry.measure_phase(**angles)
+
+
+def test_a_sweep_grid_is_the_callers_own():
+    first = polarimetry.polarimetric_sweep(0.3, 1.1, -0.4, 256)
+    first.phi_grid[:] = 0.0
+    again = polarimetry.polarimetric_sweep(0.3, 1.1, -0.4, 256)
+    np.testing.assert_array_equal(again.phi_grid, np.linspace(0.0, 2 * np.pi, 256, endpoint=False), strict=True)
+    assert again.phi_grid.flags.writeable and not np.shares_memory(again.phi_grid, first.phi_grid)
+    assert polarimetry.measure_phase(0.3, 1.1, -0.4, 256) == stack_path_phase(0.3, 1.1, -0.4, 256)
+
+
+def clipped_extrema(intensities, phi):
+    """sweep_extrema with np.clip, the stack path's clip, on a scan or a stack of scans."""
+    offset, amplitude = dsp.harmonic_fit(intensities, phi, 2)
+    swing = np.abs(amplitude)
+    i_min, i_max = np.clip(offset - swing, 0.0, 1.0), np.clip(offset + swing, 0.0, 1.0)
+    return (float(i_min), float(i_max)) if np.ndim(i_min) == 0 else (i_min, i_max)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([64, 1000]), st.floats(0.3, 0.7), st.floats(0.75, 3.0), ANGLE)
+def test_one_scan_extrema_are_np_clip_on_saturated_scans(n_grid, offset, amplitude, shift):
+    # offset -+ amplitude lie beyond [0, 1] at both ends, so both extrema are clipped
+    phi = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    scans = np.stack([offset + amplitude * np.cos(2.0 * (phi - shift)), 1.0 - offset + amplitude * np.sin(2.0 * phi)])
+    stacked = polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(phi, scans, None))
+    for k, scan in enumerate(scans):
+        got = polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(phi, scan, None))
+        assert repr(got) == repr(clipped_extrema(scan, phi)) == repr((0.0, 1.0))
+        assert got == (stacked[0][k], stacked[1][k])
+
+
+@pytest.mark.parametrize("fill", [0.0, -0.0, 1.0, np.nan])
+def test_one_scan_extrema_keep_np_clip_on_flat_and_not_a_number_scans(fill):
+    phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    scan = np.full(64, fill)
+    assert repr(polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(phi, scan, None))) == \
+        repr(clipped_extrema(scan, phi))
