@@ -35,7 +35,9 @@ Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 from __future__ import annotations
 
 import functools
+import math
 import numbers
+import operator
 import os
 import re
 import stat
@@ -86,6 +88,14 @@ class Region:
     row_end: int
 
     def __post_init__(self):
+        for name in ("col_start", "col_end", "row_start", "row_end"):
+            value = getattr(self, name)
+            try:  # an int, or an integer that numpy or another library holds, stored as the int
+                bound = operator.index(value)
+            except TypeError:
+                raise ValueError(f"region {name} must be an integer, got {value!r}") from None
+            if bound is not value:
+                object.__setattr__(self, name, bound)
         if self.col_start >= self.col_end or self.row_start >= self.row_end:
             raise ValueError(f"empty region {self}")
         if min(self.col_start, self.row_start) < 0:
@@ -246,14 +256,12 @@ def _column_averages(img: Interferogram, regions: Sequence[Region], rows: Sequen
     """
     n = regions[0].col_end - regions[0].col_start
     profiles = np.empty((len(regions), len(rows[0]), n))
-    counts = np.empty((len(regions), len(rows[0]), 1))
     # a sum that overflows is left inf, and the carrier search refuses its profile as not finite
     with np.errstate(over="ignore"):
         for i, (region, ranges) in enumerate(zip(regions, rows)):
             for j, (start, end) in enumerate(ranges):
                 img.pixels[start:end, region.col_start:region.col_end].sum(axis=0, out=profiles[i, j])
-                counts[i, j] = end - start
-    profiles /= counts
+    profiles /= [[[end - start] for start, end in ranges] for ranges in rows]
     return profiles
 
 
@@ -271,7 +279,7 @@ def _flat(rows: np.ndarray) -> np.ndarray:
     at most _FLAT_FLOOR times the row's largest magnitude, so that the test
     holds at any intensity scale and an all-zero row is flat.  A span beyond the
     float limit overflows to inf, which is not flat; callers ignore that overflow."""
-    return np.ptp(rows, axis=-1) <= _FLAT_FLOOR * np.abs(rows).max(axis=-1)
+    return rows.max(axis=-1) - rows.min(axis=-1) <= _FLAT_FLOOR * np.abs(rows).max(axis=-1)
 
 
 def _profile_pair(up, low) -> np.ndarray:
@@ -290,6 +298,16 @@ def _periodic_hann(n: int) -> np.ndarray:
     return window
 
 
+def _phasors(k: np.ndarray, minus_x: np.ndarray) -> np.ndarray:
+    """The bits of np.exp(-1j * k[:, None] * x), argument 0.0 + (-k) x, from minus_x = 0.0 - x
+    by one cos and one sin call into one complex array."""
+    angle = k[:, None] * minus_x
+    out = np.empty(angle.shape, complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _peak_bins(mags: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, list]:
     """Dominant nonzero-frequency bin of each row of (R, m) magnitude spectra.
 
@@ -302,11 +320,12 @@ def _peak_bins(mags: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, list]:
     peak = mags[np.arange(len(mags)), kbin]
     below = np.arange(mags.shape[1]) < np.maximum(kbin // 2, 2)[:, None]
     shoulder = np.where(below, mags, -np.inf)[:, 1:].max(axis=1)
-    with np.errstate(over="ignore"):  # a shoulder above half the float limit outweighs any peak
-        twice = 2.0 * shoulder
     errors = [None] * len(mags)
-    for r in np.flatnonzero(flat | ~(peak > 0) | (kbin < 2) | ~(peak >= twice)):
-        errors[r] = _no_carrier(flat[r], peak[r], kbin[r], shoulder[r])
+    # row by row in floats, whose twice a shoulder above half the float limit is inf
+    for r, (flat_r, peak_r, bin_r, shoulder_r) in enumerate(
+            zip(flat.tolist(), peak.tolist(), kbin.tolist(), shoulder.tolist())):
+        if flat_r or not (peak_r > 0 and bin_r >= 2 and peak_r >= 2.0 * shoulder_r):
+            errors[r] = _no_carrier(flat_r, peak_r, bin_r, shoulder_r)
     return kbin, errors
 
 
@@ -314,7 +333,7 @@ def _no_carrier(flat, peak, kbin, shoulder) -> NoCarrier:
     """Why a row that _peak_bins refuses has no carrier."""
     if flat:
         return NoCarrier(_FLAT)
-    if not np.isfinite(peak):  # the windowed mean or the transform overflowed
+    if not math.isfinite(peak):  # the windowed mean or the transform overflowed
         return NoCarrier(_OVERFLOWS)
     if not peak > 0:
         return NoCarrier("profile is constant")
@@ -342,12 +361,14 @@ def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
     # such a row, or a finite one near the float limit, turns inf or NaN here; the
     # peak checks read that, and a non-finite row is refused as such below
     with np.errstate(over="ignore", invalid="ignore"):
-        windowed = (profiles - profiles.mean(axis=1, keepdims=True)) * _periodic_hann(n)
+        # a sum over the count is the mean's bits
+        windowed = (profiles - profiles.sum(axis=1, keepdims=True) / n) * _periodic_hann(n)
         mags = np.abs(np.fft.rfft(windowed))
         flat = _flat(profiles)
     kbin, errors = _peak_bins(mags, flat)
-    for r in np.flatnonzero(~finite):
-        errors[r] = NoCarrier(_NOT_FINITE)
+    for r, ok in enumerate(finite.tolist()):
+        if not ok:
+            errors[r] = NoCarrier(_NOT_FINITE)
     rows = np.array([r for r, error in enumerate(errors) if error is None], dtype=int)
     kbin = kbin[rows]
     dk = 2.0 * np.pi / n
@@ -357,10 +378,11 @@ def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
     # a peak in the last bin keeps its bin (its column 1 is a stand-in)
     inner = kbin + 1 < mags.shape[1]
     peak = np.where(inner, vertex(mags, (rows, np.where(inner, kbin, 1))), kbin)
-    k[rows] = _refine_carriers(windowed[rows], np.minimum(np.maximum(peak * dk, lo), hi), lo, hi)
+    k[rows] = refined = _refine_carriers(windowed[rows], np.minimum(np.maximum(peak * dk, lo), hi), lo, hi)
     # an overflowing transform leaves a NaN; every other carrier lies in [lo, hi]
-    for r in rows[np.isnan(k[rows])]:
-        errors[r] = NoCarrier(_OVERFLOWS)
+    for r, carrier in zip(rows.tolist(), refined.tolist()):
+        if math.isnan(carrier):
+            errors[r] = NoCarrier(_OVERFLOWS)
     return k, errors
 
 
@@ -372,36 +394,45 @@ def _refine_carriers(windowed: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np
     """
     # X(k) = sum w_x e^{-ikx} and its first two k-derivatives; the origin sits
     # mid-profile, which leaves |X| alone and keeps the x^2 weights small
-    n = windowed.shape[1]
-    x = np.arange(n) - (n - 1) / 2.0
+    minus_x, slope_x, bend_x = _newton_axis(windowed.shape[1])
     # a power-of-two scale per row moves no bit of a step, and keeps the
     # products below from overflowing on profiles of 1e154 and more
     windowed = np.ldexp(windowed, -np.frexp(np.abs(windowed).max(axis=1, keepdims=True))[1])
-    weights = np.stack([windowed, -1j * x * windowed, -(x * x) * windowed], axis=1)
+    weights = np.stack([windowed, slope_x * windowed, bend_x * windowed], axis=1)
     refined = k.copy()
     rows = np.arange(len(k))  # the rows still iterating, whose weights, k, lo and hi these are
     for _ in range(8):
-        value, slope, bend = (weights @ np.exp(-1j * k[:, None] * x)[..., None])[..., 0].T
+        terms = (weights @ _phasors(k, minus_x)[..., None])[..., 0]
         # half the first and second derivatives of |X|^2, Re(X* X') and
         # |X'|^2 + Re(X* X''), written out in real arithmetic as numpy's
         # product of complex scalars computes them: its product of complex
-        # arrays may fuse multiply-adds and move the last bits of k
-        gradient = value.real * slope.real + value.imag * slope.imag
-        curvature = ((slope.real * slope.real + slope.imag * slope.imag)
-                     + (value.real * bend.real + value.imag * bend.imag))
+        # arrays may fuse multiply-adds and move the last bits of k.  One
+        # outer product of the (X, X', X'') terms holds every such sum.
+        re, im = terms.real, terms.imag
+        sums = re[:, :, None] * re[:, None, :] + im[:, :, None] * im[:, None, :]
+        gradient, curvature = sums[:, 0, 1], sums[:, 1, 1] + sums[:, 0, 2]
         keep = curvature < 0.0
-        if not keep.all():
+        if not all(keep.tolist()):  # a list of flags costs less than a reduction
             rows, weights, k, lo, hi, gradient, curvature = (
                 a[keep] for a in (rows, weights, k, lo, hi, gradient, curvature))
         step = np.minimum(np.maximum(k - gradient / curvature, lo), hi) - k
         k = k + step
         refined[rows] = k
         keep = ~(np.abs(step) < 1e-13)
-        if not keep.all():
-            rows, weights, k, lo, hi = (a[keep] for a in (rows, weights, k, lo, hi))
-        if rows.size == 0:
+        if not any(flags := keep.tolist()):
             break
+        if not all(flags):
+            rows, weights, k, lo, hi = (a[keep] for a in (rows, weights, k, lo, hi))
     return refined
+
+
+@functools.lru_cache(maxsize=16)
+def _newton_axis(n: int) -> tuple:
+    """Read-only 0.0 - x, -1j x and -x^2 of the n sample positions x about mid-profile."""
+    x = np.arange(n) - (n - 1) / 2.0
+    for a in (axis := (0.0 - x, -1j * x, -(x * x))):
+        a.flags.writeable = False
+    return axis
 
 
 def estimate_carrier(profile: np.ndarray) -> float:
@@ -422,6 +453,13 @@ def estimate_carrier(profile: np.ndarray) -> float:
 
 
 def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
+    """The positions of _minimum_positions, one array per row."""
+    rows, positions = _minimum_positions(profiles, carriers)
+    ends = np.searchsorted(rows, np.arange(1, len(profiles) + 1)).tolist()
+    return [positions[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _minimum_positions(profiles: np.ndarray, carriers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior local minima of every row of an (R, n) stack, to sub-sample accuracy.
 
     The three samples around each discrete minimum are fitted with a local
@@ -430,26 +468,26 @@ def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
     place of their small-angle limits k0^2 and 2 k0, which makes the vertex
     exact for a sampled cosine of that frequency; for a carrier of 1e-3 or
     less, or where the harmonic vertex lands more than a sample away or is
-    NaN, the plain parabola limit is used.  Returns the positions of each row.
+    NaN, the plain parabola limit is used.  Returns the row of each minimum,
+    in ascending order, and its position.
     """
     centre = profiles[:, 1:-1]
     rows, idx = np.nonzero((centre < profiles[:, :-2]) & (centre <= profiles[:, 2:]))
     idx += 1
-    positions = vertex(profiles, (rows, idx))
+    parabola = vertex(profiles, (rows, idx))
     # local model y = a + B cos(k0 x + psi), minimum at phase pi
-    tuned = np.flatnonzero(carriers[rows] > 1e-3)
-    r, i = rows[tuned], idx[tuned]
-    ym, y0, yp = profiles[r, i - 1], profiles[r, i], profiles[r, i + 1]
+    k = carriers[rows]
+    ym, y0, yp = profiles[rows, idx - 1], profiles[rows, idx], profiles[rows, idx + 1]
     # near 1e306 at small carriers these overflow: an inf p or q puts the vertex over a
-    # sample away, a NaN one (inf - inf) makes it NaN, and the parabola is kept for both
+    # sample away, a NaN one (inf - inf) makes it NaN, and the parabola is kept for both;
+    # a carrier of 1e-3 or less, 0 too, makes a vertex that is not read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carriers) - 1.0))[r]
-        q = (yp - ym) / (2.0 * np.sin(carriers))[r]
-    theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
-    harmonic = -wrap_angle(theta - np.pi) / carriers[r]
-    fits = np.abs(harmonic) <= 1.0  # else a degenerate or NaN fit: keep the parabola
-    positions[tuned] = np.where(fits, i + harmonic, positions[tuned])
-    return np.split(positions, np.searchsorted(rows, np.arange(1, len(profiles))))
+        p = (yp + ym - 2.0 * y0) / (2.0 * (np.cos(carriers) - 1.0))[rows]
+        q = (yp - ym) / (2.0 * np.sin(carriers))[rows]
+        theta = np.arctan2(-q, p)  # k0*i + psi, with B > 0 toward the dip
+        harmonic = -wrap_angle(theta - np.pi) / k
+    # else a degenerate or NaN fit: keep the parabola
+    return rows, np.where((k > 1e-3) & (np.abs(harmonic) <= 1.0), idx + harmonic, parabola)
 
 
 def _minima_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
@@ -457,23 +495,49 @@ def _minima_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]
 
     Returns the shifts, NaN where a pair has none, and each pair's
     TooFewMinima or AmbiguousPairing (None where it has a shift).  One minima
-    search covers every profile; only the pairing runs pair by pair.
+    search covers every profile and one pairing every pair: each profile's
+    minima fill one row of a NaN-padded array, each upper minimum is matched
+    against every lower minimum of its pair (in row blocks of pairs), and the
+    pairs with equally many upper minima share one sum of their phasors.
     """
-    minima = _minima(pairs.reshape(-1, pairs.shape[-1]), np.repeat(k0, 2))
-    shifts = np.full(len(k0), np.nan)
-    errors: list = [None] * len(k0)
-    for r, (pos_up, pos_low) in enumerate(zip(minima[::2], minima[1::2])):
-        if len(pos_up) < 2 or len(pos_low) < 2:
-            errors[r] = TooFewMinima(
-                f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}")
-            continue
-        partner = pos_low[np.argmin(np.abs(pos_low - pos_up[:, None]), axis=1)]
-        resultant = np.mean(np.exp(1j * wrap_angle(k0[r] * (pos_up - partner))))
-        if abs(resultant) < 0.5:
-            errors[r] = AmbiguousPairing(
-                f"per-minimum shifts are inconsistent (resultant {abs(resultant):.2f})")
+    count = len(k0)
+    rows, positions = _minimum_positions(pairs.reshape(-1, pairs.shape[-1]), k0.repeat(2))
+    found = np.bincount(rows, minlength=2 * count)
+    shifts = np.full(count, np.nan)
+    errors: list = [None if min(up, low) >= 2 else TooFewMinima(
+        f"need >= 2 interior minima per profile, got {up} and {low}") for up, low in found.reshape(-1, 2).tolist()]
+    live = np.array([r for r, error in enumerate(errors) if error is None], dtype=int)
+    if not live.size:
+        return shifts, errors
+    # the minima of the pairs with enough of them, NaN-padded: padding computes silently
+    width = found.max()
+    minima = np.full((2 * count, width), np.nan)
+    minima[rows, np.arange(len(rows)) - (found.cumsum() - found)[rows]] = positions
+    upper, lower = minima[2 * live], minima[2 * live + 1]
+    padding = np.arange(width) >= found[2 * live + 1, None]
+    partner = np.empty(upper.shape)
+    for block in _row_blocks(len(live), width * width):
+        # the nearest lower minimum of each upper one; argmin keeps the first of equals
+        # (or the first NaN), and the padding is the farthest
+        distance = np.abs(lower[block, None, :] - upper[block, :, None])
+        np.copyto(distance, np.inf, where=padding[block, None, :])
+        partner[block] = lower[block][np.arange(len(distance))[:, None], distance.argmin(axis=2)]
+    turns = np.exp(1j * wrap_angle(k0[live, None] * (upper - partner)))
+    # the circular mean of each pair's own minima: a contiguous row of m phasors
+    # summed on its own and divided by m gives np.mean's bits
+    resultant = np.empty(len(live), complex)
+    per_pair = found[2 * live]
+    for m in set(per_pair.tolist()):
+        same = per_pair == m
+        resultant[same] = turns[same, :m].sum(axis=1) / m
+    # np.hypot is abs() of one complex scalar, bit for bit (np.abs of a complex array is not)
+    strength = np.hypot(resultant.real, resultant.imag).tolist()
+    angles = np.arctan2(resultant.imag, resultant.real).tolist()
+    for r, length, angle in zip(live.tolist(), strength, angles):
+        if length < 0.5:
+            errors[r] = AmbiguousPairing(f"per-minimum shifts are inconsistent (resultant {length:.2f})")
         else:
-            shifts[r] = np.angle(resultant)
+            shifts[r] = angle
     return shifts, errors
 
 
@@ -503,8 +567,8 @@ def _fringe_terms(profiles: np.ndarray, k0: np.ndarray) -> np.ndarray:
     of profiles, the m profiles of row r read at the carrier k0[r]: the
     fringe term of each profile, as an (R, m) array."""
     n = profiles.shape[-1]
-    kernel = _periodic_hann(n) * np.exp(-1j * k0[:, None] * np.arange(n))
-    return ((profiles - profiles.mean(axis=-1, keepdims=True)) @ kernel[..., None])[..., 0]
+    kernel = _periodic_hann(n) * _phasors(k0, 0.0 - np.arange(n))
+    return ((profiles - profiles.sum(axis=-1, keepdims=True) / n) @ kernel[..., None])[..., 0]
 
 
 def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
@@ -520,8 +584,9 @@ def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list
         flat = _flat(pairs).any(axis=1)
     overflows = ~np.isfinite(terms).all(axis=1)
     errors = [NoCarrier(_FLAT) if f else NoCarrier(_OVERFLOWS) if o else NoCarrier(_NO_POWER) if z else None
-              for f, o, z in zip(flat, overflows, (terms == 0.0).any(axis=1))]
-    return wrap_angle(np.angle(terms[:, 1]) - np.angle(terms[:, 0])), errors
+              for f, o, z in zip(flat.tolist(), overflows.tolist(), (terms == 0.0).any(axis=1).tolist())]
+    phases = np.arctan2(terms.imag, terms.real)  # np.angle's bits
+    return wrap_angle(phases[:, 1] - phases[:, 0]), errors
 
 
 def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -> float:
@@ -577,8 +642,16 @@ class RetrievalResult:
     region_indices: list[int] = field(default_factory=list)
 
 
-def _circular_mean(angles) -> float:
-    return float(np.angle(np.mean(np.exp(1j * np.asarray(angles)))))
+def _circular_mean(angles):
+    """Circular mean along the last axis: a float for one sequence of angles, an
+    array for the rows of a 2-d one, each row the bits it has on its own: the sum
+    of a row of a C-ordered array is its pairwise sum alone (of a row of another
+    layout it may not be).  A sum over the count is np.mean's bits, and np.arctan2
+    np.angle's."""
+    turns = np.exp(1j * np.asarray(angles), order="C")
+    mean = turns.sum(axis=-1) / turns.shape[-1]
+    angle = np.arctan2(mean.imag, mean.real)
+    return angle if angle.ndim else float(angle)
 
 
 def _smoothed_minima_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
@@ -619,18 +692,20 @@ def _analyse_regions(img: Interferogram, regions: Sequence[Region],
             errors[i] = exc.with_traceback(None)
             continue
         widths.setdefault(region.col_end - region.col_start, []).append(i)
-    for members in map(np.array, widths.values()):
+    for members in widths.values():
         pairs = _column_averages(img, [regions[i] for i in members], [rows[i] for i in members])
         # the carrier of each raw upper profile (smoothing would damp a fast carrier below an
         # enveloped profile's low-frequency shoulder); a non-finite lower one is refused here
-        carriers[members], refusals = _carriers(pairs[:, 0])
-        for i, refusal, low_finite in zip(members, refusals, np.isfinite(pairs[:, 1]).all(axis=1)):
+        found, refusals = _carriers(pairs[:, 0])
+        carriers[members] = found
+        for i, refusal, low_finite in zip(members, refusals, np.isfinite(pairs[:, 1]).all(axis=1).tolist()):
             errors[i] = refusal or (None if low_finite else NoCarrier(_NOT_FINITE))
         for stage, name, kernel in ((0, "minima", _smoothed_minima_shifts), (1, "fourier", _fourier_shifts)):
             live = [r for r, i in enumerate(members) if errors[i] is None]
             if method in (name, "both") and live:
-                shifts[stage, members[live]], failures = kernel(pairs[live], carriers[members[live]])
-                for i, error in zip(members[live], failures):
+                standing = [members[r] for r in live]
+                shifts[stage, standing], failures = kernel(pairs[live], found[live])
+                for i, error in zip(standing, failures):
                     errors[i] = error
     return carriers, shifts, errors
 
@@ -648,9 +723,10 @@ def retrieve_phase(
     share that carrier.  Each stage is one pass over the pairs still
     standing: one transform and a joint Newton refinement find the carriers,
     one Savitzky-Golay pass smooths every profile the minima estimator reads,
-    one minima search covers them all and only the pairing of minima is done
-    pair by pair, and one product reads every raw profile's transform at its
-    carrier.
+    one minima search covers them all and one padded distance array pairs
+    them, and one product reads every raw profile's transform at its carrier.
+    The per-region and overall circular means and the spread are each one
+    reduction over the regions kept.
     These are the kernels that the one-region functions column_average ->
     estimate_carrier -> shift_by_minima (on the savitzky_golay-smoothed
     profiles less the filter's edge fits) / shift_by_fourier (on the raw
@@ -681,22 +757,23 @@ def retrieve_phase(
     # the estimates of the methods run, one column per region kept
     estimates = shifts[[method != "fourier", method != "minima"]][:, kept]
     # each region's circular mean of its one or two estimates, all regions at once
-    per_region = np.angle(np.exp(1j * estimates).mean(axis=0)).tolist()
-    estimate = _circular_mean(per_region)
-    if len(per_region) >= 2:
-        deviations = wrap_angle(np.asarray(per_region) - estimate)
-        uncertainty = float(np.std(deviations, ddof=1))
-    else:
-        uncertainty = None
-    disagreement = None
-    if method == "both":
-        disagreement = abs(wrap_angle(_circular_mean(estimates[0]) - _circular_mean(estimates[1])))
+    mean = np.exp(1j * estimates).sum(axis=0) / len(estimates)
+    per_region = np.arctan2(mean.imag, mean.real)
+    # the circular means of the regions and of each method's estimates, one row each
+    estimate, *by_method = _circular_mean(np.concatenate([per_region[None], estimates])).tolist()
+    uncertainty = None
+    if len(kept) >= 2:
+        # np.std(deviations, ddof=1), step for step
+        deviations = wrap_angle(per_region - estimate)
+        deviations -= deviations.sum() / len(kept)
+        uncertainty = math.sqrt((deviations * deviations).sum() / (len(kept) - 1))
+    disagreement = abs(wrap_angle(by_method[0] - by_method[1])) if method == "both" else None
     return RetrievalResult(
         estimate=estimate,
         uncertainty=uncertainty,
-        region_estimates=per_region,
+        region_estimates=per_region.tolist(),
         method_disagreement=disagreement,
-        carrier=float(np.mean(carriers[kept])),
+        carrier=float(carriers[kept].sum() / len(kept)),
         failed_regions=len(regions) - len(kept),
         region_indices=kept,
     )

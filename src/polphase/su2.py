@@ -89,11 +89,13 @@ class ZyzParams:
 
 def wrap_angle(angle):
     """Wrap an angle (scalar or array) to the interval (-pi, pi]."""
+    if isinstance(angle, float) and math.isfinite(angle):
+        # a float's % is np.remainder's: fmod, moved to the sign of 2 pi, +0.0 for a zero
+        wrapped = float(angle) % (2.0 * math.pi)
+        return wrapped - 2.0 * math.pi if wrapped > math.pi else wrapped
     wrapped = np.remainder(angle, 2.0 * np.pi)
     out = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
-    if np.isscalar(angle) or np.ndim(angle) == 0:
-        return float(out)
-    return out
+    return out if out.ndim else float(out)
 
 
 _REAL_SCALARS = (float, int, np.floating, np.integer)

@@ -1537,3 +1537,135 @@ def test_column_average_is_the_mean_of_each_half():
         up, low = fringes.column_average(img, region)
         np.testing.assert_array_equal(up, img.pixels[region.row_start:32, region.col_start:region.col_end].mean(axis=0))
         np.testing.assert_array_equal(low, img.pixels[32:region.row_end, region.col_start:region.col_end].mean(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# a region's bounds are integers
+
+@pytest.mark.parametrize("field, bound", [("col_start", 10.0), ("row_start", np.nan), ("col_end", np.float64(80.0)),
+                                          ("row_end", np.array([60, 61])), ("col_start", "10"), ("row_end", None)])
+def test_a_region_refuses_a_bound_that_is_not_an_integer(field, bound):
+    bounds = {"col_start": 10, "col_end": 80, "row_start": 5, "row_end": 60}
+    bounds[field] = bound
+    with pytest.raises(ValueError, match=f"^region {field} must be an integer, got "):
+        Region(**bounds)
+
+
+def test_a_region_stores_integral_numpy_bounds_as_ints():
+    region = Region(np.int64(10), np.int32(80), np.uint8(5), np.array(60))
+    assert region == Region(10, 80, 5, 60) and hash(region) == hash(Region(10, 80, 5, 60))
+    assert all(type(bound) is int for bound in dataclasses.astuple(region))
+
+
+# ---------------------------------------------------------------------------
+# the pair-by-pair pairing of minima and the list-based aggregation that the
+# stacked code replaced, kept as its oracles
+
+def _minima_shifts_by_pair(pairs, k0):
+    """_minima_shifts one pair at a time: the nearest lower minimum of each upper
+    one, and the circular mean of their phase differences."""
+    minima = fringes._minima(pairs.reshape(-1, pairs.shape[-1]), np.repeat(k0, 2))
+    shifts = np.full(len(k0), np.nan)
+    errors = [None] * len(k0)
+    for r, (pos_up, pos_low) in enumerate(zip(minima[::2], minima[1::2])):
+        if len(pos_up) < 2 or len(pos_low) < 2:
+            errors[r] = fringes.TooFewMinima(
+                f"need >= 2 interior minima per profile, got {len(pos_up)} and {len(pos_low)}")
+            continue
+        partner = pos_low[np.argmin(np.abs(pos_low - pos_up[:, None]), axis=1)]
+        resultant = np.mean(np.exp(1j * su2.wrap_angle(k0[r] * (pos_up - partner))))
+        if abs(resultant) < 0.5:
+            errors[r] = fringes.AmbiguousPairing(
+                f"per-minimum shifts are inconsistent (resultant {abs(resultant):.2f})")
+        else:
+            shifts[r] = np.angle(resultant)
+    return shifts, errors
+
+
+def _list_circular_mean(angles):
+    return float(np.angle(np.mean(np.exp(1j * np.asarray(angles)))))
+
+
+def _aggregate_by_lists(carriers, shifts, errors, method):
+    """retrieve_phase's result tuple from _analyse_regions' arrays, one list at a time;
+    raises the last region's error when every region failed."""
+    kept = [i for i, error in enumerate(errors) if error is None]
+    if not kept:
+        raise errors[-1]
+    estimates = shifts[[method != "fourier", method != "minima"]][:, kept]
+    per_region = np.angle(np.exp(1j * estimates).mean(axis=0)).tolist()
+    estimate = _list_circular_mean(per_region)
+    uncertainty = None
+    if len(per_region) >= 2:
+        uncertainty = float(np.std(su2.wrap_angle(np.asarray(per_region) - estimate), ddof=1))
+    disagreement = None
+    if method == "both":
+        disagreement = abs(su2.wrap_angle(_list_circular_mean(estimates[0]) - _list_circular_mean(estimates[1])))
+    return (estimate, uncertainty, per_region, disagreement, float(np.mean(carriers[kept])),
+            len(errors) - len(kept), kept)
+
+
+def _outcomes(shifts, errors):
+    # repr keeps the sign of a zero and every digit; a NaN is one NaN
+    return [repr(v) for v in shifts.tolist()], [(type(e), str(e)) for e in errors]
+
+
+def _minima_stack(rng, count, n, sigma, scale, monotonic):
+    """count noisy (upper, lower) fringe pairs of n samples at carriers up to near
+    Nyquist; the (pair, half) profiles in ``monotonic`` have no interior minimum."""
+    k0 = rng.uniform(0.02, 3.1, count)
+    pairs = 0.5 - 0.4 * np.cos(k0[:, None, None] * np.arange(n) + rng.uniform(-np.pi, np.pi, (count, 2, 1)))
+    pairs += rng.normal(0.0, sigma, pairs.shape)
+    for r, half in monotonic:
+        pairs[r % count, half] = np.linspace(0.0, 1.0, n)
+    return pairs * scale, k0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(3, 160), st.sampled_from([0.0, 0.02, 0.3, 3.0]),
+       st.sampled_from([1.0, 1e-300, 1e300, 1e307]), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)),
+                                                             max_size=3), st.integers(0, 2**32 - 1))
+def test_the_stacked_pairing_gives_the_bits_and_refusals_of_the_pair_loop(count, n, sigma, scale, monotonic, seed):
+    pairs, k0 = _minima_stack(np.random.default_rng(seed), count, n, sigma, scale, monotonic)
+    with np.errstate(all="ignore"):  # profiles near the float limit overflow alike in both
+        assert _outcomes(*fringes._minima_shifts(pairs, k0)) == _outcomes(*_minima_shifts_by_pair(pairs, k0))
+
+
+def test_the_pairing_oracle_sees_every_outcome():
+    seen = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        pairs, k0 = _minima_stack(rng, 6, int(rng.integers(3, 160)), [0.02, 0.3, 3.0][seed % 3], 1.0,
+                                  [(seed, seed % 2)])
+        got = _outcomes(*fringes._minima_shifts(pairs, k0))
+        assert got == _outcomes(*_minima_shifts_by_pair(pairs, k0))
+        seen.update(error_type for error_type, _ in got[1])
+    assert seen == {type(None), fringes.TooFewMinima, fringes.AmbiguousPairing}
+
+
+@st.composite
+def many_region_retrievals(draw):
+    """A noisy image read with 1-16 default regions, so that the circular means
+    and the spread run over more regions than a pairwise sum's first block."""
+    img = fringes.generate(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 1.4)), draw(st.floats(0.05, 3.0)),
+                           size=(draw(st.integers(48, 112)), draw(st.integers(64, 224))),
+                           noise_sigma=draw(st.sampled_from([0.0, 0.02, 0.2])),
+                           envelope_width=draw(st.sampled_from([None, 40.0])), seed=draw(st.integers(0, 2**16)))
+    return img, fringes.default_regions(img, draw(st.integers(1, 16))), draw(st.sampled_from(["minima", "fourier", "both"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(stacked_retrievals(), many_region_retrievals()))
+def test_the_stacked_aggregation_gives_the_bits_and_refusals_of_the_list_code(case):
+    img, regions, method = case
+    try:
+        want = _aggregate_by_lists(*fringes._analyse_regions(img, regions, method), method)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as refused:
+            fringes.retrieve_phase(img, regions, method=method)
+        assert str(refused.value) == str(exc)
+        return
+    result = fringes.retrieve_phase(img, regions, method=method)
+    got = (result.estimate, result.uncertainty, result.region_estimates, result.method_disagreement,
+           result.carrier, result.failed_regions, result.region_indices)
+    assert repr(got) == repr(want)

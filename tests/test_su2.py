@@ -222,6 +222,30 @@ def test_wrap_angle_lands_in_the_half_open_branch(angle):
     np.testing.assert_array_equal(su2.wrap_angle(np.array([angle])), [wrapped])
 
 
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 2 * np.pi,
+                                                1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308])))
+def test_a_float_wraps_to_the_bits_of_the_array_path(angle):
+    # a finite float takes Python's float %, every other value the numpy path; both give
+    # np.remainder + np.where's floats, the sign of a zero included
+    with np.errstate(invalid="ignore"):  # inf wraps to NaN, with numpy's warning
+        scalar = su2.wrap_angle(angle)
+        array = su2.wrap_angle(np.array([angle]))[0]
+        numpy_scalar = su2.wrap_angle(np.float64(angle))
+    assert type(scalar) is float and type(numpy_scalar) is float
+    assert _bits(scalar) == _bits(array) == _bits(numpy_scalar) or np.isnan(scalar) and np.isnan(array)
+
+
+def test_a_non_finite_float_keeps_the_numpy_path():
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert np.isnan(su2.wrap_angle(float("inf")))
+    assert np.isnan(su2.wrap_angle(float("nan")))
+
+
 # ---------------------------------------------------------------------------
 # broadcasting: a batched call equals the scalar call element by element
 
