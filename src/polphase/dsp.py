@@ -24,6 +24,8 @@ import threading
 
 import numpy as np
 
+from .su2 import finite
+
 
 #: most elements (of float64: 256 KiB) in one row block
 _BLOCK = 1 << 15
@@ -187,10 +189,14 @@ def harmonic_fit(values, phi, k: int):
     inverse depend on the grid alone and come from the harmonics cache; a
     call computes only the three sums of each row.  A grid that cannot
     resolve the terms (fewer than three distinct phases mod 2 pi / k, or too
-    short a span) raises UnresolvableGrid.  A stack over one row block is summed by blocks.
+    short a span) raises UnresolvableGrid, and an infinite value or a NaN or
+    infinite phase NonFiniteInput; a NaN value, a missing sample, gives its
+    row NaN fits.  A stack over one row block is summed by blocks.
     """
     y = np.asarray(values, dtype=float)
-    return _fit(y, _grid_terms(y.shape, np.asarray(phi, dtype=float), k), k)
+    if np.isinf(y).any():  # refused, with the count of infs; a NaN value is not
+        finite("values", np.where(np.isnan(y), 0.0, y))
+    return _fit(y, _grid_terms(y.shape, finite("phi", phi), k), k)
 
 
 def _grid_terms(shape: tuple, phi: np.ndarray, k) -> tuple:

@@ -122,13 +122,23 @@ class Interferogram:
     ``k0`` and ``true_delta`` are metadata: the carrier frequency when known
     and, for synthetic images, the phase the generator encoded.  The fields
     are read-only, so the split row checked here stays the one retrieval
-    reads; the pixels may still be written in place.
+    reads; the pixels may still be written in place.  load_interferogram and
+    generate build theirs through _valid, which skips the pixel scan alone:
+    a 16-bit level over 65535, and finite values clipped to [0, 1], are
+    finite and nonnegative by construction.
     """
 
     pixels: np.ndarray
     half_split_row: int
     k0: float | None = None
     true_delta: float | None = None
+
+    @classmethod
+    def _valid(cls, pixels: np.ndarray, split: int, k0=None, true_delta=None) -> Interferogram:
+        """Unscanned: float64 pixels valid by construction and a split row from _geometry."""
+        img = object.__new__(cls)
+        img.__dict__.update(pixels=pixels, half_split_row=split, k0=k0, true_delta=true_delta)
+        return img
 
     def __post_init__(self):
         pixels = np.asarray(self.pixels, dtype=float)
@@ -184,10 +194,14 @@ def generate(
     pixels = np.empty((h, w), dtype=float)
     pixels[:split] = upper
     pixels[split:] = lower
+    # clipped pixels are valid unless a phase overflows (cos gives NaN) or a width's square
+    # underflows to 0 (0/0 at an odd image's centre): such an image is scanned, and refused
+    valid = np.isfinite(upper).all() and np.isfinite(lower).all()
 
     if envelope_width is not None:
         if finite("envelope_width", envelope_width) <= 0:
             raise ValueError("envelope_width must be positive")
+        valid = valid and envelope_width * envelope_width > 0
         dx = x - (w - 1) / 2.0
         dy = np.arange(h, dtype=float) - (h - 1) / 2.0
         dx2, dy2 = dx * dx, (dy * dy)[:, None]
@@ -204,7 +218,7 @@ def generate(
         if rng is not None:
             block += rng.normal(0.0, noise_sigma, block.shape)
         np.clip(block, 0.0, 1.0, out=block)
-    return Interferogram(pixels, split, k0=k0, true_delta=delta)
+    return (Interferogram._valid if valid else Interferogram)(pixels, split, k0=k0, true_delta=delta)
 
 
 def default_regions(img: Interferogram, count: int = 4, width_fraction: float = 0.6) -> list[Region]:
@@ -274,12 +288,15 @@ def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.n
 # Shift estimators: each works on an (R, 2, n) stack of (upper, lower) profile
 # pairs, one pair per region; the public functions are their one-pair calls
 
-def _flat(rows: np.ndarray) -> np.ndarray:
-    """The rows of a profile stack that carry no fringes: a peak-to-peak span of
-    at most _FLAT_FLOOR times the row's largest magnitude, so that the test
+def _row_flags(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of a profile stack are finite, and which are flat (carry no fringes):
+    one pass of each, shared by the carrier and the Fourier stages.  A flat row spans
+    at most _FLAT_FLOOR times its largest magnitude peak to peak, so that the test
     holds at any intensity scale and an all-zero row is flat.  A span beyond the
-    float limit overflows to inf, which is not flat; callers ignore that overflow."""
-    return rows.max(axis=-1) - rows.min(axis=-1) <= _FLAT_FLOOR * np.abs(rows).max(axis=-1)
+    float limit overflows to inf, which is not flat; a non-finite row is refused as such."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = rows.max(axis=-1) - rows.min(axis=-1) <= _FLAT_FLOOR * np.abs(rows).max(axis=-1)
+    return np.isfinite(rows).all(axis=-1), flat
 
 
 def _profile_pair(up, low) -> np.ndarray:
@@ -298,11 +315,11 @@ def _periodic_hann(n: int) -> np.ndarray:
     return window
 
 
-def _phasors(k: np.ndarray, minus_x: np.ndarray) -> np.ndarray:
+def _phasors(k: np.ndarray, minus_x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The bits of np.exp(-1j * k[:, None] * x), argument 0.0 + (-k) x, from minus_x = 0.0 - x
-    by one cos and one sin call into one complex array."""
+    by one cos and one sin call into one complex array (``out`` when given)."""
     angle = k[:, None] * minus_x
-    out = np.empty(angle.shape, complex)
+    out = np.empty(angle.shape, complex) if out is None else out
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     return out
@@ -345,26 +362,25 @@ def _no_carrier(flat, peak, kbin, shoulder) -> NoCarrier:
     )
 
 
-def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
-    """estimate_carrier of every row of an (R, n) stack.
+def _carriers(profiles: np.ndarray, flags: tuple | None = None) -> tuple[np.ndarray, list]:
+    """estimate_carrier of every row of an (R, n) stack, given or computing its _row_flags.
 
     Returns the carriers, NaN where a row has none, and each row's NoCarrier
     (None where it has a carrier).  One transform covers the stack, and the
     Newton refinement runs on the rows that have not yet converged.
     """
     count, n = profiles.shape
+    finite, flat = _row_flags(profiles) if flags is None else flags
     k = np.full(count, np.nan)
     if n < 8:
         return k, [NoCarrier(f"profile too short ({n} samples)") for _ in range(count)]
-    # an overflowed or missing sample leaves no spectrum to read a carrier from
-    finite = np.isfinite(profiles).all(axis=1)
+    # an overflowed or missing sample leaves no spectrum to read a carrier from;
     # such a row, or a finite one near the float limit, turns inf or NaN here; the
     # peak checks read that, and a non-finite row is refused as such below
     with np.errstate(over="ignore", invalid="ignore"):
         # a sum over the count is the mean's bits
         windowed = (profiles - profiles.sum(axis=1, keepdims=True) / n) * _periodic_hann(n)
         mags = np.abs(np.fft.rfft(windowed))
-        flat = _flat(profiles)
     kbin, errors = _peak_bins(mags, flat)
     for r, ok in enumerate(finite.tolist()):
         if not ok:
@@ -386,11 +402,23 @@ def _carriers(profiles: np.ndarray) -> tuple[np.ndarray, list]:
     return k, errors
 
 
+def _mirrored_phasors(k: np.ndarray, minus_x: np.ndarray) -> np.ndarray:
+    """_phasors(k, minus_x) of an axis exactly symmetric about zero (an odd one's 0 in its
+    first half): the first half's, then their conjugates reversed."""
+    n, half = len(minus_x), (len(minus_x) + 1) // 2
+    out = np.empty((len(k), n), complex)
+    _phasors(k, minus_x[:half], out[:, :half])
+    np.conjugate(out[:, n - half - 1::-1], out=out[:, half:])
+    return out
+
+
 def _refine_carriers(windowed: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Newton steps toward the maximum of each row's transform power |X(k)|^2.
 
     A row leaves the iteration once its power stops bending down or its step
-    falls below 1e-13; at most 8 steps.
+    falls below 1e-13; at most 8 steps.  Each step computes the phasors
+    e^{-ikx} of half the axis and mirrors them: x is exactly symmetric, k (-x)
+    is -(k x) in floats, and numpy's cos is even and sin odd bit for bit.
     """
     # X(k) = sum w_x e^{-ikx} and its first two k-derivatives; the origin sits
     # mid-profile, which leaves |X| alone and keeps the x^2 weights small
@@ -402,7 +430,7 @@ def _refine_carriers(windowed: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np
     refined = k.copy()
     rows = np.arange(len(k))  # the rows still iterating, whose weights, k, lo and hi these are
     for _ in range(8):
-        terms = (weights @ _phasors(k, minus_x)[..., None])[..., 0]
+        terms = (weights @ _mirrored_phasors(k, minus_x)[..., None])[..., 0]
         # half the first and second derivatives of |X|^2, Re(X* X') and
         # |X'|^2 + Re(X* X''), written out in real arithmetic as numpy's
         # product of complex scalars computes them: its product of complex
@@ -571,17 +599,17 @@ def _fringe_terms(profiles: np.ndarray, k0: np.ndarray) -> np.ndarray:
     return ((profiles - profiles.sum(axis=-1, keepdims=True) / n) @ kernel[..., None])[..., 0]
 
 
-def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
+def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, list]:
     """shift_by_fourier of each pair of an (R, 2, n) stack at its carrier k0[r].
 
     Returns the lower-minus-upper transform phases, wrapped, and each pair's
-    NoCarrier (None where it has a shift): a flat profile on either side, else
-    a transform that overflows, or is zero (no carrier power to read a phase
-    from), on either side.
+    NoCarrier (None where it has a shift): a flat profile on either side (its
+    (R, 2) flat flags of _row_flags), else a transform that overflows, or is
+    zero (no carrier power to read a phase from), on either side.
     """
+    flat = flat.any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing term is refused below
         terms = _fringe_terms(pairs, k0)
-        flat = _flat(pairs).any(axis=1)
     overflows = ~np.isfinite(terms).all(axis=1)
     errors = [NoCarrier(_FLAT) if f else NoCarrier(_OVERFLOWS) if o else NoCarrier(_NO_POWER) if z else None
               for f, o, z in zip(flat.tolist(), overflows.tolist(), (terms == 0.0).any(axis=1).tolist())]
@@ -603,12 +631,12 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     """
     pair = _profile_pair(up, low)
     # a flat pair is refused before k0 is estimated or checked
-    with np.errstate(over="ignore"):
-        if _flat(pair).any():
-            raise NoCarrier(_FLAT)
+    _, flat = _row_flags(pair)
+    if flat.any():
+        raise NoCarrier(_FLAT)
     if k0 is None:
         k0 = estimate_carrier(pair[0, 0])
-    shifts, (error,) = _fourier_shifts(pair, finite("k0", k0)[None])
+    shifts, (error,) = _fourier_shifts(pair, finite("k0", k0)[None], flat)
     if error is not None:
         raise error
     return float(shifts[0])
@@ -694,17 +722,19 @@ def _analyse_regions(img: Interferogram, regions: Sequence[Region],
         widths.setdefault(region.col_end - region.col_start, []).append(i)
     for members in widths.values():
         pairs = _column_averages(img, [regions[i] for i in members], [rows[i] for i in members])
+        finite, flat = _row_flags(pairs)
         # the carrier of each raw upper profile (smoothing would damp a fast carrier below an
         # enveloped profile's low-frequency shoulder); a non-finite lower one is refused here
-        found, refusals = _carriers(pairs[:, 0])
+        found, refusals = _carriers(pairs[:, 0], (finite[:, 0], flat[:, 0]))
         carriers[members] = found
-        for i, refusal, low_finite in zip(members, refusals, np.isfinite(pairs[:, 1]).all(axis=1).tolist()):
+        for i, refusal, low_finite in zip(members, refusals, finite[:, 1].tolist()):
             errors[i] = refusal or (None if low_finite else NoCarrier(_NOT_FINITE))
-        for stage, name, kernel in ((0, "minima", _smoothed_minima_shifts), (1, "fourier", _fourier_shifts)):
+        for stage, name, kernel in ((0, "minima", lambda live: _smoothed_minima_shifts(pairs[live], found[live])),
+                                    (1, "fourier", lambda live: _fourier_shifts(pairs[live], found[live], flat[live]))):
             live = [r for r, i in enumerate(members) if errors[i] is None]
             if method in (name, "both") and live:
                 standing = [members[r] for r in live]
-                shifts[stage, standing], failures = kernel(pairs[live], found[live])
+                shifts[stage, standing], failures = kernel(live)
                 for i, error in zip(standing, failures):
                     errors[i] = error
     return carriers, shifts, errors
@@ -912,6 +942,5 @@ def load_interferogram(path) -> tuple[Interferogram, dict]:
                 value = parsed
                 break
         meta[key.strip()] = value
-    img = Interferogram(pixels, meta.get("split_row", pixels.shape[0] // 2),
-                        k0=meta.get("k0"), true_delta=meta.get("true_delta"))
-    return img, meta
+    split = _geometry(*pixels.shape, meta.get("split_row", pixels.shape[0] // 2))
+    return Interferogram._valid(pixels, split, k0=meta.get("k0"), true_delta=meta.get("true_delta")), meta

@@ -1,5 +1,6 @@
 """Tests for the shared signal-processing helpers."""
 
+import re
 import sys
 import threading
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polphase import dsp
+from polphase import dsp, polarimetry, su2
 
 RNG = np.random.default_rng(1964)
 
@@ -127,6 +128,50 @@ def test_harmonic_fit_refuses_grids_that_cannot_resolve_the_harmonic(phi, k):
 def test_harmonic_fit_needs_values_along_the_grid():
     with pytest.raises(ValueError, match="do not lie along a grid"):
         dsp.harmonic_fit(np.ones((3, 10)), np.linspace(0.0, 6.0, 9), 1)
+
+
+def _with(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+PHI_64 = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+
+
+@pytest.mark.parametrize("values, phi, message", [
+    (_with(np.full(64, 0.5), 3, np.inf), PHI_64, "values must be finite, got 1 of 64 values"),
+    (_with(np.full(64, 0.5), 3, -np.inf), PHI_64, "values must be finite, got 1 of 64 values"),
+    # one infinite row refuses the stack; a NaN beside the inf is not counted
+    (_with(_with(np.full((2, 64), 0.5), (1, 0), np.inf), (0, 5), np.nan), PHI_64,
+     "values must be finite, got 1 of 128 values"),
+    (np.inf, np.array([0.0]), "values must be finite, got inf"),
+    (np.full(64, 0.5), _with(PHI_64, 5, np.nan), "phi must be finite, got 1 of 64 values"),
+    (np.full(64, 0.5), _with(PHI_64, 5, -np.inf), "phi must be finite, got 1 of 64 values"),
+])
+@pytest.mark.parametrize("k", [1, 2])
+def test_harmonic_fit_refuses_an_infinite_value_and_a_non_finite_phase(values, phi, message, k):
+    # an inf used to give a NaN offset and amplitude, and a NaN or infinite phase an UnresolvableGrid
+    with pytest.raises(su2.NonFiniteInput, match=f"^{re.escape(message)}$"):
+        dsp.harmonic_fit(values, phi, k)
+
+
+def test_sweep_extrema_inherits_the_refusals_of_harmonic_fit():
+    with pytest.raises(su2.NonFiniteInput, match=r"^values must be finite, got 1 of 64 values$"):
+        polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(PHI_64, _with(np.full(64, 0.5), 9, np.inf), None))
+    with pytest.raises(su2.NonFiniteInput, match=r"^phi must be finite, got 1 of 64 values$"):
+        polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(_with(PHI_64, 0, np.nan), np.full(64, 0.5), None))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_nan_value_leaves_its_row_fits_nan_and_the_other_rows_their_own(k):
+    # a NaN marks a missing sample: its row's fits are NaN, as np.clip's extrema of a NaN scan are
+    values = np.cos(k * PHI_64) * np.arange(1.0, 4.0)[:, None] + 0.25
+    values[1, 7] = np.nan
+    offset, amplitude = dsp.harmonic_fit(values, PHI_64, k)
+    assert np.isnan(offset[1]) and np.isnan(amplitude[1])
+    for row in (0, 2):
+        assert (offset[row], amplitude[row]) == dsp.harmonic_fit(values[row], PHI_64, k)
 
 
 # ---------------------------------------------------------------------------

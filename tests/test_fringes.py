@@ -1669,3 +1669,124 @@ def test_the_stacked_aggregation_gives_the_bits_and_refusals_of_the_list_code(ca
     got = (result.estimate, result.uncertainty, result.region_estimates, result.method_disagreement,
            result.carrier, result.failed_regions, result.region_indices)
     assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# images valid by construction skip the pixel scan; the Newton phasors of half
+# the symmetric axis are mirrored into the other half
+
+def _assert_same_fields(got: fringes.Interferogram, want: fringes.Interferogram) -> None:
+    assert type(got) is type(want) is fringes.Interferogram
+    for spec in dataclasses.fields(fringes.Interferogram):
+        a, b = getattr(got, spec.name), getattr(want, spec.name)
+        if spec.name == "pixels":
+            assert (a.dtype, a.shape, a.flags.c_contiguous, a.flags.writeable) == \
+                (b.dtype, b.shape, b.flags.c_contiguous, b.flags.writeable)
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert (type(a), repr(a)) == (type(b), repr(b))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.half_split_row = 3
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"noise_sigma": 0.3, "seed": 4}, {"envelope_width": 40.0, "noise_sigma": 0.02, "split_row": 20},
+    {"envelope_width": 1e200, "size": (17, 17)}, {"envelope_width": 1e-200, "size": (18, 32)},
+    {"noise_sigma": 1e308, "size": (20, 20), "split_row": 7.0},
+])
+def test_generated_and_loaded_images_equal_the_public_constructors(kwargs, tmp_path):
+    args = {"size": (48, 96)} | kwargs
+    with np.errstate(divide="ignore"):  # a width whose square underflows to 0
+        img = fringes.generate(0.3, 0.4, 0.5, **args)
+    split = args.get("split_row", args["size"][0] // 2)
+    _assert_same_fields(img, fringes.Interferogram(img.pixels.copy(), split, k0=0.5, true_delta=0.3))
+    path = tmp_path / "img.pgm"
+    fringes.save_interferogram(img, path)
+    for sidecar in (None, "split_row=11.0\nk0=-0\ntrue_delta=x\n", ""):
+        if sidecar is not None:
+            Path(f"{path}.meta").write_text(sidecar)
+        loaded, meta = fringes.load_interferogram(path)
+        levels = np.frombuffer(path.read_bytes()[-2 * img.pixels.size:], dtype=">u2").reshape(img.shape)
+        want = fringes.Interferogram(levels / 65535, meta.get("split_row", img.shape[0] // 2),
+                                     k0=meta.get("k0"), true_delta=meta.get("true_delta"))
+        _assert_same_fields(loaded, want)
+
+
+@pytest.mark.parametrize("split", [0, 32, -1, 31.5, np.nan, np.inf])
+def test_a_loaded_split_row_is_refused_as_the_public_constructor_refuses_it(split, tmp_path):
+    path = tmp_path / "img.pgm"
+    fringes.save_interferogram(fringes.generate(0.3, 0.4, 0.5, size=(32, 32)), path)
+    Path(f"{path}.meta").write_text(f"split_row={split}\n")
+    with pytest.raises(ValueError) as public:
+        fringes.Interferogram(np.zeros((32, 32)), split)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(public.value))}$"):
+        fringes.load_interferogram(path)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"phi0": 1.7e308, "delta": -1.7e308},  # k0 x + phi0 - delta overflows: cos gives NaN
+    {"envelope_width": 1e-200, "size": (17, 33)},  # 0/0 at the centre pixel
+])
+def test_a_generated_image_that_is_not_finite_is_still_scanned_and_refused(kwargs):
+    args = {"delta": 0.3, "beta": 0.2, "k0": 0.4, "size": (20, 24)} | kwargs
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^pixel intensities must be finite and nonnegative$"):
+        fringes.generate(**args)
+
+
+def test_a_pgm_of_the_extreme_levels_loads_to_exactly_zero_and_one(tmp_path):
+    words = (RNG.random((20, 24)) < 0.5).astype(">u2") * 65535
+    path = tmp_path / "binary.pgm"
+    path.write_bytes(b"P5\n24 20\n65535\n" + words.tobytes())
+    img, _ = fringes.load_interferogram(path)
+    assert set(np.unique(img.pixels).tolist()) == {0.0, 1.0}
+    np.testing.assert_array_equal(img.pixels, np.where(words == 65535, 1.0, 0.0), strict=True)
+    assert not np.signbit(img.pixels).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8, 4096), hnp.arrays(float, st.integers(1, 5), elements=st.floats(
+    0.0, np.pi, exclude_min=True, exclude_max=True)))
+def test_the_mirrored_newton_phasors_are_the_bits_of_numpys_exp(n, k):
+    minus_x = fringes._newton_axis(n)[0]
+    x = np.arange(n) - (n - 1) / 2.0
+    got = fringes._mirrored_phasors(k, minus_x)
+    assert got.tobytes() == fringes._phasors(k, minus_x).tobytes()
+    # from the Newton search's least carrier, half a bin, up: below about 1e-323 a k x
+    # rounds to zero, and numpy's complex product gives it a sign of its own
+    k = np.maximum(k, np.pi / n)
+    assert fringes._mirrored_phasors(k, minus_x).tobytes() == np.exp(-1j * k[:, None] * x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8, 4096), hnp.arrays(float, st.integers(1, 5), elements=st.floats(
+    0.0, np.pi, exclude_min=True, exclude_max=True)))
+def test_numpys_cos_is_even_and_sin_odd_bit_for_bit(n, k):
+    # the mirror rests on this: a platform whose cos or sin is not symmetric fails here
+    angle = k[:, None] * fringes._newton_axis(n)[0]
+    assert np.cos(-angle).tobytes() == np.cos(angle).tobytes()
+    assert np.sin(-angle).tobytes() == (-np.sin(angle)).tobytes()
+
+
+def test_numpys_cos_is_even_and_sin_odd_on_a_million_angles():
+    angle = np.random.default_rng(7).uniform(0.0, 1e5, 1 << 20)
+    assert np.cos(-angle).tobytes() == np.cos(angle).tobytes()
+    assert np.sin(-angle).tobytes() == (-np.sin(angle)).tobytes()
+
+
+@pytest.mark.parametrize("method", ["both", "fourier"])
+def test_one_pass_of_flags_keeps_the_refusal_order(method):
+    # four regions of one width in one stack: a non-finite upper half is refused before
+    # a flat lower one, a flat upper half before a non-finite lower one, and a flat lower
+    # half by the Fourier stage; each as the region alone is refused
+    pixels = np.tile(0.5 - 0.4 * np.cos(0.8 * np.arange(128)), (64, 1))
+    pixels[24:32, :32] = pixels[32:40, 32:96] = 1e308  # column sums of 8 such rows overflow
+    pixels[24:32, 32:64] = pixels[32:40, :32] = pixels[32:40, 96:] = 0.5
+    img = fringes.Interferogram(pixels, 32)
+    regions = [Region(c, c + 32, 24, 40) for c in (0, 32, 64, 96)]
+    _, _, errors = fringes._analyse_regions(img, regions, method)
+    want = [(fringes.NoCarrier, "profile is not finite"), (fringes.NoCarrier, "profile is flat"),
+            (fringes.NoCarrier, "profile is not finite"), (fringes.NoCarrier, "profile is flat")]
+    assert [(type(error), str(error)) for error in errors] == want
+    for region, (error_type, message) in zip(regions, want):
+        with pytest.raises(error_type, match=f"^{re.escape(message)}$"):
+            fringes.retrieve_phase(img, [region], method=method)
