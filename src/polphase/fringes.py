@@ -3,11 +3,8 @@
 A dual-half interferogram is an intensity image whose upper half is recorded
 with vertically polarized input and whose lower half with horizontally
 polarized input.  Along each row the phase grows linearly with the column,
-phi(x) = k0 x + phi0, so the two halves carry the fringes
-
-    upper: (1/2) [1 - cos(beta) cos(k0 x + phi0 - delta)]
-    lower: (1/2) [1 - cos(beta) cos(k0 x + phi0 + delta)]
-
+phi(x) = k0 x + phi0, and each half is the interferometer's fringe port for
+its input (polphase.interferometer's overlap law), so the two halves are
 mutually displaced by 2 delta / k0 pixels.  Because any drift of the
 instrument moves both halves together, the relative shift is immune to it;
 retrieving 2 delta is the whole game.  Each half is column-averaged, and
@@ -50,7 +47,8 @@ import numpy as np
 # savgol_coefficients is not used here: it is imported so that code wrapping
 # fringes.savgol_coefficients by name (the benchmark's tracer does) finds it
 from .dsp import _SG_WINDOW, _row_blocks, savgol_coefficients, savitzky_golay, vertex
-from .su2 import finite, wrap_angle
+from .interferometer import output_intensity
+from .su2 import finite, from_zyz, wrap_angle
 
 
 class TooFewMinima(ValueError):
@@ -172,9 +170,12 @@ def generate(
 ) -> Interferogram:
     """Render a synthetic dual-half interferogram.
 
-    size is (height, width).  k0 is the carrier in radians per pixel and must
-    sit below Nyquist (0 < k0 < pi).  envelope_width, when given, multiplies
-    the whole intensity by a round Gaussian beam profile of that standard
+    The upper rows are output_intensity("V", u, k0 x + phi0) of the operator
+    u = from_zyz(beta, 0, delta), the lower rows output_intensity("H", ...)
+    of it: the overlap law the interferometer module states.  size is
+    (height, width).  k0 is the carrier in radians per pixel and must sit
+    below Nyquist (0 < k0 < pi).  envelope_width, when given, multiplies the
+    whole intensity by a round Gaussian beam profile of that standard
     deviation (in pixels) centred on the image.  Noise is additive Gaussian,
     clamped to [0, 1], drawn from a generator seeded with ``seed`` so that
     images are bit-reproducible.
@@ -189,19 +190,14 @@ def generate(
     split = _geometry(h, w, h // 2 if split_row is None else split_row)
 
     x = np.arange(w, dtype=float)
-    upper = 0.5 * (1.0 - np.cos(beta) * np.cos(k0 * x + phi0 - delta))
-    lower = 0.5 * (1.0 - np.cos(beta) * np.cos(k0 * x + phi0 + delta))
+    u, phase = from_zyz(beta, 0.0, delta), k0 * x + phi0
     pixels = np.empty((h, w), dtype=float)
-    pixels[:split] = upper
-    pixels[split:] = lower
-    # clipped pixels are valid unless a phase overflows (cos gives NaN) or a width's square
-    # underflows to 0 (0/0 at an odd image's centre): such an image is scanned, and refused
-    valid = np.isfinite(upper).all() and np.isfinite(lower).all()
+    pixels[:split] = output_intensity("V", u, phase)
+    pixels[split:] = output_intensity("H", u, phase)
 
     if envelope_width is not None:
         if finite("envelope_width", envelope_width) <= 0:
             raise ValueError("envelope_width must be positive")
-        valid = valid and envelope_width * envelope_width > 0
         dx = x - (w - 1) / 2.0
         dy = np.arange(h, dtype=float) - (h - 1) / 2.0
         dx2, dy2 = dx * dx, (dy * dy)[:, None]
@@ -218,6 +214,9 @@ def generate(
         if rng is not None:
             block += rng.normal(0.0, noise_sigma, block.shape)
         np.clip(block, 0.0, 1.0, out=block)
+    # clipped pixels are valid unless a width's square underflows to 0 (0/0 at an odd
+    # image's centre): such an image is scanned, and refused
+    valid = envelope_width is None or envelope_width * envelope_width > 0
     return (Interferogram._valid if valid else Interferogram)(pixels, split, k0=k0, true_delta=delta)
 
 
@@ -290,9 +289,9 @@ def column_average(img: Interferogram, region: Region) -> tuple[np.ndarray, np.n
 
 def _row_flags(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which rows of a profile stack are finite, and which are flat (carry no fringes):
-    one pass of each, shared by the carrier and the Fourier stages.  A flat row spans
-    at most _FLAT_FLOOR times its largest magnitude peak to peak, so that the test
-    holds at any intensity scale and an all-zero row is flat.  A span beyond the
+    one pass of each, which the carrier stage reads for both halves of a pair.  A flat
+    row spans at most _FLAT_FLOOR times its largest magnitude peak to peak, so that the
+    test holds at any intensity scale and an all-zero row is flat.  A span beyond the
     float limit overflows to inf, which is not flat; a non-finite row is refused as such."""
     with np.errstate(over="ignore", invalid="ignore"):
         flat = rows.max(axis=-1) - rows.min(axis=-1) <= _FLAT_FLOOR * np.abs(rows).max(axis=-1)
@@ -480,13 +479,6 @@ def estimate_carrier(profile: np.ndarray) -> float:
     return float(k[0])
 
 
-def _minima(profiles: np.ndarray, carriers: np.ndarray) -> list[np.ndarray]:
-    """The positions of _minimum_positions, one array per row."""
-    rows, positions = _minimum_positions(profiles, carriers)
-    ends = np.searchsorted(rows, np.arange(1, len(profiles) + 1)).tolist()
-    return [positions[start:end] for start, end in zip([0] + ends, ends)]
-
-
 def _minimum_positions(profiles: np.ndarray, carriers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior local minima of every row of an (R, n) stack, to sub-sample accuracy.
 
@@ -599,20 +591,19 @@ def _fringe_terms(profiles: np.ndarray, k0: np.ndarray) -> np.ndarray:
     return ((profiles - profiles.sum(axis=-1, keepdims=True) / n) @ kernel[..., None])[..., 0]
 
 
-def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, list]:
+def _fourier_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
     """shift_by_fourier of each pair of an (R, 2, n) stack at its carrier k0[r].
 
     Returns the lower-minus-upper transform phases, wrapped, and each pair's
-    NoCarrier (None where it has a shift): a flat profile on either side (its
-    (R, 2) flat flags of _row_flags), else a transform that overflows, or is
-    zero (no carrier power to read a phase from), on either side.
+    NoCarrier (None where it has a shift): a transform that overflows, or is
+    zero (no carrier power to read a phase from), on either side.  Its
+    callers refuse a flat pair before this stage.
     """
-    flat = flat.any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing term is refused below
         terms = _fringe_terms(pairs, k0)
     overflows = ~np.isfinite(terms).all(axis=1)
-    errors = [NoCarrier(_FLAT) if f else NoCarrier(_OVERFLOWS) if o else NoCarrier(_NO_POWER) if z else None
-              for f, o, z in zip(flat.tolist(), overflows.tolist(), (terms == 0.0).any(axis=1).tolist())]
+    errors = [NoCarrier(_OVERFLOWS) if o else NoCarrier(_NO_POWER) if z else None
+              for o, z in zip(overflows.tolist(), (terms == 0.0).any(axis=1).tolist())]
     phases = np.arctan2(terms.imag, terms.real)  # np.angle's bits
     return wrap_angle(phases[:, 1] - phases[:, 0]), errors
 
@@ -631,12 +622,11 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     """
     pair = _profile_pair(up, low)
     # a flat pair is refused before k0 is estimated or checked
-    _, flat = _row_flags(pair)
-    if flat.any():
+    if _row_flags(pair)[1].any():
         raise NoCarrier(_FLAT)
     if k0 is None:
         k0 = estimate_carrier(pair[0, 0])
-    shifts, (error,) = _fourier_shifts(pair, finite("k0", k0)[None], flat)
+    shifts, (error,) = _fourier_shifts(pair, finite("k0", k0)[None])
     if error is not None:
         raise error
     return float(shifts[0])
@@ -701,7 +691,7 @@ def _analyse_regions(img: Interferogram, regions: Sequence[Region],
                      method: RetrievalMethod) -> tuple[np.ndarray, np.ndarray, list]:
     """Each region's carrier, its (minima, Fourier) shifts as a (2, R) array, and
     its first refusal (None when it has none) in the order bounds, carrier (a
-    non-finite profile included), minima, Fourier.
+    non-finite or flat half included), minima, Fourier.
 
     A value not reached, or of a method not run, is NaN.  The in-image regions
     of one width are one stack of profile pairs, and each stage is one kernel
@@ -724,13 +714,14 @@ def _analyse_regions(img: Interferogram, regions: Sequence[Region],
         pairs = _column_averages(img, [regions[i] for i in members], [rows[i] for i in members])
         finite, flat = _row_flags(pairs)
         # the carrier of each raw upper profile (smoothing would damp a fast carrier below an
-        # enveloped profile's low-frequency shoulder); a non-finite lower one is refused here
+        # enveloped profile's low-frequency shoulder); a non-finite or flat lower one is refused
+        # here, so that no estimator reads a half without fringes
         found, refusals = _carriers(pairs[:, 0], (finite[:, 0], flat[:, 0]))
         carriers[members] = found
-        for i, refusal, low_finite in zip(members, refusals, finite[:, 1].tolist()):
-            errors[i] = refusal or (None if low_finite else NoCarrier(_NOT_FINITE))
+        for i, refusal, low_ok, low_flat in zip(members, refusals, finite[:, 1].tolist(), flat[:, 1].tolist()):
+            errors[i] = refusal or (NoCarrier(_NOT_FINITE) if not low_ok else NoCarrier(_FLAT) if low_flat else None)
         for stage, name, kernel in ((0, "minima", lambda live: _smoothed_minima_shifts(pairs[live], found[live])),
-                                    (1, "fourier", lambda live: _fourier_shifts(pairs[live], found[live], flat[live]))):
+                                    (1, "fourier", lambda live: _fourier_shifts(pairs[live], found[live]))):
             live = [r for r, i in enumerate(members) if errors[i] is None]
             if method in (name, "both") and live:
                 standing = [members[r] for r in live]
@@ -761,10 +752,11 @@ def retrieve_phase(
     estimate_carrier -> shift_by_minima (on the savitzky_golay-smoothed
     profiles less the filter's edge fits) / shift_by_fourier (on the raw
     ones) call, so every region gets their numbers and their refusals.  A
-    region that fails (outside the image or missing a half, no carrier, too
-    few or unpaired minima, a flat half, no carrier power) is skipped and
-    counted, with its first failure in that order; the call fails, with the
-    last region's error, only when every region fails.
+    region that fails (outside the image or missing a half; no carrier, or a
+    flat or non-finite half, under every method; too few or unpaired minima;
+    no carrier power) is skipped and counted, with its first failure in that
+    order; the call fails, with the last region's error, only when every
+    region fails.
     """
     if method not in ("minima", "fourier", "both"):
         raise ValueError(f"unknown method {method!r}")

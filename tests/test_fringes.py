@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
-from polphase import dsp, fringes, su2
+from polphase import dsp, fringes, interferometer, su2
 from polphase.fringes import Region
 
 RNG = np.random.default_rng(55667788)
@@ -798,12 +798,13 @@ def test_pgm_payload_format(tmp_path):
 
 
 def _generate_with_fresh_arrays(delta, beta, k0, size, noise_sigma, envelope_width, seed):
-    """generate with a new array for every step, as it was first written."""
+    """generate with a new array for every step, its rows the overlap law's."""
     h, w = size
     x = np.arange(w, dtype=float)
+    u = su2.from_zyz(beta, 0.0, delta)
     pixels = np.empty((h, w))
-    pixels[:h // 2] = 0.5 * (1.0 - np.cos(beta) * np.cos(k0 * x - delta))
-    pixels[h // 2:] = 0.5 * (1.0 - np.cos(beta) * np.cos(k0 * x + delta))
+    pixels[:h // 2] = interferometer.output_intensity("V", u, k0 * x)
+    pixels[h // 2:] = interferometer.output_intensity("H", u, k0 * x)
     if envelope_width is not None:
         dx, dy = x - (w - 1) / 2.0, np.arange(h, dtype=float) - (h - 1) / 2.0
         pixels *= np.exp(-0.5 * (dx * dx + (dy * dy)[:, None]) / (envelope_width * envelope_width))
@@ -829,6 +830,61 @@ def test_generate_across_row_blocks_gives_the_floats_of_fresh_arrays(size, noise
     img = fringes.generate(*args[:4], noise_sigma=noise_sigma, envelope_width=envelope_width, seed=11)
     assert img.pixels.size > dsp._BLOCK
     np.testing.assert_array_equal(img.pixels, _generate_with_fresh_arrays(*args), strict=True)
+
+
+_ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+_CARRIERS = st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANGLES, _ANGLES, _CARRIERS, st.floats(-100.0, 100.0), st.integers(16, 40), st.integers(16, 256),
+       st.integers(1, 39))
+def test_noise_free_rows_are_the_overlap_law_of_the_transformation(delta, beta, k0, phi0, h, w, split):
+    split = min(split, h - 1)
+    img = fringes.generate(delta, beta, k0, size=(h, w), phi0=phi0, split_row=split)
+    u, phase = su2.from_zyz(beta, 0.0, delta), k0 * np.arange(w, dtype=float) + phi0
+    want = np.empty((h, w))
+    want[:split] = interferometer.output_intensity("V", u, phase)
+    want[split:] = interferometer.output_intensity("H", u, phase)
+    np.testing.assert_array_equal(img.pixels, np.clip(want, 0.0, 1.0), strict=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANGLES, _ANGLES, _CARRIERS, st.floats(-100.0, 100.0), st.integers(16, 256))
+def test_the_rendered_rows_stay_within_rounding_of_the_cosine_form(delta, beta, k0, phi0, w):
+    # the law as first written, (1/2)[1 - cos(beta) cos(k0 x + phi0 -+ delta)], rounds
+    # its argument once more than the overlap law does, by at most half a unit in the
+    # argument's last place: one such unit of the largest argument, plus a few
+    # epsilons of the products, bounds the difference of the rows
+    img = fringes.generate(delta, beta, k0, size=(16, w), phi0=phi0)
+    phase = k0 * np.arange(w, dtype=float) + phi0
+    tolerance = np.spacing(np.abs(phase).max() + abs(delta)) + 8 * np.finfo(float).eps
+    for row, sign in ((img.pixels[0], -1.0), (img.pixels[-1], 1.0)):
+        old = 0.5 * (1.0 - np.cos(beta) * np.cos(phase + sign * delta))
+        assert np.abs(row - old).max() <= tolerance
+
+
+def test_the_fringe_chain_reads_the_transformation_split_beam_shift_reads():
+    # a transformation from its y-z-y angles, its z-y-z angles rendered as an image,
+    # and the image's 2 delta and visibility read back: they agree with the scanned
+    # interferometer's 2 delta and with the closed-form visibility within criterion
+    # 6's bound (0.05 rad) and 0.02
+    rng = np.random.default_rng(2026)
+    grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    checked = 0
+    while checked < 20:
+        xi, eta, zeta = rng.uniform(-np.pi, np.pi, 3)
+        u = su2.from_yzy(xi, eta, zeta)
+        zyz = su2.to_zyz(u)
+        if np.cos(zyz.beta) ** 2 < 0.25:
+            continue
+        img = fringes.generate(zyz.delta, zyz.beta, rng.uniform(0.1, 0.5), noise_sigma=0.02, seed=checked)
+        shift = fringes.retrieve_phase(img).estimate
+        assert abs(su2.wrap_angle(shift - interferometer.split_beam_shift(u, grid))) <= 0.05
+        upper = Region(128, 512, 40, img.half_split_row - 40)
+        visibility = fringes.measure_visibility(img, upper)
+        assert abs(visibility - interferometer.visibility_yzy(xi, eta, zeta)) <= 0.02
+        checked += 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -5e-324,
@@ -1294,7 +1350,7 @@ def test_savgol_coefficients_returns_a_private_copy():
 )
 def test_subpixel_extrema_matches_scalar_loop(values, carrier):
     y = np.array(values)
-    got = fringes._minima(y[None], np.array([0.0 if carrier is None else carrier]))[0]
+    got = fringes._minimum_positions(y[None], np.array([0.0 if carrier is None else carrier]))[1]
     want = _extrema_reference(y, carrier=carrier)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
@@ -1310,8 +1366,8 @@ def test_subpixel_extrema_on_noisy_fringes_matches_scalar_loop(phase, k0, with_c
     rng = np.random.default_rng(abs(hash((phase, k0))) % 2**32)
     y = 0.5 - 0.4 * np.cos(k0 * np.arange(200) + phase) + rng.normal(0.0, 0.01, 200)
     carrier = k0 if with_carrier else None
-    np.testing.assert_array_equal(fringes._minima(y[None], np.array([0.0 if carrier is None else carrier]))[0],
-                                  _extrema_reference(y, carrier=carrier))
+    got = fringes._minimum_positions(y[None], np.array([0.0 if carrier is None else carrier]))[1]
+    np.testing.assert_array_equal(got, _extrema_reference(y, carrier=carrier))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1564,7 +1620,8 @@ def test_a_region_stores_integral_numpy_bounds_as_ints():
 def _minima_shifts_by_pair(pairs, k0):
     """_minima_shifts one pair at a time: the nearest lower minimum of each upper
     one, and the circular mean of their phase differences."""
-    minima = fringes._minima(pairs.reshape(-1, pairs.shape[-1]), np.repeat(k0, 2))
+    rows, positions = fringes._minimum_positions(pairs.reshape(-1, pairs.shape[-1]), np.repeat(k0, 2))
+    minima = [positions[rows == r] for r in range(2 * len(k0))]
     shifts = np.full(len(k0), np.nan)
     errors = [None] * len(k0)
     for r, (pos_up, pos_low) in enumerate(zip(minima[::2], minima[1::2])):
@@ -1723,14 +1780,23 @@ def test_a_loaded_split_row_is_refused_as_the_public_constructor_refuses_it(spli
         fringes.load_interferogram(path)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"phi0": 1.7e308, "delta": -1.7e308},  # k0 x + phi0 - delta overflows: cos gives NaN
-    {"envelope_width": 1e-200, "size": (17, 33)},  # 0/0 at the centre pixel
-])
-def test_a_generated_image_that_is_not_finite_is_still_scanned_and_refused(kwargs):
-    args = {"delta": 0.3, "beta": 0.2, "k0": 0.4, "size": (20, 24)} | kwargs
+def test_a_generated_image_that_is_not_finite_is_still_scanned_and_refused():
+    # a width whose square underflows to 0 makes 0/0 at an odd image's centre pixel
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="^pixel intensities must be finite and nonnegative$"):
-        fringes.generate(**args)
+        fringes.generate(0.3, 0.2, 0.4, size=(17, 33), envelope_width=1e-200)
+
+
+def test_a_phase_whose_difference_with_delta_overflows_renders_flat_rows():
+    # k0 x + phi0 - delta overflowed in the law as first written (cos gave NaN, and the
+    # image was refused); the overlap law reads delta through e^{i delta} alone
+    img = fringes.generate(-1.7e308, 0.2, 0.4, size=(20, 24), phi0=1.7e308)
+    assert np.isfinite(img.pixels).all() and (img.pixels == img.pixels[:, :1]).all()
+    u, phase = su2.from_zyz(0.2, 0.0, -1.7e308), 0.4 * np.arange(24.0) + 1.7e308
+    assert img.pixels[0].tobytes() == interferometer.output_intensity("V", u, phase).tobytes()
+    assert img.pixels[-1].tobytes() == interferometer.output_intensity("H", u, phase).tobytes()
+    # delta = 0 at the same phi0 rendered flat rows before, and still gives their bits
+    flat = fringes.generate(0.0, 0.2, 0.4, size=(20, 24), phi0=1.7e308).pixels
+    assert (flat == 0.5 * (1.0 - np.cos(0.2) * np.cos(1.7e308))).all()
 
 
 def test_a_pgm_of_the_extreme_levels_loads_to_exactly_zero_and_one(tmp_path):
@@ -1773,11 +1839,12 @@ def test_numpys_cos_is_even_and_sin_odd_on_a_million_angles():
     assert np.sin(-angle).tobytes() == (-np.sin(angle)).tobytes()
 
 
-@pytest.mark.parametrize("method", ["both", "fourier"])
+@pytest.mark.parametrize("method", ["both", "fourier", "minima"])
 def test_one_pass_of_flags_keeps_the_refusal_order(method):
     # four regions of one width in one stack: a non-finite upper half is refused before
     # a flat lower one, a flat upper half before a non-finite lower one, and a flat lower
-    # half by the Fourier stage; each as the region alone is refused
+    # half at the carrier stage under every method (the minima estimator used to pair
+    # the smoothed flat half's rounding ripples); each as the region alone is refused
     pixels = np.tile(0.5 - 0.4 * np.cos(0.8 * np.arange(128)), (64, 1))
     pixels[24:32, :32] = pixels[32:40, 32:96] = 1e308  # column sums of 8 such rows overflow
     pixels[24:32, 32:64] = pixels[32:40, :32] = pixels[32:40, 96:] = 0.5
