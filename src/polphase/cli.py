@@ -14,12 +14,15 @@ is read with the type its option declares), converts angles from degrees when
 ``--degrees`` is given (defaults are radians, restated in degrees first), and
 writes the fully resolved configuration (angles as given, floats in full) as a
 record that ``--config`` reads back to repeat the run exactly.  The record is
-written in the step that makes the output directory, before the outputs.  CSV
-output uses 12 significant digits and is byte-stable across reruns with the
-same configuration and seed.  On failure, a flag the argument parser refuses
-included, a single ``error: <Kind>: <message>`` line goes to stderr, the exit
-code is 1, and nothing is written: the output directory is made only once the
-inputs, and the directory of every output, have been checked.
+UTF-8 (a config file is read as UTF-8 too), encoded before the output directory
+is made and written in that step, before the outputs.  Every file a run writes
+goes through fringes.write_file, so an output that is already there is
+rewritten in place, not emptied first.  CSV output uses 12 significant digits
+and is byte-stable across reruns with the same configuration and seed.  On
+failure, a flag the argument parser refuses included, a single
+``error: <Kind>: <message>`` line goes to stderr, the exit code is 1, and
+nothing is written: the output directory is made only once the inputs, and
+the directory of every output, have been checked.
 """
 
 from __future__ import annotations
@@ -60,9 +63,8 @@ def _write_csv(path: Path, header, columns) -> None:
     row = ",".join("%.12g" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s"
                    for c in columns) + "\n"
     cells = np.column_stack([np.asarray(c, dtype=object) for c in columns]).ravel().tolist()
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(row * (len(cells) // len(columns)) % tuple(cells))
+    fringes.write_file(path, (",".join(header) + "\n").encode("ascii"),
+                       (row * (len(cells) // len(columns)) % tuple(cells)).encode("ascii"))
 
 
 def _cells(values, defined) -> list[str]:
@@ -77,7 +79,7 @@ def _load_config(args) -> dict:
     if not path:
         return {}
     config = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -159,18 +161,20 @@ class Resolver:
         """The path of each named output in the output directory (an absolute name
         stays as it is; None for no output).  The directory of every output is
         checked first; then the output directory is made and the run record,
-        the command and every resolved value (floats in full), written in it.
-        Each command calls this once, with its inputs checked and its results
-        in hand, so a refused run writes nothing."""
+        the command and every resolved value (floats in full), written in it as
+        UTF-8, encoded before the directory is made.  Each command calls this
+        once, with its inputs checked and its results in hand, so a refused run
+        writes nothing."""
         outdir = Path(self.args.out_dir or os.environ.get(OUTDIR_ENV) or ".")
         paths = [None if name is None else outdir / name for name in names]
         for path in paths:
             if path is not None and not path.parent.is_dir() and path.parent.resolve() != outdir.resolve():
                 raise MissingOutputDirectory(f"cannot write {str(path)!r}: no directory {str(path.parent)!r}")
-        outdir.mkdir(parents=True, exist_ok=True)
         lines = [f"command={self.args.name}\n"]
         lines += [f"{key}={'' if value is None else value}\n" for key, value in sorted(self.resolved.items())]
-        (outdir / f"{self.args.name}_config.txt").write_text("".join(lines), encoding="ascii")
+        record = "".join(lines).encode("utf-8")
+        outdir.mkdir(parents=True, exist_ok=True)
+        fringes.write_file(outdir / f"{self.args.name}_config.txt", record)
         return paths
 
 
@@ -198,7 +202,7 @@ def _cmd_decompose(r: Resolver) -> int:
     composed = plates.compose(array)
     residual = float(np.max(np.abs(composed - target)))
     (path,) = r.outputs(out)
-    path.write_text(plates.format_plate_array(array), encoding="ascii")
+    fringes.write_file(path, plates.format_plate_array(array).encode("ascii"))
 
     print(f"plates written to {path}")
     for p in array:

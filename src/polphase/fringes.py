@@ -190,10 +190,10 @@ def generate(
     split = _geometry(h, w, h // 2 if split_row is None else split_row)
 
     x = np.arange(w, dtype=float)
-    u, phase = from_zyz(beta, 0.0, delta), k0 * x + phi0
-    pixels = np.empty((h, w), dtype=float)
-    pixels[:split] = output_intensity("V", u, phase)
-    pixels[split:] = output_intensity("H", u, phase)
+    u = from_zyz(beta, 0.0, delta)
+    # the H-fed row is the V-fed row of u with both axes reversed: one call renders both
+    halves = output_intensity("V", (u, u[::-1, ::-1]), k0 * x + phi0)
+    pixels = np.repeat(halves, (split, h - split), axis=0)
 
     if envelope_width is not None:
         if finite("envelope_width", envelope_width) <= 0:
@@ -836,8 +836,33 @@ _PGM_GAP = rb"(?:\s|#[^\n]*\n)*"
 _PGM_HEADER = re.compile(_PGM_GAP + rb"([^\s#]\S*)" + (rb"\s" + _PGM_GAP + rb"([^\s#]\S*)") * 3)
 
 
+def write_file(path, *chunks) -> None:
+    """Make the bytes-like chunks, one after another, the whole content of the file at path.
+
+    Every file polphase writes goes through here.  The file is opened without
+    truncation, created if missing (mode 0o666 less the umask), written over
+    from its start and, if it is a regular file, cut to the new length at the
+    end.  A symlink is followed, and every hard link to the file sees the new
+    bytes, as when a file is emptied and written again; a FIFO or a device gets
+    the bytes as a stream and is never cut.  On ext4, emptying an existing file
+    and writing it again makes its close start a writeback, and so does a rename
+    over it, which is why neither is done.  Nothing is synced: a crash in the
+    middle of a write leaves a partial file, as either of those would.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def save_interferogram(img: Interferogram, path, extra: dict | None = None) -> None:
-    """Write a 16-bit binary PGM plus a ``<path>.meta`` key=value sidecar."""
+    """Write a 16-bit binary PGM plus a ``<path>.meta`` key=value sidecar.
+
+    Both go through write_file, so a file already there is rewritten in place;
+    the PGM is written as its header and then the payload array itself, which
+    is never joined to the header or copied.
+    """
     path = Path(path)
     h, w = img.shape
     data = np.empty((h, w), dtype=">u2")
@@ -846,9 +871,7 @@ def save_interferogram(img: Interferogram, path, extra: dict | None = None) -> N
         scaled *= _PGM_MAXVAL
         data[rows] = np.round(scaled, out=scaled)
         del scaled  # before the next block's is made
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{_PGM_MAXVAL}\n".encode("ascii"))
-        fh.write(data)
+    write_file(path, f"P5\n{w} {h}\n{_PGM_MAXVAL}\n".encode("ascii"), data)
     meta: dict = {"split_row": img.half_split_row}
     if img.k0 is not None:
         meta["k0"] = img.k0
@@ -860,7 +883,7 @@ def save_interferogram(img: Interferogram, path, extra: dict | None = None) -> N
     for key, value in meta.items():
         text = f"{value:.17g}" if isinstance(value, float) else str(value)
         lines.append(f"{key}={text}\n")
-    Path(f"{path}.meta").write_text("".join(lines), encoding="ascii")
+    write_file(f"{path}.meta", "".join(lines).encode("ascii"))
 
 
 def _read_pgm(path) -> np.ndarray:

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import os
 import re
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +546,11 @@ RECORDED_RUNS = {
                                "--region", "20:140:6:26", "--out", "r.csv", "--profiles-out", "p.csv"],
     "fringe_analyze_auto": ["fringe", "analyze", "--image", "img.pgm", "--method", "fourier", "--out", "r.csv"],
     "visibility_check": ["visibility", "--theta1", "0:1:3", "--theta2=-0.2", "--theta3", "0.1", "--check"],
+    # a name outside ASCII is recorded, and read back, as UTF-8
+    "fringe_generate_utf8_name": ["fringe", "generate", "--delta", "0.3", "--width", "64", "--height", "32",
+                                  "--out", "café.pgm"],
+    "interf_sweep_utf8_name": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
+                               "--out", "ü.csv"],
 }
 
 
@@ -672,6 +679,9 @@ REFUSED_RUNS = {
     "decompose": ["decompose", "--xi", "nan", "--eta", "0", "--zeta", "0"],
     "interf_sweep": ["interf", "sweep", "--xi", "0", "--eta", "0", "--zeta", "0", "--samples", "2"],
     "interf_surface": ["interf", "surface", "--zeta", "nan"],
+    # a name no UTF-8 can record (an undecodable byte, as argv escapes it) fails as the record is encoded
+    "interf_sweep_unencodable_name": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0",
+                                      "--samples", "64", "--out", "\udcff.csv"],
     "polarimetry": ["polarimetry", "--mode", "zeta2pi", "--noise-sigma", "nan"],
     "polarimetry_sweep_out_without_eta": ["polarimetry", "--mode", "zeta2pi", "--eta-steps", "4",
                                           "--n-grid", "256", "--sweep-out", "scan.csv"],
@@ -803,6 +813,39 @@ def test_outputs_may_go_to_the_new_output_directory_or_an_existing_one(tmp_path,
     code, _, _ = run_cli(capsys, "interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
                          "--out", "../kept/sweep.csv", "--out-dir", "new")
     assert code == 0 and (tmp_path / "kept" / "sweep.csv").exists()
+
+
+# every output goes through fringes.write_file: written over in place, through
+# whatever its name names, and cut to length only if it is a regular file
+SWEEP_64 = ["interf", "sweep", "--xi", "0.5", "--eta", "1", "--zeta", "0", "--samples", "64"]
+
+
+@pytest.mark.parametrize("target", ["longer file", "symlink", "device", "fifo"])
+def test_an_output_is_written_over_in_place(target, tmp_path, capsys):
+    assert run_cli(capsys, *SWEEP_64, "--out-dir", str(tmp_path / "fresh"))[0] == 0
+    expected = (tmp_path / "fresh" / "interf_sweep.csv").read_bytes()
+    real, out = tmp_path / "real.csv", tmp_path / "out.csv"
+    real.write_bytes(b"x" * 10 * len(expected))
+    received = []
+    if target == "longer file":
+        out = real
+    elif target == "symlink":
+        out.symlink_to(real)
+    elif target == "device":
+        out = Path(os.devnull)  # ftruncate refuses a character device
+    else:
+        os.mkfifo(out)  # and a FIFO: its reader gets the bytes as a stream
+        reader = threading.Thread(target=lambda: received.append(out.read_bytes()), daemon=True)
+        reader.start()
+    inode = real.stat().st_ino
+    code, _, err = run_cli(capsys, *SWEEP_64, "--out", str(out), "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    if target == "fifo":
+        reader.join(timeout=30)
+        assert not reader.is_alive() and received == [expected]
+    elif target != "device":
+        assert real.read_bytes() == expected and real.stat().st_ino == inode
+        assert out.is_symlink() == (target == "symlink")
 
 
 # ---------------------------------------------------------------------------
