@@ -22,7 +22,10 @@ and is byte-stable across reruns with the same configuration and seed.  On
 failure, a flag the argument parser refuses included, a single
 ``error: <Kind>: <message>`` line goes to stderr, the exit code is 1, and
 nothing is written: the output directory is made only once the inputs, and
-the directory of every output, have been checked.
+the directory of every output, have been checked.  Two refusals keep that
+promise and the record's: an output path that is a directory (or the output
+directory itself), and a text value with whitespace at either end or a line
+break, which the record could not give back as it is.
 """
 
 from __future__ import annotations
@@ -159,19 +162,28 @@ class Resolver:
 
     def outputs(self, *names) -> list:
         """The path of each named output in the output directory (an absolute name
-        stays as it is; None for no output).  The directory of every output is
-        checked first; then the output directory is made and the run record,
-        the command and every resolved value (floats in full), written in it as
-        UTF-8, encoded before the directory is made.  Each command calls this
-        once, with its inputs checked and its results in hand, so a refused run
-        writes nothing."""
+        stays as it is; None for no output).  An output in a directory that does
+        not exist, or that is a directory or will be one once the output directory
+        is made, is refused first, and then a text value the record cannot give
+        back as it is (whitespace at an end, or a line break); then the output
+        directory is made and the run record, the command and every resolved
+        value (floats in full), written in it as UTF-8, encoded before the
+        directory is made.  Each command calls this once, with its inputs checked
+        and its results in hand, so a refused run writes nothing."""
         outdir = Path(self.args.out_dir or os.environ.get(OUTDIR_ENV) or ".")
         paths = [None if name is None else outdir / name for name in names]
-        for path in paths:
-            if path is not None and not path.parent.is_dir() and path.parent.resolve() != outdir.resolve():
+        for path in filter(None, paths):
+            if not path.parent.is_dir() and path.parent.resolve() != outdir.resolve():
                 raise MissingOutputDirectory(f"cannot write {str(path)!r}: no directory {str(path.parent)!r}")
+            # a path that is not a directory yet becomes one only as the output directory or a parent it makes
+            if path.is_dir() or not outdir.is_dir() and outdir.resolve().is_relative_to(path.resolve()):
+                raise IsADirectoryError(f"cannot write {str(path)!r}: it is a directory")
         lines = [f"command={self.args.name}\n"]
-        lines += [f"{key}={'' if value is None else value}\n" for key, value in sorted(self.resolved.items())]
+        for key, value in sorted(self.resolved.items()):
+            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+                raise ValueError(f"--{key} cannot be recorded to rerun: {value!r} has whitespace at an end or "
+                                 f"a line break")
+            lines.append(f"{key}={'' if value is None else value}\n")
         record = "".join(lines).encode("utf-8")
         outdir.mkdir(parents=True, exist_ok=True)
         fringes.write_file(outdir / f"{self.args.name}_config.txt", record)

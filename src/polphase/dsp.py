@@ -5,9 +5,10 @@
   13:2693, 1974, in the general form of Greivenkamp, Opt. Eng. 23:350, 1984).
 * harmonics: cos k phi and sin k phi of a scan grid, the terms every scan
   law and fit samples.  A 1-D grid's terms and its fit's normal matrix come
-  from a small cache keyed by the grid's contents (its bytes and k), bounded
-  to eight grids of up to 65536 points; an entry is found by comparing
-  bytes, not by hashing them.  Other shapes are computed directly.
+  from the one grid cache, keyed by the grid's contents (its bytes and k),
+  bounded to eight grids of up to 65536 points; an entry is found by
+  comparing bytes, not by hashing them.  Other shapes are computed directly.
+  The lookup is also every grid's check, made on a cache miss only.
 * vertex: the position of the three-point parabola's vertex, which refines a
   sampled extremum of a 1-D array or of the rows of a stack (the carrier
   peaks of spectra, the minima of fringe profiles).
@@ -24,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .su2 import finite
+from .su2 import _array, finite
 
 
 #: most elements (of float64: 256 KiB) in one row block
@@ -133,28 +134,40 @@ _GRID_CACHE_SIZE = 8
 _GRID_LOCK = threading.Lock()
 
 
-def _terms(phi: np.ndarray, k) -> tuple:
-    """_design of a 1-D float64 grid, computed once per grid contents and k.
+def _terms(phi, k, name=None, shape=None) -> tuple:
+    """The one gate of a scan grid: phi as floats and its _design for harmonic k, (cos, sin, None, None)
+    unless it is 1-D; given the shape of values to fit, ValueError unless they lie along a 1-D phi.
 
-    An entry is found by comparing the grid's bytes with each entry's (a
-    length check, then one memcmp), which costs less than hashing them; at
-    most _GRID_CACHE_SIZE entries are kept, in least-recently-used order.  A
-    grid longer than _CACHED_POINTS is computed on each call.
+    A 1-D grid of up to _CACHED_POINTS points is found by its bytes (a length check, then one memcmp,
+    which costs less than hashing them) among at most _GRID_CACHE_SIZE entries, in least-recently-used
+    order.  Only a finite grid is entered, so a hit is not scanned again; any other grid is, and a NaN or
+    infinite phase raises NonFiniteInput under ``name``, or, unnamed (harmonics), gets numpy's terms.
     """
-    if len(phi) > _CACHED_POINTS:
-        return _design(phi, k)
-    # the copy is the cheap way to compare: bytes == bytes is one memcmp, while
-    # memoryview == compares element by element, several times slower at 4096 points
-    grid = phi.tobytes()
-    with _GRID_LOCK:
-        for index, (cached, cached_k, terms) in enumerate(_GRID_CACHE):
-            if cached_k == k and cached == grid:
-                _GRID_CACHE.append(_GRID_CACHE.pop(index))
-                return terms
-        terms = _design(np.frombuffer(grid), k)
-        _GRID_CACHE.append((grid, k, terms))
-        del _GRID_CACHE[:-_GRID_CACHE_SIZE]
-        return terms
+    phi = _array(name or "phi", phi)
+    if phi.ndim != 1 or len(phi) > _CACHED_POINTS:
+        if name is not None:
+            finite(name, phi)
+        terms = _design(phi, k) if phi.ndim == 1 else (np.cos(k * phi), np.sin(k * phi), None, None)
+    else:
+        # the copy is the cheap way to compare: bytes == bytes is one memcmp, while
+        # memoryview == compares element by element, several times slower at 4096 points
+        grid = phi.tobytes()
+        with _GRID_LOCK:
+            for index, (cached, cached_k, terms) in enumerate(_GRID_CACHE):
+                if cached_k == k and cached == grid:
+                    _GRID_CACHE.append(_GRID_CACHE.pop(index))
+                    break
+            else:  # the bytes entered are the bytes checked, even if phi changes meanwhile
+                entry = np.frombuffer(grid)
+                if name is not None:
+                    finite(name, entry)
+                terms = _design(entry, k)
+                if name is not None or np.isfinite(entry).all():
+                    _GRID_CACHE.append((grid, k, terms))
+                    del _GRID_CACHE[:-_GRID_CACHE_SIZE]
+    if shape is not None and (phi.ndim != 1 or shape[-1:] != phi.shape):
+        raise ValueError(f"values of shape {shape} do not lie along a grid of shape {phi.shape}")
+    return terms
 
 
 def harmonics(phi, k: int = 1):
@@ -163,11 +176,8 @@ def harmonics(phi, k: int = 1):
     A 1-D grid's pair is read-only and cached by the grid's contents (see
     _terms), so a grid changed in place gets the terms of its new values, and
     a copy of a cached grid gets the very same arrays; a scalar or an array
-    of any other shape is computed on each call.
+    of any other shape is computed on each call.  A complex phase raises ComplexInput.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 1:
-        return np.cos(k * phi), np.sin(k * phi)
     c, s, _, _ = _terms(phi, k)
     return c, s
 
@@ -191,19 +201,13 @@ def harmonic_fit(values, phi, k: int):
     resolve the terms (fewer than three distinct phases mod 2 pi / k, or too
     short a span) raises UnresolvableGrid, and an infinite value or a NaN or
     infinite phase NonFiniteInput; a NaN value, a missing sample, gives its
-    row NaN fits.  A stack over one row block is summed by blocks.
+    row NaN fits.  Complex values or phases raise ComplexInput.  A stack over
+    one row block is summed by blocks.
     """
-    y = np.asarray(values, dtype=float)
+    y = _array("values", values)
     if np.isinf(y).any():  # refused, with the count of infs; a NaN value is not
         finite("values", np.where(np.isnan(y), 0.0, y))
-    return _fit(y, _grid_terms(y.shape, finite("phi", phi), k), k)
-
-
-def _grid_terms(shape: tuple, phi: np.ndarray, k) -> tuple:
-    """_terms of phi for values of the given shape; ValueError unless phi is a 1-D grid of their last axis."""
-    if phi.ndim != 1 or shape[-1:] != phi.shape:
-        raise ValueError(f"values of shape {shape} do not lie along a grid of shape {phi.shape}")
-    return _terms(phi, k)
+    return _fit(y, _terms(phi, k, "phi", y.shape), k)
 
 
 def _fit(y: np.ndarray, terms: tuple, k) -> tuple:

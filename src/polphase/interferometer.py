@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import UnresolvableGrid, _fit, _grid_terms, harmonics  # UnresolvableGrid: the fit's refusal, raised from here too
+from .dsp import UnresolvableGrid, _fit, _terms  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import compose
 from .su2 import finite, from_yzy, wrap_angle
 
@@ -66,22 +66,22 @@ def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = F
     """
     if input_pol not in _INPUT_INDEX:
         raise ValueError(f"input_pol must be 'V' or 'H', got {input_pol!r}")
-    u, phi = _checked(u, phi)
+    u, (cos_phi, sin_phi, _, _) = _checked(u), _terms(phi, 1, "phi")
     k = _INPUT_INDEX[input_pol]
-    w = u[..., k, k].reshape(u.shape[:-2] + (1,) * phi.ndim)
-    intensity = _port(w, *harmonics(phi), complementary)
+    w = u[..., k, k].reshape(u.shape[:-2] + (1,) * cos_phi.ndim)
+    intensity = _port(w, cos_phi, sin_phi, complementary)
     return float(intensity) if intensity.ndim == 0 else intensity
 
 
-def _checked(u, phi) -> tuple:
-    """u as a finite complex (..., 2, 2) stack of unitary matrices and phi as finite floats, or the refusal."""
+def _checked(u) -> np.ndarray:
+    """u as a finite complex (..., 2, 2) stack of unitary matrices, or the refusal."""
     u = finite("u", u, dtype=complex)
     if u.shape[-2:] != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix or a (..., 2, 2) stack, got shape {u.shape}")
     worst = np.abs(np.einsum("...ji,...jk->...ik", u.conj(), u) - np.eye(2)).max(initial=0.0)
     if worst > EPS_UNITARY:
         raise NonUnitary(f"u must be unitary: |u^dagger u - 1| reaches {worst:.3e}, above {EPS_UNITARY:g}")
-    return u, finite("phi", phi)
+    return u
 
 
 def _port(w, cos_phi, sin_phi, complementary=False):
@@ -110,8 +110,8 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix, got shape {u.shape}")
-    pair, phi = _checked((u, u[::-1, ::-1]), phi_grid)
-    terms = _grid_terms((2,) + phi.shape, phi, 1)
+    pair = _checked((u, u[::-1, ::-1]))
+    terms = _terms(phi_grid, 1, "phi", (2,) + np.shape(phi_grid))
     amp_v, amp_h = (_fit(_port(w, terms[0], terms[1]), terms, 1)[1] for w in pair[:, 0, 0])
     visibility = 2.0 * abs(amp_v)
     if visibility <= EPS_VISIBILITY:

@@ -28,14 +28,13 @@ together, and in the y-z-y angles the same intensity reads
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dsp import UnresolvableGrid, _CACHED_POINTS, _design, _fit, _row_blocks, harmonic_fit, harmonics  # UnresolvableGrid: raised here too
+from .dsp import UnresolvableGrid, _fit, _row_blocks, _terms, harmonic_fit  # UnresolvableGrid: raised here too
 from .plates import WavePlate, compose
 from .su2 import EPS_DEGENERATE, YzyParams, finite
 
@@ -69,8 +68,8 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     three-plate reduction (plates.reduced_array_xi_minus_pi), constant in phi
     at eta = 0, zeta = pi (the alignment configuration).
     """
-    xi, eta, zeta, phi = finite("xi", xi), finite("eta", eta), finite("zeta", zeta), finite("phi", phi)
-    swing = _scan_law(xi, eta, zeta, *harmonics(phi))
+    xi, eta, zeta = finite("xi", xi), finite("eta", eta), finite("zeta", zeta)
+    swing = _scan_law(xi, eta, zeta, *_terms(phi, 1, "phi")[:2])
     return float(swing) if swing.ndim == 0 else swing
 
 
@@ -161,7 +160,7 @@ def polarimetric_sweep(
     grid; row k is bit for bit the scan of its own eta made with seed + k.
     Noise is additive Gaussian on the intensity, clamped to [0, 1], from
     explicitly seeded generators (add_scan_noise), so runs are reproducible.
-    The returned phi_grid is the caller's own array.
+    The returned phi_grid is a fresh array, the caller's own.
     """
     phi, law, _ = _scan_grid(n_grid)
     etas, x, z = finite("eta", eta), finite("xi", xi), finite("zeta", zeta)
@@ -171,22 +170,16 @@ def polarimetric_sweep(
     scans, etas = intensity.reshape(-1, len(phi)), etas.reshape(-1, 1)
     for rows in _row_blocks(*scans.shape):
         _scan_law(x, etas[rows], z, *law[:2], scans[rows], add_noise, rows.start)
-    return PolarimetricSweep(phi.copy(), intensity, YzyParams(xi, eta, zeta))
+    return PolarimetricSweep(phi, intensity, YzyParams(xi, eta, zeta))
 
 
 def _scan_grid(n_grid) -> tuple:
-    """The read-only grid of n_grid >= 64 points over [0, 2 pi) and its _design for the law (k = 1) and the
-    fit (k = 2), kept per n_grid up to the grid length dsp caches; operator.index is np.linspace's own."""
+    """A fresh grid of n_grid >= 64 points over [0, 2 pi) and its terms for the law (k = 1) and the fit
+    (k = 2), from dsp's grid cache; operator.index is np.linspace's own."""
     if n_grid < 64:
         raise ValueError(f"n_grid must be at least 64, got {n_grid}")
-    return (_grid if n_grid <= _CACHED_POINTS else _grid.__wrapped__)(operator.index(n_grid))
-
-
-@functools.lru_cache(maxsize=8)
-def _grid(n_grid: int) -> tuple:
-    phi = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    phi.flags.writeable = False
-    return phi, _design(phi, 1), _design(phi, 2)
+    phi = np.linspace(0.0, 2.0 * np.pi, operator.index(n_grid), endpoint=False)
+    return phi, _terms(phi, 1), _terms(phi, 2)
 
 
 def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
@@ -205,15 +198,14 @@ def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
 
     and the scan needs one compose call, not one matrix per grid point.
     Returns an array of len(phi_grid) (one entry for a scalar); a NaN or
-    infinite phi_grid raises NonFiniteInput.
+    infinite phi_grid raises NonFiniteInput, a complex one ComplexInput.
     """
-    phis = np.atleast_1d(finite("phi_grid", phi_grid))
+    cos_phi, sin_phi, _, _ = _terms(phi_grid, 1, "phi_grid")
     u = compose(plates)
     a, b, c = (u[0, 0] + u[1, 1]) / 2.0, (u[0, 0] - u[1, 1]) / 2.0, (u[0, 1] + u[1, 0]) / 2.0
-    cos_phi, sin_phi = harmonics(phis)
     re = a.real + b.real * cos_phi + c.real * sin_phi
     im = a.imag + b.imag * cos_phi + c.imag * sin_phi
-    return re * re + im * im
+    return np.atleast_1d(re * re + im * im)
 
 
 def sweep_extrema(sweep: PolarimetricSweep):
@@ -254,9 +246,9 @@ def measure_phase(
     The result is bit for bit extract_cos2_phase(*sweep_extrema(polarimetric_sweep(...)))
     of the same arguments, and the refusals are polarimetric_sweep's, in its
     order; an angle that is not a scalar then raises ValueError.  The one scan
-    takes a direct path: the grid and its terms come from a cache kept per
-    n_grid, and the law, one generator's draw and the clip are written into
-    one buffer, which is fitted as it is.
+    takes a direct path: the grid's terms come from dsp's grid cache, and the
+    law, one generator's draw and the clip are written into one buffer, which
+    is fitted as it is.
     """
     phi, law, fit = _scan_grid(n_grid)
     angles = {"eta": finite("eta", eta), "xi": finite("xi", xi), "zeta": finite("zeta", zeta)}

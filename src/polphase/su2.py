@@ -60,6 +60,10 @@ class NonFiniteInput(ValueError):
     """An angle or matrix element is NaN or infinite."""
 
 
+class ComplexInput(ValueError):
+    """A real angle, phase or value is complex; numpy would drop its imaginary part."""
+
+
 @dataclass(frozen=True)
 class YzyParams:
     """Euler angles (xi, eta, zeta) of the y-z-y factorization."""
@@ -106,19 +110,30 @@ def finite(name: str, value, dtype=float) -> np.ndarray:
 
     The one finiteness check of the package: every broadcast constructor
     passes its inputs through here, so a NaN is refused at the boundary
-    instead of surfacing later as a fake degeneracy.
+    instead of surfacing later as a fake degeneracy.  A complex value for a
+    real dtype raises ComplexInput (see _array).
     """
     if isinstance(value, _REAL_SCALARS):
         # one math.isfinite call instead of three array operations
         if not math.isfinite(value):
             raise NonFiniteInput(f"{name} must be finite, got {float(value)}")
         return np.asarray(value, dtype=dtype)
-    array = np.asarray(value, dtype=dtype)
+    array = _array(name, value, dtype)
     bad = ~np.isfinite(array)
     if bad.any():
         shown = array.item() if array.size == 1 else f"{int(bad.sum())} of {array.size} values"
         raise NonFiniteInput(f"{name} must be finite, got {shown}")
     return array
+
+
+def _array(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``, numpy's conversion; a complex value for a real
+    dtype raises ComplexInput instead of losing its imaginary part."""
+    if np.iscomplexobj(value) and np.dtype(dtype).kind != "c":
+        array = np.asarray(value)
+        shown = array.item() if array.size == 1 else f"{array.size} complex values"
+        raise ComplexInput(f"{name} must be real, got {shown}")
+    return np.asarray(value, dtype=dtype)
 
 
 def matrix(m11, m12, m21, m22) -> np.ndarray:

@@ -551,6 +551,11 @@ RECORDED_RUNS = {
                                   "--out", "café.pgm"],
     "interf_sweep_utf8_name": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
                                "--out", "ü.csv"],
+    # whitespace inside a value, not at its ends, is recorded and read back as it is
+    "interf_sweep_inner_space_name": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
+                                      "--out", "a b.csv"],
+    "polarimetry_inner_space_sweep_out": ["polarimetry", "--mode", "zeta2pi", "--eta-steps", "4", "--n-grid", "256",
+                                          "--eta", "0.3", "--sweep-out", "raw scan.csv"],
 }
 
 
@@ -689,6 +694,19 @@ REFUSED_RUNS = {
     "fringe_generate": ["fringe", "generate", "--delta", "0.5", "--k0", "4"],
     "fringe_analyze": ["fringe", "analyze", "--image", "bad.pgm"],
     "visibility": ["visibility", "--theta1", "nan", "--theta2", "0", "--theta3", "0"],
+    # an output that is a directory, an existing one ({cwd} is the run's directory) or the output
+    # directory itself, is refused before the output directory and the record are made
+    "interf_sweep_out_is_a_directory": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0",
+                                        "--samples", "64", "--out", "{cwd}/isdir"],
+    "interf_sweep_out_is_the_output_directory": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0",
+                                                 "--samples", "64", "--out", "."],
+    # a value the record cannot give back as it is: whitespace at an end, or a line break
+    "interf_sweep_padded_name": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
+                                 "--out", " sp.csv"],
+    "interf_sweep_name_with_a_line_break": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0",
+                                            "--samples", "64", "--out", "x\nseed=3.csv"],
+    "polarimetry_padded_sweep_out": ["polarimetry", "--mode", "zeta2pi", "--eta-steps", "4", "--n-grid", "256",
+                                     "--eta", "0.3", "--sweep-out", "raw.csv\t"],
 }
 
 
@@ -697,7 +715,9 @@ def test_a_refused_run_writes_nothing(name, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad_plates.txt").write_text("Q not-an-angle\n")
     (tmp_path / "bad.pgm").write_bytes(b"P5\n-4 -4 65535\n")
-    code, out, err = run_cli(capsys, *REFUSED_RUNS[name], "--out-dir", "out")
+    (tmp_path / "isdir").mkdir()
+    argv = [arg.replace("{cwd}", str(tmp_path)) for arg in REFUSED_RUNS[name]]
+    code, out, err = run_cli(capsys, *argv, "--out-dir", "out")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
@@ -744,6 +764,30 @@ def test_a_malformed_value_is_refused_and_writes_nothing(argv, config, error, tm
     code, out, err = run_cli(capsys, *argv, "--config", "run.cfg", "--out-dir", "out")
     assert (code, out, err) == (1, "", f"error: ValueError: {error}\n")
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--out", " sp.csv"], "ValueError: --out cannot be recorded to rerun: ' sp.csv' has whitespace at an end "
+                           "or a line break"),
+    (["--out", "sp.csv\r"], "ValueError: --out cannot be recorded to rerun: 'sp.csv\\r' has whitespace at an end "
+                            "or a line break"),
+    # a line break inside a value would split the record's line and inject a key
+    (["--out", "x\nseed=3.csv"], "ValueError: --out cannot be recorded to rerun: 'x\\nseed=3.csv' has whitespace "
+                                 "at an end or a line break"),
+    (["--out", "{cwd}/isdir"], "IsADirectoryError: cannot write '{cwd}/isdir': it is a directory"),
+    (["--out", ".."], "IsADirectoryError: cannot write 'out/..': it is a directory"),
+    (["--out", ""], "IsADirectoryError: cannot write 'out': it is a directory"),
+], ids=["padded", "carriage-return", "line-break", "existing-directory", "parent-directory", "output-directory"])
+def test_an_output_the_run_cannot_write_or_record_is_named_and_writes_nothing(argv, error, tmp_path, capsys,
+                                                                              monkeypatch):
+    # both used to fail only after the record was written, or to write a record that reruns another run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "isdir").mkdir()
+    argv = [arg.replace("{cwd}", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(capsys, "interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
+                             *argv, "--out-dir", "out")
+    assert (code, out, err) == (1, "", f"error: {error.replace('{cwd}', str(tmp_path))}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["isdir"] and not any((tmp_path / "isdir").iterdir())
 
 
 def test_zero_sweep_samples_are_refused_by_the_fit(tmp_path, capsys):

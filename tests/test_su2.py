@@ -1,5 +1,7 @@
 """Tests for the SU(2) construction/conversion layer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,3 +370,23 @@ def test_finite_returns_the_value_as_a_float_array(value):
     out = su2.finite("angle", value)
     assert isinstance(out, np.ndarray) and out.dtype == float
     np.testing.assert_array_equal(out, np.asarray(value, dtype=float))
+
+
+@pytest.mark.parametrize("value, shown", [
+    (0.3 + 0j, "(0.3+0j)"), (np.complex128(0.3 + 1j), "(0.3+1j)"), (np.array([0.3 + 0j]), "(0.3+0j)"),
+    ([0.3, 1j], "2 complex values"), (np.zeros(3, dtype=np.complex64), "3 complex values"),
+])
+def test_a_complex_angle_is_refused_by_name(value, shown):
+    # from_yzy(0.3 + 0j, ...) used to fail inside numpy with a TypeError, and a complex
+    # array to lose its imaginary part with only a ComplexWarning
+    with pytest.raises(su2.ComplexInput, match=f"^xi must be real, got {re.escape(shown)}$"):
+        su2.from_yzy(value, 1.1, -0.7)
+    with pytest.raises(su2.ComplexInput, match=f"^angle must be real, got {re.escape(shown)}$"):
+        su2.finite("angle", value)
+    assert issubclass(su2.ComplexInput, ValueError)
+
+
+def test_a_complex_dtype_still_takes_complex_values():
+    u = su2.from_yzy(0.3, 1.1, -0.7)
+    np.testing.assert_array_equal(su2.finite("u", u, dtype=complex), u, strict=True)
+    assert su2.to_zyz(u) == su2.to_zyz(u.tolist())
