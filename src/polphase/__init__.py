@@ -4,11 +4,11 @@ The package covers the full desk-scale chain: exact SU(2) polarization
 algebra (su2), compilation into quarter/half-wave-plate arrays (plates), the
 Mach-Zehnder overlap law with the drift-immune dual-polarization
 split-beam scheme (interferometer), the rotating five-plate single-beam
-method (polarimetry), and synthetic dual-half interferograms with two
-independent fringe-shift estimators, minima matching on smoothed profiles and
-the Fourier read at the carrier on raw ones, which also reads the visibility
-(fringes), over the shared harmonic fit, smoothing and peak interpolation of
-dsp.
+method (polarimetry), and synthetic dual-half interferograms whose fringe
+shift the Fourier read at the carrier takes from raw profiles, which also
+reads the visibility, with minima matching on smoothed profiles as
+method="both"'s cross-check (fringes), over the shared harmonic fit,
+smoothing and peak interpolation of dsp.
 """
 
 from .su2 import (

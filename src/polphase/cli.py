@@ -163,17 +163,19 @@ class Resolver:
     def outputs(self, *names) -> list:
         """The path of each named output in the output directory (an absolute name
         stays as it is; None for no output).  An output in a directory that does
-        not exist, or that is a directory or will be one once the output directory
-        is made, is refused first, and then a text value the record cannot give
-        back as it is (whitespace at an end, or a line break); then the output
-        directory is made and the run record, the command and every resolved
-        value (floats in full), written in it as UTF-8, encoded before the
-        directory is made.  Each command calls this once, with its inputs checked
-        and its results in hand, so a refused run writes nothing."""
+        not exist and will not once the output directory is made, or that is a
+        directory or will be one then, is refused first, and then a text value
+        the record cannot give back as it is (whitespace at an end, or a line
+        break); then the output directory is made and the run record, the
+        command and every resolved value (floats in full), written in it as
+        UTF-8, encoded before the directory is made.  Each command calls this
+        once, with its inputs checked and its results in hand, so a refused run
+        writes nothing."""
         outdir = Path(self.args.out_dir or os.environ.get(OUTDIR_ENV) or ".")
         paths = [None if name is None else outdir / name for name in names]
         for path in filter(None, paths):
-            if not path.parent.is_dir() and path.parent.resolve() != outdir.resolve():
+            # the output directory and every directory above it exist once it is made
+            if not path.parent.is_dir() and not outdir.resolve().is_relative_to(path.parent.resolve()):
                 raise MissingOutputDirectory(f"cannot write {str(path)!r}: no directory {str(path.parent)!r}")
             # a path that is not a directory yet becomes one only as the output directory or a parent it makes
             if path.is_dir() or not outdir.is_dir() and outdir.resolve().is_relative_to(path.resolve()):
@@ -337,6 +339,8 @@ def _cmd_polarimetry(r: Resolver) -> int:
 def _polarimetry_plate_scan(r: Resolver, plate_file: str, n_grid: int, noise: float, seed: int) -> int:
     """Scan a user-supplied plate array (plain-text plate list) over phi."""
     out = r.value("out", default="plate_scan.csv")
+    if n_grid < 0:  # zero points reach the fit, which refuses them as UnresolvableGrid
+        raise ValueError(f"--n-grid must not be negative, got {n_grid}")
 
     array = plates.parse_plate_array(Path(plate_file).read_text())
     phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
@@ -393,7 +397,7 @@ def _parse_region(text: str) -> fringes.Region:
 
 def _cmd_fringe_analyze(r: Resolver) -> int:
     image = r.value("image", required=True)
-    method = r.value("method", default="both")
+    method = r.value("method", default="fourier")
     out = r.value("out", default=None)
     profiles_out = r.value("profiles-out", default=None)
 
@@ -410,9 +414,7 @@ def _cmd_fringe_analyze(r: Resolver) -> int:
     result = fringes.retrieve_phase(img, regions, method=method)
     if profiles_out:
         first = regions[result.region_indices[0]]
-        up, low = fringes.column_average(img, first)
-        profiles = [range(first.col_start, first.col_end), up, low,
-                    fringes.savitzky_golay(up), fringes.savitzky_golay(low)]
+        profiles = [range(first.col_start, first.col_end), *fringes.column_average(img, first)]
     path, profiles_path = r.outputs(out or None, profiles_out or None)
 
     print(f"carrier_k0={result.carrier:.12g}")
@@ -438,7 +440,7 @@ def _cmd_fringe_analyze(r: Resolver) -> int:
         _write_csv(path, ["region", "col_start", "col_end", "row_start", "row_end", "estimate_2delta"],
                    [result.region_indices, *bounds, np.array(result.region_estimates)])
     if profiles_out:
-        _write_csv(profiles_path, ["column", "upper", "lower", "upper_smooth", "lower_smooth"], profiles)
+        _write_csv(profiles_path, ["column", "upper", "lower"], profiles)
     return 0
 
 
@@ -542,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(pg, _cmd_fringe_generate, "fringe_generate")
     pa = fsub.add_parser("analyze", help="retrieve 2*delta from an image")
     pa.add_argument("--image")
-    pa.add_argument("--method", choices=("minima", "fourier", "both"))
+    pa.add_argument("--method", choices=("fourier", "both"))
     pa.add_argument("--region", action="append",
                     help="evaluation region 'c0:c1:r0:r1' (repeatable, ';'-separated in a "
                          "config file; default: auto)")

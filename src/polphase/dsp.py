@@ -134,19 +134,18 @@ _GRID_CACHE_SIZE = 8
 _GRID_LOCK = threading.Lock()
 
 
-def _terms(phi, k, name=None, shape=None) -> tuple:
+def _terms(phi, k, name="phi", shape=None) -> tuple:
     """The one gate of a scan grid: phi as floats and its _design for harmonic k, (cos, sin, None, None)
     unless it is 1-D; given the shape of values to fit, ValueError unless they lie along a 1-D phi.
 
     A 1-D grid of up to _CACHED_POINTS points is found by its bytes (a length check, then one memcmp,
     which costs less than hashing them) among at most _GRID_CACHE_SIZE entries, in least-recently-used
-    order.  Only a finite grid is entered, so a hit is not scanned again; any other grid is, and a NaN or
-    infinite phase raises NonFiniteInput under ``name``, or, unnamed (harmonics), gets numpy's terms.
+    order.  A grid is scanned on a miss and on no hit, since only a finite grid is entered: a NaN or
+    infinite phase raises NonFiniteInput under ``name``.
     """
-    phi = _array(name or "phi", phi)
+    phi = _array(name, phi)
     if phi.ndim != 1 or len(phi) > _CACHED_POINTS:
-        if name is not None:
-            finite(name, phi)
+        finite(name, phi)
         terms = _design(phi, k) if phi.ndim == 1 else (np.cos(k * phi), np.sin(k * phi), None, None)
     else:
         # the copy is the cheap way to compare: bytes == bytes is one memcmp, while
@@ -158,13 +157,9 @@ def _terms(phi, k, name=None, shape=None) -> tuple:
                     _GRID_CACHE.append(_GRID_CACHE.pop(index))
                     break
             else:  # the bytes entered are the bytes checked, even if phi changes meanwhile
-                entry = np.frombuffer(grid)
-                if name is not None:
-                    finite(name, entry)
-                terms = _design(entry, k)
-                if name is not None or np.isfinite(entry).all():
-                    _GRID_CACHE.append((grid, k, terms))
-                    del _GRID_CACHE[:-_GRID_CACHE_SIZE]
+                terms = _design(finite(name, np.frombuffer(grid)), k)
+                _GRID_CACHE.append((grid, k, terms))
+                del _GRID_CACHE[:-_GRID_CACHE_SIZE]
     if shape is not None and (phi.ndim != 1 or shape[-1:] != phi.shape):
         raise ValueError(f"values of shape {shape} do not lie along a grid of shape {phi.shape}")
     return terms
@@ -176,7 +171,8 @@ def harmonics(phi, k: int = 1):
     A 1-D grid's pair is read-only and cached by the grid's contents (see
     _terms), so a grid changed in place gets the terms of its new values, and
     a copy of a cached grid gets the very same arrays; a scalar or an array
-    of any other shape is computed on each call.  A complex phase raises ComplexInput.
+    of any other shape is computed on each call.  A NaN or infinite phase
+    raises NonFiniteInput, a complex one ComplexInput.
     """
     c, s, _, _ = _terms(phi, k)
     return c, s

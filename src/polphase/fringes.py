@@ -9,14 +9,14 @@ mutually displaced by 2 delta / k0 pixels.  Because any drift of the
 instrument moves both halves together, the relative shift is immune to it;
 retrieving 2 delta is the whole game.  Each half is column-averaged, and
 the carrier frequency k0 (between bins) is located on the raw upper profile.
-Two estimators are provided:
-
-* minima matching: smooth both profiles with a Savitzky-Golay filter
-  (polphase.dsp; no other step smooths), locate the fringe minima to
-  sub-pixel accuracy and compare their positions between the halves;
-* spatial-carrier Fourier: read the phase of each raw half's Hann-windowed
-  transform at k0 and difference them; the transform's magnitude over the
-  windowed mean level also gives the fringe visibility.
+The shift is read by the spatial-carrier Fourier estimator (Takeda, Ina &
+Kobayashi, JOSA 72:156, 1982): the phase of each raw half's Hann-windowed
+transform at k0, differenced; the transform's magnitude over the windowed
+mean level also gives the fringe visibility.  retrieve_phase(method="both")
+adds minima matching as a cross-check: both profiles smoothed with a
+Savitzky-Golay filter (polphase.dsp; no other step smooths), the fringe
+minima located to sub-pixel accuracy and their positions compared between
+the halves.
 
 Every step is a kernel on one (R, 2, n) stack of (upper, lower) profile
 pairs, one per evaluation region, that returns each pair's result and
@@ -48,7 +48,7 @@ import numpy as np
 # fringes.savgol_coefficients by name (the benchmark's tracer does) finds it
 from .dsp import _SG_WINDOW, _row_blocks, savgol_coefficients, savitzky_golay, vertex
 from .interferometer import output_intensity
-from .su2 import finite, from_zyz, wrap_angle
+from .su2 import _array, finite, from_zyz, wrap_angle
 
 
 class TooFewMinima(ValueError):
@@ -178,11 +178,13 @@ def generate(
     whole intensity by a round Gaussian beam profile of that standard
     deviation (in pixels) centred on the image.  Noise is additive Gaussian,
     clamped to [0, 1], drawn from a generator seeded with ``seed`` so that
-    images are bit-reproducible.
+    images are bit-reproducible.  delta, beta and phi0 must be scalar angles.
     """
     h, w = size
-    for name, value in (("delta", delta), ("beta", beta), ("phi0", phi0), ("noise_sigma", noise_sigma)):
-        finite(name, value)
+    for name, value in (("delta", delta), ("beta", beta), ("phi0", phi0)):
+        if (angle := finite(name, value)).ndim:
+            raise ValueError(f"{name} must be a scalar angle, got an array of shape {angle.shape}")
+    finite("noise_sigma", noise_sigma)
     if not 0.0 < k0 < np.pi:
         raise ValueError(f"k0 must lie in (0, pi), got {k0}")
     if noise_sigma < 0.0:
@@ -471,9 +473,10 @@ def estimate_carrier(profile: np.ndarray) -> float:
     |X(k)|^2 by Newton steps on its derivative, using the analytic first and
     second derivatives of the windowed transform and staying within 1.5 bins
     of the coarse peak; this is accurate to a small fraction of a bin on
-    clean fringes.  Raises NoCarrier when no dominant peak stands out.
+    clean fringes.  Raises NoCarrier when no dominant peak stands out, and
+    ComplexInput for a complex profile.
     """
-    k, (error,) = _carriers(np.asarray(profile, dtype=float)[None])
+    k, (error,) = _carriers(_array("profile", profile)[None])
     if error is not None:
         raise error
     return float(k[0])
@@ -635,7 +638,7 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
 # ---------------------------------------------------------------------------
 # Whole-image retrieval
 
-RetrievalMethod = Literal["minima", "fourier", "both"]
+RetrievalMethod = Literal["fourier", "both"]
 
 
 @dataclass
@@ -648,7 +651,7 @@ class RetrievalResult:
     gives no spread information).  ``region_indices`` holds, for each entry
     of ``region_estimates``, the index of its region in the regions analysed;
     the other ``failed_regions`` regions are left out of both lists.
-    ``method_disagreement`` is filled only for method="both".
+    ``method_disagreement`` is None unless method="both" (default "fourier").
     """
 
     estimate: float
@@ -691,9 +694,9 @@ def _analyse_regions(img: Interferogram, regions: Sequence[Region],
                      method: RetrievalMethod) -> tuple[np.ndarray, np.ndarray, list]:
     """Each region's carrier, its (minima, Fourier) shifts as a (2, R) array, and
     its first refusal (None when it has none) in the order bounds, carrier (a
-    non-finite or flat half included), minima, Fourier.
+    non-finite or flat half included), minima (run under "both" only), Fourier.
 
-    A value not reached, or of a method not run, is NaN.  The in-image regions
+    A value not reached, or of a stage not run, is NaN.  The in-image regions
     of one width are one stack of profile pairs, and each stage is one kernel
     call on the pairs still standing; the kernels hold every check.
     """
@@ -720,12 +723,11 @@ def _analyse_regions(img: Interferogram, regions: Sequence[Region],
         carriers[members] = found
         for i, refusal, low_ok, low_flat in zip(members, refusals, finite[:, 1].tolist(), flat[:, 1].tolist()):
             errors[i] = refusal or (NoCarrier(_NOT_FINITE) if not low_ok else NoCarrier(_FLAT) if low_flat else None)
-        for stage, name, kernel in ((0, "minima", lambda live: _smoothed_minima_shifts(pairs[live], found[live])),
-                                    (1, "fourier", lambda live: _fourier_shifts(pairs[live], found[live]))):
+        for stage, kernel in ((0, _smoothed_minima_shifts), (1, _fourier_shifts))[method == "fourier":]:
             live = [r for r, i in enumerate(members) if errors[i] is None]
-            if method in (name, "both") and live:
+            if live:
                 standing = [members[r] for r in live]
-                shifts[stage, standing], failures = kernel(live)
+                shifts[stage, standing], failures = kernel(pairs[live], found[live])
                 for i, error in zip(standing, failures):
                     errors[i] = error
     return carriers, shifts, errors
@@ -734,32 +736,34 @@ def _analyse_regions(img: Interferogram, regions: Sequence[Region],
 def retrieve_phase(
     img: Interferogram,
     regions: Sequence[Region] | None = None,
-    method: RetrievalMethod = "both",
+    method: RetrievalMethod = "fourier",
 ) -> RetrievalResult:
     """Recover the half-to-half fringe shift 2*delta of an interferogram.
 
+    method="fourier", the default, reads every region with the Fourier
+    estimator alone; method="both" adds minima matching as a cross-check,
+    averages each region's two estimates and fills method_disagreement.
     The regions are analysed together, one (R, 2, n) stack of (upper, lower)
     profile pairs per region width: the column averages of every region, then
     the carrier of each upper profile, then the shift estimator(s), which
     share that carrier.  Each stage is one pass over the pairs still
     standing: one transform and a joint Newton refinement find the carriers,
-    one Savitzky-Golay pass smooths every profile the minima estimator reads,
-    one minima search covers them all and one padded distance array pairs
-    them, and one product reads every raw profile's transform at its carrier.
-    The per-region and overall circular means and the spread are each one
-    reduction over the regions kept.
+    under "both" one Savitzky-Golay pass smooths every profile the minima
+    estimator reads, one minima search covers them all and one padded
+    distance array pairs them, and one product reads every raw profile's
+    transform at its carrier.  The per-region and overall circular means and
+    the spread are each one reduction over the regions kept.
     These are the kernels that the one-region functions column_average ->
-    estimate_carrier -> shift_by_minima (on the savitzky_golay-smoothed
+    estimate_carrier -> shift_by_minima (under "both", on the smoothed
     profiles less the filter's edge fits) / shift_by_fourier (on the raw
     ones) call, so every region gets their numbers and their refusals.  A
     region that fails (outside the image or missing a half; no carrier, or a
-    flat or non-finite half, under every method; too few or unpaired minima;
-    no carrier power) is skipped and counted, with its first failure in that
-    order; the call fails, with the last region's error, only when every
-    region fails.
+    flat or non-finite half; too few or unpaired minima; no carrier power)
+    is skipped and counted, with its first failure in that order; the call
+    fails, with the last region's error, only when every region fails.
     """
-    if method not in ("minima", "fourier", "both"):
-        raise ValueError(f"unknown method {method!r}")
+    if method not in ("fourier", "both"):
+        raise ValueError(f"unknown method {method!r}: expected 'fourier' or 'both'")
     if regions is None:
         regions = default_regions(img)
     if len(regions) == 0:
@@ -777,7 +781,7 @@ def retrieve_phase(
             error = None
 
     # the estimates of the methods run, one column per region kept
-    estimates = shifts[[method != "fourier", method != "minima"]][:, kept]
+    estimates = shifts[int(method == "fourier"):, kept]
     # each region's circular mean of its one or two estimates, all regions at once
     mean = np.exp(1j * estimates).sum(axis=0) / len(estimates)
     per_region = np.arctan2(mean.imag, mean.real)

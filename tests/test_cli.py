@@ -251,7 +251,7 @@ def test_fringe_generate_analyze_round_trip(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "regions.csv")
     assert len(rows) == 4
     header, rows = read_csv(tmp_path / "profiles.csv")
-    assert header == ["column", "upper", "lower", "upper_smooth", "lower_smooth"]
+    assert header == ["column", "upper", "lower"]
     assert len(rows) == 384  # 60% of 640 columns
 
 
@@ -280,6 +280,24 @@ def test_fringe_analyze_flat_image_fails_cleanly(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error: NoCarrier")
+
+
+def test_fringe_analyze_reads_fourier_alone_by_default_and_refuses_minima(tmp_path, capsys):
+    run_cli(capsys, "fringe", "generate", "--delta", "0.3", "--beta", "0.2", "--k0", "0.2",
+            "--out-dir", str(tmp_path), "--out", "img.pgm")
+    image = str(tmp_path / "img.pgm")
+    code, out, _ = run_cli(capsys, "fringe", "analyze", "--image", image, "--out-dir", str(tmp_path / "d"))
+    assert code == 0 and "method_disagreement" not in out
+    assert "method=fourier\n" in (tmp_path / "d" / "fringe_analyze_config.txt").read_text()
+    assert run_cli(capsys, "fringe", "analyze", "--image", image, "--method", "fourier",
+                   "--out-dir", str(tmp_path / "f"))[1] == out
+    code, _, err = run_cli(capsys, "fringe", "analyze", "--image", image, "--method", "minima",
+                           "--out-dir", str(tmp_path / "m"))
+    assert code == 1 and err.startswith("error: ValueError: argument --method: invalid choice: 'minima'")
+    # a config file's value is not checked by the parser: retrieve_phase refuses it
+    code, err, out_dir = _config_run(tmp_path, capsys, ["fringe", "analyze"], f"image={image}\nmethod=minima\n")
+    assert (code, err) == (1, "error: ValueError: unknown method 'minima': expected 'fourier' or 'both'\n")
+    assert not out_dir.exists() and not (tmp_path / "m").exists()
 
 
 def test_fringe_analyze_reports_each_estimate_under_its_own_region(tmp_path, capsys):
@@ -311,7 +329,7 @@ def test_fringe_analyze_profiles_are_the_first_retrieved_regions(first, tmp_path
     assert code == 0, err
     assert "region_1_2delta" in stdout_values(out)
     header, rows = read_csv(tmp_path / "p.csv")
-    assert header == ["column", "upper", "lower", "upper_smooth", "lower_smooth"]
+    assert header == ["column", "upper", "lower"]
     assert [row[0] for row in rows] == [str(c) for c in range(100, 500)]
     img, _ = fringes.load_interferogram(tmp_path / "labels.pgm")
     up, low = fringes.column_average(img, fringes.Region(100, 500, 200, 280))
@@ -481,7 +499,7 @@ TYPED_RUNS = {
                                                  "width": "160", "height": "64", "noise-sigma": "0.02",
                                                  "envelope-width": "300", "phi0": "0.1", "seed": "7",
                                                  "out": "g.pgm"}),
-    "fringe_analyze": (["fringe", "analyze"], {"image": "img.pgm", "method": "minima",
+    "fringe_analyze": (["fringe", "analyze"], {"image": "img.pgm", "method": "both",
                                                "region": "10:150:4:28", "out": "r.csv",
                                                "profiles-out": "pr.csv"}),
     "visibility": (["visibility"], {"theta1": "0:1:3", "theta2": "-0.2", "theta3": "0.1", "out": "v.csv"}),
@@ -798,6 +816,20 @@ def test_zero_sweep_samples_are_refused_by_the_fit(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n_grid, error", [
+    ("-3", "ValueError: --n-grid must not be negative, got -3"),
+    ("0", "UnresolvableGrid: 0 phases cannot separate"),
+])
+def test_a_plate_scan_of_no_points_is_refused_and_writes_nothing(n_grid, error, tmp_path, capsys):
+    # a negative count used to reach numpy's linspace and fail with its own message
+    (tmp_path / "h.txt").write_text("Q 0.3\nH -0.2\nQ 0.1\n")
+    code, out, err = run_cli(capsys, "polarimetry", "--plates", str(tmp_path / "h.txt"), "--n-grid", n_grid,
+                             "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_plate_scan_without_phase_contrast_reports_an_undefined_phase(tmp_path, capsys):
     # a lone half-wave plate swings the intensity over all of [0, 1]: 1 - I_max + I_min
     # vanishes, so the scan is written and its phase reported undefined, with a warning
@@ -828,6 +860,9 @@ MISSING_DIRECTORY_RUNS = {
     "fringe_analyze_profiles_out": ["fringe", "analyze", "--image", "img.pgm",
                                     "--profiles-out", "missing/profiles.csv"],
     "decompose_absolute": ["decompose", "--xi", "0", "--eta", "0", "--zeta", "0", "--out", "{tmp}/missing/p.txt"],
+    # above the new output directory, into a directory that is missing too
+    "interf_sweep_above_the_output_directory": ["interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0",
+                                                "--samples", "64", "--out", "../missing/x.csv"],
 }
 
 
@@ -857,6 +892,13 @@ def test_outputs_may_go_to_the_new_output_directory_or_an_existing_one(tmp_path,
     code, _, _ = run_cli(capsys, "interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0", "--samples", "64",
                          "--out", "../kept/sweep.csv", "--out-dir", "new")
     assert code == 0 and (tmp_path / "kept" / "sweep.csv").exists()
+    # a directory the output directory's making makes, or one above it, is there to write in
+    for out_dir, out in (("fresh", "../x.csv"), ("a/b/c", "../../y.csv")):
+        code, _, err = run_cli(capsys, "interf", "sweep", "--xi", "0", "--eta", "1", "--zeta", "0",
+                               "--samples", "64", "--out", out, "--out-dir", out_dir)
+        assert (code, err) == (0, "")
+        assert (tmp_path / out_dir / "interf_sweep_config.txt").exists()
+    assert (tmp_path / "x.csv").exists() and (tmp_path / "a" / "y.csv").exists()
 
 
 # every output goes through fringes.write_file: written over in place, through

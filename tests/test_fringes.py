@@ -72,6 +72,20 @@ def test_generate_rejects_non_finite_parameters(name, bad):
         fringes.generate(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["delta", "beta", "phi0"])
+@pytest.mark.parametrize("bad", [np.array([0.1, 0.2]), [[0.1], [0.2]]])
+def test_generate_refuses_a_non_scalar_angle_by_name(name, bad):
+    # an array delta or beta used to render a (32, 2, 64) image that retrieval could not
+    # unpack, and an array phi0 failed in numpy's broadcast
+    kwargs = {"delta": 0.1, "beta": 0.2, "k0": 0.3, "size": (32, 64), name: bad}
+    shape = np.shape(bad)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a scalar angle, got an array of shape {shape}")):
+        fringes.generate(**kwargs)
+    # a zero-dimensional array is a scalar angle
+    kwargs[name] = np.array(0.1)
+    assert fringes.generate(**kwargs).shape == (32, 64)
+
+
 def test_generate_envelope_attenuates_edges():
     img = fringes.generate(0.0, np.pi / 2, 0.2, size=(64, 64), envelope_width=20.0)
     # flat fringe pattern (0.5 everywhere) times the Gaussian beam profile
@@ -263,6 +277,21 @@ def test_retrieve_phase_on_tiny_intensities(scale):
     assert abs(fringes.retrieve_phase(tiny).estimate - want) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("imaginary", [0.1j, 0j])
+def test_estimate_carrier_refuses_a_complex_profile_by_name(imaginary):
+    # the imaginary part used to be dropped, with only numpy's ComplexWarning
+    y = 0.5 - 0.4 * np.cos(0.3 * np.arange(200))
+    with pytest.raises(su2.ComplexInput, match="^profile must be real, got 200 complex values$"):
+        fringes.estimate_carrier(y + imaginary)
+    # a real profile, as an array, a list or integers, keeps its carrier's bits
+    want = fringes.estimate_carrier(y)
+    assert fringes.estimate_carrier(y.tolist()) == want
+    assert fringes.estimate_carrier(np.asarray(y, dtype=np.float32)) == fringes.estimate_carrier(
+        np.asarray(y, dtype=np.float32).astype(float))
+    assert fringes.estimate_carrier(np.round(1000 * y).astype(int)) == fringes.estimate_carrier(np.round(1000 * y))
+
+
 def test_a_non_finite_profile_is_refused_as_not_finite():
     for bad in (np.inf, -np.inf, np.nan):
         y = 0.5 - 0.4 * np.cos(0.3 * np.arange(64))
@@ -277,7 +306,7 @@ def test_a_non_finite_profile_is_refused_as_not_finite():
 
 def test_a_lower_half_near_the_float_limit_is_refused_not_read_as_nan():
     # the lower half's column sums stay finite but its Fourier terms overflow:
-    # the Fourier estimate is refused, the minima estimate still read
+    # the Fourier estimate is refused, under either method, the minima cross-check still read
     img = fringes.generate(0.4, 0.3, 0.25, size=(64, 128), noise_sigma=0.01, seed=3)
     pixels = img.pixels * 1e300
     pixels[img.half_split_row:] *= 1e7
@@ -285,10 +314,12 @@ def test_a_lower_half_near_the_float_limit_is_refused_not_read_as_nan():
     region = fringes.default_regions(huge)[0]
     with pytest.raises(fringes.NoCarrier, match="^the windowed transform overflows$"):
         fringes.shift_by_fourier(*fringes.column_average(huge, region))
-    with pytest.raises(fringes.NoCarrier):
-        fringes.retrieve_phase(huge, method="fourier")
-    result = fringes.retrieve_phase(huge, method="minima")
-    assert np.isfinite(result.estimate) and abs(result.estimate - 0.8) < 0.01
+    for method in ("fourier", "both"):
+        with pytest.raises(fringes.NoCarrier):
+            fringes.retrieve_phase(huge, method=method)
+    _, (minima, fourier), errors = fringes._analyse_regions(huge, [region], "both")
+    assert abs(minima[0] - 0.8) < 0.01 and np.isnan(fourier[0])
+    assert str(errors[0]) == "the windowed transform overflows"
 
 
 def test_the_shift_estimators_refuse_a_non_finite_profile():
@@ -479,7 +510,7 @@ def test_common_phase_offset_cancels():
 
 def test_retrieve_phase_noiseless_four_regions():
     img = fringes.generate(0.6, 0.4, 0.2, size=(480, 640))
-    result = fringes.retrieve_phase(img)
+    result = fringes.retrieve_phase(img, method="both")
     assert len(result.region_estimates) == 4
     assert abs(su2.wrap_angle(result.estimate - 1.2)) < 1e-3
     assert result.uncertainty is not None and result.uncertainty < 1e-3
@@ -489,7 +520,8 @@ def test_retrieve_phase_noiseless_four_regions():
 
 def test_retrieve_phase_round_trip_random():
     # 50 random noiseless synthetics across the full parameter box: both
-    # estimators individually land within 1e-3 of the encoded shift
+    # estimators individually land within 1e-3 of the encoded shift, the
+    # minima cross-check in every region of a method="both" read
     rng = np.random.default_rng(123)
     for trial in range(50):
         delta = rng.uniform(-np.pi / 2, np.pi / 2)
@@ -497,10 +529,13 @@ def test_retrieve_phase_round_trip_random():
         k0 = rng.uniform(0.1, 0.5)
         img = fringes.generate(delta, beta, k0, size=(480, 640),
                                phi0=rng.uniform(0, 2 * np.pi))
-        for method in ("minima", "fourier"):
+        for method in ("fourier", "both"):
             result = fringes.retrieve_phase(img, method=method)
             err = abs(su2.wrap_angle(result.estimate - 2 * delta))
             assert err < 1e-3, (method, delta, beta, k0, err)
+        minima = fringes._analyse_regions(img, fringes.default_regions(img), "both")[1][0]
+        err = np.abs(su2.wrap_angle(minima - 2 * delta)).max()
+        assert err < 1e-3, ("minima", delta, beta, k0, err)
 
 
 def test_method_agreement_noiseless_and_noisy():
@@ -510,10 +545,10 @@ def test_method_agreement_noiseless_and_noisy():
         k0 = rng.uniform(0.1, 0.5)
         clean = fringes.generate(delta, 0.5, k0, size=(480, 640),
                                  phi0=rng.uniform(0, 2 * np.pi))
-        assert fringes.retrieve_phase(clean).method_disagreement < 0.05
+        assert fringes.retrieve_phase(clean, method="both").method_disagreement < 0.05
         noisy = fringes.generate(delta, 0.5, k0, size=(480, 640),
                                  noise_sigma=0.05, seed=trial)
-        assert fringes.retrieve_phase(noisy).method_disagreement < 0.1
+        assert fringes.retrieve_phase(noisy, method="both").method_disagreement < 0.1
 
 
 def test_retrieve_phase_single_region_uncertainty_undefined():
@@ -552,10 +587,33 @@ def test_retrieve_phase_all_regions_fail_raises():
         fringes.retrieve_phase(img)
 
 
+# the Fourier read alone, recorded to 12 digits when it was method="fourier" and the default was "both"
+FOURIER_READS = {
+    None: ["1.40220318286", "0.000418005174307", "1.40225319818", "1.40271907589", "1.401701812",
+           "1.40213864537", "0.399967308693"],
+    300.0: ["1.39958554307", "0.000491464532774", "1.39991069368", "1.39970262293", "1.39886074258",
+            "1.39986811305", "0.400004990825"],
+}
+
+
+@pytest.mark.parametrize("envelope", sorted(FOURIER_READS, key=str))
+def test_the_default_method_is_the_fourier_read_alone(envelope):
+    img = fringes.generate(0.7, 0.3, 0.4, size=(120, 256), noise_sigma=0.02, envelope_width=envelope,
+                           seed=2 if envelope else 1)
+    result = fringes.retrieve_phase(img)
+    assert repr(result) == repr(fringes.retrieve_phase(img, method="fourier"))
+    assert result.method_disagreement is None
+    got = (result.estimate, result.uncertainty, *result.region_estimates, result.carrier)
+    assert ["%.12g" % v for v in got] == FOURIER_READS[envelope]
+
+
 def test_retrieve_phase_method_validation():
     img = fringes.generate(0.2, 0.2, 0.2, size=(64, 64))
     with pytest.raises(ValueError):
         fringes.retrieve_phase(img, method="magic")
+    # minima matching runs only as method="both"'s cross-check
+    with pytest.raises(ValueError, match="^unknown method 'minima': expected 'fourier' or 'both'$"):
+        fringes.retrieve_phase(img, method="minima")
     with pytest.raises(ValueError):
         fringes.retrieve_phase(img, regions=[])
 
@@ -1427,15 +1485,14 @@ def _retrieve_region_by_region(img, regions, method):
             up, low = fringes.column_average(img, region)
             k0 = fringes.estimate_carrier(up)
             values = []
-            if method in ("minima", "both"):
+            if method == "both":
                 up_s, low_s = fringes.savitzky_golay(up, 11), fringes.savitzky_golay(low, 11)
                 if len(up_s) > 66:
                     up_s, low_s = up_s[5:-5], low_s[5:-5]
                 values.append(fringes.shift_by_minima(up_s, low_s, k0))
                 minima.append(values[-1])
-            if method in ("fourier", "both"):
-                values.append(fringes.shift_by_fourier(up, low, k0))
-                fourier.append(values[-1])
+            values.append(fringes.shift_by_fourier(up, low, k0))
+            fourier.append(values[-1])
         except ValueError as exc:
             errors.append(exc)
             continue
@@ -1474,7 +1531,7 @@ def stacked_retrievals(draw):
         # one region in five may end in the upper half
         r1 = draw(st.integers(r0 + 1, h) if draw(st.integers(0, 4)) == 0 else st.integers(h // 2 + 1, h))
         regions.append(Region(c0, c0 + width, r0, r1))
-    return img, regions, draw(st.sampled_from(["minima", "fourier", "both"]))
+    return img, regions, draw(st.sampled_from(["fourier", "both"]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1510,7 +1567,7 @@ def test_stacked_retrieval_keeps_each_refusal_of_its_region():
     for region, refusal in regions.items():
         if refusal is not None:
             with pytest.raises(refusal[0], match=refusal[1]):
-                fringes.retrieve_phase(img, [region])
+                fringes.retrieve_phase(img, [region], method="both")
     want = _retrieve_region_by_region(img, list(regions), "both")
     result = fringes.retrieve_phase(img, list(regions), method="both")
     assert result.region_indices == [0, 4] == want[-1]
@@ -1649,7 +1706,7 @@ def _aggregate_by_lists(carriers, shifts, errors, method):
     kept = [i for i, error in enumerate(errors) if error is None]
     if not kept:
         raise errors[-1]
-    estimates = shifts[[method != "fourier", method != "minima"]][:, kept]
+    estimates = shifts[[method == "both", True]][:, kept]
     per_region = np.angle(np.exp(1j * estimates).mean(axis=0)).tolist()
     estimate = _list_circular_mean(per_region)
     uncertainty = None
@@ -1708,7 +1765,7 @@ def many_region_retrievals(draw):
                            size=(draw(st.integers(48, 112)), draw(st.integers(64, 224))),
                            noise_sigma=draw(st.sampled_from([0.0, 0.02, 0.2])),
                            envelope_width=draw(st.sampled_from([None, 40.0])), seed=draw(st.integers(0, 2**16)))
-    return img, fringes.default_regions(img, draw(st.integers(1, 16))), draw(st.sampled_from(["minima", "fourier", "both"]))
+    return img, fringes.default_regions(img, draw(st.integers(1, 16))), draw(st.sampled_from(["fourier", "both"]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1839,7 +1896,7 @@ def test_numpys_cos_is_even_and_sin_odd_on_a_million_angles():
     assert np.sin(-angle).tobytes() == (-np.sin(angle)).tobytes()
 
 
-@pytest.mark.parametrize("method", ["both", "fourier", "minima"])
+@pytest.mark.parametrize("method", ["both", "fourier"])
 def test_one_pass_of_flags_keeps_the_refusal_order(method):
     # four regions of one width in one stack: a non-finite upper half is refused before
     # a flat lower one, a flat upper half before a non-finite lower one, and a flat lower

@@ -31,7 +31,7 @@ def oracle_terms(phi, k, name=None, shape=None):
 
 
 def oracle_harmonics(phi, k):
-    return oracle_terms(phi, k)[:2]
+    return oracle_terms(phi, k, "phi")[:2]
 
 
 def oracle_harmonic_fit(values, phi, k):
@@ -174,8 +174,6 @@ def grids(draw):
     }[kind]()
 
 
-# harmonics gives numpy's NaN terms of an infinite phase, with numpy's warning, as the oracle does
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(deadline=None, max_examples=150)
 @given(grids(), st.integers(0, 2**32 - 1), st.sampled_from([None, "values", "u"]),
        st.sampled_from([63, 64, 100, 4096, dsp._CACHED_POINTS + 1, np.int64(256), np.array(128), 64.5]))
@@ -273,15 +271,15 @@ def test_a_cached_grid_changed_in_place_is_refused(entry, bad, shown):
 
 
 def test_a_grid_harmonics_read_with_a_nan_is_not_entered():
-    # harmonics gives numpy's NaN terms of any grid, so the cache cannot take its word for a grid
+    # harmonics refuses a NaN phase as harmonic_fit does, on every call: the grid is never entered
     phi = np.sort(RNG.uniform(0.0, 2 * np.pi, 998))
     phi[3] = np.nan
-    c, s = dsp.harmonics(phi)
-    np.testing.assert_array_equal(c, np.cos(phi), strict=True)
-    np.testing.assert_array_equal(s, np.sin(phi), strict=True)
-    assert dsp.harmonics(phi)[0] is not c
-    with pytest.raises(su2.NonFiniteInput, match="^phi must be finite, got 1 of 998 values$"):
-        dsp.harmonic_fit(np.ones(998), phi, 1)
+    for read in (dsp.harmonics, dsp.harmonics, lambda grid: dsp.harmonic_fit(np.ones(998), grid, 1)):
+        with pytest.raises(su2.NonFiniteInput, match="^phi must be finite, got 1 of 998 values$"):
+            read(phi)
+    for bad, shown in ((np.nan, "nan"), (np.inf, "inf")):  # a scalar phase, and an infinite one, too
+        with pytest.raises(su2.NonFiniteInput, match=f"^phi must be finite, got {shown}$"):
+            dsp.harmonics(bad)
 
 
 # ---------------------------------------------------------------------------
