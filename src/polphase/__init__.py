@@ -6,9 +6,10 @@ Mach-Zehnder overlap law with the drift-immune dual-polarization
 split-beam scheme (interferometer), the rotating five-plate single-beam
 method (polarimetry), and synthetic dual-half interferograms whose fringe
 shift the Fourier read at the carrier takes from raw profiles, which also
-reads the visibility, with minima matching on smoothed profiles as
-method="both"'s cross-check (fringes), over the shared harmonic fit,
-smoothing and peak interpolation of dsp.
+reads the visibility and decides every estimate, with minima matching on
+smoothed profiles as method="both"'s diagnostic, which fills only
+method_disagreement (fringes), over the shared harmonic fit, smoothing and
+peak interpolation of dsp.
 """
 
 from .su2 import (

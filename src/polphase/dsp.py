@@ -195,14 +195,11 @@ def harmonic_fit(values, phi, k: int):
     inverse depend on the grid alone and come from the harmonics cache; a
     call computes only the three sums of each row.  A grid that cannot
     resolve the terms (fewer than three distinct phases mod 2 pi / k, or too
-    short a span) raises UnresolvableGrid, and an infinite value or a NaN or
-    infinite phase NonFiniteInput; a NaN value, a missing sample, gives its
-    row NaN fits.  Complex values or phases raise ComplexInput.  A stack over
-    one row block is summed by blocks.
+    short a span) raises UnresolvableGrid, and a NaN or infinite value or
+    phase NonFiniteInput.  Complex values or phases raise ComplexInput.  A
+    stack over one row block is summed by blocks.
     """
-    y = _array("values", values)
-    if np.isinf(y).any():  # refused, with the count of infs; a NaN value is not
-        finite("values", np.where(np.isnan(y), 0.0, y))
+    y = finite("values", values)
     return _fit(y, _terms(phi, k, "phi", y.shape), k)
 
 

@@ -12,11 +12,12 @@ the carrier frequency k0 (between bins) is located on the raw upper profile.
 The shift is read by the spatial-carrier Fourier estimator (Takeda, Ina &
 Kobayashi, JOSA 72:156, 1982): the phase of each raw half's Hann-windowed
 transform at k0, differenced; the transform's magnitude over the windowed
-mean level also gives the fringe visibility.  retrieve_phase(method="both")
-adds minima matching as a cross-check: both profiles smoothed with a
+mean level also gives the fringe visibility.  That read alone decides every
+estimate and every refusal.  retrieve_phase(method="both") adds minima
+matching as a diagnostic that never votes: both profiles smoothed with a
 Savitzky-Golay filter (polphase.dsp; no other step smooths), the fringe
 minima located to sub-pixel accuracy and their positions compared between
-the halves.
+the halves, which gives method_disagreement and nothing else.
 
 Every step is a kernel on one (R, 2, n) stack of (upper, lower) profile
 pairs, one per evaluation region, that returns each pair's result and
@@ -25,7 +26,8 @@ kernel once on the pairs still standing; column_average, estimate_carrier,
 shift_by_minima, shift_by_fourier and measure_visibility are one-pair calls
 of the same kernels.  They check only what their caller passes in (k0, equal
 lengths) and raise their pair's refusal, so they give bit for bit the
-numbers and the refusals retrieve_phase gives each region.
+numbers and the refusals retrieve_phase gives each region; the refusals
+of shift_by_minima, which retrieve_phase drops, are its own.
 Shifts are reported modulo 2 pi with the representative in (-pi, pi].
 """
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import os
 import re
 import stat
@@ -48,7 +49,7 @@ import numpy as np
 # fringes.savgol_coefficients by name (the benchmark's tracer does) finds it
 from .dsp import _SG_WINDOW, _row_blocks, savgol_coefficients, savitzky_golay, vertex
 from .interferometer import output_intensity
-from .su2 import _array, finite, from_zyz, wrap_angle
+from .su2 import _array, _scalar, finite, from_zyz, wrap_angle
 
 
 class TooFewMinima(ValueError):
@@ -88,10 +89,8 @@ class Region:
     def __post_init__(self):
         for name in ("col_start", "col_end", "row_start", "row_end"):
             value = getattr(self, name)
-            try:  # an int, or an integer that numpy or another library holds, stored as the int
-                bound = operator.index(value)
-            except TypeError:
-                raise ValueError(f"region {name} must be an integer, got {value!r}") from None
+            # an int, or an integer that numpy or another library holds, stored as the int
+            bound = _scalar(f"region {name}", value, "integer")
             if bound is not value:
                 object.__setattr__(self, name, bound)
         if self.col_start >= self.col_end or self.row_start >= self.row_end:
@@ -178,14 +177,16 @@ def generate(
     whole intensity by a round Gaussian beam profile of that standard
     deviation (in pixels) centred on the image.  Noise is additive Gaussian,
     clamped to [0, 1], drawn from a generator seeded with ``seed`` so that
-    images are bit-reproducible.  delta, beta and phi0 must be scalar angles.
+    images are bit-reproducible.  delta, beta and phi0 must be scalar angles,
+    k0, noise_sigma and envelope_width scalars, the height and width integers,
+    and a seed given as one number an integer.
     """
     h, w = size
+    h, w = _scalar("height", h, "integer"), _scalar("width", w, "integer")
     for name, value in (("delta", delta), ("beta", beta), ("phi0", phi0)):
-        if (angle := finite(name, value)).ndim:
-            raise ValueError(f"{name} must be a scalar angle, got an array of shape {angle.shape}")
-    finite("noise_sigma", noise_sigma)
-    if not 0.0 < k0 < np.pi:
+        _scalar(name, value, "scalar angle")
+    _scalar("noise_sigma", noise_sigma)
+    if not 0.0 < _scalar("k0", k0) < np.pi:
         raise ValueError(f"k0 must lie in (0, pi), got {k0}")
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
@@ -198,11 +199,13 @@ def generate(
     pixels = np.repeat(halves, (split, h - split), axis=0)
 
     if envelope_width is not None:
-        if finite("envelope_width", envelope_width) <= 0:
+        if _scalar("envelope_width", envelope_width) <= 0:
             raise ValueError("envelope_width must be positive")
         dx = x - (w - 1) / 2.0
         dy = np.arange(h, dtype=float) - (h - 1) / 2.0
         dx2, dy2 = dx * dx, (dy * dy)[:, None]
+    if noise_sigma > 0.0 and isinstance(seed, numbers.Number):
+        _scalar("seed", seed, "integer")
     rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
     # by row blocks, so no temporary is full-size; drawn by blocks, one generator gives one stream
     for rows in _row_blocks(h, w):
@@ -577,7 +580,7 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     mutually inconsistent (circular resultant below 0.5) the pairing is
     ambiguous and AmbiguousPairing is raised.
     """
-    if finite("k0", k0) <= 0:
+    if _scalar("k0", k0) <= 0:
         raise ValueError("k0 must be positive")
     shifts, (error,) = _minima_shifts(_profile_pair(up, low), np.array([k0]))
     if error is not None:
@@ -629,7 +632,7 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
         raise NoCarrier(_FLAT)
     if k0 is None:
         k0 = estimate_carrier(pair[0, 0])
-    shifts, (error,) = _fourier_shifts(pair, finite("k0", k0)[None])
+    shifts, (error,) = _fourier_shifts(pair, _scalar("k0", k0)[None])
     if error is not None:
         raise error
     return float(shifts[0])
@@ -651,7 +654,10 @@ class RetrievalResult:
     gives no spread information).  ``region_indices`` holds, for each entry
     of ``region_estimates``, the index of its region in the regions analysed;
     the other ``failed_regions`` regions are left out of both lists.
-    ``method_disagreement`` is None unless method="both" (default "fourier").
+    Every field but one comes from the Fourier read under either method.
+    ``method_disagreement``, filled under method="both" only, is |wrap(circular
+    mean of the minima estimates - circular mean of the Fourier ones)| over
+    the kept regions minima matching reads; None when it reads none of them.
     """
 
     estimate: float
@@ -663,42 +669,39 @@ class RetrievalResult:
     region_indices: list[int] = field(default_factory=list)
 
 
-def _circular_mean(angles):
-    """Circular mean along the last axis: a float for one sequence of angles, an
-    array for the rows of a 2-d one, each row the bits it has on its own: the sum
-    of a row of a C-ordered array is its pairwise sum alone (of a row of another
-    layout it may not be).  A sum over the count is np.mean's bits, and np.arctan2
-    np.angle's."""
-    turns = np.exp(1j * np.asarray(angles), order="C")
-    mean = turns.sum(axis=-1) / turns.shape[-1]
-    angle = np.arctan2(mean.imag, mean.real)
-    return angle if angle.ndim else float(angle)
+def _circular_mean(angles: np.ndarray) -> float:
+    """Circular mean of a 1-d array of angles: a sum over the count is np.mean's
+    bits, and np.arctan2 np.angle's."""
+    turns = np.exp(1j * angles)
+    mean = turns.sum() / len(turns)
+    return float(np.arctan2(mean.imag, mean.real))
 
 
-def _smoothed_minima_shifts(pairs: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, list]:
-    """_minima_shifts of the savitzky_golay-smoothed pairs, less the filter's
-    edge fits when the profiles are long enough to spare them."""
+def _smoothed_minima_shifts(pairs: np.ndarray, k0: np.ndarray) -> np.ndarray:
+    """_minima_shifts' estimates of the savitzky_golay-smoothed pairs, less the filter's
+    edge fits when the profiles can spare them; NaN where none is read."""
     try:
         smooth = savitzky_golay(pairs)
-    except ValueError as exc:  # profiles shorter than the window
-        return np.full(len(k0), np.nan), [type(exc)(*exc.args) for _ in k0]
+    except ValueError:  # profiles shorter than the window
+        return np.full(len(k0), np.nan)
     # the truncated edge fits are the filter's weakest samples; drop them
     # before estimating so no minimum sits on a distorted stretch
     n = smooth.shape[-1]
     if n > 6 * _SG_WINDOW:
         smooth = smooth[..., _SG_WINDOW // 2:n - _SG_WINDOW // 2]
-    return _minima_shifts(smooth, k0)
+    return _minima_shifts(smooth, k0)[0]
 
 
 def _analyse_regions(img: Interferogram, regions: Sequence[Region],
                      method: RetrievalMethod) -> tuple[np.ndarray, np.ndarray, list]:
     """Each region's carrier, its (minima, Fourier) shifts as a (2, R) array, and
     its first refusal (None when it has none) in the order bounds, carrier (a
-    non-finite or flat half included), minima (run under "both" only), Fourier.
+    non-finite or flat half included), Fourier; minima matching, run under
+    "both" on the pairs the Fourier read gets, refuses nothing.
 
-    A value not reached, or of a stage not run, is NaN.  The in-image regions
-    of one width are one stack of profile pairs, and each stage is one kernel
-    call on the pairs still standing; the kernels hold every check.
+    A value not reached, not read, or of a stage not run, is NaN.  The in-image
+    regions of one width are one stack of profile pairs, and each stage is one
+    kernel call on the pairs still standing; the kernels hold every check.
     """
     carriers = np.full(len(regions), np.nan)
     shifts = np.full((2, len(regions)), np.nan)
@@ -723,13 +726,15 @@ def _analyse_regions(img: Interferogram, regions: Sequence[Region],
         carriers[members] = found
         for i, refusal, low_ok, low_flat in zip(members, refusals, finite[:, 1].tolist(), flat[:, 1].tolist()):
             errors[i] = refusal or (NoCarrier(_NOT_FINITE) if not low_ok else NoCarrier(_FLAT) if low_flat else None)
-        for stage, kernel in ((0, _smoothed_minima_shifts), (1, _fourier_shifts))[method == "fourier":]:
-            live = [r for r, i in enumerate(members) if errors[i] is None]
-            if live:
-                standing = [members[r] for r in live]
-                shifts[stage, standing], failures = kernel(pairs[live], found[live])
-                for i, error in zip(standing, failures):
-                    errors[i] = error
+        live = [r for r, i in enumerate(members) if errors[i] is None]
+        if live:
+            standing = [members[r] for r in live]
+            live_pairs, live_carriers = pairs[live], found[live]
+            shifts[1, standing], failures = _fourier_shifts(live_pairs, live_carriers)
+            if method == "both":
+                shifts[0, standing] = _smoothed_minima_shifts(live_pairs, live_carriers)
+            for i, error in zip(standing, failures):
+                errors[i] = error
     return carriers, shifts, errors
 
 
@@ -740,27 +745,29 @@ def retrieve_phase(
 ) -> RetrievalResult:
     """Recover the half-to-half fringe shift 2*delta of an interferogram.
 
-    method="fourier", the default, reads every region with the Fourier
-    estimator alone; method="both" adds minima matching as a cross-check,
-    averages each region's two estimates and fills method_disagreement.
-    The regions are analysed together, one (R, 2, n) stack of (upper, lower)
-    profile pairs per region width: the column averages of every region, then
-    the carrier of each upper profile, then the shift estimator(s), which
-    share that carrier.  Each stage is one pass over the pairs still
-    standing: one transform and a joint Newton refinement find the carriers,
-    under "both" one Savitzky-Golay pass smooths every profile the minima
-    estimator reads, one minima search covers them all and one padded
-    distance array pairs them, and one product reads every raw profile's
-    transform at its carrier.  The per-region and overall circular means and
-    the spread are each one reduction over the regions kept.
-    These are the kernels that the one-region functions column_average ->
-    estimate_carrier -> shift_by_minima (under "both", on the smoothed
-    profiles less the filter's edge fits) / shift_by_fourier (on the raw
-    ones) call, so every region gets their numbers and their refusals.  A
-    region that fails (outside the image or missing a half; no carrier, or a
-    flat or non-finite half; too few or unpaired minima; no carrier power)
-    is skipped and counted, with its first failure in that order; the call
-    fails, with the last region's error, only when every region fails.
+    The Fourier estimator decides every estimate and every refusal, under
+    either method.  method="both" also runs minima matching as a diagnostic
+    that never votes and never refuses a region: it fills method_disagreement
+    alone, and the result is the default method="fourier"'s in every other
+    field, bit for bit.  The regions are analysed together, one (R, 2, n)
+    stack of (upper, lower) profile pairs per region width: the column
+    averages of every region, then the carrier of each upper profile, then
+    the shift estimator(s), which share that carrier.  Each stage is one pass
+    over the pairs still standing: one transform and a joint Newton
+    refinement find the carriers, one product reads every raw profile's
+    transform at its carrier, and under "both" one Savitzky-Golay pass
+    smooths every profile the minima estimator reads, one minima search
+    covers them all and one padded distance array pairs them.  The per-region
+    and overall circular means and the spread are each one reduction over the
+    regions kept.  These are the kernels that the one-region functions
+    column_average -> estimate_carrier -> shift_by_fourier (on the raw
+    profiles) / shift_by_minima (under "both", on the smoothed profiles less
+    the filter's edge fits) call, so every region gets their numbers, and the
+    refusals of all but shift_by_minima.  A region that fails (outside the
+    image or missing a half; no carrier, or a flat or non-finite half; no
+    carrier power) is skipped and counted, with its first failure in that
+    order; the call fails, with the last region's error, only when every
+    region fails.
     """
     if method not in ("fourier", "both"):
         raise ValueError(f"unknown method {method!r}: expected 'fourier' or 'both'")
@@ -769,7 +776,7 @@ def retrieve_phase(
     if len(regions) == 0:
         raise ValueError("need at least one evaluation region")
 
-    carriers, shifts, errors = _analyse_regions(img, regions, method)
+    carriers, (minima, fourier), errors = _analyse_regions(img, regions, method)
     kept = [i for i, error in enumerate(errors) if error is None]
     if not kept:
         error, errors = errors[-1], None
@@ -780,20 +787,19 @@ def retrieve_phase(
             # exception would be a cycle pinning the image until a full GC
             error = None
 
-    # the estimates of the methods run, one column per region kept
-    estimates = shifts[int(method == "fourier"):, kept]
-    # each region's circular mean of its one or two estimates, all regions at once
-    mean = np.exp(1j * estimates).sum(axis=0) / len(estimates)
-    per_region = np.arctan2(mean.imag, mean.real)
-    # the circular means of the regions and of each method's estimates, one row each
-    estimate, *by_method = _circular_mean(np.concatenate([per_region[None], estimates])).tolist()
+    # each region's estimate through exp and arctan2, the circular mean of its one estimate
+    turns = np.exp(1j * fourier[kept])
+    per_region = np.arctan2(turns.imag, turns.real)
+    estimate = _circular_mean(per_region)
     uncertainty = None
     if len(kept) >= 2:
         # np.std(deviations, ddof=1), step for step
         deviations = wrap_angle(per_region - estimate)
         deviations -= deviations.sum() / len(kept)
         uncertainty = math.sqrt((deviations * deviations).sum() / (len(kept) - 1))
-    disagreement = abs(wrap_angle(by_method[0] - by_method[1])) if method == "both" else None
+    # the cross-check over the kept regions minima matching read: none under "fourier"
+    read = [i for i in kept if not math.isnan(minima[i])]
+    disagreement = abs(wrap_angle(_circular_mean(minima[read]) - _circular_mean(fourier[read]))) if read else None
     return RetrievalResult(
         estimate=estimate,
         uncertainty=uncertainty,

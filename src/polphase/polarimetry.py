@@ -28,6 +28,7 @@ together, and in the y-z-y angles the same intensity reads
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,7 +37,7 @@ import numpy as np
 
 from .dsp import UnresolvableGrid, _fit, _row_blocks, _terms, harmonic_fit  # UnresolvableGrid: raised here too
 from .plates import WavePlate, compose
-from .su2 import EPS_DEGENERATE, YzyParams, finite
+from .su2 import EPS_DEGENERATE, YzyParams, _scalar, finite
 
 _RATIO_SLACK = 1e-9
 
@@ -121,7 +122,8 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
     scans made one at a time with seeds seed, seed + 1, ...; a stack
     therefore needs an integer seed, or None.  A noise-free call
     (noise_sigma == 0) returns the intensities unchanged; a NaN or infinite
-    noise_sigma raises NonFiniteInput, a negative one ValueError.
+    noise_sigma raises NonFiniteInput, a negative one or an array ValueError,
+    and so does a seed given as one number that is not an integer.
     """
     intensity = np.asarray(intensity, dtype=float)
     add_noise = _scan_noise(noise_sigma, seed, intensity.ndim > 1)
@@ -131,12 +133,14 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
 def _scan_noise(noise_sigma, seed, stacked: bool):
     """add_scan_noise's refusals, made before any draw.  None if noise-free, else a function that adds
     in place to C-contiguous scans (one, or a block's rows) their draws (row k at first + k) and clips."""
-    if finite("noise_sigma", noise_sigma) < 0.0:
+    if _scalar("noise_sigma", noise_sigma) < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
     if noise_sigma == 0.0:
         return None
     if stacked and not (seed is None or isinstance(seed, (int, np.integer))):
         raise TypeError(f"a stack of scans draws row k from seed + k and needs an integer seed, got {seed!r}")
+    if isinstance(seed, numbers.Number):  # a sequence of numbers is numpy's to check
+        _scalar("seed", seed, "integer")
 
     def add_noise(scans: np.ndarray, first: int = 0) -> np.ndarray:
         for k, row in enumerate(scans.reshape(-1, scans.shape[-1]), first):
@@ -245,16 +249,15 @@ def measure_phase(
 
     The result is bit for bit extract_cos2_phase(*sweep_extrema(polarimetric_sweep(...)))
     of the same arguments, and the refusals are polarimetric_sweep's, in its
-    order; an angle that is not a scalar then raises ValueError.  The one scan
+    order, but each angle is checked whole: one that is not a scalar raises
+    ValueError before the next angle is read.  The one scan
     takes a direct path: the grid's terms come from dsp's grid cache, and the
     law, one generator's draw and the clip are written into one buffer, which
     is fitted as it is.
     """
     phi, law, fit = _scan_grid(n_grid)
-    angles = {"eta": finite("eta", eta), "xi": finite("xi", xi), "zeta": finite("zeta", zeta)}
-    for name, angle in angles.items():
-        if angle.ndim:
-            raise ValueError(f"{name} must be a scalar angle, got an array of shape {angle.shape}")
+    angles = {name: _scalar(name, value, "scalar angle")
+              for name, value in (("eta", eta), ("xi", xi), ("zeta", zeta))}
     scan = _scan_law(angles["xi"], angles["eta"], angles["zeta"], *law[:2], np.empty(len(phi)),
                      _scan_noise(noise_sigma, seed, False))
     return extract_cos2_phase(*_extrema(*_fit(scan, fit, 2)))

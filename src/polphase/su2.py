@@ -33,6 +33,7 @@ and the Pancharatnam phase of |i> relative to |f> is arg<i|f>.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,25 @@ def finite(name: str, value, dtype=float) -> np.ndarray:
     if bad.any():
         shown = array.item() if array.size == 1 else f"{int(bad.sum())} of {array.size} values"
         raise NonFiniteInput(f"{name} must be finite, got {shown}")
+    return array
+
+
+def _scalar(name: str, value, kind: str = "scalar"):
+    """The one check of a parameter that must be a single number, refused by name.
+
+    For kind "integer", operator.index(value); anything else, a float
+    included, raises ValueError.  For any other kind, finite(name, value) as a
+    0-d array, refused as finite refuses, and with ValueError ("name must be a
+    kind") when it is an array of any other shape.
+    """
+    if kind == "integer":
+        try:
+            return operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    array = finite(name, value)
+    if array.ndim:
+        raise ValueError(f"{name} must be a {kind}, got an array of shape {array.shape}")
     return array
 
 

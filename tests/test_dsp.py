@@ -142,9 +142,9 @@ PHI_64 = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
 @pytest.mark.parametrize("values, phi, message", [
     (_with(np.full(64, 0.5), 3, np.inf), PHI_64, "values must be finite, got 1 of 64 values"),
     (_with(np.full(64, 0.5), 3, -np.inf), PHI_64, "values must be finite, got 1 of 64 values"),
-    # one infinite row refuses the stack; a NaN beside the inf is not counted
+    # one infinite row refuses the stack; a NaN beside the inf is counted with it
     (_with(_with(np.full((2, 64), 0.5), (1, 0), np.inf), (0, 5), np.nan), PHI_64,
-     "values must be finite, got 1 of 128 values"),
+     "values must be finite, got 2 of 128 values"),
     (np.inf, np.array([0.0]), "values must be finite, got inf"),
     (np.full(64, 0.5), _with(PHI_64, 5, np.nan), "phi must be finite, got 1 of 64 values"),
     (np.full(64, 0.5), _with(PHI_64, 5, -np.inf), "phi must be finite, got 1 of 64 values"),
@@ -165,10 +165,15 @@ def test_sweep_extrema_inherits_the_refusals_of_harmonic_fit():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_nan_value_leaves_its_row_fits_nan_and_the_other_rows_their_own(k):
-    # a NaN marks a missing sample: its row's fits are NaN, as np.clip's extrema of a NaN scan are
+    # harmonic_fit refuses a NaN value as it refuses an infinite one; its kernel, which
+    # measure_phase calls on the scan it renders, still leaves only a NaN row's fits NaN
     values = np.cos(k * PHI_64) * np.arange(1.0, 4.0)[:, None] + 0.25
     values[1, 7] = np.nan
-    offset, amplitude = dsp.harmonic_fit(values, PHI_64, k)
+    with pytest.raises(su2.NonFiniteInput, match="^values must be finite, got 1 of 192 values$"):
+        dsp.harmonic_fit(values, PHI_64, k)
+    with pytest.raises(su2.NonFiniteInput, match="^values must be finite, got nan$"):
+        dsp.harmonic_fit(np.nan, np.array([0.0]), k)
+    offset, amplitude = dsp._fit(values, dsp._terms(PHI_64, k), k)
     assert np.isnan(offset[1]) and np.isnan(amplitude[1])
     for row in (0, 2):
         assert (offset[row], amplitude[row]) == dsp.harmonic_fit(values[row], PHI_64, k)

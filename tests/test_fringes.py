@@ -86,6 +86,37 @@ def test_generate_refuses_a_non_scalar_angle_by_name(name, bad):
     assert fringes.generate(**kwargs).shape == (32, 64)
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    # these failed inside numpy, unlabelled, or (a one-element array) were taken as the scalar
+    ({"k0": np.array([0.2, 0.3])}, ValueError, "k0 must be a scalar, got an array of shape (2,)"),
+    ({"k0": np.array([0.3])}, ValueError, "k0 must be a scalar, got an array of shape (1,)"),
+    ({"k0": 0.3 + 0j}, su2.ComplexInput, "k0 must be real, got (0.3+0j)"),
+    ({"k0": np.nan}, su2.NonFiniteInput, "k0 must be finite, got nan"),
+    ({"noise_sigma": np.array([0.1, 0.2])}, ValueError, "noise_sigma must be a scalar, got an array of shape (2,)"),
+    ({"noise_sigma": np.array([0.1])}, ValueError, "noise_sigma must be a scalar, got an array of shape (1,)"),
+    ({"envelope_width": np.array([10.0, 20.0])}, ValueError,
+     "envelope_width must be a scalar, got an array of shape (2,)"),
+    ({"size": (32.5, 64)}, ValueError, "height must be an integer, got 32.5"),
+    ({"size": (32, 64.0)}, ValueError, "width must be an integer, got 64.0"),
+    ({"noise_sigma": 0.1, "seed": 0.5}, ValueError, "seed must be an integer, got 0.5"),
+    ({"noise_sigma": 0.1, "seed": np.float64(2.0)}, ValueError, f"seed must be an integer, got {np.float64(2.0)!r}"),
+])
+def test_generate_refuses_a_parameter_that_is_not_one_number_by_name(kwargs, error, message):
+    call = {"delta": 0.1, "beta": 0.2, "k0": 0.3, "size": (32, 64), **kwargs}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        fringes.generate(**call)
+
+
+def test_generate_takes_numpy_scalars_and_integers_with_the_bits_of_python_ones():
+    want = fringes.generate(0.1, 0.2, 0.3, size=(32, 64), noise_sigma=0.05, seed=3, envelope_width=20.0)
+    got = fringes.generate(0.1, 0.2, np.array(0.3), size=(np.int64(32), np.int32(64)), noise_sigma=np.float64(0.05),
+                           seed=np.int64(3), envelope_width=np.array(20.0))
+    assert got.pixels.tobytes() == want.pixels.tobytes() and got.shape == (32, 64)
+    # a noise-free image draws nothing, so its seed is not read
+    assert fringes.generate(0.1, 0.2, 0.3, size=(32, 64), seed=0.5).pixels.tobytes() == \
+        fringes.generate(0.1, 0.2, 0.3, size=(32, 64)).pixels.tobytes()
+
+
 def test_generate_envelope_attenuates_edges():
     img = fringes.generate(0.0, np.pi / 2, 0.2, size=(64, 64), envelope_width=20.0)
     # flat fringe pattern (0.5 everywhere) times the Gaussian beam profile
@@ -328,6 +359,16 @@ def test_the_shift_estimators_refuse_a_non_finite_profile():
     for shift in (fringes.shift_by_minima, fringes.shift_by_fourier):
         with pytest.raises(su2.NonFiniteInput, match="^lower profile must be finite"):
             shift(up, low, 0.2)
+
+
+@pytest.mark.parametrize("k0", [np.array([0.2, 0.3]), np.array([0.2])])
+def test_the_shift_estimators_refuse_an_array_carrier_by_name(k0):
+    # an array k0 used to fail inside numpy (an ambiguous truth value, a broadcast, an index)
+    up, low = make_profiles(0.2, 0.4, 0.2, 300)
+    for shift in (fringes.shift_by_minima, fringes.shift_by_fourier):
+        with pytest.raises(ValueError, match=f"^k0 must be a scalar, got an array of shape {re.escape(str(k0.shape))}$"):
+            shift(up, low, k0)
+        assert shift(up, low, np.array(0.2)) == shift(up, low, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -1477,37 +1518,41 @@ def test_estimate_carrier_matches_bounded_search_on_retrieval_profiles():
 def _retrieve_region_by_region(img, regions, method):
     """retrieve_phase's result as (estimate, uncertainty, region estimates,
     disagreement, carrier, failed regions, region indices), built from the
-    public one-profile functions; raises the last region's error when every
+    public one-profile functions: the Fourier read gives every estimate and
+    refusal, and under "both" minima matching, where it reads a kept region,
+    only adds it to the disagreement; raises the last region's error when every
     region fails."""
     per_region, indices, minima, fourier, carriers, errors = [], [], [], [], [], []
     for index, region in enumerate(regions):
         try:
             up, low = fringes.column_average(img, region)
             k0 = fringes.estimate_carrier(up)
-            values = []
-            if method == "both":
-                up_s, low_s = fringes.savitzky_golay(up, 11), fringes.savitzky_golay(low, 11)
-                if len(up_s) > 66:
-                    up_s, low_s = up_s[5:-5], low_s[5:-5]
-                values.append(fringes.shift_by_minima(up_s, low_s, k0))
-                minima.append(values[-1])
-            values.append(fringes.shift_by_fourier(up, low, k0))
-            fourier.append(values[-1])
+            shift = fringes.shift_by_fourier(up, low, k0)
         except ValueError as exc:
             errors.append(exc)
             continue
         carriers.append(k0)
-        per_region.append(fringes._circular_mean(values))
+        per_region.append(fringes._circular_mean(np.array([shift])))
         indices.append(index)
+        if method == "both":
+            try:
+                up_s, low_s = fringes.savitzky_golay(up, 11), fringes.savitzky_golay(low, 11)
+                if len(up_s) > 66:
+                    up_s, low_s = up_s[5:-5], low_s[5:-5]
+                minima.append(fringes.shift_by_minima(up_s, low_s, k0))
+            except ValueError:  # a region minima matching cannot read stays in, out of the disagreement
+                continue
+            fourier.append(shift)
     if not per_region:
         raise errors[-1]
-    estimate = fringes._circular_mean(per_region)
+    estimate = fringes._circular_mean(np.array(per_region))
     uncertainty = None
     if len(per_region) >= 2:
         uncertainty = float(np.std(su2.wrap_angle(np.asarray(per_region) - estimate), ddof=1))
     disagreement = None
-    if method == "both":
-        disagreement = abs(su2.wrap_angle(fringes._circular_mean(minima) - fringes._circular_mean(fourier)))
+    if minima:
+        disagreement = abs(su2.wrap_angle(fringes._circular_mean(np.array(minima))
+                                          - fringes._circular_mean(np.array(fourier))))
     return (estimate, uncertainty, per_region, disagreement, float(np.mean(carriers)),
             len(errors), indices)
 
@@ -1553,26 +1598,38 @@ def test_stacked_retrieval_is_the_region_by_region_composition_bit_for_bit(case)
 
 def test_stacked_retrieval_keeps_each_refusal_of_its_region():
     # one region per refusal, among regions that succeed: every failure is
-    # counted, and each estimate keeps the index of its own region
+    # counted, and each estimate keeps the index of its own region; two regions
+    # minima matching refuses stay in, for the Fourier read alone decides
     img = fringes.generate(0.4, 0.3, 2.4, size=(96, 200), noise_sigma=0.02, seed=4)
     regions = {
         Region(20, 180, 10, 86): None,
         Region(10, 15, 10, 86): (fringes.NoCarrier, "profile too short"),
-        Region(18, 30, 30, 70): (fringes.TooFewMinima, "got 2 and 1"),
+        Region(18, 30, 30, 70): None,
         Region(150, 250, 10, 86): (ValueError, "outside image"),
         Region(40, 140, 30, 70): None,
-        Region(3, 15, 30, 70): (fringes.AmbiguousPairing, "inconsistent"),
+        Region(3, 15, 30, 70): None,
         Region(20, 180, 60, 90): (ValueError, "does not intersect both halves"),
     }
     for region, refusal in regions.items():
         if refusal is not None:
-            with pytest.raises(refusal[0], match=refusal[1]):
-                fringes.retrieve_phase(img, [region], method="both")
+            for method in ("fourier", "both"):
+                with pytest.raises(refusal[0], match=refusal[1]):
+                    fringes.retrieve_phase(img, [region], method=method)
+    # minima matching refuses these two regions itself, and the disagreement leaves them out
+    for region, (error_type, message) in ((Region(18, 30, 30, 70), (fringes.TooFewMinima, "got 2 and 1")),
+                                          (Region(3, 15, 30, 70), (fringes.AmbiguousPairing, "inconsistent"))):
+        up, low = fringes.column_average(img, region)
+        with pytest.raises(error_type, match=message):
+            fringes.shift_by_minima(fringes.savitzky_golay(up), fringes.savitzky_golay(low), fringes.estimate_carrier(up))
+        assert fringes.retrieve_phase(img, [region], method="both").method_disagreement is None
     want = _retrieve_region_by_region(img, list(regions), "both")
     result = fringes.retrieve_phase(img, list(regions), method="both")
-    assert result.region_indices == [0, 4] == want[-1]
-    assert result.failed_regions == 5
-    assert (result.estimate, result.region_estimates, result.carrier) == (want[0], want[2], want[4])
+    assert result.region_indices == [0, 2, 4, 5] == want[-1]
+    assert result.failed_regions == 3
+    assert (result.estimate, result.region_estimates, result.method_disagreement, result.carrier) == (
+        want[0], want[2], want[3], want[4])
+    read = fringes.retrieve_phase(img, [list(regions)[0], list(regions)[4]], method="both")
+    assert result.method_disagreement == read.method_disagreement
 
 
 # the per-profile code the stacked kernels replaced, kept as their oracle
@@ -1701,20 +1758,21 @@ def _list_circular_mean(angles):
 
 
 def _aggregate_by_lists(carriers, shifts, errors, method):
-    """retrieve_phase's result tuple from _analyse_regions' arrays, one list at a time;
-    raises the last region's error when every region failed."""
+    """retrieve_phase's result tuple from _analyse_regions' arrays, one list at a time:
+    the Fourier row gives the estimates, and the minima row, where it is read, only
+    the disagreement; raises the last region's error when every region failed."""
     kept = [i for i, error in enumerate(errors) if error is None]
     if not kept:
         raise errors[-1]
-    estimates = shifts[[method == "both", True]][:, kept]
-    per_region = np.angle(np.exp(1j * estimates).mean(axis=0)).tolist()
+    per_region = np.angle(np.exp(1j * shifts[1, kept])).tolist()
     estimate = _list_circular_mean(per_region)
     uncertainty = None
     if len(per_region) >= 2:
         uncertainty = float(np.std(su2.wrap_angle(np.asarray(per_region) - estimate), ddof=1))
+    read = [i for i in kept if not np.isnan(shifts[0, i])]
     disagreement = None
-    if method == "both":
-        disagreement = abs(su2.wrap_angle(_list_circular_mean(estimates[0]) - _list_circular_mean(estimates[1])))
+    if read:
+        disagreement = abs(su2.wrap_angle(_list_circular_mean(shifts[0, read]) - _list_circular_mean(shifts[1, read])))
     return (estimate, uncertainty, per_region, disagreement, float(np.mean(carriers[kept])),
             len(errors) - len(kept), kept)
 
@@ -1783,6 +1841,24 @@ def test_the_stacked_aggregation_gives_the_bits_and_refusals_of_the_list_code(ca
     got = (result.estimate, result.uncertainty, result.region_estimates, result.method_disagreement,
            result.carrier, result.failed_regions, result.region_indices)
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(stacked_retrievals(), many_region_retrievals()))
+def test_both_methods_give_the_fourier_read_bit_for_bit_but_the_disagreement(case):
+    # minima matching never votes and never refuses: "both" is the default read,
+    # method_disagreement aside, and a call every region fails refuses alike
+    img, regions, _ = case
+    try:
+        want = fringes.retrieve_phase(img, regions)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as refused:
+            fringes.retrieve_phase(img, regions, method="both")
+        assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
+        return
+    got = fringes.retrieve_phase(img, regions, method="both")
+    assert want.method_disagreement is None
+    assert repr(dataclasses.replace(got, method_disagreement=None)) == repr(want)
 
 
 # ---------------------------------------------------------------------------

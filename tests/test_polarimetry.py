@@ -438,6 +438,31 @@ def test_scan_noise_refuses_a_non_finite_or_negative_sigma(sigma, error, message
         polarimetry.polarimetric_sweep(0.3, np.array([0.1, 0.5]), -0.2, 64, sigma, 1)
 
 
+@pytest.mark.parametrize("sigma", [np.array([0.1, 0.2]), np.array([0.1]), [[0.1]]], ids=["two", "one", "nested"])
+def test_scan_noise_refuses_a_sigma_that_is_not_a_scalar(sigma):
+    # two sigmas failed inside numpy with an ambiguous truth value, and one in an array was taken as the scalar
+    message = f"^noise_sigma must be a scalar, got an array of shape {re.escape(str(np.shape(sigma)))}$"
+    for call in (lambda: polarimetry.add_scan_noise(np.full(64, 0.5), sigma, 1),
+                 lambda: polarimetry.polarimetric_sweep(0.3, 0.5, -0.2, 64, sigma, 1),
+                 lambda: polarimetry.measure_phase(0.3, 0.5, -0.2, 64, sigma, 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("seed", [0.0, 0.5, np.float64(4.0), 1 + 0j])
+def test_a_single_scan_refuses_a_seed_that_is_one_number_but_not_an_integer(seed):
+    # numpy's SeedSequence used to refuse it, unlabelled; a noise-free scan draws nothing and reads no seed
+    message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    for call in (lambda: polarimetry.add_scan_noise(np.full(64, 0.5), 0.1, seed),
+                 lambda: polarimetry.polarimetric_sweep(0.3, 0.5, -0.2, 64, 0.1, seed),
+                 lambda: polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, seed)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert polarimetry.add_scan_noise(np.full(64, 0.5), 0.0, seed).tobytes() == np.full(64, 0.5).tobytes()
+    assert polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, np.int64(4)) == \
+        polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, 4)
+
+
 # ---------------------------------------------------------------------------
 # extrema from the fitted second harmonic
 
@@ -582,5 +607,14 @@ def test_one_scan_extrema_are_np_clip_on_saturated_scans(n_grid, offset, amplitu
 def test_one_scan_extrema_keep_np_clip_on_flat_and_not_a_number_scans(fill):
     phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     scan = np.full(64, fill)
+    if np.isnan(fill):
+        # harmonic_fit refuses a NaN scan; the extrema of a NaN fit are still np.clip's
+        with pytest.raises(su2.NonFiniteInput, match="^values must be finite, got 64 of 64 values$"):
+            polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(phi, scan, None))
+        offset, amplitude = dsp._fit(scan, dsp._terms(phi, 2), 2)
+        swing = np.abs(amplitude)
+        want = tuple(float(np.clip(v, 0.0, 1.0)) for v in (offset - swing, offset + swing))
+        assert np.isnan(offset) and repr(polarimetry._extrema(offset, amplitude)) == repr(want)
+        return
     assert repr(polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(phi, scan, None))) == \
         repr(clipped_extrema(scan, phi))

@@ -390,3 +390,30 @@ def test_a_complex_dtype_still_takes_complex_values():
     u = su2.from_yzy(0.3, 1.1, -0.7)
     np.testing.assert_array_equal(su2.finite("u", u, dtype=complex), u, strict=True)
     assert su2.to_zyz(u) == su2.to_zyz(u.tolist())
+
+
+@pytest.mark.parametrize("value", [0.25, -3, np.float64(1.5), np.int64(7), np.array(2.0), np.float32(0.5)])
+def test_a_scalar_is_returned_as_finite_returns_it(value):
+    out = su2._scalar("k0", value)
+    assert out.shape == () and out.tobytes() == su2.finite("k0", value).tobytes()
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (np.array([0.1, 0.2]), ValueError, "k0 must be a scalar, got an array of shape (2,)"),
+    (np.array([0.1]), ValueError, "k0 must be a scalar, got an array of shape (1,)"),
+    ([[0.1]], ValueError, "k0 must be a scalar, got an array of shape (1, 1)"),
+    (np.nan, su2.NonFiniteInput, "k0 must be finite, got nan"),
+    (0.3 + 0j, su2.ComplexInput, "k0 must be real, got (0.3+0j)"),
+])
+def test_a_scalar_that_is_not_one_real_number_is_refused_by_name(value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        su2._scalar("k0", value)
+
+
+def test_an_integer_is_refused_by_name_unless_operator_index_takes_it():
+    assert su2._scalar("seed", np.int64(7), "integer") == 7 and su2._scalar("seed", True, "integer") == 1
+    for value in (0.0, 0.5, np.float64(3.0), "3", None, np.array([1, 2])):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(value))}$"):
+            su2._scalar("seed", value, "integer")
+    with pytest.raises(ValueError, match=r"^phi0 must be a scalar angle, got an array of shape \(2,\)$"):
+        su2._scalar("phi0", [0.1, 0.2], "scalar angle")
