@@ -8,7 +8,8 @@
   from the one grid cache, keyed by the grid's contents (its bytes and k),
   bounded to eight grids of up to 65536 points; an entry is found by
   comparing bytes, not by hashing them.  Other shapes are computed directly.
-  The lookup is also every grid's check, made on a cache miss only.
+  The lookup is also every grid's check, made on a cache miss only.  The
+  uniform scan grid over [0, 2 pi) is found in the same cache by its length.
 * vertex: the position of the three-point parabola's vertex, which refines a
   sampled extremum of a 1-D array or of the rows of a stack (the carrier
   peaks of spectra, the minima of fringe profiles).
@@ -16,10 +17,12 @@
   of the minima estimator, the only fringe step that smooths; a stack of
   profiles is smoothed in one pass.
 * _row_blocks: the cache-sized row blocks of the image, noise and scan-stack kernels.
+* _add_normal: the Gaussian noise of scans and images, added in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
 
@@ -41,6 +44,21 @@ def _row_blocks(rows: int, n: int) -> list:
     gives the same bits with temporaries of one block."""
     step = max(1, _BLOCK // max(n, 1))
     return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _add_normal(out: np.ndarray, rng: np.random.Generator, sigma) -> None:
+    """out += rng.normal(0.0, sigma, out.shape), drawn as standard normals scaled in place.
+
+    numpy draws normal(0.0, sigma) as 0.0 + sigma z from the standard normal z of the same
+    stream, so the draws are the same floats but for a zero's sign, and the sums are the same
+    floats wherever out holds no -0.0: there a draw sigma z of -0.0 (z = -0.0, or sigma z
+    underflows) would keep -0.0 where normal's +0.0 gave +0.0.
+    """
+    draws = rng.standard_normal(out.shape)
+    # |sigma z| <= |z| for sigma <= 1: only a larger sigma can overflow a draw to inf, as normal does, silently
+    with np.errstate(over="ignore") if sigma > 1.0 else contextlib.nullcontext():
+        draws *= sigma
+    out += draws
 
 
 @functools.lru_cache(maxsize=16)
@@ -127,11 +145,29 @@ def _design(phi: np.ndarray, k) -> tuple:
     return c, s, (a00, a01, a02, a11, a12, a22), n * a00 + sc * a01 + ss * a02
 
 
-#: the grid cache: (grid bytes, k, terms) entries, least recently used first
+#: the grid cache: (key, k, (grid, terms)) entries, least recently used first; a grid looked up
+#: by its contents is keyed by its bytes, the uniform grid over [0, 2 pi) by its length n
 _GRID_CACHE: list = []
 _GRID_CACHE_SIZE = 8
 #: a lookup reorders the list: one thread at a time, as lru_cache would be
 _GRID_LOCK = threading.Lock()
+
+
+def _cached(key, k, grid) -> tuple:
+    """(grid, terms) of the entry of key and harmonic k, now the most recently used.  On a miss
+    grid() makes the grid, or refuses it, and the grid, read-only, and its _design are entered."""
+    with _GRID_LOCK:
+        for index, entry in enumerate(_GRID_CACHE):
+            if entry[1] == k and entry[0] == key:  # bytes never equal an int
+                _GRID_CACHE.append(_GRID_CACHE.pop(index))
+                break
+        else:
+            phi = grid()
+            phi.flags.writeable = False
+            entry = (key, k, (phi, _design(phi, k)))
+            _GRID_CACHE.append(entry)
+            del _GRID_CACHE[:-_GRID_CACHE_SIZE]
+    return entry[2]
 
 
 def _terms(phi, k, name="phi", shape=None) -> tuple:
@@ -149,20 +185,31 @@ def _terms(phi, k, name="phi", shape=None) -> tuple:
         terms = _design(phi, k) if phi.ndim == 1 else (np.cos(k * phi), np.sin(k * phi), None, None)
     else:
         # the copy is the cheap way to compare: bytes == bytes is one memcmp, while
-        # memoryview == compares element by element, several times slower at 4096 points
+        # memoryview == compares element by element, several times slower at 4096 points;
+        # the bytes entered are the bytes checked, even if phi changes meanwhile
         grid = phi.tobytes()
-        with _GRID_LOCK:
-            for index, (cached, cached_k, terms) in enumerate(_GRID_CACHE):
-                if cached_k == k and cached == grid:
-                    _GRID_CACHE.append(_GRID_CACHE.pop(index))
-                    break
-            else:  # the bytes entered are the bytes checked, even if phi changes meanwhile
-                terms = _design(finite(name, np.frombuffer(grid)), k)
-                _GRID_CACHE.append((grid, k, terms))
-                del _GRID_CACHE[:-_GRID_CACHE_SIZE]
+        terms = _cached(grid, k, lambda: finite(name, np.frombuffer(grid)))[1]
     if shape is not None and (phi.ndim != 1 or shape[-1:] != phi.shape):
         raise ValueError(f"values of shape {shape} do not lie along a grid of shape {phi.shape}")
     return terms
+
+
+def _uniform(n: int, k) -> tuple:
+    """The grid np.linspace(0, 2 pi, n, endpoint=False) of an integer n and its _design for harmonic k.
+    Up to _CACHED_POINTS points, both come from the grid cache, found by n alone, and the grid is
+    read-only; a longer grid is made on each call, as _terms makes it."""
+    grid = functools.partial(np.linspace, 0.0, 2.0 * np.pi, n, endpoint=False)
+    if n > _CACHED_POINTS:
+        phi = grid()
+        return phi, _design(phi, k)
+    return _cached(n, k, grid)
+
+
+def _harmonic(k):
+    """k unless it is an array, which raises ValueError by name (the cache compares k as one number)."""
+    if not isinstance(k, int) and np.ndim(k):
+        raise ValueError(f"k must be a scalar, got an array of shape {np.shape(k)}")
+    return k
 
 
 def harmonics(phi, k: int = 1):
@@ -172,9 +219,10 @@ def harmonics(phi, k: int = 1):
     _terms), so a grid changed in place gets the terms of its new values, and
     a copy of a cached grid gets the very same arrays; a scalar or an array
     of any other shape is computed on each call.  A NaN or infinite phase
-    raises NonFiniteInput, a complex one ComplexInput.
+    raises NonFiniteInput, a complex one ComplexInput, and an array k
+    ValueError.
     """
-    c, s, _, _ = _terms(phi, k)
+    c, s, _, _ = _terms(phi, _harmonic(k))
     return c, s
 
 
@@ -196,11 +244,11 @@ def harmonic_fit(values, phi, k: int):
     call computes only the three sums of each row.  A grid that cannot
     resolve the terms (fewer than three distinct phases mod 2 pi / k, or too
     short a span) raises UnresolvableGrid, and a NaN or infinite value or
-    phase NonFiniteInput.  Complex values or phases raise ComplexInput.  A
-    stack over one row block is summed by blocks.
+    phase NonFiniteInput.  Complex values or phases raise ComplexInput, and
+    an array k ValueError.  A stack over one row block is summed by blocks.
     """
     y = finite("values", values)
-    return _fit(y, _terms(phi, k, "phi", y.shape), k)
+    return _fit(y, _terms(phi, _harmonic(k), "phi", y.shape), k)
 
 
 def _fit(y: np.ndarray, terms: tuple, k) -> tuple:

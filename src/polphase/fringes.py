@@ -47,9 +47,9 @@ import numpy as np
 
 # savgol_coefficients is not used here: it is imported so that code wrapping
 # fringes.savgol_coefficients by name (the benchmark's tracer does) finds it
-from .dsp import _SG_WINDOW, _row_blocks, savgol_coefficients, savitzky_golay, vertex
+from .dsp import _SG_WINDOW, _add_normal, _row_blocks, savgol_coefficients, savitzky_golay, vertex
 from .interferometer import output_intensity
-from .su2 import _array, _scalar, finite, from_zyz, wrap_angle
+from .su2 import _array, _scalar, _seed, finite, from_zyz, wrap_angle
 
 
 class TooFewMinima(ValueError):
@@ -179,7 +179,7 @@ def generate(
     clamped to [0, 1], drawn from a generator seeded with ``seed`` so that
     images are bit-reproducible.  delta, beta and phi0 must be scalar angles,
     k0, noise_sigma and envelope_width scalars, the height and width integers,
-    and a seed given as one number an integer.
+    and a seed given as one number (a 0-d array too) an integer.
     """
     h, w = size
     h, w = _scalar("height", h, "integer"), _scalar("width", w, "integer")
@@ -204,9 +204,7 @@ def generate(
         dx = x - (w - 1) / 2.0
         dy = np.arange(h, dtype=float) - (h - 1) / 2.0
         dx2, dy2 = dx * dx, (dy * dy)[:, None]
-    if noise_sigma > 0.0 and isinstance(seed, numbers.Number):
-        _scalar("seed", seed, "integer")
-    rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
+    rng = np.random.default_rng(_seed(seed)) if noise_sigma > 0.0 else None
     # by row blocks, so no temporary is full-size; drawn by blocks, one generator gives one stream
     for rows in _row_blocks(h, w):
         block = pixels[rows]
@@ -217,7 +215,7 @@ def generate(
             block *= np.exp(r2, out=r2)
             del r2  # before the next block's is made
         if rng is not None:
-            block += rng.normal(0.0, noise_sigma, block.shape)
+            _add_normal(block, rng, noise_sigma)
         np.clip(block, 0.0, 1.0, out=block)
     # clipped pixels are valid unless a width's square underflows to 0 (0/0 at an odd
     # image's centre): such an image is scanned, and refused
@@ -230,8 +228,12 @@ def default_regions(img: Interferogram, count: int = 4, width_fraction: float = 
 
     All regions share the horizontally centred ``width_fraction`` of the
     columns; vertically they are bands of growing height centred on the
-    half-split row, so every region straddles both halves.
+    half-split row, so every region straddles both halves.  A count that
+    is not an integer, or a width_fraction that is not one finite number,
+    raises ValueError.
     """
+    _scalar("count", count, "integer")
+    _scalar("width_fraction", width_fraction)
     h, w = img.shape
     c0 = int(round((1.0 - width_fraction) / 2.0 * w))
     c1 = w - c0

@@ -29,12 +29,14 @@ some thirty numpy operations per plate, which is what a single matrix costs.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .su2 import IDENTITY2, finite, matrix, rot_z
+from .su2 import IDENTITY2, NonFiniteInput, finite, matrix, rot_z
 
 QUARTER_RETARDANCE = np.pi / 2.0
 HALF_RETARDANCE = np.pi
@@ -53,8 +55,13 @@ class WavePlate:
     def __post_init__(self):
         if self.kind not in ("Q", "H"):
             raise ValueError(f"plate kind must be 'Q' or 'H', got {self.kind!r}")
-        # canonical mounting angle: axes are pi-periodic
-        axis = float(finite("plate axis", self.axis)) % np.pi  # the floats of np.remainder
+        # canonical mounting angle: axes are pi-periodic; a float's % gives the floats of np.remainder
+        axis = self.axis
+        if type(axis) is not float:
+            axis = float(finite("plate axis", axis))
+        elif not math.isfinite(axis):  # finite's check and message, without its array
+            raise NonFiniteInput(f"plate axis must be finite, got {axis}")
+        axis %= np.pi
         if axis > np.pi / 2.0:
             axis -= np.pi
         object.__setattr__(self, "axis", axis)
@@ -74,9 +81,28 @@ def _retarder(retardance, axis) -> np.ndarray:
     Multiplied out this is cos(Gamma/2) I - i sin(Gamma/2) M(2 axis), with
     M(t) = [[cos t, sin t], [sin t, -cos t]] the reflection about the axis.
     """
+    return _rotated(_half_turn(retardance), finite("plate axis", axis))
+
+
+def _half_turn(retardance) -> tuple:
+    """cos(Gamma/2) and -i sin(Gamma/2) of retardances Gamma."""
     half = np.asarray(retardance, dtype=float) / 2.0
-    double = 2.0 * finite("plate axis", axis)
-    cos_half, minus_i_sin_half = np.cos(half), -1j * np.sin(half)
+    return np.cos(half), -1j * np.sin(half)
+
+
+@functools.lru_cache(maxsize=64)
+def _kind_half_turns(kinds: tuple) -> tuple:
+    """_half_turn of the retardances of a tuple of plate kinds, read-only, since it is shared."""
+    terms = _half_turn(_retardances(kinds))
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
+def _rotated(half_turn: tuple, axis: np.ndarray) -> np.ndarray:
+    """_retarder of a _half_turn and a checked axis."""
+    cos_half, minus_i_sin_half = half_turn
+    double = 2.0 * axis
     diagonal = minus_i_sin_half * np.cos(double)
     off_diagonal = minus_i_sin_half * np.sin(double)
     return matrix(cos_half + diagonal, off_diagonal, off_diagonal, cos_half - diagonal)
@@ -108,7 +134,9 @@ def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarra
     matrix.  ``compose(kinds, axes)`` takes the kind letters of the plates
     (e.g. ``"QHQ"``) and an axis array of shape (..., n_plates), and returns
     the (..., 2, 2) stack.  Both go through one fold: every Jones matrix comes
-    from one broadcast _retarder call, laid out matrix indices first, and each
+    from one broadcast _retarder expression, laid out matrix indices first
+    (its kind terms computed once per sequence of kinds, and the axes checked
+    unless they are those of WavePlates, which checked them), and each
     plate then costs two ufunc calls over the whole stack, the eight element
     products ``m[i, j] * out[j, l]`` and the sums ``out[i, l] = p[i, 0, l] +
     p[i, 1, l]``, in the order of the 2x2 product's element formulas.  An
@@ -117,8 +145,9 @@ def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarra
     if axes is None:
         plates = list(plates)
         kinds, axes = [p.kind for p in plates], [p.axis for p in plates]
+        checked = all(type(p) is WavePlate for p in plates)
     else:
-        kinds = list(plates)
+        kinds, checked = list(plates), False
     axes = np.asarray(axes, dtype=float)
     if axes.ndim == 0 or axes.shape[-1] != len(kinds):
         raise ValueError(f"axes of shape {axes.shape} do not match {len(kinds)} plate kinds")
@@ -126,7 +155,8 @@ def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarra
         return np.broadcast_to(IDENTITY2, axes.shape[:-1] + (2, 2)).copy()
     lead = axes.ndim - 1
     # (..., n, 2, 2) -> (2, 2, n, ...) by a transpose, which costs less than np.moveaxis
-    mats = _retarder(_retardances(kinds), axes).transpose(lead + 1, lead + 2, lead, *range(lead))
+    mats = _rotated(_kind_half_turns(tuple(kinds)), axes if checked else finite("plate axis", axes))
+    mats = mats.transpose(lead + 1, lead + 2, lead, *range(lead))
     out = IDENTITY2.reshape((2, 2) + (1,) * lead)
     for k in range(len(kinds)):
         p = mats[:, :, None, k] * out[None]

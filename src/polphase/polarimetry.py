@@ -28,16 +28,16 @@ together, and in the y-z-y angles the same intensity reads
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dsp import UnresolvableGrid, _fit, _row_blocks, _terms, harmonic_fit  # UnresolvableGrid: raised here too
+from .dsp import UnresolvableGrid  # the fit's refusal, raised from here too
+from .dsp import _add_normal, _fit, _row_blocks, _terms, _uniform, harmonic_fit
 from .plates import WavePlate, compose
-from .su2 import EPS_DEGENERATE, YzyParams, _scalar, finite
+from .su2 import EPS_DEGENERATE, YzyParams, _scalar, _seed, finite
 
 _RATIO_SLACK = 1e-9
 
@@ -123,30 +123,34 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
     therefore needs an integer seed, or None.  A noise-free call
     (noise_sigma == 0) returns the intensities unchanged; a NaN or infinite
     noise_sigma raises NonFiniteInput, a negative one or an array ValueError,
-    and so does a seed given as one number that is not an integer.
+    and so does a seed given as one number (a 0-d array too) that is not an
+    integer.
     """
     intensity = np.asarray(intensity, dtype=float)
     add_noise = _scan_noise(noise_sigma, seed, intensity.ndim > 1)
-    return intensity if add_noise is None else add_noise(intensity.copy())
+    if add_noise is None:
+        return intensity
+    # copied as intensity + 0.0, which turns a -0.0 into +0.0 as adding numpy's draw 0.0 + sigma z did
+    return add_noise(np.add(intensity, 0.0, out=np.empty(intensity.shape)))
 
 
 def _scan_noise(noise_sigma, seed, stacked: bool):
     """add_scan_noise's refusals, made before any draw.  None if noise-free, else a function that adds
     in place to C-contiguous scans (one, or a block's rows) their draws (row k at first + k) and clips."""
-    if _scalar("noise_sigma", noise_sigma) < 0.0:
+    sigma = float(_scalar("noise_sigma", noise_sigma))
+    if sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
-    if noise_sigma == 0.0:
+    if sigma == 0.0:
         return None
     if stacked and not (seed is None or isinstance(seed, (int, np.integer))):
         raise TypeError(f"a stack of scans draws row k from seed + k and needs an integer seed, got {seed!r}")
-    if isinstance(seed, numbers.Number):  # a sequence of numbers is numpy's to check
-        _scalar("seed", seed, "integer")
+    seed = _seed(seed)
 
     def add_noise(scans: np.ndarray, first: int = 0) -> np.ndarray:
         for k, row in enumerate(scans.reshape(-1, scans.shape[-1]), first):
             row_seed = seed + k if stacked and seed is not None else seed
-            row += np.random.default_rng(row_seed).normal(0.0, noise_sigma, len(row))
-        return np.clip(scans, 0.0, 1.0, out=scans)
+            _add_normal(row, np.random.default_rng(row_seed), sigma)
+        return scans.clip(0.0, 1.0, out=scans)
     return add_noise
 
 
@@ -164,7 +168,9 @@ def polarimetric_sweep(
     grid; row k is bit for bit the scan of its own eta made with seed + k.
     Noise is additive Gaussian on the intensity, clamped to [0, 1], from
     explicitly seeded generators (add_scan_noise), so runs are reproducible.
-    The returned phi_grid is a fresh array, the caller's own.
+    The returned phi_grid is a writable copy of the grid, the caller's own.
+    n_grid is an integer of at least 64 (ValueError for a smaller one, an
+    array or text; TypeError, np.linspace's, for any other non-integer).
     """
     phi, law, _ = _scan_grid(n_grid)
     etas, x, z = finite("eta", eta), finite("xi", xi), finite("zeta", zeta)
@@ -174,16 +180,19 @@ def polarimetric_sweep(
     scans, etas = intensity.reshape(-1, len(phi)), etas.reshape(-1, 1)
     for rows in _row_blocks(*scans.shape):
         _scan_law(x, etas[rows], z, *law[:2], scans[rows], add_noise, rows.start)
-    return PolarimetricSweep(phi, intensity, YzyParams(xi, eta, zeta))
+    return PolarimetricSweep(phi.copy(), intensity, YzyParams(xi, eta, zeta))
 
 
 def _scan_grid(n_grid) -> tuple:
-    """A fresh grid of n_grid >= 64 points over [0, 2 pi) and its terms for the law (k = 1) and the fit
-    (k = 2), from dsp's grid cache; operator.index is np.linspace's own."""
+    """The grid of n_grid >= 64 points over [0, 2 pi) and its terms for the law (k = 1) and the fit
+    (k = 2), looked up by n_grid in dsp's grid cache (dsp._uniform); operator.index is np.linspace's own."""
+    if not isinstance(n_grid, int) and (isinstance(n_grid, (str, bytes)) or np.ndim(n_grid)):
+        raise ValueError(f"n_grid must be an integer, got {n_grid!r}")
     if n_grid < 64:
         raise ValueError(f"n_grid must be at least 64, got {n_grid}")
-    phi = np.linspace(0.0, 2.0 * np.pi, operator.index(n_grid), endpoint=False)
-    return phi, _terms(phi, 1), _terms(phi, 2)
+    n = operator.index(n_grid)
+    phi, law = _uniform(n, 1)
+    return phi, law, _uniform(n, 2)[1]
 
 
 def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
@@ -251,12 +260,13 @@ def measure_phase(
     of the same arguments, and the refusals are polarimetric_sweep's, in its
     order, but each angle is checked whole: one that is not a scalar raises
     ValueError before the next angle is read.  The one scan
-    takes a direct path: the grid's terms come from dsp's grid cache, and the
-    law, one generator's draw and the clip are written into one buffer, which
-    is fitted as it is.
+    takes a direct path: the grid's terms come from dsp's grid cache, found
+    by n_grid, and the law, one generator's draw and the clip are written
+    into one buffer, which is fitted as it is.
     """
     phi, law, fit = _scan_grid(n_grid)
-    angles = {name: _scalar(name, value, "scalar angle")
+    # as Python floats, whose arithmetic gives the floats of 0-d arrays' at a fraction of its cost
+    angles = {name: float(_scalar(name, value, "scalar angle"))
               for name, value in (("eta", eta), ("xi", xi), ("zeta", zeta))}
     scan = _scan_law(angles["xi"], angles["eta"], angles["zeta"], *law[:2], np.empty(len(phi)),
                      _scan_noise(noise_sigma, seed, False))

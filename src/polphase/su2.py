@@ -33,6 +33,7 @@ and the Pancharatnam phase of |i> relative to |f> is arg<i|f>.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -144,6 +145,14 @@ def _scalar(name: str, value, kind: str = "scalar"):
     if array.ndim:
         raise ValueError(f"{name} must be a {kind}, got an array of shape {array.shape}")
     return array
+
+
+def _seed(seed):
+    """A noise seed given as one number, a 0-d array included, as _scalar's integer (ValueError unless
+    it is one); any other seed as given, for numpy to check as the entropy of one generator."""
+    if isinstance(seed, numbers.Number) or (isinstance(seed, np.ndarray) and seed.ndim == 0):
+        return _scalar("seed", seed, "integer")
+    return seed
 
 
 def _array(name: str, value, dtype=float) -> np.ndarray:

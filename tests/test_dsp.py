@@ -163,6 +163,20 @@ def test_sweep_extrema_inherits_the_refusals_of_harmonic_fit():
         polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(_with(PHI_64, 0, np.nan), np.full(64, 0.5), None))
 
 
+@pytest.mark.parametrize("k", [np.array([1, 2]), np.array([2]), [1, 2]], ids=["two", "one", "list"])
+def test_an_array_harmonic_is_refused_by_name(k):
+    # two harmonics failed inside numpy with an ambiguous truth value, and one in an array was taken as k
+    message = f"^k must be a scalar, got an array of shape {re.escape(str(np.shape(k)))}$"
+    with pytest.raises(ValueError, match=message):
+        dsp.harmonic_fit(np.ones(64), PHI_64, k)
+    with pytest.raises(ValueError, match=message):
+        dsp.harmonics(PHI_64, k)
+    # one number is k, whatever holds it
+    for one in (np.int64(2), np.array(2), 2.0):
+        assert [term.tobytes() for term in dsp.harmonics(PHI_64, one)] == \
+            [term.tobytes() for term in dsp.harmonics(PHI_64, 2)]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_nan_value_leaves_its_row_fits_nan_and_the_other_rows_their_own(k):
     # harmonic_fit refuses a NaN value as it refuses an infinite one; its kernel, which

@@ -100,6 +100,7 @@ def test_generate_refuses_a_non_scalar_angle_by_name(name, bad):
     ({"size": (32, 64.0)}, ValueError, "width must be an integer, got 64.0"),
     ({"noise_sigma": 0.1, "seed": 0.5}, ValueError, "seed must be an integer, got 0.5"),
     ({"noise_sigma": 0.1, "seed": np.float64(2.0)}, ValueError, f"seed must be an integer, got {np.float64(2.0)!r}"),
+    ({"noise_sigma": 0.1, "seed": np.array(0.5)}, ValueError, "seed must be an integer, got array(0.5)"),
 ])
 def test_generate_refuses_a_parameter_that_is_not_one_number_by_name(kwargs, error, message):
     call = {"delta": 0.1, "beta": 0.2, "k0": 0.3, "size": (32, 64), **kwargs}
@@ -115,6 +116,30 @@ def test_generate_takes_numpy_scalars_and_integers_with_the_bits_of_python_ones(
     # a noise-free image draws nothing, so its seed is not read
     assert fringes.generate(0.1, 0.2, 0.3, size=(32, 64), seed=0.5).pixels.tobytes() == \
         fringes.generate(0.1, 0.2, 0.3, size=(32, 64)).pixels.tobytes()
+
+
+def generate_reference(delta, beta, k0, size, noise_sigma, seed, **kwargs):
+    """The noise-free image plus default_rng(seed).normal(0.0, noise_sigma, size) in one draw, clipped."""
+    clean = fringes.generate(delta, beta, k0, size=size, **kwargs).pixels
+    return np.clip(clean + np.random.default_rng(seed).normal(0.0, noise_sigma, size), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, 987654321])
+@pytest.mark.parametrize("envelope_width", [None, 25.0])
+def test_generate_noise_is_numpys_normal_draw_bit_for_bit(seed, envelope_width):
+    # 96 x 640 pixels are drawn in two row blocks from one generator: the stream of one draw
+    for sigma in (0.02, 0.3):
+        got = fringes.generate(0.4, 0.3, 0.25, size=(96, 640), noise_sigma=sigma, seed=seed,
+                               envelope_width=envelope_width)
+        want = generate_reference(0.4, 0.3, 0.25, (96, 640), sigma, seed, envelope_width=envelope_width)
+        assert got.pixels.tobytes() == want.tobytes()
+
+
+def test_generate_takes_a_zero_dimensional_seed_as_the_number_it_holds():
+    # it failed inside numpy with `len() of unsized object`
+    kwargs = {"size": (32, 64), "noise_sigma": 0.1}
+    assert fringes.generate(0.1, 0.2, 0.3, seed=np.array(5), **kwargs).pixels.tobytes() == \
+        fringes.generate(0.1, 0.2, 0.3, seed=5, **kwargs).pixels.tobytes()
 
 
 def test_generate_envelope_attenuates_edges():
@@ -199,6 +224,20 @@ def test_default_regions_straddle_and_nest():
         assert r.row_start < img.half_split_row < r.row_end
         assert r.col_start == 128 and r.col_end == 512
     assert regions[-1].row_start == 0 and regions[-1].row_end == 480
+
+
+@pytest.mark.parametrize("args, message", [
+    # these failed inside numpy: a bare TypeError, and one that an array "doesn't define __round__"
+    ((2.5,), "count must be an integer, got 2.5"),
+    ((2.0,), "count must be an integer, got 2.0"),
+    ((2, np.array([0.5, 0.6])), "width_fraction must be a scalar, got an array of shape (2,)"),
+    ((2, [0.5]), "width_fraction must be a scalar, got an array of shape (1,)"),
+])
+def test_default_regions_refuse_a_count_or_width_that_is_not_one_number_by_name(args, message):
+    img = fringes.generate(0.1, 0.1, 0.2, size=(64, 128))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fringes.default_regions(img, *args)
+    assert fringes.default_regions(img, np.int64(3), np.array(0.5)) == fringes.default_regions(img, 3, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for retarder Jones matrices, compilation and reduction identities."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,6 +395,44 @@ def test_non_finite_axes_raise():
         plates.decompose_qhq(np.nan, 0.0, 0.0)
     with pytest.raises(su2.NonFiniteInput):
         plates.compose("QH", np.array([[0.0, np.inf]]))
+
+
+@pytest.mark.parametrize("axis, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+                                         (np.float64(np.nan), "nan"), (np.array(np.inf), "inf")])
+def test_a_non_finite_plate_axis_is_refused_by_name_whatever_holds_it(axis, shown):
+    with pytest.raises(su2.NonFiniteInput, match=f"^plate axis must be finite, got {shown}$"):
+        plates.WavePlate("H", axis)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**6, 10**6)))
+def test_a_plate_axis_is_np_remainders_float_whatever_holds_it(axis):
+    want = float(np.remainder(np.float64(axis), np.pi))
+    want = want - np.pi if want > np.pi / 2.0 else want
+    for given_as in (axis, np.float64(axis), np.array(float(axis))):
+        got = plates.WavePlate("Q", given_as).axis
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_a_plate_list_of_other_plate_objects_is_checked_and_composed_as_wave_plates():
+    # a WavePlate checked its own axis; any other object with a kind and an axis is checked by compose
+    others = [SimpleNamespace(kind="Q", axis=0.3), SimpleNamespace(kind="H", axis=-1.2)]
+    assert plates.compose(others).tobytes() == plates.compose([plates.WavePlate("Q", 0.3),
+                                                                 plates.WavePlate("H", -1.2)]).tobytes()
+    others[1].axis = np.nan
+    with pytest.raises(su2.NonFiniteInput, match="^plate axis must be finite, got 1 of 2 values$"):
+        plates.compose(others)
+    with pytest.raises(su2.NonFiniteInput, match="^plate axis must be finite, got 1 of 2 values$"):
+        plates.compose([plates.WavePlate("Q", 0.3), others[1]])
+
+
+def test_the_terms_of_a_sequence_of_kinds_are_computed_once_and_read_only():
+    cos_half, minus_i_sin_half = plates._kind_half_turns(("Q", "H", "Q"))
+    assert plates._kind_half_turns(("Q", "H", "Q"))[0] is cos_half
+    assert not cos_half.flags.writeable and not minus_i_sin_half.flags.writeable
+    # the array and list forms share them, and give the per-step fold's bits
+    axes = np.array([[0.3, -1.2, 2.0]])
+    assert_same_bits(plates.compose("QHQ", axes)[0], _compose_by_products("QHQ", axes[0]))
 
 
 @pytest.mark.parametrize("name", ["xi", "eta", "zeta"])

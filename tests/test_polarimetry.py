@@ -449,7 +449,7 @@ def test_scan_noise_refuses_a_sigma_that_is_not_a_scalar(sigma):
             call()
 
 
-@pytest.mark.parametrize("seed", [0.0, 0.5, np.float64(4.0), 1 + 0j])
+@pytest.mark.parametrize("seed", [0.0, 0.5, np.float64(4.0), 1 + 0j, np.array(0.5), np.array(4.0), np.array(1 + 0j)])
 def test_a_single_scan_refuses_a_seed_that_is_one_number_but_not_an_integer(seed):
     # numpy's SeedSequence used to refuse it, unlabelled; a noise-free scan draws nothing and reads no seed
     message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
@@ -557,6 +557,12 @@ def test_measure_phase_takes_the_grid_lengths_numpy_does(n_grid):
     ((0.1, 0.2, 0.3, 63), ValueError, "n_grid must be at least 64, got 63"),
     ((np.nan, 0.2, 0.3, 63, np.nan), ValueError, "n_grid must be at least 64, got 63"),
     ((0.1, 0.2, 0.3, 64.5), TypeError, "'float' object cannot be interpreted as an integer"),
+    # an array failed inside numpy with an ambiguous truth value or a TypeError, text with a bare comparison error
+    ((0.1, 0.2, 0.3, np.array([64, 65])), ValueError, "n_grid must be an integer, got array([64, 65])"),
+    ((0.1, 0.2, 0.3, np.array([128])), ValueError, "n_grid must be an integer, got array([128])"),
+    ((0.1, 0.2, 0.3, [128]), ValueError, "n_grid must be an integer, got [128]"),
+    ((0.1, 0.2, 0.3, "128"), ValueError, "n_grid must be an integer, got '128'"),
+    ((0.1, 0.2, 0.3, b"128"), ValueError, "n_grid must be an integer, got b'128'"),
 ])
 def test_measure_phase_refuses_as_the_stack_path_does(args, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -580,6 +586,84 @@ def test_a_sweep_grid_is_the_callers_own():
     np.testing.assert_array_equal(again.phi_grid, np.linspace(0.0, 2 * np.pi, 256, endpoint=False), strict=True)
     assert again.phi_grid.flags.writeable and not np.shares_memory(again.phi_grid, first.phi_grid)
     assert polarimetry.measure_phase(0.3, 1.1, -0.4, 256) == stack_path_phase(0.3, 1.1, -0.4, 256)
+
+
+def test_the_grid_held_by_its_length_is_read_only_and_a_sweep_gets_a_writable_copy():
+    phi, law, fit = polarimetry._scan_grid(320)
+    assert not phi.flags.writeable and not law[0].flags.writeable and not fit[1].flags.writeable
+    assert phi.tobytes() == np.linspace(0.0, 2 * np.pi, 320, endpoint=False).tobytes()
+    assert polarimetry._scan_grid(np.int64(320))[0] is phi  # looked up by n, not built again
+    with pytest.raises(ValueError, match="read-only"):
+        phi[0] = 1.0
+    noisy = [polarimetry.measure_phase(0.3, 1.1, -0.4, 320, noise, 7) for noise in (0.0, 0.05)]
+    sweep = polarimetry.polarimetric_sweep(0.3, 1.1, -0.4, 320)
+    assert sweep.phi_grid.flags.writeable and not np.shares_memory(sweep.phi_grid, phi)
+    sweep.phi_grid[:] = np.nan
+    assert [polarimetry.measure_phase(0.3, 1.1, -0.4, 320, noise, 7) for noise in (0.0, 0.05)] == noisy
+    assert polarimetry._scan_grid(320)[0] is phi
+
+
+def test_a_cached_grid_length_builds_no_grid(monkeypatch):
+    polarimetry.measure_phase(0.3, 1.1, -0.4, 328, 0.01, 2)
+    built = []
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: built.append(args))
+    polarimetry.measure_phase(0.3, 1.1, -0.4, 328, 0.01, 2)
+    polarimetry.polarimetric_sweep(0.3, np.array([1.1, 0.2]), -0.4, 328, 0.01, 2)
+    assert built == []
+
+
+
+# ---------------------------------------------------------------------------
+# the noise draws: numpy's normal(0.0, sigma) draw, bit for bit
+
+def normal_reference(clean, sigma, seed):
+    """clean + default_rng(seed).normal(0.0, sigma, ...), clipped: one scan, or row k of a stack with seed + k."""
+    rows = []
+    for k, row in enumerate(np.atleast_2d(clean)):
+        draws = np.random.default_rng(seed if clean.ndim == 1 else seed + k).normal(0.0, sigma, row.shape)
+        rows.append(np.clip(row + draws, 0.0, 1.0))
+    return np.stack(rows).reshape(clean.shape)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**31 - 1, 123456789])
+@pytest.mark.parametrize("sigma", [0.01, 0.3, 2.5])
+def test_every_scan_noise_is_numpys_normal_draw_bit_for_bit(seed, sigma):
+    phi = np.linspace(0.0, 2 * np.pi, 1000, endpoint=False)
+    etas = np.linspace(-2.0, 2.0, 5)
+    clean = polarimetry.polarimetric_intensity(0.4, etas[:, None], -1.3, phi)
+    assert polarimetry.add_scan_noise(clean[1], sigma, seed).tobytes() == \
+        normal_reference(clean[1], sigma, seed).tobytes()
+    assert polarimetry.add_scan_noise(clean, sigma, seed).tobytes() == normal_reference(clean, sigma, seed).tobytes()
+    sweep = polarimetry.polarimetric_sweep(0.4, etas, -1.3, 1000, sigma, seed)
+    assert sweep.intensities.tobytes() == normal_reference(clean, sigma, seed).tobytes()
+    one = polarimetry.PolarimetricSweep(phi, normal_reference(clean[3], sigma, seed), None)
+    extrema = polarimetry.sweep_extrema(one)
+    want = outcome(polarimetry.extract_cos2_phase, *extrema)
+    # measure_phase writes the same scan into its own buffer and fits it
+    assert outcome(polarimetry.measure_phase, 0.4, etas[3], -1.3, 1000, sigma, seed) == want
+
+
+def test_a_negative_zero_intensity_meets_a_zero_draw_as_numpys_normal_made_it():
+    # numpy's draw is 0.0 + sigma z: a draw that underflows to -0.0 is +0.0 there, and -0.0 + +0.0 is +0.0
+    clean = np.full(256, -0.0)
+    for seed in range(4):
+        want = normal_reference(clean, 5e-324, seed)
+        assert polarimetry.add_scan_noise(clean, 5e-324, seed).tobytes() == want.tobytes()
+    assert np.signbit(clean).all()
+
+
+@pytest.mark.parametrize("zero_d, number", [(np.array(5), 5), (np.array(np.int64(2**40)), 2**40),
+                                            (np.array(np.uint8(7)), 7)])
+def test_a_zero_dimensional_seed_is_the_number_it_holds(zero_d, number):
+    # it failed inside numpy with `len() of unsized object`
+    clean = np.full(64, 0.5)
+    assert polarimetry.add_scan_noise(clean, 0.1, zero_d).tobytes() == \
+        polarimetry.add_scan_noise(clean, 0.1, number).tobytes()
+    assert polarimetry.polarimetric_sweep(0.3, 0.5, -0.2, 64, 0.1, zero_d).intensities.tobytes() == \
+        polarimetry.polarimetric_sweep(0.3, 0.5, -0.2, 64, 0.1, number).intensities.tobytes()
+    assert polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, zero_d) == \
+        polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, number)
+
 
 
 def clipped_extrema(intensities, phi):
