@@ -4,12 +4,12 @@
   reads both scan methods (synchronous detection, Bruning et al., Appl. Opt.
   13:2693, 1974, in the general form of Greivenkamp, Opt. Eng. 23:350, 1984).
 * harmonics: cos k phi and sin k phi of a scan grid, the terms every scan
-  law and fit samples.  A 1-D grid's terms and its fit's normal matrix come
-  from the one grid cache, keyed by the grid's contents (its bytes and k),
-  bounded to eight grids of up to 65536 points; an entry is found by
-  comparing bytes, not by hashing them.  Other shapes are computed directly.
-  The lookup is also every grid's check, made on a cache miss only.  The
-  uniform scan grid over [0, 2 pi) is found in the same cache by its length.
+  law and fit samples.  The one grid both scan methods read, the uniform
+  turn np.linspace(0, 2 pi, n, endpoint=False), is cached with its terms and
+  its fit's normal matrix, one entry per (n, k), at most eight entries of up
+  to 65536 points; a caller's grid takes them when its bytes equal the
+  cached grid's, and is then not scanned.  Every other grid is checked and
+  computed on each call.
 * vertex: the position of the three-point parabola's vertex, which refines a
   sampled extremum of a 1-D array or of the rows of a stack (the carrier
   peaks of spectra, the minima of fringe profiles).
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import threading
 
 import numpy as np
 
@@ -145,82 +144,54 @@ def _design(phi: np.ndarray, k) -> tuple:
     return c, s, (a00, a01, a02, a11, a12, a22), n * a00 + sc * a01 + ss * a02
 
 
-#: the grid cache: (key, k, (grid, terms)) entries, least recently used first; a grid looked up
-#: by its contents is keyed by its bytes, the uniform grid over [0, 2 pi) by its length n
-_GRID_CACHE: list = []
-_GRID_CACHE_SIZE = 8
-#: a lookup reorders the list: one thread at a time, as lru_cache would be
-_GRID_LOCK = threading.Lock()
+@functools.lru_cache(maxsize=8)
+def _uniform(n: int, k: int) -> tuple:
+    """The one grid cache: np.linspace(0, 2 pi, n, endpoint=False) (n up to _CACHED_POINTS; __wrapped__ for
+    more), read-only as a view of its bytes, which _terms compares with grid.base, and its _design for k."""
+    phi = np.frombuffer(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False).tobytes())
+    return phi, _design(phi, k)
 
 
-def _cached(key, k, grid) -> tuple:
-    """(grid, terms) of the entry of key and harmonic k, now the most recently used.  On a miss
-    grid() makes the grid, or refuses it, and the grid, read-only, and its _design are entered."""
-    with _GRID_LOCK:
-        for index, entry in enumerate(_GRID_CACHE):
-            if entry[1] == k and entry[0] == key:  # bytes never equal an int
-                _GRID_CACHE.append(_GRID_CACHE.pop(index))
-                break
-        else:
-            phi = grid()
-            phi.flags.writeable = False
-            entry = (key, k, (phi, _design(phi, k)))
-            _GRID_CACHE.append(entry)
-            del _GRID_CACHE[:-_GRID_CACHE_SIZE]
-    return entry[2]
-
-
-def _terms(phi, k, name="phi", shape=None) -> tuple:
+def _terms(phi, k: int, name="phi", shape=None) -> tuple:
     """The one gate of a scan grid: phi as floats and its _design for harmonic k, (cos, sin, None, None)
     unless it is 1-D; given the shape of values to fit, ValueError unless they lie along a 1-D phi.
 
-    A 1-D grid of up to _CACHED_POINTS points is found by its bytes (a length check, then one memcmp,
-    which costs less than hashing them) among at most _GRID_CACHE_SIZE entries, in least-recently-used
-    order.  A grid is scanned on a miss and on no hit, since only a finite grid is entered: a NaN or
-    infinite phase raises NonFiniteInput under ``name``.
+    A 1-D grid of 2 to _CACHED_POINTS points that starts 0, 2 pi / n takes the cached _uniform(n, k) when
+    its bytes are that grid's (one memcmp, cheaper than hashing them or numpy's elementwise ==), and is not
+    scanned.  Any other grid is scanned and computed on each call, and enters nothing: a NaN or infinite
+    phase raises NonFiniteInput under ``name``.
     """
     phi = _array(name, phi)
-    if phi.ndim != 1 or len(phi) > _CACHED_POINTS:
+    n = len(phi) if phi.ndim == 1 else 0
+    uniform = 2 <= n <= _CACHED_POINTS and phi[0] == 0.0 and phi[1] == 2.0 * np.pi / n
+    grid, terms = _uniform(n, k) if uniform else (None, None)
+    if grid is None or phi.tobytes() != grid.base:
         finite(name, phi)
         terms = _design(phi, k) if phi.ndim == 1 else (np.cos(k * phi), np.sin(k * phi), None, None)
-    else:
-        # the copy is the cheap way to compare: bytes == bytes is one memcmp, while
-        # memoryview == compares element by element, several times slower at 4096 points;
-        # the bytes entered are the bytes checked, even if phi changes meanwhile
-        grid = phi.tobytes()
-        terms = _cached(grid, k, lambda: finite(name, np.frombuffer(grid)))[1]
     if shape is not None and (phi.ndim != 1 or shape[-1:] != phi.shape):
         raise ValueError(f"values of shape {shape} do not lie along a grid of shape {phi.shape}")
     return terms
 
 
-def _uniform(n: int, k) -> tuple:
-    """The grid np.linspace(0, 2 pi, n, endpoint=False) of an integer n and its _design for harmonic k.
-    Up to _CACHED_POINTS points, both come from the grid cache, found by n alone, and the grid is
-    read-only; a longer grid is made on each call, as _terms makes it."""
-    grid = functools.partial(np.linspace, 0.0, 2.0 * np.pi, n, endpoint=False)
-    if n > _CACHED_POINTS:
-        phi = grid()
-        return phi, _design(phi, k)
-    return _cached(n, k, grid)
-
-
-def _harmonic(k):
-    """k unless it is an array, which raises ValueError by name (the cache compares k as one number)."""
+def _harmonic(k) -> int:
+    """k as a Python int, the grid cache's key: 2, np.int64(2), np.array(2) and 2.0 are 2; an array, or one
+    number that is not an integer, raises ValueError by name."""
     if not isinstance(k, int) and np.ndim(k):
         raise ValueError(f"k must be a scalar, got an array of shape {np.shape(k)}")
-    return k
+    number = k if isinstance(k, int) else np.asarray(k).item()
+    if not (isinstance(number, int) or isinstance(number, float) and number.is_integer()):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    return int(number)
 
 
 def harmonics(phi, k: int = 1):
     """(cos(k phi), sin(k phi)), the same floats numpy gives for k * phi.
 
-    A 1-D grid's pair is read-only and cached by the grid's contents (see
-    _terms), so a grid changed in place gets the terms of its new values, and
-    a copy of a cached grid gets the very same arrays; a scalar or an array
-    of any other shape is computed on each call.  A NaN or infinite phase
-    raises NonFiniteInput, a complex one ComplexInput, and an array k
-    ValueError.
+    A 1-D grid's pair is read-only: the uniform grid of up to 65536 points,
+    in any holder of its bytes, gets the very same cached arrays (see
+    _terms); any other grid is computed on each call.  A NaN or infinite
+    phase raises NonFiniteInput, a complex one ComplexInput, and an array k,
+    or one that is not an integer, ValueError.
     """
     c, s, _, _ = _terms(phi, _harmonic(k))
     return c, s
@@ -239,13 +210,13 @@ def harmonic_fit(values, phi, k: int):
     Im(amplitude) sin(k phi), arrays of the leading shape (scalars for one
     scan).  One inverse of the normal matrix serves every row, and each row's
     sums are elementwise products summed along the last axis, so a stack
-    gives bit for bit the fits of its rows on their own.  The terms and the
-    inverse depend on the grid alone and come from the harmonics cache; a
-    call computes only the three sums of each row.  A grid that cannot
-    resolve the terms (fewer than three distinct phases mod 2 pi / k, or too
-    short a span) raises UnresolvableGrid, and a NaN or infinite value or
-    phase NonFiniteInput.  Complex values or phases raise ComplexInput, and
-    an array k ValueError.  A stack over one row block is summed by blocks.
+    gives bit for bit the fits of its rows on their own; on the cached grid
+    (see harmonics) a call computes only the three sums of each row.  A grid
+    that cannot resolve the terms (fewer than three distinct phases mod 2 pi
+    / k, or too short a span) raises UnresolvableGrid, and a NaN or infinite
+    value or phase NonFiniteInput.  Complex values or phases raise
+    ComplexInput, and k as harmonics.  A stack over one row block is summed
+    by blocks.
     """
     y = finite("values", values)
     return _fit(y, _terms(phi, _harmonic(k), "phi", y.shape), k)

@@ -179,7 +179,8 @@ def generate(
     clamped to [0, 1], drawn from a generator seeded with ``seed`` so that
     images are bit-reproducible.  delta, beta and phi0 must be scalar angles,
     k0, noise_sigma and envelope_width scalars, the height and width integers,
-    and a seed given as one number (a 0-d array too) an integer.
+    and a seed given as one number (a 0-d array too) an integer, as a list,
+    tuple or array integers.
     """
     h, w = size
     h, w = _scalar("height", h, "integer"), _scalar("width", w, "integer")

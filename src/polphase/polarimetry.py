@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsp import UnresolvableGrid  # the fit's refusal, raised from here too
-from .dsp import _add_normal, _fit, _row_blocks, _terms, _uniform, harmonic_fit
+from .dsp import _CACHED_POINTS, _add_normal, _fit, _row_blocks, _terms, _uniform, harmonic_fit
 from .plates import WavePlate, compose
 from .su2 import EPS_DEGENERATE, YzyParams, _scalar, _seed, finite
 
@@ -70,21 +70,24 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     at eta = 0, zeta = pi (the alignment configuration).
     """
     xi, eta, zeta = finite("xi", xi), finite("eta", eta), finite("zeta", zeta)
-    swing = _scan_law(xi, eta, zeta, *_terms(phi, 1, "phi")[:2])
+    swing = _scan_law(*_five_plate_law(xi, eta, zeta), *_terms(phi, 1, "phi")[:2])
     return float(swing) if swing.ndim == 0 else swing
 
 
-def _scan_law(xi, eta, zeta, cos_phi, sin_phi, out=None, add_noise=None, first=0):
-    """polarimetric_intensity of checked angles (one scan, or a row per entry of an eta column) from the
-    grid's harmonics, into out if given; then, if given, add_noise's draws from row first and the clip."""
-    ce, se = np.cos(eta / 2.0), np.sin(eta / 2.0)
-    cs = np.cos((xi + zeta) / 2.0)
-    # swing is built and squared in place, in the closed form's order; the squares
-    # are products: numpy squares a scalar with pow(), which can differ in the last bit
-    swing = np.multiply(ce * np.sin((xi + zeta) / 2.0), cos_phi, out=out)
-    swing += se * np.sin((xi - zeta) / 2.0) * sin_phi
+def _five_plate_law(xi, eta, zeta) -> tuple:
+    """_scan_law's (p, q, r) at checked angles (or an eta column), in the closed form's order; the squares
+    are products: numpy squares a scalar with pow(), which can differ in the last bit."""
+    ce, se, cs = np.cos(eta / 2.0), np.sin(eta / 2.0), np.cos((xi + zeta) / 2.0)
+    return ce * ce * (cs * cs), ce * np.sin((xi + zeta) / 2.0), se * np.sin((xi - zeta) / 2.0)
+
+
+def _scan_law(p, q, r, cos_phi, sin_phi, out=None, add_noise=None, first=0):
+    """(q cos phi + r sin phi)^2 + p of the grid's harmonics (a row per entry of coefficient columns), built in
+    place into out if given; then, if given, add_noise's draws from row first and the clip."""
+    swing = np.multiply(q, cos_phi, out=out)
+    swing += r * sin_phi
     swing *= swing
-    swing += ce * ce * (cs * cs)
+    swing += p
     return swing if add_noise is None else add_noise(swing, first)
 
 
@@ -124,7 +127,7 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
     (noise_sigma == 0) returns the intensities unchanged; a NaN or infinite
     noise_sigma raises NonFiniteInput, a negative one or an array ValueError,
     and so does a seed given as one number (a 0-d array too) that is not an
-    integer.
+    integer, or as a list, tuple or array with an entry that is not one.
     """
     intensity = np.asarray(intensity, dtype=float)
     add_noise = _scan_noise(noise_sigma, seed, intensity.ndim > 1)
@@ -179,20 +182,21 @@ def polarimetric_sweep(
     intensity = np.empty(etas.shape + phi.shape)
     scans, etas = intensity.reshape(-1, len(phi)), etas.reshape(-1, 1)
     for rows in _row_blocks(*scans.shape):
-        _scan_law(x, etas[rows], z, *law[:2], scans[rows], add_noise, rows.start)
+        _scan_law(*_five_plate_law(x, etas[rows], z), *law[:2], scans[rows], add_noise, rows.start)
     return PolarimetricSweep(phi.copy(), intensity, YzyParams(xi, eta, zeta))
 
 
 def _scan_grid(n_grid) -> tuple:
-    """The grid of n_grid >= 64 points over [0, 2 pi) and its terms for the law (k = 1) and the fit
-    (k = 2), looked up by n_grid in dsp's grid cache (dsp._uniform); operator.index is np.linspace's own."""
+    """The grid of n_grid >= 64 points over [0, 2 pi) and its terms for the law (k = 1) and the fit (k = 2):
+    dsp._uniform's entries, which its bytes hit too, or made on each call; operator.index is np.linspace's."""
     if not isinstance(n_grid, int) and (isinstance(n_grid, (str, bytes)) or np.ndim(n_grid)):
         raise ValueError(f"n_grid must be an integer, got {n_grid!r}")
     if n_grid < 64:
         raise ValueError(f"n_grid must be at least 64, got {n_grid}")
     n = operator.index(n_grid)
-    phi, law = _uniform(n, 1)
-    return phi, law, _uniform(n, 2)[1]
+    uniform = _uniform if n <= _CACHED_POINTS else _uniform.__wrapped__
+    (phi, law), (_, fit) = uniform(n, 1), uniform(n, 2)
+    return phi, law, fit
 
 
 def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
@@ -204,21 +208,18 @@ def scan_plate_array(plates: Sequence[WavePlate], phi_grid) -> np.ndarray:
     each grid point.  This is how a user-supplied plate file is simulated.
 
     Turning every axis by -phi/2 conjugates the composed matrix U0 of the
-    array at phi = 0 by a real rotation, U(phi) = R(-phi/2) U0 R(phi/2), so
+    array at phi = 0 by a real rotation, U(phi) = R(-phi/2) U0 R(phi/2), and
+    U0 has u11 = conj(u00), u01 = -conj(u10), so
 
-        <V| U(phi) |V> = a + b cos(phi) + c sin(phi),
-        a = (u00 + u11)/2,  b = (u00 - u11)/2,  c = (u01 + u10)/2,
+        <V| U(phi) |V> = Re u00 + i (Im u00 cos(phi) + Im u10 sin(phi)),
 
-    and the scan needs one compose call, not one matrix per grid point.
+    the five-plate scan's law, from one compose call, not a matrix per point.
     Returns an array of len(phi_grid) (one entry for a scalar); a NaN or
     infinite phi_grid raises NonFiniteInput, a complex one ComplexInput.
     """
     cos_phi, sin_phi, _, _ = _terms(phi_grid, 1, "phi_grid")
     u = compose(plates)
-    a, b, c = (u[0, 0] + u[1, 1]) / 2.0, (u[0, 0] - u[1, 1]) / 2.0, (u[0, 1] + u[1, 0]) / 2.0
-    re = a.real + b.real * cos_phi + c.real * sin_phi
-    im = a.imag + b.imag * cos_phi + c.imag * sin_phi
-    return np.atleast_1d(re * re + im * im)
+    return np.atleast_1d(_scan_law(u[0, 0].real * u[0, 0].real, u[0, 0].imag, u[1, 0].imag, cos_phi, sin_phi))
 
 
 def sweep_extrema(sweep: PolarimetricSweep):
@@ -266,8 +267,6 @@ def measure_phase(
     """
     phi, law, fit = _scan_grid(n_grid)
     # as Python floats, whose arithmetic gives the floats of 0-d arrays' at a fraction of its cost
-    angles = {name: float(_scalar(name, value, "scalar angle"))
-              for name, value in (("eta", eta), ("xi", xi), ("zeta", zeta))}
-    scan = _scan_law(angles["xi"], angles["eta"], angles["zeta"], *law[:2], np.empty(len(phi)),
-                     _scan_noise(noise_sigma, seed, False))
+    e, x, z = (float(_scalar(name, a, "scalar angle")) for name, a in (("eta", eta), ("xi", xi), ("zeta", zeta)))
+    scan = _scan_law(*_five_plate_law(x, e, z), *law[:2], np.empty(len(phi)), _scan_noise(noise_sigma, seed, False))
     return extract_cos2_phase(*_extrema(*_fit(scan, fit, 2)))

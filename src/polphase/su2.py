@@ -148,10 +148,16 @@ def _scalar(name: str, value, kind: str = "scalar"):
 
 
 def _seed(seed):
-    """A noise seed given as one number, a 0-d array included, as _scalar's integer (ValueError unless
-    it is one); any other seed as given, for numpy to check as the entropy of one generator."""
+    """A noise seed given as one number, a 0-d array included, as _scalar's integer (ValueError unless it is
+    one); any other seed as given, the entropy of one generator: ValueError for a list, tuple or array that
+    SeedSequence refuses (an entry that is not an integer)."""
     if isinstance(seed, numbers.Number) or (isinstance(seed, np.ndarray) and seed.ndim == 0):
         return _scalar("seed", seed, "integer")
+    if isinstance(seed, (list, tuple, np.ndarray)):
+        try:
+            np.random.SeedSequence(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer or a sequence of integers, got {seed!r}") from None
     return seed
 
 

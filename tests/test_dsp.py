@@ -177,6 +177,20 @@ def test_an_array_harmonic_is_refused_by_name(k):
             [term.tobytes() for term in dsp.harmonics(PHI_64, 2)]
 
 
+@pytest.mark.parametrize("k", [1.5, np.float64(2.5), np.array(0.5), np.nan, np.inf, 1j, "2"])
+def test_a_harmonic_that_is_not_an_integer_is_refused_by_name(k):
+    # a non-integer harmonic was fitted, and a 0-d array could not key the grid cache
+    message = f"^k must be an integer, got {re.escape(repr(k))}$"
+    with pytest.raises(ValueError, match=message):
+        dsp.harmonic_fit(np.ones(64), np.linspace(0, 6, 64), k)
+    with pytest.raises(ValueError, match=message):
+        dsp.harmonics(PHI_64, k)
+    # an integer in any holder is the key of the same entry
+    first = dsp.harmonics(PHI_64, 2)
+    for one in (np.int64(2), np.array(2), 2.0, np.float32(2.0)):
+        assert all(got is want for got, want in zip(dsp.harmonics(PHI_64, one), first))
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_nan_value_leaves_its_row_fits_nan_and_the_other_rows_their_own(k):
     # harmonic_fit refuses a NaN value as it refuses an infinite one; its kernel, which
@@ -194,8 +208,9 @@ def test_a_nan_value_leaves_its_row_fits_nan_and_the_other_rows_their_own(k):
 
 
 # ---------------------------------------------------------------------------
-# the grid cache behind harmonics and harmonic_fit: a cached pair is the same
-# read-only arrays on every call, so ``is`` tells a cache hit from a computation
+# the grid cache behind harmonics and harmonic_fit: one entry per (n, k), the uniform grid
+# np.linspace(0, 2 pi, n, endpoint=False) and its terms; a cached pair is the same read-only
+# arrays on every call, so ``is`` tells a cache hit from a computation
 
 def _count_computations(monkeypatch) -> list:
     """The k of every grid whose terms are computed from here on."""
@@ -204,24 +219,38 @@ def _count_computations(monkeypatch) -> list:
     return calls
 
 
+def _turn(n: int) -> np.ndarray:
+    """The uniform grid of n points over one turn, the grid the cache holds."""
+    return np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_harmonics_are_numpys_cos_and_sin_on_first_and_repeat_calls(k, monkeypatch):
-    phi = np.sort(RNG.uniform(-3.0, 9.0, 777))  # a grid no other test has cached
+    phi = _turn(777)
+    dsp._uniform.cache_clear()
     calls = _count_computations(monkeypatch)
     first = dsp.harmonics(phi, k)
-    for c, s in (first, dsp.harmonics(phi, k), dsp.harmonics(phi.copy(), k)):
+    for c, s in (first, dsp.harmonics(phi, k), dsp.harmonics(phi.copy(), k), dsp.harmonics(list(phi), k)):
         np.testing.assert_array_equal(c, np.cos(k * phi), strict=True)
         np.testing.assert_array_equal(s, np.sin(k * phi), strict=True)
-        # one computation per grid contents and k, then hits: a copy of the grid hits too
+        # one computation per length and k, then hits, whatever holds the grid's bytes
         assert c is first[0] and s is first[1]
     assert calls == [k]
     assert dsp.harmonics(phi, 3 - k)[0] is not first[0]
     assert calls == [k, 3 - k]
+    # any other grid gets numpy's floats too, computed on each call
+    other = np.sort(RNG.uniform(-3.0, 9.0, 777))
+    pairs = [dsp.harmonics(other, k) for _ in range(2)]
+    for c, s in pairs:
+        np.testing.assert_array_equal(c, np.cos(k * other), strict=True)
+        np.testing.assert_array_equal(s, np.sin(k * other), strict=True)
+    assert pairs[1][0] is not pairs[0][0]
+    assert calls == [k, 3 - k, k, k]
 
 
 def _fill_the_cache(k: int) -> list:
-    """Cache as many new grids as the cache holds; their (grid, cos) pairs."""
-    grids = [np.sort(RNG.uniform(0.0, 2 * np.pi, 100)) for _ in range(dsp._GRID_CACHE_SIZE)]
+    """Cache as many uniform grids of new lengths as the cache holds; their (grid, cos) pairs."""
+    grids = [_turn(n) for n in range(1100, 1100 + dsp._uniform.cache_info().maxsize)]
     return [(phi, dsp.harmonics(phi, k)[0]) for phi in grids]
 
 
@@ -232,7 +261,7 @@ def _all_held(pairs, k: int) -> bool:
 def test_harmonics_of_other_shapes_are_computed_directly():
     held = _fill_the_cache(2)
     mesh = RNG.uniform(0.0, 6.0, (5, 7))
-    for phi in (mesh, 0.3, np.float64(-2.5)):
+    for phi in (mesh, _turn(64)[None], 0.3, np.float64(-2.5)):
         c, s = dsp.harmonics(phi, 2)
         np.testing.assert_array_equal(c, np.cos(2 * np.asarray(phi)))
         np.testing.assert_array_equal(s, np.sin(2 * np.asarray(phi)))
@@ -241,7 +270,7 @@ def test_harmonics_of_other_shapes_are_computed_directly():
 
 
 def test_cached_harmonics_are_read_only():
-    c, s = dsp.harmonics(np.linspace(0.0, 2 * np.pi, 64, endpoint=False), 2)
+    c, s = dsp.harmonics(_turn(64), 2)
     for term in (c, s):
         with pytest.raises(ValueError, match="read-only"):
             term[0] = 1.0
@@ -262,43 +291,43 @@ def test_the_cache_is_keyed_by_the_grid_contents():
 
 
 def test_a_cached_unresolvable_grid_is_refused_on_every_call(monkeypatch):
-    phi = np.array([0.25, np.pi + 0.25, 0.25, np.pi + 0.25])  # two distinct phases mod 2 pi
+    phi = _turn(4)  # 2 phi takes two distinct phases mod 2 pi: sin 2 phi vanishes
+    dsp._uniform.cache_clear()
     calls = _count_computations(monkeypatch)
     for _ in range(3):
         with pytest.raises(dsp.UnresolvableGrid):
-            dsp.harmonic_fit(np.ones(4), phi, 1)
+            dsp.harmonic_fit(np.ones(4), phi, 2)
     # computed once: the second and third refusals read the cached determinant
-    assert calls == [1]
+    assert calls == [2]
 
 
 def test_the_cache_is_bounded(monkeypatch):
-    size = dsp._GRID_CACHE_SIZE
-    assert 0 < size <= 16
-    grids = [np.linspace(0.0, 2 * np.pi, n, endpoint=False) for n in range(64, 64 + 2 * size)]
+    size = dsp._uniform.cache_info().maxsize
+    assert size == 8
+    grids = [_turn(n) for n in range(64, 64 + 2 * size)]
     for phi in grids:
         dsp.harmonic_fit(np.ones(len(phi)), phi, 2)
-    # the last `size` grids are held (a hit keeps them all), the one before them is not
+        assert dsp._uniform.cache_info().currsize <= size
+    # the last `size` grids are held, the one before them is not
     held = [(phi, dsp.harmonics(phi, 2)[0]) for phi in grids[size:]]
     assert _all_held(held, 2)
     # a grid longer than the cached ones is computed on each call, to the same floats,
     # and evicts nothing
     calls = _count_computations(monkeypatch)
-    phi = np.linspace(0.0, 2 * np.pi, dsp._CACHED_POINTS + 1)
+    phi = _turn(dsp._CACHED_POINTS + 1)
     first = dsp.harmonics(phi, 2)[1]
     np.testing.assert_array_equal(first, np.sin(2 * phi))
     assert dsp.harmonics(phi, 2)[1] is not first
     assert calls == [2, 2]
     assert _all_held(held, 2)
-    # a hit makes a grid the most recently used, so a new grid takes the place of the next one
-    assert _all_held(held[:1], 2)
+    # the grid before them was evicted: its terms are computed again
     dsp.harmonics(grids[size - 1], 2)
     assert calls == [2, 2, 2]
-    assert _all_held(held[:1] + held[2:], 2)
-    assert not _all_held(held[1:2], 2)
 
 
 def test_threads_sharing_the_cache_get_numpys_terms_and_keep_its_bound():
-    grids = [np.linspace(0.0, 2 * np.pi, n, endpoint=False) for n in range(200, 200 + 3 * dsp._GRID_CACHE_SIZE)]
+    size = dsp._uniform.cache_info().maxsize
+    grids = [_turn(n) for n in range(200, 200 + 3 * size)]
     errors = []
 
     def scan(offset):
@@ -309,11 +338,9 @@ def test_threads_sharing_the_cache_get_numpys_terms_and_keep_its_bound():
                 c, s = dsp.harmonics(phi, k)
                 if not (np.array_equal(c, np.cos(k * phi)) and np.array_equal(s, np.sin(k * phi))):
                     errors.append(f"wrong terms for {len(phi)} points, k = {k}")
-                with dsp._GRID_LOCK:  # between two lookups: within the bound, one entry per grid and k
-                    keys = [(grid, k) for grid, k, _ in dsp._GRID_CACHE]
-                if len(keys) > dsp._GRID_CACHE_SIZE or len(set(keys)) < len(keys):
-                    errors.append(f"{len(keys)} entries, {len(set(keys))} distinct")
-        except Exception as exc:  # a race in the reordering surfaces as an IndexError
+                if dsp._uniform.cache_info().currsize > size:
+                    errors.append(f"{dsp._uniform.cache_info().currsize} entries")
+        except Exception as exc:
             errors.append(repr(exc))
 
     interval = sys.getswitchinterval()
@@ -328,4 +355,4 @@ def test_threads_sharing_the_cache_get_numpys_terms_and_keep_its_bound():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(dsp._GRID_CACHE) == dsp._GRID_CACHE_SIZE
+    assert dsp._uniform.cache_info().currsize == size

@@ -1,17 +1,19 @@
 """The one gate of a scan grid (dsp._terms): every entry point that takes a phi grid reads its
-terms there, a grid is scanned for finiteness only when it misses the cache, and the results and
-refusals are those of checking the grid first and looking its terms up after, kept here as the
-oracle."""
+terms there, a grid is scanned for finiteness unless it holds the bytes of the cached uniform grid
+of its length, and the results and refusals are those of checking the grid first and looking its
+terms up after, kept here as the oracle."""
 
+import math
 import operator
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polphase import dsp, interferometer, plates, polarimetry, su2
+from polphase import cli, dsp, fringes, interferometer, plates, polarimetry, su2
 
 RNG = np.random.default_rng(1984)
 
@@ -87,7 +89,7 @@ def oracle_scan_plate_array(array, phi_grid):
 
 def oracle_polarimetric_intensity(xi, eta, zeta, phi):
     xi, eta, zeta, phi = su2.finite("xi", xi), su2.finite("eta", eta), su2.finite("zeta", zeta), su2.finite("phi", phi)
-    swing = polarimetry._scan_law(xi, eta, zeta, *oracle_harmonics(phi, 1))
+    swing = polarimetry._scan_law(*polarimetry._five_plate_law(xi, eta, zeta), *oracle_harmonics(phi, 1))
     return float(swing) if swing.ndim == 0 else swing
 
 
@@ -109,7 +111,8 @@ def oracle_polarimetric_sweep(xi, eta, zeta, n_grid, noise_sigma, seed):
     intensity = np.empty(etas.shape + phi.shape)
     scans, etas = intensity.reshape(-1, len(phi)), etas.reshape(-1, 1)
     for rows in dsp._row_blocks(*scans.shape):
-        polarimetry._scan_law(x, etas[rows], z, *law[:2], scans[rows], add_noise, rows.start)
+        polarimetry._scan_law(*polarimetry._five_plate_law(x, etas[rows], z), *law[:2], scans[rows], add_noise,
+                              rows.start)
     return polarimetry.PolarimetricSweep(phi, intensity, su2.YzyParams(xi, eta, zeta))
 
 
@@ -119,8 +122,8 @@ def oracle_measure_phase(xi, eta, zeta, n_grid, noise_sigma, seed):
     for name, angle in angles.items():
         if angle.ndim:
             raise ValueError(f"{name} must be a scalar angle, got an array of shape {angle.shape}")
-    scan = polarimetry._scan_law(angles["xi"], angles["eta"], angles["zeta"], *law[:2], np.empty(len(phi)),
-                                 polarimetry._scan_noise(noise_sigma, seed, False))
+    scan = polarimetry._scan_law(*polarimetry._five_plate_law(angles["xi"], angles["eta"], angles["zeta"]),
+                                 *law[:2], np.empty(len(phi)), polarimetry._scan_noise(noise_sigma, seed, False))
     return polarimetry.extract_cos2_phase(*polarimetry._extrema(*dsp._fit(scan, fit, 2)))
 
 
@@ -214,7 +217,8 @@ def test_every_grid_entry_point_checks_then_looks_up_as_the_oracle(phi, seed, sp
 
 
 # ---------------------------------------------------------------------------
-# a cached grid is scanned once, and the cache never vouches for changed bytes
+# the uniform grid of a length is never scanned, any other grid always is, and the
+# cache never vouches for changed bytes
 
 def _grid_checks(monkeypatch) -> list:
     """The name of every finiteness check, from here on, of a phi grid, wherever it is made."""
@@ -228,6 +232,13 @@ def _grid_checks(monkeypatch) -> list:
     for module in (dsp, interferometer, polarimetry):
         monkeypatch.setattr(module, "finite", counted)
     return checks
+
+
+def _computations(monkeypatch) -> list:
+    """The length of every grid whose terms are computed from here on."""
+    calls, design = [], dsp._design
+    monkeypatch.setattr(dsp, "_design", lambda phi, k: calls.append(len(phi)) or design(phi, k))
+    return calls
 
 
 def _scan(phi) -> np.ndarray:
@@ -248,26 +259,86 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_a_cached_grid_is_not_scanned_again(entry, monkeypatch):
-    phi = np.sort(RNG.uniform(0.0, 2 * np.pi, 1001))  # a grid no other test has cached
-    checks = _grid_checks(monkeypatch)
-    first = ENTRY_POINTS[entry](phi)
-    assert len(checks) == 1  # the miss is scanned
+    phi = np.linspace(0.0, 2 * np.pi, 1001, endpoint=False)
+    first = ENTRY_POINTS[entry](phi)  # enters the grid of its length, if no other test has
+    checks, computations = _grid_checks(monkeypatch), _computations(monkeypatch)
     for grid in (phi, phi.copy(), list(phi)):  # the same bytes hit, whatever holds them
         assert outcome(ENTRY_POINTS[entry], grid) == bits(first)
-    assert len(checks) == 1
+    assert checks == [] and computations == []
 
 
 @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_a_cached_grid_changed_in_place_is_refused(entry, bad, shown):
-    phi = np.sort(RNG.uniform(0.0, 2 * np.pi, 999))
-    ENTRY_POINTS[entry](phi)
+    phi = np.linspace(0.0, 2 * np.pi, 999, endpoint=False)
+    ENTRY_POINTS[entry](phi)  # a hit
     phi[17] = bad
     name = "phi_grid" if entry == "scan_plate_array" else "phi"
     with pytest.raises(su2.NonFiniteInput, match=f"^{name} must be finite, got 1 of 999 values$"):
         ENTRY_POINTS[entry](phi)
     with pytest.raises(su2.NonFiniteInput, match=f"^{name} must be finite, got {shown}$"):
         ENTRY_POINTS[entry](phi[17:18])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+#: the CLI runs whose grids reach the gate: the interferometer sweep, the plate scan, the
+#: visibility check's simulated sweeps and a polarimetry curve, whose sweep's phi_grid is fitted
+CLI_RUNS = [
+    ["interf", "sweep", "--xi", "0.5", "--eta", "1.0", "--zeta=-0.3", "--samples", "256"],
+    ["polarimetry", "--plates", str(GOLDEN / "polarimetry_noisy_plate_scan" / "plates.txt"), "--n-grid", "512",
+     "--noise-sigma", "0.02", "--seed", "5"],
+    ["visibility", "--theta1=-1.5:1.5:5", "--theta2=-1:1:3", "--theta3=-0.9", "--check"],
+    ["polarimetry", "--mode", "zeta2pi", "--eta-steps", "4", "--n-grid", "640"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: "_".join(argv[:2]))
+def test_every_grid_the_cli_builds_hits_its_entry_without_a_scan(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out-dir", "first"]) == 0  # enters the grid's entries, if no other test has
+    checks, computations = _grid_checks(monkeypatch), _computations(monkeypatch)
+    misses = dsp._uniform.cache_info().misses
+    assert cli.main(argv + ["--out-dir", "again"]) == 0
+    assert checks == [] and computations == []
+    assert dsp._uniform.cache_info().misses == misses
+    capsys.readouterr()
+
+
+def test_the_uniform_grids_of_the_bench_and_of_a_sweep_hit_without_a_scan(monkeypatch):
+    # the bench's grid is np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False), a sweep's phi_grid a copy
+    grids = [np.linspace(0.0, 2.0 * math.pi, n, endpoint=False) for n in (2, 3, 64, 100, 1000, 4096)]
+    grids.append(polarimetry.polarimetric_sweep(0.3, 1.1, -0.4, 2048).phi_grid)
+    grids.append(np.linspace(0.0, 2.0 * math.pi, dsp._CACHED_POINTS, endpoint=False))
+    for phi in grids:
+        for k in (1, 2):
+            terms = dsp._uniform(len(phi), k)[1]
+            checks, computations = _grid_checks(monkeypatch), _computations(monkeypatch)
+            assert dsp._terms(phi, k) is terms
+            assert dsp._terms(list(phi), k) is terms
+            assert checks == [] and computations == []
+            monkeypatch.undo()
+
+
+def test_any_other_grid_is_scanned_and_computed_on_each_call_and_enters_nothing(monkeypatch):
+    # a fringe image's k0 x + phi0, a uniform grid shifted off 0, and a sorted random grid
+    held = [(phi, k, dsp.harmonics(phi, k)) for phi in (np.linspace(0.0, 2 * np.pi, 640, endpoint=False),
+                                                         np.linspace(0.0, 2 * np.pi, 999, endpoint=False))
+            for k in (1, 2)]
+    info = dsp._uniform.cache_info()
+    generated = 0.25 * np.arange(640.0) + 0.3
+    shifted = np.linspace(0.0, 2 * np.pi, 640, endpoint=False) + 1e-3
+    checks, computations = _grid_checks(monkeypatch), _computations(monkeypatch)
+    for phi in (generated, shifted, np.sort(RNG.uniform(0.0, 2 * np.pi, 999))):
+        for entry in sorted(ENTRY_POINTS):
+            checks.clear()
+            computations.clear()
+            assert outcome(ENTRY_POINTS[entry], phi) == outcome(ENTRY_POINTS[entry], phi)
+            assert len(checks) == 2 and computations == [len(phi)] * 2, entry
+    monkeypatch.undo()
+    fringes.generate(0.4, 0.3, 0.25, size=(32, 640), noise_sigma=0.02, seed=3)
+    assert dsp._uniform.cache_info() == info  # not one lookup, entry or eviction
+    for phi, k, pair in held:
+        assert all(a is b for a, b in zip(dsp.harmonics(phi, k), pair))
 
 
 def test_a_grid_harmonics_read_with_a_nan_is_not_entered():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polphase import dsp, plates, polarimetry, su2
+from polphase import dsp, fringes, plates, polarimetry, su2
 
 RNG = np.random.default_rng(2718281)
 
@@ -461,6 +461,23 @@ def test_a_single_scan_refuses_a_seed_that_is_one_number_but_not_an_integer(seed
     assert polarimetry.add_scan_noise(np.full(64, 0.5), 0.0, seed).tobytes() == np.full(64, 0.5).tobytes()
     assert polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, np.int64(4)) == \
         polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, 4)
+
+
+@pytest.mark.parametrize("seed", [[0.5], (3, 4.0), np.array([0.5]), [np.array(5)], [[1, 2], [0.5]]],
+                         ids=["list", "tuple", "array", "0-d-entry", "nested"])
+def test_a_sequence_seed_whose_entries_are_not_integers_is_refused_by_name(seed):
+    # numpy's SeedSequence refused it, unlabelled: `seed must be integer` or `len() of unsized object`
+    message = f"^seed must be an integer or a sequence of integers, got {re.escape(repr(seed))}$"
+    for call in (lambda: polarimetry.add_scan_noise(np.full(64, 0.5), 0.1, seed),
+                 lambda: polarimetry.polarimetric_sweep(0.3, 0.5, -0.2, 64, 0.1, seed),
+                 lambda: polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, seed),
+                 lambda: fringes.generate(0.1, 0.2, 0.3, size=(32, 64), noise_sigma=0.1, seed=seed)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # an integer sequence is still the entropy of one generator, drawing what numpy draws from it
+    for entropy in ([3, 4], (3, 4), np.array([3, 4]), [[1, 2], [3]], []):
+        want = np.clip(0.5 + np.random.default_rng(entropy).normal(0.0, 0.1, 64), 0.0, 1.0)
+        assert polarimetry.add_scan_noise(np.full(64, 0.5), 0.1, entropy).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
