@@ -218,7 +218,7 @@ def harmonic_fit(values, phi, k: int):
     ComplexInput, and k as harmonics.  A stack over one row block is summed
     by blocks.
     """
-    y = finite("values", values)
+    y = np.asarray(finite("values", values))
     return _fit(y, _terms(phi, _harmonic(k), "phi", y.shape), k)
 
 

@@ -308,8 +308,8 @@ def _row_flags(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _profile_pair(up, low) -> np.ndarray:
     """An upper and a lower profile as a (1, 2, n) stack, refused unless finite and of one length."""
-    up = finite("upper profile", up)
-    low = finite("lower profile", low)
+    up = np.asarray(finite("upper profile", up))
+    low = np.asarray(finite("lower profile", low))
     if len(up) != len(low):
         raise ValueError(f"profile lengths differ: {len(up)} vs {len(low)}")
     return np.stack([up, low])[None]
@@ -635,7 +635,7 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
         raise NoCarrier(_FLAT)
     if k0 is None:
         k0 = estimate_carrier(pair[0, 0])
-    shifts, (error,) = _fourier_shifts(pair, _scalar("k0", k0)[None])
+    shifts, (error,) = _fourier_shifts(pair, np.array([_scalar("k0", k0)]))
     if error is not None:
         raise error
     return float(shifts[0])
@@ -945,7 +945,8 @@ def load_interferogram(path) -> tuple[Interferogram, dict]:
 
     Returns the Interferogram and the full sidecar dictionary (values parsed
     as float where possible).  A missing sidecar yields an empty dict and a
-    default split at mid-height.
+    default split at mid-height.  A NaN or infinite k0 or true_delta in the
+    sidecar raises NonFiniteInput naming the key.
     """
     pixels = _read_pgm(path)
     try:
@@ -970,5 +971,8 @@ def load_interferogram(path) -> tuple[Interferogram, dict]:
                 value = parsed
                 break
         meta[key.strip()] = value
+    for key in ("k0", "true_delta"):
+        if isinstance(meta.get(key), float):
+            finite(f"sidecar {key}", meta[key])
     split = _geometry(*pixels.shape, meta.get("split_row", pixels.shape[0] // 2))
     return Interferogram._valid(pixels, split, k0=meta.get("k0"), true_delta=meta.get("true_delta")), meta

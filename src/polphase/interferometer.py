@@ -34,7 +34,7 @@ import numpy as np
 
 from .dsp import UnresolvableGrid, _fit, _terms  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import compose
-from .su2 import finite, from_yzy, wrap_angle
+from .su2 import NonFiniteInput, finite, from_yzy, wrap_angle
 
 #: visibility below this is treated as zero (fringes flat, shift undefined)
 EPS_VISIBILITY = 1e-6
@@ -74,11 +74,23 @@ def output_intensity(input_pol: str, u: np.ndarray, phi, complementary: bool = F
 
 
 def _checked(u) -> np.ndarray:
-    """u as a finite complex (..., 2, 2) stack of unitary matrices, or the refusal."""
+    """u as a finite complex (..., 2, 2) stack of unitary matrices, or the refusal.
+
+    The largest element of |u^dagger u - 1| is einsum's for a stack and, for one matrix [[a, b], [c, d]],
+    the closed form max(||a|^2 + |c|^2 - 1|, ||b|^2 + |d|^2 - 1|, |conj(a) b + conj(c) d|) on Python
+    complex numbers, which can differ from einsum's in the last bit: a refusal's digits, not its decision,
+    except at a rounding boundary.
+    """
     u = finite("u", u, dtype=complex)
     if u.shape[-2:] != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix or a (..., 2, 2) stack, got shape {u.shape}")
-    worst = np.abs(np.einsum("...ji,...jk->...ik", u.conj(), u) - np.eye(2)).max(initial=0.0)
+    if u.ndim == 2:
+        (a, b), (c, d) = u.tolist()
+        worst = max(abs(a.real * a.real + a.imag * a.imag + (c.real * c.real + c.imag * c.imag) - 1.0),
+                    abs(b.real * b.real + b.imag * b.imag + (d.real * d.real + d.imag * d.imag) - 1.0),
+                    abs(a.conjugate() * b + c.conjugate() * d))
+    else:
+        worst = np.abs(np.einsum("...ji,...jk->...ik", u.conj(), u) - np.eye(2)).max(initial=0.0)
     if worst > EPS_UNITARY:
         raise NonUnitary(f"u must be unitary: |u^dagger u - 1| reaches {worst:.3e}, above {EPS_UNITARY:g}")
     return u
@@ -103,16 +115,21 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     The H-fed fringe is the V-fed fringe of u with both axes reversed, so the
     halves are output_intensity("V", ...) of the pair of u and its reversal,
     bit for bit and with the same refusals, but each is evaluated on its own:
-    the pair and the grid pass output_intensity's checks once, each half is
-    output_intensity's expression of its overlap u[0, 0] or u[1, 1], and one
-    lookup of the grid's harmonics serves both halves and both fits.
+    u and the grid pass output_intensity's checks once (the reversal's
+    |u^dagger u - 1| holds u's elements, and a non-finite u is refused as the
+    pair, counting each value in both), each half is output_intensity's
+    expression of its overlap u[0, 0] or u[1, 1], and one lookup of the
+    grid's harmonics serves both halves and both fits.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix, got shape {u.shape}")
-    pair = _checked((u, u[::-1, ::-1]))
+    try:
+        _checked(u)
+    except NonFiniteInput:
+        _checked((u, u[::-1, ::-1]))
     terms = _terms(phi_grid, 1, "phi", (2,) + np.shape(phi_grid))
-    amp_v, amp_h = (_fit(_port(w, terms[0], terms[1]), terms, 1)[1] for w in pair[:, 0, 0])
+    amp_v, amp_h = (_fit(_port(w, terms[0], terms[1]), terms, 1)[1] for w in (u[0, 0], u[1, 1]))
     visibility = 2.0 * abs(amp_v)
     if visibility <= EPS_VISIBILITY:
         raise ZeroVisibility(f"visibility {visibility:.3e} below {EPS_VISIBILITY:g}")

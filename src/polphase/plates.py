@@ -36,7 +36,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .su2 import IDENTITY2, NonFiniteInput, finite, matrix, rot_z
+from .su2 import IDENTITY2, finite, matrix, rot_z
 
 QUARTER_RETARDANCE = np.pi / 2.0
 HALF_RETARDANCE = np.pi
@@ -57,10 +57,8 @@ class WavePlate:
             raise ValueError(f"plate kind must be 'Q' or 'H', got {self.kind!r}")
         # canonical mounting angle: axes are pi-periodic; a float's % gives the floats of np.remainder
         axis = self.axis
-        if type(axis) is not float:
+        if type(axis) is not float or not math.isfinite(axis):  # finite's refusal, or its float
             axis = float(finite("plate axis", axis))
-        elif not math.isfinite(axis):  # finite's check and message, without its array
-            raise NonFiniteInput(f"plate axis must be finite, got {axis}")
         axis %= np.pi
         if axis > np.pi / 2.0:
             axis -= np.pi

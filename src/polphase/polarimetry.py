@@ -140,7 +140,7 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
 def _scan_noise(noise_sigma, seed, stacked: bool):
     """add_scan_noise's refusals, made before any draw.  None if noise-free, else a function that adds
     in place to C-contiguous scans (one, or a block's rows) their draws (row k at first + k) and clips."""
-    sigma = float(_scalar("noise_sigma", noise_sigma))
+    sigma = _scalar("noise_sigma", noise_sigma)
     if sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
     if sigma == 0.0:
@@ -176,7 +176,7 @@ def polarimetric_sweep(
     array or text; TypeError, np.linspace's, for any other non-integer).
     """
     phi, law, _ = _scan_grid(n_grid)
-    etas, x, z = finite("eta", eta), finite("xi", xi), finite("zeta", zeta)
+    etas, x, z = np.asarray(finite("eta", eta)), finite("xi", xi), finite("zeta", zeta)
     add_noise = _scan_noise(noise_sigma, seed, etas.ndim > 0)
     # one scan per eta, built in row blocks
     intensity = np.empty(etas.shape + phi.shape)
@@ -266,7 +266,6 @@ def measure_phase(
     into one buffer, which is fitted as it is.
     """
     phi, law, fit = _scan_grid(n_grid)
-    # as Python floats, whose arithmetic gives the floats of 0-d arrays' at a fraction of its cost
-    e, x, z = (float(_scalar(name, a, "scalar angle")) for name, a in (("eta", eta), ("xi", xi), ("zeta", zeta)))
+    e, x, z = (_scalar(name, a, "scalar angle") for name, a in (("eta", eta), ("xi", xi), ("zeta", zeta)))
     scan = _scan_law(*_five_plate_law(x, e, z), *law[:2], np.empty(len(phi)), _scan_noise(noise_sigma, seed, False))
     return extract_cos2_phase(*_extrema(*_fit(scan, fit, 2)))

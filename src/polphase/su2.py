@@ -15,6 +15,15 @@ Conventions used throughout the package:
   ZyzParams of Python floats and bools.  NaN or infinite inputs raise
   NonFiniteInput.  Every operator is built by ``matrix`` from its element
   formulas; products of plate operators are formed by plates.compose.
+* The scalar contract: ``finite``, the one check of a real input, gives one
+  real number back as a Python float and an array (a 0-d one included) as a
+  float array.  A one-matrix call therefore does its angle arithmetic on
+  floats and numpy scalars, which give the bits of the same arithmetic on
+  0-d arrays at a fraction of its cost.  Its complex products are float x complex ones; a complex x
+  complex product (plates.compose's fold) stays an array operation, since
+  numpy's loop fuses multiply-adds that Python's complex product rounds
+  apart.  One-element arrays give the same bits but for the sign of a zero,
+  which numpy's scalar and array complex products can set apart.
 * The canonical ZYZ branch puts beta in [0, pi/2], so cos(beta) >= 0 and the
   fringe visibility cos(beta) is nonnegative.  Any sign of cos(beta) is
   absorbed into delta, which is therefore defined modulo pi.
@@ -107,19 +116,22 @@ def wrap_angle(angle):
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
-def finite(name: str, value, dtype=float) -> np.ndarray:
-    """``value`` as an array of ``dtype``; raises NonFiniteInput on NaN or infinity.
+def finite(name: str, value, dtype=float):
+    """``value`` as a float or an array of ``dtype``; raises NonFiniteInput on NaN or infinity.
 
     The one finiteness check of the package: every broadcast constructor
     passes its inputs through here, so a NaN is refused at the boundary
-    instead of surfacing later as a fake degeneracy.  A complex value for a
-    real dtype raises ComplexInput (see _array).
+    instead of surfacing later as a fake degeneracy.  One real number (a
+    Python or numpy int or float, not an array) comes back as a Python float,
+    the value np.asarray(value, dtype=float) holds, or for another dtype as a
+    0-d array of it; anything else comes back as an array of ``dtype``.  A
+    complex value for a real dtype raises ComplexInput (see _array).
     """
     if isinstance(value, _REAL_SCALARS):
         # one math.isfinite call instead of three array operations
         if not math.isfinite(value):
             raise NonFiniteInput(f"{name} must be finite, got {float(value)}")
-        return np.asarray(value, dtype=dtype)
+        return float(value) if dtype is float else np.asarray(value, dtype=dtype)
     array = _array(name, value, dtype)
     bad = ~np.isfinite(array)
     if bad.any():
@@ -133,31 +145,36 @@ def _scalar(name: str, value, kind: str = "scalar"):
 
     For kind "integer", operator.index(value); anything else, a float
     included, raises ValueError.  For any other kind, finite(name, value) as a
-    0-d array, refused as finite refuses, and with ValueError ("name must be a
-    kind") when it is an array of any other shape.
+    Python float (a 0-d array's too), refused as finite refuses, and with
+    ValueError ("name must be a kind") when it is an array of any other shape.
     """
     if kind == "integer":
         try:
             return operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    array = finite(name, value)
-    if array.ndim:
-        raise ValueError(f"{name} must be a {kind}, got an array of shape {array.shape}")
-    return array
+    value = finite(name, value)
+    if type(value) is not float and value.ndim:
+        raise ValueError(f"{name} must be a {kind}, got an array of shape {value.shape}")
+    return float(value)
 
 
 def _seed(seed):
     """A noise seed given as one number, a 0-d array included, as _scalar's integer (ValueError unless it is
-    one); any other seed as given, the entropy of one generator: ValueError for a list, tuple or array that
-    SeedSequence refuses (an entry that is not an integer)."""
+    a non-negative one); any other seed as given, the entropy of one generator: ValueError for a list, tuple
+    or array that SeedSequence refuses (an entry that is not an integer, or a negative one)."""
     if isinstance(seed, numbers.Number) or (isinstance(seed, np.ndarray) and seed.ndim == 0):
-        return _scalar("seed", seed, "integer")
+        seed = _scalar("seed", seed, "integer")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        return seed
     if isinstance(seed, (list, tuple, np.ndarray)):
         try:
             np.random.SeedSequence(seed)
         except TypeError:
             raise ValueError(f"seed must be an integer or a sequence of integers, got {seed!r}") from None
+        except ValueError:  # numpy's "expected non-negative integer"
+            raise ValueError(f"seed must be a sequence of non-negative integers, got {seed!r}") from None
     return seed
 
 

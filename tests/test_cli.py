@@ -741,6 +741,25 @@ def test_a_refused_run_writes_nothing(name, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_negative_seed_is_one_error_line_naming_the_seed_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "polarimetry", "--mode", "zeta2pi", "--noise-sigma", "0.01", "--seed", "-1",
+                             "--out-dir", "neg")
+    assert (code, out, err) == (1, "", "error: ValueError: seed must be non-negative, got -1\n")
+    assert not (tmp_path / "neg").exists()
+
+
+def test_a_non_finite_sidecar_value_is_one_error_line_naming_the_key_and_writes_nothing(tmp_path, capsys,
+                                                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fringes.save_interferogram(fringes.generate(0.5, 0.4, 0.25, size=(64, 96)), "img.pgm")
+    sidecar = tmp_path / "img.pgm.meta"
+    sidecar.write_text(re.sub("(?m)^true_delta=.*$", "true_delta=inf", sidecar.read_text()))
+    code, out, err = run_cli(capsys, "fringe", "analyze", "--image", "img.pgm", "--out-dir", "an")
+    assert (code, out, err) == (1, "", "error: NonFiniteInput: sidecar true_delta must be finite, got inf\n")
+    assert not (tmp_path / "an").exists()
+
+
 @pytest.mark.parametrize("argv, config, error", [
     (["visibility", "--theta1", "0:1", "--theta2", "0", "--theta3", "0"], "",
      "--theta1 must be 'value' or 'start:stop:count', got '0:1'"),

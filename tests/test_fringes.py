@@ -852,6 +852,22 @@ def test_load_reads_an_integral_split_row_written_as_a_float(tmp_path):
     assert type(img.half_split_row) is int and img.half_split_row == 30 and meta["split_row"] == 30.0
 
 
+@pytest.mark.parametrize("key, text", [("k0", "inf"), ("k0", "nan"), ("true_delta", "inf"), ("true_delta", "-inf"),
+                                       ("true_delta", "nan")])
+def test_load_refuses_a_non_finite_k0_or_true_delta_by_its_key(tmp_path, key, text):
+    # they were read as floats: a true_delta of inf made fringe analyze report an error of nan, and exit 0
+    path = tmp_path / "meta.pgm"
+    fringes.save_interferogram(fringes.generate(0.3, 0.2, 0.4, size=(64, 96)), path)
+    sidecar = Path(f"{path}.meta")
+    sidecar.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={text}", sidecar.read_text()))
+    with pytest.raises(su2.NonFiniteInput, match=f"^sidecar {key} must be finite, got {text}$"):
+        fringes.load_interferogram(path)
+    # a finite value, an integer included, is still read as written
+    sidecar.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}=1", sidecar.read_text()))
+    img, meta = fringes.load_interferogram(path)
+    assert getattr(img, key) == meta[key] == 1 and type(meta[key]) is int
+
+
 @pytest.mark.parametrize("split", [31.7, np.nan, np.inf])
 def test_constructors_refuse_a_non_integral_split_row(split):
     # Interferogram took 31.7 and retrieve_phase then failed on negative region

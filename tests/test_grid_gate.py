@@ -24,7 +24,7 @@ RNG = np.random.default_rng(1984)
 def oracle_terms(phi, k, name=None, shape=None):
     """The grid checked under its name (if it has one) and, for values of the given shape, along its
     axis; then its terms, which a cache hit or a computation gives alike."""
-    phi = su2.finite(name, phi) if name else np.asarray(phi, dtype=float)
+    phi = np.asarray(su2.finite(name, phi)) if name else np.asarray(phi, dtype=float)
     if shape is not None and (phi.ndim != 1 or shape[-1:] != phi.shape):
         raise ValueError(f"values of shape {shape} do not lie along a grid of shape {phi.shape}")
     if phi.ndim != 1:
@@ -68,7 +68,7 @@ def oracle_split_beam_shift(u, phi_grid):
     if u.shape != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix, got shape {u.shape}")
     pair = oracle_unitary((u, u[::-1, ::-1]))
-    phi = su2.finite("phi", phi_grid)
+    phi = np.asarray(su2.finite("phi", phi_grid))
     terms = oracle_terms(phi, 1, None, (2,) + phi.shape)
     amp_v, amp_h = (dsp._fit(interferometer._port(w, terms[0], terms[1]), terms, 1)[1] for w in pair[:, 0, 0])
     visibility = 2.0 * abs(amp_v)
@@ -106,7 +106,7 @@ def oracle_scan_grid(n_grid):
 
 def oracle_polarimetric_sweep(xi, eta, zeta, n_grid, noise_sigma, seed):
     phi, law, _ = oracle_scan_grid(n_grid)
-    etas, x, z = su2.finite("eta", eta), su2.finite("xi", xi), su2.finite("zeta", zeta)
+    etas, x, z = np.asarray(su2.finite("eta", eta)), su2.finite("xi", xi), su2.finite("zeta", zeta)
     add_noise = polarimetry._scan_noise(noise_sigma, seed, etas.ndim > 0)
     intensity = np.empty(etas.shape + phi.shape)
     scans, etas = intensity.reshape(-1, len(phi)), etas.reshape(-1, 1)
@@ -118,7 +118,8 @@ def oracle_polarimetric_sweep(xi, eta, zeta, n_grid, noise_sigma, seed):
 
 def oracle_measure_phase(xi, eta, zeta, n_grid, noise_sigma, seed):
     phi, law, fit = oracle_scan_grid(n_grid)
-    angles = {"eta": su2.finite("eta", eta), "xi": su2.finite("xi", xi), "zeta": su2.finite("zeta", zeta)}
+    # the angles as 0-d arrays, the arithmetic measure_phase does on floats
+    angles = {name: np.asarray(su2.finite(name, a)) for name, a in (("eta", eta), ("xi", xi), ("zeta", zeta))}
     for name, angle in angles.items():
         if angle.ndim:
             raise ValueError(f"{name} must be a scalar angle, got an array of shape {angle.shape}")

@@ -516,6 +516,57 @@ def test_output_intensity_refuses_a_non_unitary_matrix(u):
         itf.split_beam_shift(u.reshape(-1, 2, 2)[-1], np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
 
 
+def einsum_unitarity(u) -> float:
+    """The largest element of |u^dagger u - 1| by einsum, the form a stack is checked with and the one matrix
+    check's reference."""
+    u = np.asarray(u, dtype=complex)
+    return np.abs(np.einsum("...ji,...jk->...ik", u.conj(), u) - np.eye(2)).max(initial=0.0)
+
+
+def unitarity_battery() -> list:
+    """Matrices whose |u^dagger u - 1| lies near EPS_UNITARY: a unitary matrix outside SU(2) plus a random
+    perturbation scaled about the threshold, and diag(1, 1 + s) on a fine comb of s about EPS_UNITARY / 2."""
+    rng = np.random.default_rng(1161)
+    battery = [np.diag([1.0, 1.0 + s]) for s in np.linspace(0.499e-9, 0.501e-9, 401)]
+    for _ in range(3000):
+        u = np.exp(1j * rng.uniform(-np.pi, np.pi)) * su2.from_yzy(*rng.uniform(-np.pi, np.pi, 3))
+        d = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        size = itf.EPS_UNITARY * rng.choice([0.25, 0.5, 0.9, 1.0, 1.1, 2.0]) * rng.uniform(0.95, 1.05)
+        battery.append(u + size * d / np.abs(d).max())
+    return battery
+
+
+def test_the_one_matrix_unitarity_check_decides_as_einsum_does():
+    # a matrix is checked in closed form on Python complex numbers, a stack by einsum; the two can differ in
+    # the last bit of |u^dagger u - 1|, which moves a refusal's digits only at a rounding boundary
+    refused = 0
+    for u in unitarity_battery():
+        want = einsum_unitarity(u)
+        for checked in (u, u[None]):
+            try:
+                itf._checked(checked)
+            except itf.NonUnitary as exc:
+                reached = float(re.fullmatch(r"u must be unitary: \|u\^dagger u - 1\| reaches (\S+), above 1e-09",
+                                             str(exc)).group(1))
+                assert want > itf.EPS_UNITARY and reached == pytest.approx(want, rel=1e-3)
+                refused += 1
+            else:
+                assert want <= itf.EPS_UNITARY
+    assert 0.3 < refused / 2 / (3000 + 401) < 0.7
+
+
+def test_split_beam_shift_checks_u_as_the_pair_with_its_reversal():
+    # the reversal's |u^dagger u - 1| holds u's elements, so checking u alone decides as the pair did
+    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    for u in unitarity_battery()[::7]:
+        pair = np.stack([u, u[::-1, ::-1]])
+        if einsum_unitarity(pair) > itf.EPS_UNITARY:
+            with pytest.raises(itf.NonUnitary):
+                itf.split_beam_shift(u, grid)
+        else:
+            itf.split_beam_shift(u, grid)
+
+
 def test_output_intensity_accepts_unitary_matrices_outside_su2():
     u = np.exp(0.7j) * su2.from_yzy(0.3, -1.1, 2.0)
     np.testing.assert_allclose(itf.output_intensity("V", u, np.linspace(0, 6, 7)),

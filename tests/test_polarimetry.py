@@ -463,6 +463,34 @@ def test_a_single_scan_refuses_a_seed_that_is_one_number_but_not_an_integer(seed
         polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, 4)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be non-negative, got -1"),
+    (np.int64(-3), "seed must be non-negative, got -3"),
+    (np.array(-2), "seed must be non-negative, got -2"),
+    ([3, -1], "seed must be a sequence of non-negative integers, got [3, -1]"),
+    ((-1,), "seed must be a sequence of non-negative integers, got (-1,)"),
+    (np.array([3, -1]), "seed must be a sequence of non-negative integers, got array([ 3, -1])"),
+], ids=["int", "int64", "0-d", "list", "tuple", "array"])
+def test_a_negative_seed_is_refused_by_name_before_any_draw(seed, message):
+    # numpy refused it unlabelled: `expected non-negative integer`
+    calls = [lambda: polarimetry.add_scan_noise(np.full(64, 0.5), 0.1, seed),
+             lambda: polarimetry.polarimetric_sweep(0.3, 0.5, -0.2, 64, 0.1, seed),
+             lambda: polarimetry.measure_phase(0.3, 0.5, -0.2, 64, 0.1, seed),
+             lambda: fringes.generate(0.1, 0.2, 0.3, size=(32, 64), noise_sigma=0.1, seed=seed)]
+    if isinstance(seed, (int, np.integer)):
+        # a stack of scans, which takes an integer seed, draws row k from seed + k: row 1 of -1 would draw from 0
+        calls.append(lambda: polarimetry.polarimetric_sweep(0.1, np.array([0.2, 0.3]), 0.3, 64, 0.1, seed))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_an_accepted_seed_keeps_its_draws():
+    for seed in (0, 7, np.int64(2**63 - 1), 2**70, [0, 2**40]):
+        want = np.clip(0.5 + np.random.default_rng(seed).normal(0.0, 0.1, 64), 0.0, 1.0)
+        assert polarimetry.add_scan_noise(np.full(64, 0.5), 0.1, seed).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", [[0.5], (3, 4.0), np.array([0.5]), [np.array(5)], [[1, 2], [0.5]]],
                          ids=["list", "tuple", "array", "0-d-entry", "nested"])
 def test_a_sequence_seed_whose_entries_are_not_integers_is_refused_by_name(seed):

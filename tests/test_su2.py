@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from polphase import su2
+from polphase import plates, polarimetry, su2
 
 RNG = np.random.default_rng(20240612)
 
@@ -367,9 +367,13 @@ def test_finite_names_the_value_it_refuses(value, shown):
 @pytest.mark.parametrize("value", [0.25, -3, True, np.float64(1.5), np.float32(0.5), np.int64(7),
                                    np.array(2.0), [1.0, 2.0]])
 def test_finite_returns_the_value_as_a_float_array(value):
-    out = su2.finite("angle", value)
-    assert isinstance(out, np.ndarray) and out.dtype == float
-    np.testing.assert_array_equal(out, np.asarray(value, dtype=float))
+    # the value np.asarray(value, dtype=float) holds: one real number as a Python float, an array as an array
+    out, want = su2.finite("angle", value), np.asarray(value, dtype=float)
+    if isinstance(value, (list, np.ndarray)):
+        assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == want.shape
+    else:
+        assert type(out) is float
+    assert np.asarray(out).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("value, shown", [
@@ -394,8 +398,9 @@ def test_a_complex_dtype_still_takes_complex_values():
 
 @pytest.mark.parametrize("value", [0.25, -3, np.float64(1.5), np.int64(7), np.array(2.0), np.float32(0.5)])
 def test_a_scalar_is_returned_as_finite_returns_it(value):
+    # a Python float, a 0-d array's value too
     out = su2._scalar("k0", value)
-    assert out.shape == () and out.tobytes() == su2.finite("k0", value).tobytes()
+    assert type(out) is float and np.float64(out).tobytes() == np.asarray(su2.finite("k0", value)).tobytes()
 
 
 @pytest.mark.parametrize("value, error, message", [
@@ -417,3 +422,59 @@ def test_an_integer_is_refused_by_name_unless_operator_index_takes_it():
             su2._scalar("seed", value, "integer")
     with pytest.raises(ValueError, match=r"^phi0 must be a scalar angle, got an array of shape \(2,\)$"):
         su2._scalar("phi0", [0.1, 0.2], "scalar angle")
+
+
+# ---------------------------------------------------------------------------
+# the scalar contract: one-number angles run on floats and numpy scalars, bit for bit the same arithmetic
+# on 0-d arrays, and the array loop's bits but for the sign of a zero (numpy's scalar and array complex
+# products can give a zero opposite signs: from_yzy(-5.3e-219, -5.3e-219, -0.0)[0, 1] is 2.65e-219 - 0j
+# for floats, 2.65e-219 + 0j for one-element arrays)
+
+# finite angles of every size: zeros of both signs, subnormals and magnitudes up to 1e300, which no sum in
+# the plate formulas takes past the largest float
+SCALAR_ANGLE = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, np.pi, -np.pi / 2]),
+)
+
+
+def _bits(result, zero_sign=True):
+    """A result to the bit, arrays flattened, so a scalar call's float or (2, 2) matrix and a one-element
+    call's (1,) or (1, 2, 2) array compare equal; plates as their kinds and axes.  With zero_sign False,
+    -0.0 reads as +0.0."""
+    if isinstance(result, su2.ZyzParams):
+        return tuple(_bits(getattr(result, name), zero_sign)
+                     for name in ("beta", "gamma", "delta", "gamma_defined", "delta_defined"))
+    if isinstance(result, list):
+        return tuple((plate.kind, _bits(plate.axis, zero_sign)) for plate in result)
+    return (np.asarray(result) if zero_sign else np.asarray(result) + 0.0).tobytes()
+
+
+def _compose_qhq(xi, eta, zeta):
+    return plates.compose(plates.decompose_qhq(xi, eta, zeta))
+
+
+SCALAR_CALLS = [(su2.from_yzy, 3), (su2.from_zyz, 3), (su2.rot_y, 1), (su2.rot_z, 1), (su2.yzy_to_zyz, 3),
+                (polarimetry.polarimetric_intensity, 4), (_compose_qhq, 3), (plates.polarimetric_array, 4)]
+
+
+def _assert_scalar_bits(angles, kind):
+    for f, n in SCALAR_CALLS:
+        got = f(*map(kind, angles[:n]))
+        assert _bits(got) == _bits(f(*(np.array(a) for a in angles[:n]))), f.__name__
+        # the plate builders take one number per angle
+        if f not in (_compose_qhq, plates.polarimetric_array):
+            want = f(*(np.array([a]) for a in angles[:n]))
+            assert _bits(got, zero_sign=False) == _bits(want, zero_sign=False), f.__name__
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.tuples(SCALAR_ANGLE, SCALAR_ANGLE, SCALAR_ANGLE, SCALAR_ANGLE), st.sampled_from([float, np.float64]))
+def test_scalar_angles_give_the_bits_of_array_angles(angles, kind):
+    _assert_scalar_bits(angles, kind)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.tuples(*[st.integers(-2**53, 2**53)] * 4))
+def test_integer_angles_give_the_bits_of_array_angles(angles):
+    _assert_scalar_bits(angles, int)
