@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from .su2 import _array, finite
+from .su2 import _array, _scalar, finite
 
 
 #: most elements (of float64: 256 KiB) in one row block
@@ -80,9 +80,19 @@ def _savgol_fits(window: int, order: int) -> np.ndarray:
     return fits
 
 
+def _savgol_checked(window, order) -> np.ndarray:
+    """_savgol_fits(window, order) of an odd positive integer window and an integer order in [0, window)."""
+    window, order = _scalar("window", window, "integer"), _scalar("order", order, "integer")
+    if window % 2 == 0 or window < 1:
+        raise ValueError(f"window must be odd and positive, got {window}")
+    if order < 0 or order >= window:
+        raise ValueError(f"order must satisfy 0 <= order < window, got {order}")
+    return _savgol_fits(window, order)
+
+
 def savgol_coefficients(window: int, order: int) -> np.ndarray:
     """Convolution weights evaluating the local LS polynomial at the window centre."""
-    return _savgol_fits(window, order)[-1].copy()
+    return _savgol_checked(window, order)[-1].copy()
 
 
 def savitzky_golay(profile: np.ndarray, window: int = _SG_WINDOW, order: int = 3) -> np.ndarray:
@@ -95,19 +105,16 @@ def savitzky_golay(profile: np.ndarray, window: int = _SG_WINDOW, order: int = 3
     pass, each row bit for bit as on its own: one convolution runs over the
     rows laid end to end, every centre sample is the same dot product of its
     own window, and the outputs whose window straddles two rows are dropped;
-    each edge is one matrix product over the stack.
+    each edge is one matrix product over the stack.  ValueError names a window that
+    is not an odd positive integer within a profile's length, or an order not an integer in [0, window).
     """
     y = np.asarray(profile, dtype=float)
     n = y.shape[-1]
-    if window % 2 == 0 or window < 1:
-        raise ValueError(f"window must be odd and positive, got {window}")
-    if order < 0 or order >= window:
-        raise ValueError(f"order must satisfy 0 <= order < window, got {order}")
+    fits = _savgol_checked(window, order)
     if window > n:
         raise ValueError(f"window {window} longer than profile {n}")
 
     half = window // 2
-    fits = _savgol_fits(window, order)
     rows = y.reshape(-1, n)
     out = np.empty(rows.shape)
     # full mode: output j + window - 1 is the fit centred in the window that starts at sample j
@@ -173,27 +180,16 @@ def _terms(phi, k: int, name="phi", shape=None) -> tuple:
     return terms
 
 
-def _harmonic(k) -> int:
-    """k as a Python int, the grid cache's key: 2, np.int64(2), np.array(2) and 2.0 are 2; an array, or one
-    number that is not an integer, raises ValueError by name."""
-    if not isinstance(k, int) and np.ndim(k):
-        raise ValueError(f"k must be a scalar, got an array of shape {np.shape(k)}")
-    number = k if isinstance(k, int) else np.asarray(k).item()
-    if not (isinstance(number, int) or isinstance(number, float) and number.is_integer()):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    return int(number)
-
-
 def harmonics(phi, k: int = 1):
     """(cos(k phi), sin(k phi)), the same floats numpy gives for k * phi.
 
     A 1-D grid's pair is read-only: the uniform grid of up to 65536 points,
     in any holder of its bytes, gets the very same cached arrays (see
     _terms); any other grid is computed on each call.  A NaN or infinite
-    phase raises NonFiniteInput, a complex one ComplexInput, and an array k,
-    or one that is not an integer, ValueError.
+    phase raises NonFiniteInput, a complex one ComplexInput, and a k that is
+    not an integer (2.0 is not one: su2._scalar's rule) ValueError.
     """
-    c, s, _, _ = _terms(phi, _harmonic(k))
+    c, s, _, _ = _terms(phi, _scalar("k", k, "integer"))
     return c, s
 
 
@@ -215,11 +211,11 @@ def harmonic_fit(values, phi, k: int):
     that cannot resolve the terms (fewer than three distinct phases mod 2 pi
     / k, or too short a span) raises UnresolvableGrid, and a NaN or infinite
     value or phase NonFiniteInput.  Complex values or phases raise
-    ComplexInput, and k as harmonics.  A stack over one row block is summed
-    by blocks.
+    ComplexInput, and a k that is not an integer ValueError, as in
+    harmonics.  A stack over one row block is summed by blocks.
     """
     y = np.asarray(finite("values", values))
-    return _fit(y, _terms(phi, _harmonic(k), "phi", y.shape), k)
+    return _fit(y, _terms(phi, _scalar("k", k, "integer"), "phi", y.shape), k)
 
 
 def _fit(y: np.ndarray, terms: tuple, k) -> tuple:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import re
 import stat
@@ -88,11 +87,8 @@ class Region:
 
     def __post_init__(self):
         for name in ("col_start", "col_end", "row_start", "row_end"):
-            value = getattr(self, name)
             # an int, or an integer that numpy or another library holds, stored as the int
-            bound = _scalar(f"region {name}", value, "integer")
-            if bound is not value:
-                object.__setattr__(self, name, bound)
+            object.__setattr__(self, name, _scalar(f"region {name}", getattr(self, name), "integer"))
         if self.col_start >= self.col_end or self.row_start >= self.row_end:
             raise ValueError(f"empty region {self}")
         if min(self.col_start, self.row_start) < 0:
@@ -101,15 +97,20 @@ class Region:
 
 def _geometry(h: int, w: int, split) -> int:
     """The split row of an h x w image as an int, refused unless it is an integer
-    strictly inside an image of at least 16x16; int() alone would truncate 31.7
-    and fail unlabelled on NaN."""
-    if not (isinstance(split, numbers.Integral) or isinstance(split, float) and split.is_integer()):
-        raise ValueError(f"split_row must be an integer, got {split!r}")
+    (su2._scalar's rule) strictly inside an image of at least 16x16."""
+    split = _scalar("split_row", split, "integer")
     if h < 16 or w < 16:
         raise ValueError(f"image must be at least 16x16, got {h}x{w}")
     if not 0 < split < h:
-        raise ValueError(f"half_split_row {int(split)} outside (0, {h})")
-    return int(split)
+        raise ValueError(f"half_split_row {split} outside (0, {h})")
+    return split
+
+
+def _carrier(k0) -> float:
+    """A caller's carrier k0 as a float, refused unless in (0, pi): beyond Nyquist or negative, it flips 2 delta."""
+    if not 0.0 < (k0 := _scalar("k0", k0)) < np.pi:
+        raise ValueError(f"k0 must lie in (0, pi), got {k0}")
+    return k0
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,11 @@ def generate(
     and a seed given as one number (a 0-d array too) an integer, as a list,
     tuple or array integers.
     """
-    h, w = size
-    h, w = _scalar("height", h, "integer"), _scalar("width", w, "integer")
+    h, w = (_scalar(name, n, "integer") for name, n in zip(("height", "width"), size))
     for name, value in (("delta", delta), ("beta", beta), ("phi0", phi0)):
         _scalar(name, value, "scalar angle")
-    _scalar("noise_sigma", noise_sigma)
-    if not 0.0 < _scalar("k0", k0) < np.pi:
-        raise ValueError(f"k0 must lie in (0, pi), got {k0}")
-    if noise_sigma < 0.0:
+    _carrier(k0)
+    if _scalar("noise_sigma", noise_sigma) < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
     split = _geometry(h, w, h // 2 if split_row is None else split_row)
 
@@ -230,11 +228,13 @@ def default_regions(img: Interferogram, count: int = 4, width_fraction: float = 
     All regions share the horizontally centred ``width_fraction`` of the
     columns; vertically they are bands of growing height centred on the
     half-split row, so every region straddles both halves.  A count that
-    is not an integer, or a width_fraction that is not one finite number,
-    raises ValueError.
+    is not a positive integer, or a width_fraction that is not one number in
+    (0, 1], raises ValueError.
     """
-    _scalar("count", count, "integer")
-    _scalar("width_fraction", width_fraction)
+    if _scalar("count", count, "integer") < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    if not 0.0 < _scalar("width_fraction", width_fraction) <= 1.0:
+        raise ValueError(f"width_fraction must lie in (0, 1], got {width_fraction}")
     h, w = img.shape
     c0 = int(round((1.0 - width_fraction) / 2.0 * w))
     c1 = w - c0
@@ -581,10 +581,9 @@ def shift_by_minima(up: np.ndarray, low: np.ndarray, k0: float) -> float:
     circular mean; a shift of exactly half a period therefore comes out as
     +pi, the (-pi, pi] representative.  If the per-minimum phases are
     mutually inconsistent (circular resultant below 0.5) the pairing is
-    ambiguous and AmbiguousPairing is raised.
+    ambiguous and AmbiguousPairing is raised.  k0 must lie in (0, pi).
     """
-    if _scalar("k0", k0) <= 0:
-        raise ValueError("k0 must be positive")
+    _carrier(k0)
     shifts, (error,) = _minima_shifts(_profile_pair(up, low), np.array([k0]))
     if error is not None:
         raise error
@@ -633,9 +632,8 @@ def shift_by_fourier(up: np.ndarray, low: np.ndarray, k0: float | None = None) -
     # a flat pair is refused before k0 is estimated or checked
     if _row_flags(pair)[1].any():
         raise NoCarrier(_FLAT)
-    if k0 is None:
-        k0 = estimate_carrier(pair[0, 0])
-    shifts, (error,) = _fourier_shifts(pair, np.array([_scalar("k0", k0)]))
+    k0 = estimate_carrier(pair[0, 0]) if k0 is None else _carrier(k0)
+    shifts, (error,) = _fourier_shifts(pair, np.array([k0]))
     if error is not None:
         raise error
     return float(shifts[0])
@@ -943,10 +941,10 @@ def _read_pgm(path) -> np.ndarray:
 def load_interferogram(path) -> tuple[Interferogram, dict]:
     """Read an image written by save_interferogram.
 
-    Returns the Interferogram and the full sidecar dictionary (values parsed
-    as float where possible).  A missing sidecar yields an empty dict and a
-    default split at mid-height.  A NaN or infinite k0 or true_delta in the
-    sidecar raises NonFiniteInput naming the key.
+    Returns the Interferogram and the full sidecar dictionary (values parsed as float where possible).  A
+    missing sidecar yields an empty dict and a default split at mid-height.  su2._scalar refuses by its key
+    a k0 or true_delta that is not one finite number (NaN, inf, text) and a split_row that is not an integer
+    (30.0 included).
     """
     pixels = _read_pgm(path)
     try:
@@ -972,7 +970,7 @@ def load_interferogram(path) -> tuple[Interferogram, dict]:
                 break
         meta[key.strip()] = value
     for key in ("k0", "true_delta"):
-        if isinstance(meta.get(key), float):
-            finite(f"sidecar {key}", meta[key])
+        if key in meta:
+            _scalar(f"sidecar {key}", meta[key])
     split = _geometry(*pixels.shape, meta.get("split_row", pixels.shape[0] // 2))
     return Interferogram._valid(pixels, split, k0=meta.get("k0"), true_delta=meta.get("true_delta")), meta

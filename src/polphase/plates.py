@@ -36,7 +36,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .su2 import IDENTITY2, finite, matrix, rot_z
+from .su2 import IDENTITY2, _scalar, finite, matrix, rot_z
 
 QUARTER_RETARDANCE = np.pi / 2.0
 HALF_RETARDANCE = np.pi
@@ -57,8 +57,8 @@ class WavePlate:
             raise ValueError(f"plate kind must be 'Q' or 'H', got {self.kind!r}")
         # canonical mounting angle: axes are pi-periodic; a float's % gives the floats of np.remainder
         axis = self.axis
-        if type(axis) is not float or not math.isfinite(axis):  # finite's refusal, or its float
-            axis = float(finite("plate axis", axis))
+        if type(axis) is not float or not math.isfinite(axis):  # su2._scalar's refusal, or its float
+            axis = _scalar("plate axis", axis, "scalar angle")
         axis %= np.pi
         if axis > np.pi / 2.0:
             axis -= np.pi
@@ -176,7 +176,7 @@ def decompose_qhq(xi: float, eta: float, zeta: float) -> list[WavePlate]:
     sign.
     """
     for name, angle in (("xi", xi), ("eta", eta), ("zeta", zeta)):
-        finite(name, angle)
+        _scalar(name, angle, "scalar angle")
     return [
         quarter_wave((np.pi - 2.0 * zeta) / 4.0),
         half_wave((xi - eta - zeta - np.pi) / 4.0),
@@ -227,7 +227,7 @@ def split_frame(phi: float) -> np.ndarray:
 
 def polarimetric_target(u: np.ndarray, phi: float) -> np.ndarray:
     """Frame-conjugated operator V(phi)^dagger U V(phi) with V = split_frame."""
-    v = split_frame(phi)
+    v = split_frame(_scalar("phi", phi, "scalar angle"))
     return v.conj().T @ np.asarray(u, dtype=complex) @ v
 
 
@@ -240,7 +240,7 @@ def polarimetric_array(xi, eta, zeta, phi) -> list[WavePlate]:
     suite rather than assumed).
     """
     for name, angle in (("xi", xi), ("eta", eta), ("zeta", zeta), ("phi", phi)):
-        finite(name, angle)
+        _scalar(name, angle, "scalar angle")
     off = -phi / 2.0
     return [
         quarter_wave(-np.pi / 4.0 + off),
@@ -257,6 +257,8 @@ def reduced_array_zeta_2pi(xi, eta, phi) -> list[WavePlate]:
     Uses the rescanned rotation angle phi' = (-3 pi - 2 phi) / 4: composing
     this array at phi' equals composing polarimetric_array(xi, eta, 2 pi, phi).
     """
+    for name, angle in (("xi", xi), ("eta", eta), ("phi", phi)):
+        _scalar(name, angle, "scalar angle")
     return [
         half_wave((eta - xi) / 4.0 + phi),
         quarter_wave(-xi / 2.0 + phi),
@@ -271,6 +273,8 @@ def reduced_array_xi_minus_pi(eta, zeta, phi) -> list[WavePlate]:
     redefinition).  At eta = 0, zeta = pi the transmitted intensity is
     constant in phi, which is the adjustment configuration.
     """
+    for name, angle in (("eta", eta), ("zeta", zeta), ("phi", phi)):
+        _scalar(name, angle, "scalar angle")
     return [
         quarter_wave((-np.pi - 2.0 * phi) / 4.0),
         half_wave((-4.0 * np.pi + zeta + eta - 2.0 * phi) / 4.0),

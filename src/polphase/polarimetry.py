@@ -28,7 +28,6 @@ together, and in the y-z-y angles the same intensity reads
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,8 +97,10 @@ def extract_cos2_phase(i_min: float, i_max: float) -> float:
     overshoots by no more than numerical slack.  Raises
     DegenerateDenominator at beta = pi/2 (the denominator is cos^2 beta) and
     InvalidExtrema when the inputs violate 0 <= I_min <= I_max <= 1 or the
-    ratio is out of range by more than the slack.
+    ratio is out of range by more than the slack, and ValueError names an extremum that is not one number.
     """
+    for name, value in (("i_min", i_min), ("i_max", i_max)):
+        _scalar(name, value)
     if not (i_min >= -_RATIO_SLACK and i_min <= i_max + _RATIO_SLACK
             and i_max <= 1.0 + _RATIO_SLACK):
         raise InvalidExtrema(f"extrema ordering violated: i_min={i_min}, i_max={i_max}")
@@ -125,9 +126,9 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
     scans made one at a time with seeds seed, seed + 1, ...; a stack
     therefore needs an integer seed, or None.  A noise-free call
     (noise_sigma == 0) returns the intensities unchanged; a NaN or infinite
-    noise_sigma raises NonFiniteInput, a negative one or an array ValueError,
-    and so does a seed given as one number (a 0-d array too) that is not an
-    integer, or as a list, tuple or array with an entry that is not one.
+    noise_sigma raises NonFiniteInput, a negative one, text or an array
+    ValueError, and so does a seed that is not an integer (2.0 is not one),
+    a sequence with an entry that is not one, or any sequence for a stack.
     """
     intensity = np.asarray(intensity, dtype=float)
     add_noise = _scan_noise(noise_sigma, seed, intensity.ndim > 1)
@@ -145,9 +146,9 @@ def _scan_noise(noise_sigma, seed, stacked: bool):
         raise ValueError("noise_sigma must be nonnegative")
     if sigma == 0.0:
         return None
-    if stacked and not (seed is None or isinstance(seed, (int, np.integer))):
-        raise TypeError(f"a stack of scans draws row k from seed + k and needs an integer seed, got {seed!r}")
     seed = _seed(seed)
+    if stacked and seed is not None:  # row k draws from seed + k
+        seed = _scalar("seed", seed, "integer")
 
     def add_noise(scans: np.ndarray, first: int = 0) -> np.ndarray:
         for k, row in enumerate(scans.reshape(-1, scans.shape[-1]), first):
@@ -172,11 +173,12 @@ def polarimetric_sweep(
     Noise is additive Gaussian on the intensity, clamped to [0, 1], from
     explicitly seeded generators (add_scan_noise), so runs are reproducible.
     The returned phi_grid is a writable copy of the grid, the caller's own.
-    n_grid is an integer of at least 64 (ValueError for a smaller one, an
-    array or text; TypeError, np.linspace's, for any other non-integer).
+    n_grid is an integer of at least 64 (su2._scalar's rule: ValueError for
+    a smaller one, a float, an array or text), xi and zeta are scalar angles.
     """
     phi, law, _ = _scan_grid(n_grid)
-    etas, x, z = np.asarray(finite("eta", eta)), finite("xi", xi), finite("zeta", zeta)
+    etas = np.asarray(finite("eta", eta))
+    x, z = _scalar("xi", xi, "scalar angle"), _scalar("zeta", zeta, "scalar angle")
     add_noise = _scan_noise(noise_sigma, seed, etas.ndim > 0)
     # one scan per eta, built in row blocks
     intensity = np.empty(etas.shape + phi.shape)
@@ -188,12 +190,10 @@ def polarimetric_sweep(
 
 def _scan_grid(n_grid) -> tuple:
     """The grid of n_grid >= 64 points over [0, 2 pi) and its terms for the law (k = 1) and the fit (k = 2):
-    dsp._uniform's entries, which its bytes hit too, or made on each call; operator.index is np.linspace's."""
-    if not isinstance(n_grid, int) and (isinstance(n_grid, (str, bytes)) or np.ndim(n_grid)):
-        raise ValueError(f"n_grid must be an integer, got {n_grid!r}")
-    if n_grid < 64:
-        raise ValueError(f"n_grid must be at least 64, got {n_grid}")
-    n = operator.index(n_grid)
+    dsp._uniform's entries, which its bytes hit too, or made on each call."""
+    n = _scalar("n_grid", n_grid, "integer")
+    if n < 64:
+        raise ValueError(f"n_grid must be at least 64, got {n}")
     uniform = _uniform if n <= _CACHED_POINTS else _uniform.__wrapped__
     (phi, law), (_, fit) = uniform(n, 1), uniform(n, 2)
     return phi, law, fit

@@ -24,6 +24,10 @@ Conventions used throughout the package:
   numpy's loop fuses multiply-adds that Python's complex product rounds
   apart.  One-element arrays give the same bits but for the sign of a zero,
   which numpy's scalar and array complex products can set apart.
+* One parameter rule: a one-number parameter passes _scalar (a seed _seed).
+  An integer is what operator.index takes, so a float is refused even when
+  integral; a real is one finite real number.  Text, any array but a 0-d one,
+  a complex number and None are refused by the parameter's name.
 * The canonical ZYZ branch puts beta in [0, pi/2], so cos(beta) >= 0 and the
   fringe visibility cos(beta) is nonnegative.  Any sign of cos(beta) is
   absorbed into delta, which is therefore defined modulo pi.
@@ -42,7 +46,6 @@ and the Pancharatnam phase of |i> relative to |f> is arg<i|f>.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -103,12 +106,12 @@ class ZyzParams:
 
 
 def wrap_angle(angle):
-    """Wrap an angle (scalar or array) to the interval (-pi, pi]."""
+    """Wrap an angle (scalar or array) to (-pi, pi]; a non-finite scalar raises NonFiniteInput, an array keeps NaN."""
     if isinstance(angle, float) and math.isfinite(angle):
         # a float's % is np.remainder's: fmod, moved to the sign of 2 pi, +0.0 for a zero
         wrapped = float(angle) % (2.0 * math.pi)
         return wrapped - 2.0 * math.pi if wrapped > math.pi else wrapped
-    wrapped = np.remainder(angle, 2.0 * np.pi)
+    wrapped = np.remainder(angle if np.ndim(angle) else finite("angle", angle), 2.0 * np.pi)
     out = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
     return out if out.ndim else float(out)
 
@@ -141,18 +144,19 @@ def finite(name: str, value, dtype=float):
 
 
 def _scalar(name: str, value, kind: str = "scalar"):
-    """The one check of a parameter that must be a single number, refused by name.
+    """The one gate of a parameter that must be a single number, refused by name (ValueError).
 
-    For kind "integer", operator.index(value); anything else, a float
-    included, raises ValueError.  For any other kind, finite(name, value) as a
-    Python float (a 0-d array's too), refused as finite refuses, and with
-    ValueError ("name must be a kind") when it is an array of any other shape.
+    For kind "integer", operator.index(value) (an int, a numpy integer, a 0-d integer array), so a float
+    is refused even when it is integral.  For any other kind, finite(name, value) as a Python float, a 0-d
+    array's too, refused as finite refuses; text or an array of any other shape is not a ``kind``.
     """
     if kind == "integer":
         try:
             return operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, (str, bytes)):  # numpy would parse "0.1"
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
     value = finite(name, value)
     if type(value) is not float and value.ndim:
         raise ValueError(f"{name} must be a {kind}, got an array of shape {value.shape}")
@@ -160,21 +164,19 @@ def _scalar(name: str, value, kind: str = "scalar"):
 
 
 def _seed(seed):
-    """A noise seed given as one number, a 0-d array included, as _scalar's integer (ValueError unless it is
-    a non-negative one); any other seed as given, the entropy of one generator: ValueError for a list, tuple
-    or array that SeedSequence refuses (an entry that is not an integer, or a negative one)."""
-    if isinstance(seed, numbers.Number) or (isinstance(seed, np.ndarray) and seed.ndim == 0):
-        seed = _scalar("seed", seed, "integer")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        return seed
-    if isinstance(seed, (list, tuple, np.ndarray)):
+    """A noise seed: None, a SeedSequence, a generator, or a list, tuple or non-0-d array that SeedSequence takes
+    as entropy (else ValueError), as given; anything else as _scalar's integer, refused unless non-negative."""
+    if isinstance(seed, (list, tuple)) or isinstance(seed, np.ndarray) and seed.ndim:
         try:
             np.random.SeedSequence(seed)
         except TypeError:
             raise ValueError(f"seed must be an integer or a sequence of integers, got {seed!r}") from None
         except ValueError:  # numpy's "expected non-negative integer"
             raise ValueError(f"seed must be a sequence of non-negative integers, got {seed!r}") from None
+    elif seed is not None and not isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator,
+                                                    np.random.Generator)):
+        if (seed := _scalar("seed", seed, "integer")) < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
 
 
@@ -283,7 +285,7 @@ def pancharatnam_phase(initial: np.ndarray, final: np.ndarray) -> float:
     Raises OrthogonalStates when |<i|f>| is below the degeneracy threshold,
     since the phase of a vanishing inner product carries no information.
     """
-    ip = np.vdot(np.asarray(initial, dtype=complex), np.asarray(final, dtype=complex))
+    ip = np.vdot(finite("initial", initial, dtype=complex), finite("final", final, dtype=complex))
     if abs(ip) <= EPS_DEGENERATE:
         raise OrthogonalStates(
             f"inner product magnitude {abs(ip):.3e} below {EPS_DEGENERATE:g}"

@@ -760,6 +760,22 @@ def test_a_non_finite_sidecar_value_is_one_error_line_naming_the_key_and_writes_
     assert not (tmp_path / "an").exists()
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("true_delta", "abc", "sidecar true_delta must be a scalar, got 'abc'"),
+    ("split_row", "30.0", "split_row must be an integer, got 30.0"),
+])
+def test_a_sidecar_value_of_the_wrong_kind_is_one_error_line_naming_the_key_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, key, text, message):
+    # true_delta=abc printed the estimate lines, then failed on float('abc'), leaving its run record
+    monkeypatch.chdir(tmp_path)
+    fringes.save_interferogram(fringes.generate(0.5, 0.4, 0.25, size=(64, 96)), "img.pgm")
+    sidecar = tmp_path / "img.pgm.meta"
+    sidecar.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={text}", sidecar.read_text()))
+    code, out, err = run_cli(capsys, "fringe", "analyze", "--image", "img.pgm", "--out-dir", "an")
+    assert (code, out, err) == (1, "", f"error: ValueError: {message}\n")
+    assert not (tmp_path / "an").exists()
+
+
 @pytest.mark.parametrize("argv, config, error", [
     (["visibility", "--theta1", "0:1", "--theta2", "0", "--theta3", "0"], "",
      "--theta1 must be 'value' or 'start:stop:count', got '0:1'"),

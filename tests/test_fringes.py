@@ -240,6 +240,21 @@ def test_default_regions_refuse_a_count_or_width_that_is_not_one_number_by_name(
     assert fringes.default_regions(img, np.int64(3), np.array(0.5)) == fringes.default_regions(img, 3, 0.5)
 
 
+@pytest.mark.parametrize("args, message", [
+    # a count of 0 or less gave no regions, and a width_fraction outside (0, 1] an empty or negative region
+    ((0,), "count must be positive, got 0"),
+    ((-2,), "count must be positive, got -2"),
+    ((2, 0.0), "width_fraction must lie in (0, 1], got 0.0"),
+    ((2, 1.5), "width_fraction must lie in (0, 1], got 1.5"),
+    ((2, "0.6"), "width_fraction must be a scalar, got '0.6'"),
+])
+def test_default_regions_refuse_a_count_or_width_out_of_range_by_name(args, message):
+    img = fringes.generate(0.1, 0.1, 0.2, size=(64, 128))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fringes.default_regions(img, *args)
+    assert [(r.col_start, r.col_end) for r in fringes.default_regions(img, 1, 1.0)] == [(0, 128)]
+
+
 # ---------------------------------------------------------------------------
 # Savitzky-Golay filter
 
@@ -461,9 +476,20 @@ def test_shift_by_minima_refuses_profiles_of_unequal_length():
         fringes.shift_by_minima(up, up[:-1], 0.2)
 
 
+@pytest.mark.parametrize("k0", [-0.5, 2 * np.pi - 0.5, 4.0, np.pi, 0.0, -0.0])
+def test_the_shift_estimators_refuse_a_carrier_outside_nyquist(k0):
+    # on fringes of carrier 0.5, -0.5 and 2 pi - 0.5 read 2 delta = 0.8 as -0.8 (fourier), and 4.0 as 2.61 (minima)
+    img = fringes.generate(0.4, 0.0, 0.5, size=(64, 256))
+    up, low = fringes.column_average(img, fringes.Region(0, 256, 0, 64))
+    assert abs(fringes.shift_by_fourier(up, low, 0.5) - 0.8) < 1e-3
+    for shift in (fringes.shift_by_fourier, fringes.shift_by_minima):
+        with pytest.raises(ValueError, match=rf"^k0 must lie in \(0, pi\), got {re.escape(str(float(k0)))}$"):
+            shift(up, low, k0)
+
+
 def test_shift_by_minima_k0_validation():
     up, low = make_profiles(0.2, 0.0, 0.2, 300)
-    with pytest.raises(ValueError, match="^k0 must be positive$"):
+    with pytest.raises(ValueError, match=r"^k0 must lie in \(0, pi\), got 0.0$"):
         fringes.shift_by_minima(up, low, 0.0)
     for k0 in (np.nan, np.inf, -np.inf):  # k0 <= 0 alone lets NaN and inf through, to a NaN shift
         with pytest.raises(su2.NonFiniteInput, match="^k0 must be finite"):
@@ -843,13 +869,14 @@ def test_load_refuses_a_non_integral_split_row(tmp_path, text):
         fringes.load_interferogram(path)
 
 
-def test_load_reads_an_integral_split_row_written_as_a_float(tmp_path):
+def test_load_refuses_a_split_row_written_as_a_float(tmp_path):
+    # 30.0 used to be read as row 30; save_interferogram writes an int, so only a hand-edited sidecar has one
     path = tmp_path / "split.pgm"
     fringes.save_interferogram(fringes.generate(0.3, 0.2, 0.4, size=(64, 96)), path)
     sidecar = Path(f"{path}.meta")
     sidecar.write_text(sidecar.read_text().replace("split_row=32\n", "split_row=30.0\n"))
-    img, meta = fringes.load_interferogram(path)
-    assert type(img.half_split_row) is int and img.half_split_row == 30 and meta["split_row"] == 30.0
+    with pytest.raises(ValueError, match="^split_row must be an integer, got 30.0$"):
+        fringes.load_interferogram(path)
 
 
 @pytest.mark.parametrize("key, text", [("k0", "inf"), ("k0", "nan"), ("true_delta", "inf"), ("true_delta", "-inf"),
@@ -868,6 +895,18 @@ def test_load_refuses_a_non_finite_k0_or_true_delta_by_its_key(tmp_path, key, te
     assert getattr(img, key) == meta[key] == 1 and type(meta[key]) is int
 
 
+@pytest.mark.parametrize("key", ["k0", "true_delta"])
+@pytest.mark.parametrize("text", ["abc", "0x1p-2"])
+def test_load_refuses_a_text_k0_or_true_delta_by_its_key(tmp_path, key, text):
+    # true_delta=abc was kept as text, and fringe analyze failed on float('abc') after printing its estimate
+    path = tmp_path / "meta.pgm"
+    fringes.save_interferogram(fringes.generate(0.3, 0.2, 0.4, size=(64, 96)), path)
+    sidecar = Path(f"{path}.meta")
+    sidecar.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={text}", sidecar.read_text()))
+    with pytest.raises(ValueError, match=f"^sidecar {key} must be a scalar, got '{text}'$"):
+        fringes.load_interferogram(path)
+
+
 @pytest.mark.parametrize("split", [31.7, np.nan, np.inf])
 def test_constructors_refuse_a_non_integral_split_row(split):
     # Interferogram took 31.7 and retrieve_phase then failed on negative region
@@ -879,11 +918,22 @@ def test_constructors_refuse_a_non_integral_split_row(split):
 
 
 def test_constructors_store_an_integral_split_row_as_an_int():
-    images = [fringes.Interferogram(np.zeros((64, 96)), 30.0), fringes.Interferogram(np.zeros((64, 96)), np.int64(30)),
-              fringes.generate(0.3, 0.2, 0.4, size=(64, 96), split_row=np.float64(30.0))]
+    images = [fringes.Interferogram(np.zeros((64, 96)), np.array(30)),
+              fringes.Interferogram(np.zeros((64, 96)), np.int64(30)),
+              fringes.generate(0.3, 0.2, 0.4, size=(64, 96), split_row=np.array(30))]
     for img in images:
         assert type(img.half_split_row) is int and img.half_split_row == 30
     np.testing.assert_array_equal(images[2].pixels, fringes.generate(0.3, 0.2, 0.4, size=(64, 96), split_row=30).pixels)
+
+
+@pytest.mark.parametrize("split", [30.0, np.float64(30.0), np.array(30.0)], ids=["float", "float64", "0-d"])
+def test_constructors_refuse_a_float_split_row_even_when_integral(split):
+    # 30.0 used to be taken as row 30: a float is not an integer, whatever its value (su2._scalar's rule)
+    message = f"^split_row must be an integer, got {re.escape(repr(split))}$"
+    with pytest.raises(ValueError, match=message):
+        fringes.Interferogram(np.zeros((64, 96)), split)
+    with pytest.raises(ValueError, match=message):
+        fringes.generate(0.3, 0.2, 0.4, size=(64, 96), split_row=split)
 
 
 def test_interferogram_refuses_one_dimensional_pixels():
@@ -1937,7 +1987,7 @@ def _assert_same_fields(got: fringes.Interferogram, want: fringes.Interferogram)
 @pytest.mark.parametrize("kwargs", [
     {}, {"noise_sigma": 0.3, "seed": 4}, {"envelope_width": 40.0, "noise_sigma": 0.02, "split_row": 20},
     {"envelope_width": 1e200, "size": (17, 17)}, {"envelope_width": 1e-200, "size": (18, 32)},
-    {"noise_sigma": 1e308, "size": (20, 20), "split_row": 7.0},
+    {"noise_sigma": 1e308, "size": (20, 20), "split_row": np.int64(7)},
 ])
 def test_generated_and_loaded_images_equal_the_public_constructors(kwargs, tmp_path):
     args = {"size": (48, 96)} | kwargs
@@ -1947,7 +1997,7 @@ def test_generated_and_loaded_images_equal_the_public_constructors(kwargs, tmp_p
     _assert_same_fields(img, fringes.Interferogram(img.pixels.copy(), split, k0=0.5, true_delta=0.3))
     path = tmp_path / "img.pgm"
     fringes.save_interferogram(img, path)
-    for sidecar in (None, "split_row=11.0\nk0=-0\ntrue_delta=x\n", ""):
+    for sidecar in (None, "split_row=11\nk0=-0\ntrue_delta=-1\n", ""):
         if sidecar is not None:
             Path(f"{path}.meta").write_text(sidecar)
         loaded, meta = fringes.load_interferogram(path)

@@ -98,9 +98,13 @@ def oracle_sweep_extrema(sweep):
 
 
 def oracle_scan_grid(n_grid):
-    if n_grid < 64:
-        raise ValueError(f"n_grid must be at least 64, got {n_grid}")
-    phi = np.linspace(0.0, 2.0 * np.pi, operator.index(n_grid), endpoint=False)
+    try:
+        n = operator.index(n_grid)
+    except TypeError:
+        raise ValueError(f"n_grid must be an integer, got {n_grid!r}") from None
+    if n < 64:
+        raise ValueError(f"n_grid must be at least 64, got {n}")
+    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return phi, dsp._design(phi, 1), dsp._design(phi, 2)
 
 

@@ -340,7 +340,7 @@ def test_scan_noise_seeds():
     stack = polarimetry.add_scan_noise(clean, 0.1, 9)
     for k in range(3):
         np.testing.assert_array_equal(stack[k], polarimetry.add_scan_noise(clean[k], 0.1, 9 + k))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got \[3, 4\]$"):
         polarimetry.add_scan_noise(clean, 0.1, [3, 4])
     assert polarimetry.add_scan_noise(clean, 0.0, [3, 4]) is clean
 
@@ -400,18 +400,33 @@ def test_sweep_across_row_blocks_is_the_closed_form_and_the_stack_of_its_scans(s
         np.testing.assert_array_equal(stack.intensities[index], single.intensities, strict=True)
 
 
-@pytest.mark.parametrize("seed", [[3, 4], 4.0, np.array(4), np.array([3, 4])], ids=["list", "float", "0-d", "array"])
+@pytest.mark.parametrize("seed", [[3, 4], 4.0, np.array([3, 4])], ids=["list", "float", "array"])
 def test_a_stacked_sweep_refuses_a_non_integer_seed_before_drawing_a_row(seed, monkeypatch):
-    with pytest.raises(TypeError) as refused:
+    # row k draws from seed + k, so a stack's seed is one integer, by su2._scalar's rule
+    message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
         polarimetry.add_scan_noise(np.full((67, 64), 0.5), 0.1, seed)
-    assert str(refused.value).startswith("a stack of scans draws row k from seed + k and needs an integer seed, got ")
     drawn = []
     monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
     for etas in (np.linspace(0.0, 6.0, 67), np.zeros((3, 5)), np.array([0.5])):
-        with pytest.raises(TypeError) as got:
+        with pytest.raises(ValueError, match=message):
             polarimetry.polarimetric_sweep(0.3, etas, -1.2, 4096, 0.1, seed)
-        assert str(got.value) == str(refused.value)
     assert drawn == []
+
+
+def test_a_stacked_sweep_takes_a_0d_integer_seed_as_measure_phase_does():
+    # a stack refused np.array(4), a seed one scan takes: its rows now draw from 4 + k
+    etas = np.array([0.5, -0.7, 1.9])
+    stack = polarimetry.polarimetric_sweep(0.3, etas, -1.2, 256, 0.1, np.array(4))
+    want = polarimetry.polarimetric_sweep(0.3, etas, -1.2, 256, 0.1, 4)
+    np.testing.assert_array_equal(stack.intensities, want.intensities, strict=True)
+    for k, eta in enumerate(etas):
+        single = polarimetry.polarimetric_sweep(0.3, eta, -1.2, 256, 0.1, np.array(4 + k))
+        np.testing.assert_array_equal(stack.intensities[k], single.intensities, strict=True)
+    # the first row is the scan measure_phase reads from seed 4, which a 0-d array gives it too
+    one = polarimetry.polarimetric_sweep(0.3, 0.5, -1.2, 256, 0.1, 4)
+    assert polarimetry.measure_phase(0.3, 0.5, -1.2, 256, 0.1, np.array(4)) == \
+        polarimetry.extract_cos2_phase(*polarimetry.sweep_extrema(one))
 
 
 def test_a_single_scan_sweep_takes_any_seed_numpy_does():
@@ -601,7 +616,7 @@ def test_measure_phase_takes_the_grid_lengths_numpy_does(n_grid):
     ((0.1, 0.2, 0.3, 4096, np.nan, 1), su2.NonFiniteInput, "noise_sigma must be finite, got nan"),
     ((0.1, 0.2, 0.3, 63), ValueError, "n_grid must be at least 64, got 63"),
     ((np.nan, 0.2, 0.3, 63, np.nan), ValueError, "n_grid must be at least 64, got 63"),
-    ((0.1, 0.2, 0.3, 64.5), TypeError, "'float' object cannot be interpreted as an integer"),
+    ((0.1, 0.2, 0.3, 64.5), ValueError, "n_grid must be an integer, got 64.5"),
     # an array failed inside numpy with an ambiguous truth value or a TypeError, text with a bare comparison error
     ((0.1, 0.2, 0.3, np.array([64, 65])), ValueError, "n_grid must be an integer, got array([64, 65])"),
     ((0.1, 0.2, 0.3, np.array([128])), ValueError, "n_grid must be an integer, got array([128])"),

@@ -229,23 +229,39 @@ def _bits(value) -> bytes:
 
 
 @settings(deadline=None, max_examples=1000)
-@given(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 2 * np.pi,
-                                                1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308])))
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([0.0, -0.0, np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 2 * np.pi,
+                                  1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308])))
 def test_a_float_wraps_to_the_bits_of_the_array_path(angle):
     # a finite float takes Python's float %, every other value the numpy path; both give
     # np.remainder + np.where's floats, the sign of a zero included
-    with np.errstate(invalid="ignore"):  # inf wraps to NaN, with numpy's warning
-        scalar = su2.wrap_angle(angle)
-        array = su2.wrap_angle(np.array([angle]))[0]
-        numpy_scalar = su2.wrap_angle(np.float64(angle))
-    assert type(scalar) is float and type(numpy_scalar) is float
-    assert _bits(scalar) == _bits(array) == _bits(numpy_scalar) or np.isnan(scalar) and np.isnan(array)
+    scalar = su2.wrap_angle(angle)
+    array = su2.wrap_angle(np.array([angle]))[0]
+    numpy_scalar = su2.wrap_angle(np.float64(angle))
+    zero_d = su2.wrap_angle(np.array(angle))
+    assert type(scalar) is float and type(numpy_scalar) is float and type(zero_d) is float
+    assert _bits(scalar) == _bits(array) == _bits(numpy_scalar) == _bits(zero_d)
 
 
-def test_a_non_finite_float_keeps_the_numpy_path():
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        assert np.isnan(su2.wrap_angle(float("inf")))
-    assert np.isnan(su2.wrap_angle(float("nan")))
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan, np.float64(np.inf), np.array(np.nan)],
+                         ids=["inf", "-inf", "nan", "float64", "0-d"])
+def test_a_non_finite_scalar_is_refused_and_an_arrays_nan_kept(angle):
+    # inf used to wrap to NaN with numpy's warning, and NaN to NaN
+    with pytest.raises(su2.NonFiniteInput, match=f"^angle must be finite, got {float(angle)}$"):
+        su2.wrap_angle(angle)
+    # an array keeps passing NaN through: the minima pairing pads with it
+    wrapped = su2.wrap_angle(np.array([np.nan, 7.0]))
+    assert np.isnan(wrapped[0]) and wrapped[1] == 7.0 - 2 * np.pi
+
+
+@pytest.mark.parametrize("initial, final, name", [
+    ([np.nan, 0.0], su2.KET_V, "initial"), (su2.KET_V, [1.0, np.inf], "final"),
+    (su2.KET_V, [1.0, complex(0, np.nan)], "final"),
+])
+def test_pancharatnam_phase_refuses_a_non_finite_state_by_name(initial, final, name):
+    # pancharatnam_phase([nan, 0], KET_V) returned nan
+    with pytest.raises(su2.NonFiniteInput, match=f"^{name} must be finite, got 1 of 2 values$"):
+        su2.pancharatnam_phase(initial, final)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +425,10 @@ def test_a_scalar_is_returned_as_finite_returns_it(value):
     ([[0.1]], ValueError, "k0 must be a scalar, got an array of shape (1, 1)"),
     (np.nan, su2.NonFiniteInput, "k0 must be finite, got nan"),
     (0.3 + 0j, su2.ComplexInput, "k0 must be real, got (0.3+0j)"),
+    # numpy's float conversion took "0.1" as 0.1, and refused "abc" without the parameter's name
+    ("0.1", ValueError, "k0 must be a scalar, got '0.1'"),
+    (b"0.1", ValueError, "k0 must be a scalar, got b'0.1'"),
+    ("abc", ValueError, "k0 must be a scalar, got 'abc'"),
 ])
 def test_a_scalar_that_is_not_one_real_number_is_refused_by_name(value, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
