@@ -478,7 +478,7 @@ def test_shift_by_minima_refuses_profiles_of_unequal_length():
 
 @pytest.mark.parametrize("k0", [-0.5, 2 * np.pi - 0.5, 4.0, np.pi, 0.0, -0.0])
 def test_the_shift_estimators_refuse_a_carrier_outside_nyquist(k0):
-    # on fringes of carrier 0.5, -0.5 and 2 pi - 0.5 read 2 delta = 0.8 as -0.8 (fourier), and 4.0 as 2.61 (minima)
+    # on fringes of carrier 0.5, -0.5 and 2 pi - 0.5 read 2 delta = 0.8 as -0.8 (fourier), and 4.0 as 2.58 (minima)
     img = fringes.generate(0.4, 0.0, 0.5, size=(64, 256))
     up, low = fringes.column_average(img, fringes.Region(0, 256, 0, 64))
     assert abs(fringes.shift_by_fourier(up, low, 0.5) - 0.8) < 1e-3
