@@ -14,8 +14,9 @@
   sampled extremum of a 1-D array or of the rows of a stack (the carrier
   peaks of spectra, the minima of fringe profiles).
 * savitzky_golay: the smoothing (Savitzky & Golay, Anal. Chem. 36:1627, 1964)
-  of the minima estimator, the only fringe step that smooths; a stack of
-  profiles is smoothed in one pass.
+  of the minima estimator, the only fringe step that smooths, with its one
+  window and order, _SG_WINDOW = 11 and _SG_ORDER = 3; a stack of profiles
+  is smoothed in one pass.
 * _row_blocks: the cache-sized row blocks of the image, noise and scan-stack kernels.
 * _add_normal: the Gaussian noise of scans and images, added in place.
 """
@@ -33,8 +34,8 @@ from .su2 import _array, _scalar, finite
 #: most elements (of float64: 256 KiB) in one row block
 _BLOCK = 1 << 15
 
-#: savitzky_golay's default window, the one the minima estimator smooths with
-_SG_WINDOW = 11
+#: savitzky_golay's window and polynomial order, the minima estimator's smoothing
+_SG_WINDOW, _SG_ORDER = 11, 3
 
 
 def _row_blocks(rows: int, n: int) -> list:
@@ -60,61 +61,51 @@ def _add_normal(out: np.ndarray, rng: np.random.Generator, sigma) -> None:
     out += draws
 
 
-@functools.lru_cache(maxsize=16)
-def _savgol_fits(window: int, order: int) -> np.ndarray:
-    """Weights of every output sample, as one read-only (window//2 + 1, window) matrix.
+@functools.cache
+def _savgol_fits() -> np.ndarray:
+    """Weights of every output sample, as one read-only (_SG_WINDOW//2 + 1, _SG_WINDOW) matrix.
 
-    Row i evaluates, at sample i, the least-squares polynomial fitted on the
-    window y[:i + window//2 + 1] (degree capped by the samples available),
-    zero-padded to the window: truncated rows for i < window//2, and the
-    centre taps in the last row.  By symmetry the same rows serve the right
-    edge applied to the reversed profile.
+    Row i evaluates, at sample i, the least-squares polynomial of degree
+    _SG_ORDER fitted on the window y[:i + _SG_WINDOW//2 + 1] (degree capped
+    by the samples available), zero-padded to the window: truncated rows for
+    i < _SG_WINDOW//2, and the centre taps in the last row.  By symmetry the
+    same rows serve the right edge applied to the reversed profile.
     """
-    half = window // 2
-    fits = np.zeros((half + 1, window))
+    half = _SG_WINDOW // 2
+    fits = np.zeros((half + 1, _SG_WINDOW))
     for i in range(half + 1):
         t = np.arange(i + half + 1, dtype=float) - i
-        design = np.vander(t, min(order, i + half) + 1, increasing=True)
+        design = np.vander(t, min(_SG_ORDER, i + half) + 1, increasing=True)
         fits[i, :i + half + 1] = np.linalg.pinv(design)[0]
     fits.flags.writeable = False
     return fits
 
 
-def _savgol_checked(window, order) -> np.ndarray:
-    """_savgol_fits(window, order) of an odd positive integer window and an integer order in [0, window)."""
-    window, order = _scalar("window", window, "integer"), _scalar("order", order, "integer")
-    if window % 2 == 0 or window < 1:
-        raise ValueError(f"window must be odd and positive, got {window}")
-    if order < 0 or order >= window:
-        raise ValueError(f"order must satisfy 0 <= order < window, got {order}")
-    return _savgol_fits(window, order)
-
-
-def savgol_coefficients(window: int, order: int) -> np.ndarray:
+def savgol_coefficients() -> np.ndarray:
     """Convolution weights evaluating the local LS polynomial at the window centre."""
-    return _savgol_checked(window, order)[-1].copy()
+    return _savgol_fits()[-1].copy()
 
 
-def savitzky_golay(profile: np.ndarray, window: int = _SG_WINDOW, order: int = 3) -> np.ndarray:
+def savitzky_golay(profile) -> np.ndarray:
     """Least-squares local-polynomial smoothing of fringe profiles along the last axis.
 
-    Endpoints are handled by refitting on the truncated window that remains
-    inside the data (no reflection padding), so polynomials of degree <=
-    order pass through unchanged everywhere, endpoints included.  All fits
-    are cached per (window, order).  A stack of profiles is smoothed in one
-    pass, each row bit for bit as on its own: one convolution runs over the
-    rows laid end to end, every centre sample is the same dot product of its
-    own window, and the outputs whose window straddles two rows are dropped;
-    each edge is one matrix product over the stack.  ValueError names a window that
-    is not an odd positive integer within a profile's length, or an order not an integer in [0, window).
+    Each sample is the cubic (_SG_ORDER) fitted over the _SG_WINDOW = 11
+    samples centred on it.  Endpoints are handled by refitting on the
+    truncated window that remains inside the data (no reflection padding),
+    so cubics pass through unchanged everywhere, endpoints included.  The
+    fits are computed once.  A stack of profiles is smoothed in one pass,
+    each row bit for bit as on its own: one convolution runs over the rows
+    laid end to end, every centre sample is the same dot product of its own
+    window, and the outputs whose window straddles two rows are dropped;
+    each edge is one matrix product over the stack.  ValueError names a
+    profile shorter than the window.
     """
     y = np.asarray(profile, dtype=float)
-    n = y.shape[-1]
-    fits = _savgol_checked(window, order)
+    n, window = y.shape[-1], _SG_WINDOW
     if window > n:
         raise ValueError(f"window {window} longer than profile {n}")
 
-    half = window // 2
+    fits, half = _savgol_fits(), window // 2
     rows = y.reshape(-1, n)
     out = np.empty(rows.shape)
     # full mode: output j + window - 1 is the fit centred in the window that starts at sample j

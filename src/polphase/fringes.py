@@ -67,8 +67,8 @@ class NoCarrier(ValueError):
 #: or below which fringes count as absent entirely
 _FLAT_FLOOR = 1e-12
 
-#: the float64 bit pattern of +inf, read as an unsigned integer
-_INF_BITS = 0x7FF0000000000000
+#: default_regions' layout: this many bands about the split row, over this centred fraction of the columns
+_REGION_COUNT, _REGION_WIDTH = 4, 0.6
 
 _FLAT = "profile is flat"
 _NOT_FINITE = "profile is not finite"
@@ -120,10 +120,13 @@ class Interferogram:
     ``k0`` and ``true_delta`` are metadata: the carrier frequency when known
     and, for synthetic images, the phase the generator encoded.  The fields
     are read-only, so the split row checked here stays the one retrieval
-    reads; the pixels may still be written in place.  load_interferogram and
-    generate build theirs through _valid, which skips the pixel scan alone:
-    a 16-bit level over 65535, and finite values clipped to [0, 1], are
-    finite and nonnegative by construction.
+    reads; the pixels may still be written in place.  The pixels must be
+    finite and nonnegative (-0.0 is), which two reductions check: the
+    smallest pixel at least 0 and the largest below inf, each of which a NaN
+    fails; else ValueError.  load_interferogram and generate build theirs
+    through _valid, which skips that scan alone: a 16-bit level over 65535,
+    and finite values clipped to [0, 1], are finite and nonnegative by
+    construction.
     """
 
     pixels: np.ndarray
@@ -144,12 +147,8 @@ class Interferogram:
             raise ValueError("pixels must be a 2-d array")
         object.__setattr__(self, "pixels", pixels)
         object.__setattr__(self, "half_split_row", _geometry(*pixels.shape, self.half_split_row))
-        # one reduction, no full-size boolean mask: as uint64, the bits of +0.0 and of
-        # every positive finite float lie below +inf's, and those of NaN, +inf and any
-        # float with its sign bit set do not; only such an image pays for the two
-        # reductions that accept -0.0 and refuse the rest (NaN fails both comparisons)
-        if not (self.pixels.view(np.uint64).max() < _INF_BITS
-                or self.pixels.min() >= 0.0 and self.pixels.max() < np.inf):
+        # -0.0 passes, and NaN fails both comparisons
+        if not (pixels.min() >= 0.0 and pixels.max() < np.inf):
             raise ValueError("pixel intensities must be finite and nonnegative")
 
     @property
@@ -222,26 +221,20 @@ def generate(
     return (Interferogram._valid if valid else Interferogram)(pixels, split, k0=k0, true_delta=delta)
 
 
-def default_regions(img: Interferogram, count: int = 4, width_fraction: float = 0.6) -> list[Region]:
-    """Evaluation regions stacked about the split row.
+def default_regions(img: Interferogram) -> list[Region]:
+    """The four (_REGION_COUNT) evaluation regions stacked about the split row.
 
-    All regions share the horizontally centred ``width_fraction`` of the
+    All regions share the horizontally centred 0.6 (_REGION_WIDTH) of the
     columns; vertically they are bands of growing height centred on the
-    half-split row, so every region straddles both halves.  A count that
-    is not a positive integer, or a width_fraction that is not one number in
-    (0, 1], raises ValueError.
+    half-split row, so every region straddles both halves.
     """
-    if _scalar("count", count, "integer") < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    if not 0.0 < _scalar("width_fraction", width_fraction) <= 1.0:
-        raise ValueError(f"width_fraction must lie in (0, 1], got {width_fraction}")
     h, w = img.shape
-    c0 = int(round((1.0 - width_fraction) / 2.0 * w))
+    c0 = int(round((1.0 - _REGION_WIDTH) / 2.0 * w))
     c1 = w - c0
     reach = min(img.half_split_row, h - img.half_split_row)
     regions = []
-    for k in range(1, count + 1):
-        half_height = max(2, int(round(k / count * reach)))
+    for k in range(1, _REGION_COUNT + 1):
+        half_height = max(2, int(round(k / _REGION_COUNT * reach)))
         regions.append(Region(c0, c1, img.half_split_row - half_height,
                               img.half_split_row + half_height))
     return regions

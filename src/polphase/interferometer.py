@@ -34,7 +34,7 @@ import numpy as np
 
 from .dsp import UnresolvableGrid, _fit, _terms  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import compose
-from .su2 import NonFiniteInput, finite, from_yzy, wrap_angle
+from .su2 import finite, from_yzy, wrap_angle
 
 #: visibility below this is treated as zero (fringes flat, shift undefined)
 EPS_VISIBILITY = 1e-6
@@ -114,20 +114,17 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
 
     The H-fed fringe is the V-fed fringe of u with both axes reversed, so the
     halves are output_intensity("V", ...) of the pair of u and its reversal,
-    bit for bit and with the same refusals, but each is evaluated on its own:
-    u and the grid pass output_intensity's checks once (the reversal's
-    |u^dagger u - 1| holds u's elements, and a non-finite u is refused as the
-    pair, counting each value in both), each half is output_intensity's
-    expression of its overlap u[0, 0] or u[1, 1], and one lookup of the
-    grid's harmonics serves both halves and both fits.
+    bit for bit, but each is evaluated on its own: u and the grid pass
+    output_intensity's checks once, and a u it refuses gets the refusal of
+    output_intensity("V", u, ...) (the reversal holds u's elements, so its
+    checks decide as u's), each half is output_intensity's expression of its
+    overlap u[0, 0] or u[1, 1], and one lookup of the grid's harmonics
+    serves both halves and both fits.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix, got shape {u.shape}")
-    try:
-        _checked(u)
-    except NonFiniteInput:
-        _checked((u, u[::-1, ::-1]))
+    _checked(u)
     terms = _terms(phi_grid, 1, "phi", (2,) + np.shape(phi_grid))
     amp_v, amp_h = (_fit(_port(w, terms[0], terms[1]), terms, 1)[1] for w in (u[0, 0], u[1, 1]))
     visibility = 2.0 * abs(amp_v)

@@ -641,10 +641,10 @@ GRID64 = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     (np.diag([1.0, 1.1]), GRID64, itf.NonUnitary, "u must be unitary: |u^dagger u - 1| reaches 2.100e-01, above 1e-09"),
     (np.array([[0.6, 0.8], [0.8, 0.6]]), GRID64, itf.NonUnitary,
      "u must be unitary: |u^dagger u - 1| reaches 9.600e-01, above 1e-09"),
-    (_nan_at(np.eye(2), (1, 0)), GRID64, su2.NonFiniteInput, "u must be finite, got 2 of 8 values"),
-    (_nan_at(np.eye(2), (slice(None), 0)), GRID64, su2.NonFiniteInput, "u must be finite, got 4 of 8 values"),
+    (_nan_at(np.eye(2), (1, 0)), GRID64, su2.NonFiniteInput, "u must be finite, got 1 of 4 values"),
+    (_nan_at(np.eye(2), (slice(None), 0)), GRID64, su2.NonFiniteInput, "u must be finite, got 2 of 4 values"),
     (np.eye(2), _nan_at(GRID64, 5), su2.NonFiniteInput, "phi must be finite, got 1 of 64 values"),
-    (_nan_at(np.eye(2), (0, 0)), _nan_at(GRID64, 5), su2.NonFiniteInput, "u must be finite, got 2 of 8 values"),
+    (_nan_at(np.eye(2), (0, 0)), _nan_at(GRID64, 5), su2.NonFiniteInput, "u must be finite, got 1 of 4 values"),
     (np.diag([1.0, 1.1]), _nan_at(GRID64, 5), itf.NonUnitary,
      "u must be unitary: |u^dagger u - 1| reaches 2.100e-01, above 1e-09"),
     (np.eye(2), 0.5, ValueError, "values of shape (2,) do not lie along a grid of shape ()"),
@@ -654,4 +654,7 @@ GRID64 = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 def test_split_beam_shift_refuses_as_the_stacked_fit_does(u, grid, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         itf.split_beam_shift(u, grid)
-    assert outcome(stacked_shift, np.asarray(u, dtype=complex), grid) == (error, message)
+    if np.isfinite(u).all():
+        assert outcome(stacked_shift, np.asarray(u, dtype=complex), grid) == (error, message)
+    else:  # u is checked once, as output_intensity checks it: each value counted once, not in the pair
+        assert outcome(itf.output_intensity, "V", u, GRID64) == (error, message)

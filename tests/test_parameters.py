@@ -27,10 +27,6 @@ for row in [
     # dsp
     ("k", "integer", lambda v: dsp.harmonics(PHI_64, v)),
     ("k", "integer", lambda v: dsp.harmonic_fit(np.ones(64), PHI_64, v)),
-    ("window", "integer", lambda v: dsp.savitzky_golay(PROFILE, v), True),
-    ("order", "integer", lambda v: dsp.savitzky_golay(PROFILE, 11, v), True),
-    ("window", "integer", lambda v: dsp.savgol_coefficients(v, 3), True),
-    ("order", "integer", lambda v: dsp.savgol_coefficients(11, v), True),
     # plates
     ("plate axis", "real", lambda v: plates.WavePlate("Q", v)),
     ("plate axis", "real", plates.quarter_wave),
@@ -84,8 +80,6 @@ for row in [
     ("envelope_width", "real", lambda v: fringes.generate(**IMAGE_ARGS | {"envelope_width": v}), True, True),
     ("seed", "seed", lambda v: fringes.generate(**IMAGE_ARGS | {"seed": v}), True, True),
     ("split_row", "integer", lambda v: fringes.generate(**IMAGE_ARGS | {"split_row": v}), False, True),
-    ("count", "integer", lambda v: fringes.default_regions(IMAGE, v), True),
-    ("width_fraction", "real", lambda v: fringes.default_regions(IMAGE, 4, v), True),
     ("k0", "real", lambda v: fringes.shift_by_minima(UP, LOW, v), True),
     ("k0", "real", lambda v: fringes.shift_by_fourier(UP, LOW, v), True, True),
 ]:
