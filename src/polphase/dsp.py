@@ -98,9 +98,10 @@ def savitzky_golay(profile) -> np.ndarray:
     laid end to end, every centre sample is the same dot product of its own
     window, and the outputs whose window straddles two rows are dropped;
     each edge is one matrix product over the stack.  ValueError names a
-    profile shorter than the window.
+    profile shorter than the window or given as text, and ComplexInput a
+    complex one (su2._array).
     """
-    y = np.asarray(profile, dtype=float)
+    y = _array("profile", profile)
     n, window = y.shape[-1], _SG_WINDOW
     if window > n:
         raise ValueError(f"window {window} longer than profile {n}")

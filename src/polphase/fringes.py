@@ -123,10 +123,13 @@ class Interferogram:
     reads; the pixels may still be written in place.  The pixels must be
     finite and nonnegative (-0.0 is), which two reductions check: the
     smallest pixel at least 0 and the largest below inf, each of which a NaN
-    fails; else ValueError.  load_interferogram and generate build theirs
-    through _valid, which skips that scan alone: a 16-bit level over 65535,
-    and finite values clipped to [0, 1], are finite and nonnegative by
-    construction.
+    fails; else ValueError.  Pixels given as text raise ValueError, complex
+    ones ComplexInput (su2._array), and a k0 or true_delta that is given but
+    is not one finite number ValueError naming it (su2._scalar), as
+    load_interferogram refuses a sidecar's.  load_interferogram and generate
+    build theirs through _valid, which skips the pixel scan alone: a 16-bit
+    level over 65535, and finite values clipped to [0, 1], are finite and
+    nonnegative by construction.
     """
 
     pixels: np.ndarray
@@ -142,7 +145,7 @@ class Interferogram:
         return img
 
     def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=float)
+        pixels = _array("pixels", self.pixels)
         if pixels.ndim != 2:
             raise ValueError("pixels must be a 2-d array")
         object.__setattr__(self, "pixels", pixels)
@@ -150,6 +153,9 @@ class Interferogram:
         # -0.0 passes, and NaN fails both comparisons
         if not (pixels.min() >= 0.0 and pixels.max() < np.inf):
             raise ValueError("pixel intensities must be finite and nonnegative")
+        for name in ("k0", "true_delta"):
+            if getattr(self, name) is not None:
+                _scalar(name, getattr(self, name))
 
     @property
     def shape(self) -> tuple[int, int]:

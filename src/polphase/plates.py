@@ -36,7 +36,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .su2 import IDENTITY2, _scalar, finite, matrix, rot_z
+from .su2 import IDENTITY2, _array, _scalar, finite, matrix, rot_z
 
 QUARTER_RETARDANCE = np.pi / 2.0
 HALF_RETARDANCE = np.pi
@@ -146,7 +146,7 @@ def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarra
         checked = all(type(p) is WavePlate for p in plates)
     else:
         kinds, checked = list(plates), False
-    axes = np.asarray(axes, dtype=float)
+    axes = np.asarray(axes, dtype=float) if checked else _array("plate axis", axes)
     if axes.ndim == 0 or axes.shape[-1] != len(kinds):
         raise ValueError(f"axes of shape {axes.shape} do not match {len(kinds)} plate kinds")
     if not kinds:
@@ -226,9 +226,9 @@ def split_frame(phi: float) -> np.ndarray:
 
 
 def polarimetric_target(u: np.ndarray, phi: float) -> np.ndarray:
-    """Frame-conjugated operator V(phi)^dagger U V(phi) with V = split_frame."""
+    """Frame-conjugated operator V(phi)^dagger U V(phi) with V = split_frame; a u given as text raises ValueError."""
     v = split_frame(_scalar("phi", phi, "scalar angle"))
-    return v.conj().T @ np.asarray(u, dtype=complex) @ v
+    return v.conj().T @ _array("u", u, complex) @ v
 
 
 def polarimetric_array(xi, eta, zeta, phi) -> list[WavePlate]:

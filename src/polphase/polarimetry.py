@@ -36,7 +36,7 @@ import numpy as np
 from .dsp import UnresolvableGrid  # the fit's refusal, raised from here too
 from .dsp import _CACHED_POINTS, _add_normal, _fit, _row_blocks, _terms, _uniform, harmonic_fit
 from .plates import WavePlate, compose
-from .su2 import EPS_DEGENERATE, YzyParams, _scalar, _seed, finite
+from .su2 import EPS_DEGENERATE, YzyParams, _array, _scalar, _seed, finite
 
 _RATIO_SLACK = 1e-9
 
@@ -64,12 +64,22 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
 
     Closed form in the y-z-y angles; agrees with
     |<V| compose(polarimetric_array(xi, eta, zeta, phi)) |V>|^2 to rounding.
-    Accepts a scalar or an array of phi.  At xi = -pi it is the scan of the
-    three-plate reduction (plates.reduced_array_xi_minus_pi), constant in phi
-    at eta = 0, zeta = pi (the alignment configuration).
+    Accepts a scalar or an array of phi, and scalar angles or angles that
+    broadcast against phi (an eta column against a 1-D grid gives one scan
+    per row); the result has the broadcast shape.  Angles of any other shape
+    raise ValueError naming their shapes and phi's.  At xi = -pi it is the
+    scan of the three-plate reduction (plates.reduced_array_xi_minus_pi),
+    constant in phi at eta = 0, zeta = pi (the alignment configuration).
     """
-    xi, eta, zeta = finite("xi", xi), finite("eta", eta), finite("zeta", zeta)
-    swing = _scan_law(*_five_plate_law(xi, eta, zeta), *_terms(phi, 1, "phi")[:2])
+    angles = finite("xi", xi), finite("eta", eta), finite("zeta", zeta)
+    cos_phi, sin_phi, _, _ = _terms(phi, 1, "phi")
+    shapes = [np.shape(angle) for angle in angles]
+    try:
+        np.broadcast_shapes(*shapes, cos_phi.shape)
+    except ValueError:
+        raise ValueError(f"xi, eta and zeta of shapes {shapes[0]}, {shapes[1]} and {shapes[2]} do not broadcast "
+                         f"against phi of shape {cos_phi.shape}") from None
+    swing = _scan_law(*_five_plate_law(*angles), cos_phi, sin_phi)
     return float(swing) if swing.ndim == 0 else swing
 
 
@@ -129,8 +139,9 @@ def add_scan_noise(intensity: np.ndarray, noise_sigma: float, seed=None) -> np.n
     noise_sigma raises NonFiniteInput, a negative one, text or an array
     ValueError, and so does a seed that is not an integer (2.0 is not one),
     a sequence with an entry that is not one, or any sequence for a stack.
+    Intensities given as text raise ValueError, complex ones ComplexInput.
     """
-    intensity = np.asarray(intensity, dtype=float)
+    intensity = _array("intensity", intensity)
     add_noise = _scan_noise(noise_sigma, seed, intensity.ndim > 1)
     if add_noise is None:
         return intensity

@@ -27,7 +27,9 @@ Conventions used throughout the package:
 * One parameter rule: a one-number parameter passes _scalar (a seed _seed).
   An integer is what operator.index takes, so a float is refused even when
   integral; a real is one finite real number.  Text, any array but a 0-d one,
-  a complex number and None are refused by the parameter's name.
+  a complex number and None are refused by the parameter's name.  An array
+  input passes _array, which refuses text (an array-like of text or objects
+  too) by name before numpy can parse it.
 * The canonical ZYZ branch puts beta in [0, pi/2], so cos(beta) >= 0 and the
   fringe visibility cos(beta) is nonnegative.  Any sign of cos(beta) is
   absorbed into delta, which is therefore defined modulo pi.
@@ -128,7 +130,8 @@ def finite(name: str, value, dtype=float):
     Python or numpy int or float, not an array) comes back as a Python float,
     the value np.asarray(value, dtype=float) holds, or for another dtype as a
     0-d array of it; anything else comes back as an array of ``dtype``.  A
-    complex value for a real dtype raises ComplexInput (see _array).
+    complex value for a real dtype raises ComplexInput, and text ValueError
+    (see _array).
     """
     if isinstance(value, _REAL_SCALARS):
         # one math.isfinite call instead of three array operations
@@ -181,13 +184,17 @@ def _seed(seed):
 
 
 def _array(name: str, value, dtype=float) -> np.ndarray:
-    """``value`` as an array of ``dtype``, numpy's conversion; a complex value for a real
-    dtype raises ComplexInput instead of losing its imaginary part."""
-    if np.iscomplexobj(value) and np.dtype(dtype).kind != "c":
-        array = np.asarray(value)
+    """``value`` as an array of ``dtype``, numpy's conversion of its numbers.  Text, which numpy would parse
+    ("0.1" as 0.1), is refused by name (ValueError): a str or bytes, or an array-like whose dtype is text or
+    object.  A complex value for a real dtype raises ComplexInput instead of losing its imaginary part."""
+    array = np.asarray(value)
+    if array.dtype.kind in "OSU":
+        shown = repr(value) if array.ndim == 0 else f"an array of dtype {array.dtype}"
+        raise ValueError(f"{name} must be numbers, got {shown}")
+    if array.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         shown = array.item() if array.size == 1 else f"{array.size} complex values"
         raise ComplexInput(f"{name} must be real, got {shown}")
-    return np.asarray(value, dtype=dtype)
+    return np.asarray(array, dtype=dtype)
 
 
 def matrix(m11, m12, m21, m22) -> np.ndarray:

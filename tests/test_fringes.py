@@ -1070,6 +1070,28 @@ def test_interferogram_refuses_a_non_finite_or_negative_pixel(bad):
     fringes.Interferogram(pixels, 8)
 
 
+def test_interferogram_refuses_metadata_that_is_not_one_number_by_name():
+    # both were stored unchecked, while load_interferogram refuses the same values by key
+    for kwargs, message in [({"k0": "abc", "true_delta": [1, 2]}, "k0 must be a scalar, got 'abc'"),
+                            ({"true_delta": [1, 2]}, "true_delta must be a scalar, got an array of shape (2,)"),
+                            ({"k0": np.nan}, "k0 must be finite, got nan")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fringes.Interferogram(np.zeros((64, 96)), 32, **kwargs)
+    # a number is stored as given
+    img = fringes.Interferogram(np.zeros((64, 96)), 32, k0=np.float32(0.25), true_delta=1)
+    assert type(img.k0) is np.float32 and img.true_delta == 1 and type(img.true_delta) is int
+
+
+@pytest.mark.parametrize("pixels, error, message", [
+    (np.full((16, 16), "0.5"), ValueError, "pixels must be numbers, got an array of dtype <U3"),
+    (np.full((16, 16), 0.5 + 0j), su2.ComplexInput, "pixels must be real, got 256 complex values"),
+])
+def test_interferogram_refuses_text_or_complex_pixels_by_name(pixels, error, message):
+    # both were converted: text parsed, and complex values cut to their real parts with a ComplexWarning
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        fringes.Interferogram(pixels, 8)
+
+
 def _accepted(pixels) -> bool:
     try:
         fringes.Interferogram(pixels, 8)

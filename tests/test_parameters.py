@@ -1,13 +1,14 @@
 """The one parameter gate (su2._scalar, su2._seed): every public parameter that must be one number refuses a
 value of the wrong kind with a ValueError whose message starts with the parameter's name, before numpy can
-take it, fail on it unlabelled or warn."""
+take it, fail on it unlabelled or warn.  An array parameter refuses text, which numpy would parse, and a complex
+value for a real one, the same way (su2._array)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polphase import dsp, fringes, plates, polarimetry
+from polphase import dsp, fringes, plates, polarimetry, su2
 
 PHI_64 = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
 PROFILE = np.linspace(0.0, 1.0, 64)
@@ -17,9 +18,15 @@ IMAGE_ARGS = {"delta": 0.3, "beta": 0.2, "k0": 0.4, "size": (32, 48), "noise_sig
 
 
 def entry(name, kind, call, signed=False, none_ok=False):
-    """One public parameter: the name its refusals start with, its kind (integer, real, seed or stack seed),
-    whether -1 breaks a sign rule of its own, whether None is its default, and a call that passes it."""
+    """One public parameter: the name its refusals start with, its kind (integer, real, seed, stack seed, array
+    or complex array), whether -1 breaks a sign rule of its own, whether None is its default, and a call that
+    passes it (an array parameter 256 numbers, reshaped by the call)."""
     return pytest.param(name, kind, call, signed, none_ok, id=f"{name}-{len(TABLE)}")
+
+
+def shaped(value, shape):
+    """An array value reshaped as a call needs it; a scalar value as it is."""
+    return np.reshape(value, shape) if np.ndim(value) else value
 
 
 TABLE = []
@@ -27,6 +34,10 @@ for row in [
     # dsp
     ("k", "integer", lambda v: dsp.harmonics(PHI_64, v)),
     ("k", "integer", lambda v: dsp.harmonic_fit(np.ones(64), PHI_64, v)),
+    ("profile", "array", dsp.savitzky_golay),
+    ("values", "array", lambda v: dsp.harmonic_fit(shaped(v, (4, 64)), PHI_64, 1)),
+    ("phi", "array", dsp.harmonics),
+    ("phi", "array", lambda v: dsp.harmonic_fit(np.ones(256), v, 1)),
     # plates
     ("plate axis", "real", lambda v: plates.WavePlate("Q", v)),
     ("plate axis", "real", plates.quarter_wave),
@@ -80,8 +91,18 @@ for row in [
     ("envelope_width", "real", lambda v: fringes.generate(**IMAGE_ARGS | {"envelope_width": v}), True, True),
     ("seed", "seed", lambda v: fringes.generate(**IMAGE_ARGS | {"seed": v}), True, True),
     ("split_row", "integer", lambda v: fringes.generate(**IMAGE_ARGS | {"split_row": v}), False, True),
+    ("k0", "real", lambda v: fringes.Interferogram(np.zeros((64, 96)), 32, k0=v), False, True),
+    ("true_delta", "real", lambda v: fringes.Interferogram(np.zeros((64, 96)), 32, true_delta=v), False, True),
     ("k0", "real", lambda v: fringes.shift_by_minima(UP, LOW, v), True),
     ("k0", "real", lambda v: fringes.shift_by_fourier(UP, LOW, v), True, True),
+    # arrays that numpy converted from text, or from complex numbers with only a ComplexWarning
+    ("pixels", "array", lambda v: fringes.Interferogram(shaped(v, (16, 16)), 8)),
+    ("profile", "array", fringes.estimate_carrier),
+    ("intensity", "array", lambda v: polarimetry.add_scan_noise(v, 0.1)),
+    ("plate axis", "array", lambda v: plates.compose("QHQH", shaped(v, (64, 4)))),
+    ("u", "complex array", lambda v: plates.polarimetric_target(shaped(v, (64, 2, 2)), 0.3)),
+    ("angle", "array", su2.rot_y),
+    ("xi", "array", lambda v: su2.from_yzy(v, 0.0, 0.0)),
 ]:
     TABLE.append(entry(*row))
 
@@ -90,6 +111,9 @@ def bad_values(kind, signed, none_ok) -> list:
     """The values a parameter of this kind refuses: not finite, text, arrays, complex, None; a float, even
     an integral one, for an integer or a seed; -1 where the sign matters.  A one-scan seed may be a sequence,
     the entropy of one generator, so its arrays hold floats."""
+    if kind.endswith("array"):
+        values = ["0.1", b"2", ["0.5"] * 256, np.full(256, b"0.5"), np.full(256, 0.5, dtype=object)]
+        return values + [np.full(256, 0.5 + 0.5j)] * (kind == "array")
     values = [np.nan, np.inf, -np.inf, "0.1", b"2", 1 + 1j, np.array([2]), np.array([2, 3])]
     if kind == "seed":
         values[-2:] = [np.array([2.5]), np.array([2.0, 3.0])]

@@ -288,6 +288,23 @@ def test_scan_plate_array_names_a_non_finite_grid():
         polarimetry.scan_plate_array([], np.nan)
 
 
+def test_the_closed_form_takes_angles_that_broadcast_against_phi_and_refuses_others_by_shape():
+    phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    etas = np.array([[0.2], [0.5]])
+    column = polarimetry.polarimetric_intensity(0.1, etas, 0.3, phi)
+    assert column.shape == (2, 64)
+    for row, eta in zip(column, etas[:, 0]):
+        np.testing.assert_array_equal(row, polarimetry.polarimetric_intensity(0.1, eta, 0.3, phi))
+    assert polarimetry.polarimetric_intensity(np.array([0.1]), 0.2, 0.3, phi).shape == (64,)
+    # these failed inside numpy: "operands could not be broadcast together"
+    for angles, shapes in [((np.array([0.1, 0.2]), 0.2, 0.3), "(2,), () and ()"),
+                           ((0.1, 0.2, np.zeros(3)), "(), () and (3,)"),
+                           ((np.zeros((2, 1)), np.zeros((3, 1)), 0.3), "(2, 1), (3, 1) and ()")]:
+        with pytest.raises(ValueError, match=re.escape(f"xi, eta and zeta of shapes {shapes} do not broadcast "
+                                                       f"against phi of shape (64,)")):
+            polarimetry.polarimetric_intensity(*angles, phi)
+
+
 def test_closed_forms_refuse_non_finite_angles():
     with pytest.raises(su2.NonFiniteInput):
         polarimetry.polarimetric_intensity(np.nan, 0.0, 0.0, 0.0)

@@ -435,6 +435,24 @@ def test_a_scalar_that_is_not_one_real_number_is_refused_by_name(value, error, m
         su2._scalar("k0", value)
 
 
+@pytest.mark.parametrize("call, message", [
+    # each computed with 0.1: numpy's float conversion parses text
+    (lambda: su2.rot_y("0.1"), "angle must be numbers, got '0.1'"),
+    (lambda: su2.wrap_angle("0.1"), "angle must be numbers, got '0.1'"),
+    (lambda: su2.from_yzy(["0.1"], 0.0, 0.0), "xi must be numbers, got an array of dtype <U3"),
+    (lambda: su2.finite("values", np.array([0.1, 0.2], dtype=object)), "values must be numbers, got an array of dtype object"),
+    (lambda: su2.finite("u", [[b"1", b"0"], [b"0", b"1"]], dtype=complex), "u must be numbers, got an array of dtype |S1"),
+])
+def test_text_is_refused_by_name_before_numpy_parses_it(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_arrays_of_numbers_convert_as_numpy_converts_them():
+    for value in ([1, 2**60 + 1, -3], [True, 0.5], [np.float32(0.1), 0.2], np.arange(4, dtype=np.uint8), 2**63):
+        np.testing.assert_array_equal(su2._array("x", value), np.asarray(value, dtype=float), strict=True)
+
+
 def test_an_integer_is_refused_by_name_unless_operator_index_takes_it():
     assert su2._scalar("seed", np.int64(7), "integer") == 7 and su2._scalar("seed", True, "integer") == 1
     for value in (0.0, 0.5, np.float64(3.0), "3", None, np.array([1, 2])):
