@@ -34,7 +34,7 @@ import numpy as np
 
 from .dsp import UnresolvableGrid, _fit, _terms  # UnresolvableGrid: the fit's refusal, raised from here too
 from .plates import compose
-from .su2 import finite, from_yzy, wrap_angle
+from .su2 import _array, finite, from_yzy, wrap_angle
 
 #: visibility below this is treated as zero (fringes flat, shift undefined)
 EPS_VISIBILITY = 1e-6
@@ -121,7 +121,7 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     overlap u[0, 0] or u[1, 1], and one lookup of the grid's harmonics
     serves both halves and both fits.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _array("u", u, complex)
     if u.shape != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix, got shape {u.shape}")
     _checked(u)

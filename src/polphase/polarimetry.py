@@ -73,13 +73,12 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     """
     angles = finite("xi", xi), finite("eta", eta), finite("zeta", zeta)
     cos_phi, sin_phi, _, _ = _terms(phi, 1, "phi")
-    shapes = [np.shape(angle) for angle in angles]
     try:
-        np.broadcast_shapes(*shapes, cos_phi.shape)
-    except ValueError:
+        swing = _scan_law(*_five_plate_law(*angles), cos_phi, sin_phi)
+    except ValueError:  # numpy's "operands could not be broadcast together", the only one checked angles raise
+        shapes = [np.shape(angle) for angle in angles]
         raise ValueError(f"xi, eta and zeta of shapes {shapes[0]}, {shapes[1]} and {shapes[2]} do not broadcast "
                          f"against phi of shape {cos_phi.shape}") from None
-    swing = _scan_law(*_five_plate_law(*angles), cos_phi, sin_phi)
     return float(swing) if swing.ndim == 0 else swing
 
 

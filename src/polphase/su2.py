@@ -282,8 +282,8 @@ def yzy_to_zyz(xi, eta, zeta) -> ZyzParams:
 
 
 def apply(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply an operator to a Jones vector."""
-    return np.asarray(u, dtype=complex) @ np.asarray(state, dtype=complex)
+    """Apply an operator to a Jones vector; either given as text raises ValueError (see _array)."""
+    return _array("u", u, complex) @ _array("state", state, complex)
 
 
 def pancharatnam_phase(initial: np.ndarray, final: np.ndarray) -> float:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polphase import dsp, fringes, plates, polarimetry, su2
+from polphase import dsp, fringes, interferometer, plates, polarimetry, su2
 
 PHI_64 = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
 PROFILE = np.linspace(0.0, 1.0, 64)
@@ -103,6 +103,9 @@ for row in [
     ("u", "complex array", lambda v: plates.polarimetric_target(shaped(v, (64, 2, 2)), 0.3)),
     ("angle", "array", su2.rot_y),
     ("xi", "array", lambda v: su2.from_yzy(v, 0.0, 0.0)),
+    ("u", "complex array", lambda v: interferometer.split_beam_shift(shaped(v, (64, 2, 2)), PHI_64)),
+    ("u", "complex array", lambda v: su2.apply(shaped(v, (64, 2, 2)), su2.KET_V)),
+    ("state", "complex array", lambda v: su2.apply(np.eye(2), shaped(v, (128, 2)))),
 ]:
     TABLE.append(entry(*row))
 
