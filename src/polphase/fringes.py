@@ -150,7 +150,6 @@ class Interferogram:
             raise ValueError("pixels must be a 2-d array")
         object.__setattr__(self, "pixels", pixels)
         object.__setattr__(self, "half_split_row", _geometry(*pixels.shape, self.half_split_row))
-        # -0.0 passes, and NaN fails both comparisons
         if not (pixels.min() >= 0.0 and pixels.max() < np.inf):
             raise ValueError("pixel intensities must be finite and nonnegative")
         for name in ("k0", "true_delta"):

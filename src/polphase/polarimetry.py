@@ -75,7 +75,7 @@ def polarimetric_intensity(xi: float, eta: float, zeta: float, phi) -> "float | 
     cos_phi, sin_phi, _, _ = _terms(phi, 1, "phi")
     try:
         swing = _scan_law(*_five_plate_law(*angles), cos_phi, sin_phi)
-    except ValueError:  # numpy's "operands could not be broadcast together", the only one checked angles raise
+    except ValueError:  # numpy's "operands could not be broadcast together", which checked angles alone raise
         shapes = [np.shape(angle) for angle in angles]
         raise ValueError(f"xi, eta and zeta of shapes {shapes[0]}, {shapes[1]} and {shapes[2]} do not broadcast "
                          f"against phi of shape {cos_phi.shape}") from None
