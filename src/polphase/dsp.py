@@ -132,12 +132,12 @@ _CACHED_POINTS = 1 << 16
 
 def _design(phi: np.ndarray, k) -> tuple:
     """Read-only cos(k phi) and sin(k phi) of a 1-D grid, with the adjugate and
-    determinant of harmonic_fit's normal matrix on that grid."""
+    determinant of harmonic_fit's normal matrix on that grid as Python floats."""
     c, s = np.cos(k * phi), np.sin(k * phi)
     c.flags.writeable = s.flags.writeable = False
-    # normal matrix [[n, sc, ss], [sc, scc, scs], [ss, scs, sss]] and its adjugate
-    n, sc, ss = float(len(phi)), c.sum(), s.sum()
-    scc, sss, scs = (c * c).sum(), (s * s).sum(), (c * s).sum()
+    # normal matrix [[n, sc, ss], [sc, scc, scs], [ss, scs, sss]] and its adjugate, as Python floats
+    n, sc, ss = float(len(phi)), float(c.sum()), float(s.sum())
+    scc, sss, scs = float((c * c).sum()), float((s * s).sum()), float((c * s).sum())
     a00, a01, a02 = scc * sss - scs * scs, ss * scs - sc * sss, sc * scs - ss * scc
     a11, a12, a22 = n * sss - ss * ss, sc * ss - n * scs, n * scc - sc * sc
     return c, s, (a00, a01, a02, a11, a12, a22), n * a00 + sc * a01 + ss * a02
@@ -195,10 +195,12 @@ def harmonic_fit(values, phi, k: int):
     """Least-squares offset and k-th harmonic of scans along the last axis.
 
     (offset, amplitude) with values ~ offset + Re(amplitude) cos(k phi) +
-    Im(amplitude) sin(k phi), arrays of the leading shape (scalars for one
-    scan).  One inverse of the normal matrix serves every row, and each row's
-    sums are elementwise products summed along the last axis, so a stack
-    gives bit for bit the fits of its rows on their own; on the cached grid
+    Im(amplitude) sin(k phi), arrays of the leading shape.  One scan gives a
+    Python float and a Python complex, with the bits of the matching row of a
+    stack: its 3x3 tail is Python float arithmetic, which rounds as numpy's
+    float64 scalars do.  One inverse of the normal matrix serves every row,
+    and each row's sums are elementwise products summed along the last axis,
+    so a stack gives bit for bit the fits of its rows on their own; on the cached grid
     (see harmonics) a call computes only the three sums of each row.  A grid
     that cannot resolve the terms (fewer than three distinct phases mod 2 pi
     / k, or too short a span) raises UnresolvableGrid, and a NaN or infinite
@@ -229,6 +231,8 @@ def _fit(y: np.ndarray, terms: tuple, k) -> tuple:
         r0, r1, r2 = sums.reshape((3,) + y.shape[:-1])
     else:
         r0, r1, r2 = _sums(y, c, s)
+        if y.ndim == 1:  # one scan: Python float arithmetic, the bits of numpy's float64 scalars at less cost
+            r0, r1, r2 = float(r0), float(r1), float(r2)
     offset = (a00 * r0 + a01 * r1 + a02 * r2) / det
     amplitude = (a01 * r0 + a11 * r1 + a12 * r2) / det + 1j * ((a02 * r0 + a12 * r1 + a22 * r2) / det)
     return offset, amplitude

@@ -96,10 +96,11 @@ def _checked(u) -> np.ndarray:
     return u
 
 
-def _port(w, cos_phi, sin_phi, complementary=False):
-    """output_intensity of the overlaps w from the grid's harmonics."""
-    fringe = w.real * cos_phi + w.imag * sin_phi  # Re(e^{-i phi} w)
-    return 0.5 * (1.0 + fringe) if complementary else 0.5 * (1.0 - fringe)
+def _port(w, cos_phi, sin_phi, complementary=False, out=None):
+    """output_intensity of the overlaps w from the grid's harmonics, rendered in place into out if given:
+    the same products and sums, in the same order, as the expression 0.5 * (1 -+ Re(e^{-i phi} w))."""
+    fringe = np.add(np.multiply(w.real, cos_phi, out=out), w.imag * sin_phi, out=out)  # Re(e^{-i phi} w)
+    return np.multiply(0.5, (np.add if complementary else np.subtract)(1.0, fringe, out=out), out=out)
 
 
 def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
@@ -118,15 +119,16 @@ def split_beam_shift(u: np.ndarray, phi_grid: np.ndarray) -> float:
     output_intensity's checks once, and a u it refuses gets the refusal of
     output_intensity("V", u, ...) (the reversal holds u's elements, so its
     checks decide as u's), each half is output_intensity's expression of its
-    overlap u[0, 0] or u[1, 1], and one lookup of the grid's harmonics
-    serves both halves and both fits.
+    overlap u[0, 0] or u[1, 1], rendered in place into one buffer, and one
+    lookup of the grid's harmonics serves both halves and both fits.
     """
     u = _array("u", u, complex)
     if u.shape != (2, 2):
         raise ValueError(f"u must be a (2, 2) matrix, got shape {u.shape}")
     _checked(u)
     terms = _terms(phi_grid, 1, "phi", (2,) + np.shape(phi_grid))
-    amp_v, amp_h = (_fit(_port(w, terms[0], terms[1]), terms, 1)[1] for w in (u[0, 0], u[1, 1]))
+    fringe = np.empty(len(terms[0]))  # each half in turn, rendered in place
+    amp_v, amp_h = (_fit(_port(w, terms[0], terms[1], out=fringe), terms, 1)[1] for w in (u[0, 0], u[1, 1]))
     visibility = 2.0 * abs(amp_v)
     if visibility <= EPS_VISIBILITY:
         raise ZeroVisibility(f"visibility {visibility:.3e} below {EPS_VISIBILITY:g}")

@@ -30,7 +30,6 @@ some thirty numpy operations per plate, which is what a single matrix costs.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -45,24 +44,22 @@ _RETARDANCE = {"Q": QUARTER_RETARDANCE, "H": HALF_RETARDANCE}
 PlateKind = Literal["Q", "H"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WavePlate:
     """A quarter- or half-wave plate with axis angle measured from vertical."""
 
     kind: PlateKind
     axis: float
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "H"):
-            raise ValueError(f"plate kind must be 'Q' or 'H', got {self.kind!r}")
+    def __init__(self, kind: PlateKind, axis: float):
+        if kind not in ("Q", "H"):
+            raise ValueError(f"plate kind must be 'Q' or 'H', got {kind!r}")
         # canonical mounting angle: axes are pi-periodic; a float's % gives the floats of np.remainder
-        axis = self.axis
-        if type(axis) is not float or not math.isfinite(axis):  # su2._scalar's refusal, or its float
-            axis = _scalar("plate axis", axis, "scalar angle")
-        axis %= np.pi
-        if axis > np.pi / 2.0:
-            axis -= np.pi
-        object.__setattr__(self, "axis", axis)
+        axis = _scalar("plate axis", axis, "scalar angle") % np.pi
+        # set once through the instance dict: frozen blocks only setattr, which costs more
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["axis"] = axis - np.pi if axis > np.pi / 2.0 else axis
 
 
 def quarter_wave(axis: float) -> WavePlate:
@@ -106,6 +103,20 @@ def _rotated(half_turn: tuple, axis: np.ndarray) -> np.ndarray:
     return matrix(cos_half + diagonal, off_diagonal, off_diagonal, cos_half - diagonal)
 
 
+def _rotated_columns(half_turn: tuple, axes: np.ndarray) -> np.ndarray:
+    """_rotated of one array's checked axes, (n,), written straight into the (2, 2, n) layout of compose's
+    fold: the same element expressions, without su2.matrix's fill and the transpose."""
+    cos_half, minus_i_sin_half = half_turn
+    double = 2.0 * axes
+    diagonal = minus_i_sin_half * np.cos(double)
+    mats = np.empty((2, 2, len(axes)), dtype=complex)
+    np.add(cos_half, diagonal, out=mats[0, 0])
+    np.multiply(minus_i_sin_half, np.sin(double), out=mats[0, 1])
+    mats[1, 0] = mats[0, 1]
+    np.subtract(cos_half, diagonal, out=mats[1, 1])
+    return mats
+
+
 def _retardances(kinds) -> np.ndarray:
     try:
         return np.array([_RETARDANCE[kind] for kind in kinds], dtype=float)
@@ -133,7 +144,8 @@ def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarra
     (e.g. ``"QHQ"``) and an axis array of shape (..., n_plates), and returns
     the (..., 2, 2) stack.  Both go through one fold: every Jones matrix comes
     from one broadcast _retarder expression, laid out matrix indices first
-    (its kind terms computed once per sequence of kinds, and the axes checked
+    (one array's written straight into that layout, a stack's transposed;
+    its kind terms computed once per sequence of kinds, and the axes checked
     unless they are those of WavePlates, which checked them), and each
     plate then costs two ufunc calls over the whole stack, the eight element
     products ``m[i, j] * out[j, l]`` and the sums ``out[i, l] = p[i, 0, l] +
@@ -151,15 +163,18 @@ def compose(plates: Sequence[WavePlate] | Sequence[str], axes=None) -> np.ndarra
         raise ValueError(f"axes of shape {axes.shape} do not match {len(kinds)} plate kinds")
     if not kinds:
         return np.broadcast_to(IDENTITY2, axes.shape[:-1] + (2, 2)).copy()
-    lead = axes.ndim - 1
-    # (..., n, 2, 2) -> (2, 2, n, ...) by a transpose, which costs less than np.moveaxis
-    mats = _rotated(_kind_half_turns(tuple(kinds)), axes if checked else finite("plate axis", axes))
-    mats = mats.transpose(lead + 1, lead + 2, lead, *range(lead))
+    lead, half_turn = axes.ndim - 1, _kind_half_turns(tuple(kinds))
+    axes = axes if checked else finite("plate axis", axes)
+    if lead:
+        # (..., n, 2, 2) -> (2, 2, n, ...) by a transpose, which costs less than np.moveaxis
+        mats = _rotated(half_turn, axes).transpose(lead + 1, lead + 2, lead, *range(lead))
+    else:
+        mats = _rotated_columns(half_turn, axes)
     out = IDENTITY2.reshape((2, 2) + (1,) * lead)
     for k in range(len(kinds)):
         p = mats[:, :, None, k] * out[None]
         out = p[:, 0] + p[:, 1]
-    return np.ascontiguousarray(out.transpose(*range(2, lead + 2), 0, 1))
+    return np.ascontiguousarray(out.transpose(*range(2, lead + 2), 0, 1)) if lead else out
 
 
 def decompose_qhq(xi: float, eta: float, zeta: float) -> list[WavePlate]:

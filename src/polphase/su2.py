@@ -13,16 +13,17 @@ Conventions used throughout the package:
   the result has the broadcast shape in front.  A call with scalar angles
   returns a single ``(2, 2)`` matrix, and to_zyz of a single matrix returns a
   ZyzParams of Python floats and bools.  NaN or infinite inputs raise
-  NonFiniteInput.  Every operator is built by ``matrix`` from its element
-  formulas; products of plate operators are formed by plates.compose.
+  NonFiniteInput.  Every operator is built from its element formulas, by
+  ``matrix`` (by np.array for from_yzy of three floats); products of plate
+  operators are formed by plates.compose.
 * The scalar contract: ``finite``, the one check of a real input, gives one
   real number back as a Python float and an array (a 0-d one included) as a
   float array.  A one-matrix call therefore does its angle arithmetic on
-  floats and numpy scalars, which give the bits of the same arithmetic on
-  0-d arrays at a fraction of its cost.  Its complex products are float x complex ones; a complex x
-  complex product (plates.compose's fold) stays an array operation, since
-  numpy's loop fuses multiply-adds that Python's complex product rounds
-  apart.  One-element arrays give the same bits but for the sign of a zero,
+  floats and numpy scalars (from_yzy on math and cmath), which give the bits
+  of the same arithmetic on 0-d arrays at a fraction of its cost.  Its
+  complex products are float x complex ones; a complex x complex product
+  (plates.compose's fold) stays an array operation, since numpy's loop
+  fuses multiply-adds that Python's complex product rounds apart.  One-element arrays give the same bits but for the sign of a zero,
   which numpy's scalar and array complex products can set apart.
 * One parameter rule: a one-number parameter passes _scalar (a seed _seed).
   An integer is what operator.index takes, so a float is refused even when
@@ -47,6 +48,7 @@ and the Pancharatnam phase of |i> relative to |f> is arg<i|f>.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -108,12 +110,14 @@ class ZyzParams:
 
 
 def wrap_angle(angle):
-    """Wrap an angle (scalar or array) to (-pi, pi]; a non-finite scalar raises NonFiniteInput, an array keeps NaN."""
+    """Wrap an angle (scalar or array) to (-pi, pi]; a non-finite scalar raises NonFiniteInput, an array keeps NaN
+    and its float dtype.  Text, complex or object values are refused by name, as _array refuses them."""
     if isinstance(angle, float) and math.isfinite(angle):
         # a float's % is np.remainder's: fmod, moved to the sign of 2 pi, +0.0 for a zero
         wrapped = float(angle) % (2.0 * math.pi)
         return wrapped - 2.0 * math.pi if wrapped > math.pi else wrapped
-    wrapped = np.remainder(angle if np.ndim(angle) else finite("angle", angle), 2.0 * np.pi)
+    array = _numbers("angle", angle)  # text refused by name; an array keeps its dtype, float32 too, and NaN
+    wrapped = np.remainder(array if array.ndim else finite("angle", angle), 2.0 * np.pi)
     out = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
     return out if out.ndim else float(out)
 
@@ -158,6 +162,8 @@ def _scalar(name: str, value, kind: str = "scalar"):
             return operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if type(value) is float and math.isfinite(value):  # finite's float, without its checks
+        return value
     if isinstance(value, (str, bytes)):  # numpy would parse "0.1"
         raise ValueError(f"{name} must be a {kind}, got {value!r}")
     value = finite(name, value)
@@ -187,6 +193,11 @@ def _array(name: str, value, dtype=float) -> np.ndarray:
     """``value`` as an array of ``dtype``, numpy's conversion of its numbers.  Text, which numpy would parse
     ("0.1" as 0.1), is refused by name (ValueError): a str or bytes, or an array-like whose dtype is text or
     object.  A complex value for a real dtype raises ComplexInput instead of losing its imaginary part."""
+    return np.asarray(_numbers(name, value, dtype), dtype=dtype)
+
+
+def _numbers(name: str, value, dtype=float) -> np.ndarray:
+    """np.asarray(value), in its own dtype, after _array's refusals for ``dtype``."""
     array = np.asarray(value)
     if array.dtype.kind in "OSU":
         shown = repr(value) if array.ndim == 0 else f"an array of dtype {array.dtype}"
@@ -194,7 +205,7 @@ def _array(name: str, value, dtype=float) -> np.ndarray:
     if array.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         shown = array.item() if array.size == 1 else f"{array.size} complex values"
         raise ComplexInput(f"{name} must be real, got {shown}")
-    return np.asarray(array, dtype=dtype)
+    return array
 
 
 def matrix(m11, m12, m21, m22) -> np.ndarray:
@@ -224,8 +235,19 @@ def from_yzy(xi, eta, zeta) -> np.ndarray:
     """Build the SU(2) operator from its y-z-y Euler angles.
 
     The element formulas of rot_y(xi) rot_z(eta) rot_y(zeta), evaluated once
-    over the broadcast shape of the three angles.
+    over the broadcast shape of the three angles.  Three finite Python floats
+    run on math and cmath, whose cos, sin and exp give numpy's floats for one
+    number, and on Python's float x complex products: the bits of the numpy
+    scalar arithmetic (the scalar contract) at a third of its cost.
     """
+    # a NaN or infinite angle makes the sum so; finite angles whose sum overflows take the numpy path
+    if type(xi) is float and type(eta) is float and type(zeta) is float and math.isfinite(xi + eta + zeta):
+        ca, sa = math.cos(xi / 2.0), math.sin(xi / 2.0)
+        cc, sc = math.cos(zeta / 2.0), math.sin(zeta / 2.0)
+        ep = cmath.exp(0.5j * eta)
+        em = ep.conjugate()
+        return np.array([[ca * ep * cc - sa * em * sc, -ca * ep * sc - sa * em * cc],
+                         [sa * ep * cc + ca * em * sc, -sa * ep * sc + ca * em * cc]])
     half_xi, half_zeta = finite("xi", xi) / 2.0, finite("zeta", zeta) / 2.0
     ca, sa = np.cos(half_xi), np.sin(half_xi)
     cc, sc = np.cos(half_zeta), np.sin(half_zeta)

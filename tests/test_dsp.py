@@ -64,6 +64,26 @@ def test_harmonic_fit_of_a_stack_equals_the_fits_of_its_rows_bit_for_bit():
         assert dsp.harmonic_fit(values[index], phi, 2) == (offsets[index], amplitudes[index])
 
 
+@pytest.mark.parametrize("grid", ["uniform", "sorted"])
+def test_one_scan_fits_to_a_float_and_a_complex_with_the_bits_of_its_stack_row(grid):
+    # one scan's 3x3 tail is Python float arithmetic, the stack's numpy's: the same floats, zero signs too
+    phi = {"uniform": np.linspace(0.0, 2 * np.pi, 4096, endpoint=False),
+           "sorted": np.sort(RNG.uniform(0.0, 2 * np.pi, 500))}[grid]
+    stack = np.vstack([RNG.normal(size=(3, len(phi))), np.zeros((1, len(phi)))])
+    for k in (1, 2):
+        offsets, amplitudes = dsp.harmonic_fit(stack, phi, k)
+        sweep = polarimetry.PolarimetricSweep(phi, np.clip(stack, 0.0, 1.0), None)
+        low, high = polarimetry.sweep_extrema(sweep)
+        for row in range(len(stack)):
+            offset, amplitude = dsp.harmonic_fit(stack[row], phi, k)
+            assert type(offset) is float and type(amplitude) is complex
+            assert np.float64(offset).tobytes() == offsets[row].tobytes()
+            assert np.complex128(amplitude).tobytes() == amplitudes[row].tobytes()
+            one = polarimetry.sweep_extrema(polarimetry.PolarimetricSweep(phi, sweep.intensities[row], None))
+            assert [type(v) for v in one] == [float, float]
+            assert np.array(one).tobytes() == np.array([low[row], high[row]]).tobytes()
+
+
 def _fit_with_fresh_products(values, phi, k):
     """harmonic_fit with a new array for each product, as it was first written."""
     c, s, (a00, a01, a02, a11, a12, a22), det = dsp._terms(phi, k)
