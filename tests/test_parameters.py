@@ -3,8 +3,6 @@ value of the wrong kind with a ValueError whose message starts with the paramete
 take it, fail on it unlabelled or warn.  An array parameter refuses text, which numpy would parse, and a complex
 value for a real one, the same way (su2._array)."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,15 +140,3 @@ def test_a_one_number_parameter_refuses_a_bad_value_by_name(name, kind, call, si
     with pytest.raises(ValueError) as refused:
         call(value)
     assert str(refused.value).startswith(f"{name} "), str(refused.value)
-
-
-def test_wrap_angle_refuses_a_text_array_by_name_and_keeps_float32_and_nan():
-    # a text or bytes array failed inside numpy with an unlabelled UFuncTypeError
-    for value, shown in ((np.array(["0.1", "0.2"]), "<U3"), (["0.1"], "<U3"), (np.array([b"0.1"]), "|S3")):
-        with pytest.raises(ValueError, match=f"^angle must be numbers, got an array of dtype {re.escape(shown)}$"):
-            su2.wrap_angle(value)
-    angles = np.array([4.0, np.nan, -0.0, 7.0], dtype=np.float32)
-    wrapped = su2.wrap_angle(angles)
-    assert wrapped.dtype == np.float32
-    want = np.remainder(angles, np.float32(2.0 * np.pi))
-    np.testing.assert_array_equal(wrapped, np.where(want > np.pi, want - np.float32(2.0 * np.pi), want), strict=True)

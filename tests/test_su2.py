@@ -211,6 +211,13 @@ def test_wrap_angle_branch():
     )
 
 
+def test_wrap_angle_of_an_array_keeps_float32_and_nan():
+    angles = np.array([4.0, np.nan, -0.0, 7.0], dtype=np.float32)
+    wrapped = su2.wrap_angle(angles)
+    want = np.remainder(angles, np.float32(2.0 * np.pi))
+    np.testing.assert_array_equal(wrapped, np.where(want > np.pi, want - np.float32(2.0 * np.pi), want), strict=True)
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
                  st.sampled_from([np.pi, -np.pi, 3 * np.pi, 2 * np.pi, -2 * np.pi, 0.0, -0.0, -1e-300])))
